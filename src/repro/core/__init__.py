@@ -13,12 +13,7 @@ Layout mirrors the paper:
   refresh policy (immediate / periodic / threshold / manual).
 """
 
-from repro.core.acceptance import (
-    BernoulliAcceptance,
-    BiasedAcceptance,
-    BiasedCandidateLogger,
-    UniformAcceptance,
-)
+from repro.core.acceptance import BiasedAcceptance
 from repro.core.multi import FleetReport, MultiSampleManager
 from repro.core.stratified import GroupSample, StratifiedSampleManager
 from repro.core.reservoir import ReservoirSampler, build_reservoir
@@ -48,10 +43,7 @@ from repro.core.refresh import (
 __all__ = [
     "ReservoirSampler",
     "build_reservoir",
-    "UniformAcceptance",
     "BiasedAcceptance",
-    "BernoulliAcceptance",
-    "BiasedCandidateLogger",
     "MultiSampleManager",
     "FleetReport",
     "StratifiedSampleManager",

@@ -1,83 +1,32 @@
-"""Pluggable acceptance tests, including biased reservoir sampling.
+"""Biased acceptance: footnote 3's example of another acceptance test.
 
 Footnote 3 of the paper: "We are free to use any other acceptance test.
 For example, the biased reservoir sampling scheme in [7] is more suitable
 for data stream sampling."  The candidate log is agnostic to *which*
 acceptance law selected its entries -- the refresh algorithms only need
 candidates in arrival order, each destined for a uniformly random slot.
+In this package the acceptance test is part of a sample kind (see
+:mod:`repro.core.kinds`, whose uniform kind runs the classic reservoir
+law ``M/(|R|+1)``).
 
-This module makes the acceptance test a first-class, swappable strategy:
-
-* :class:`UniformAcceptance` -- the classic reservoir law ``M/(|R|+1)``
-  (what :class:`~repro.core.reservoir.ReservoirSampler` implements; kept
-  here for symmetry and for maintainers built via ``acceptance=``);
-* :class:`BiasedAcceptance` -- constant-probability acceptance, which
-  biases the sample exponentially toward recent elements: element ``i``
-  of a stream of ``n`` survives in the sample with probability
-  proportional to ``(1 - p/M)^(n-i)``.  This is the memoryless bias the
-  stream-sampling literature uses for sliding relevance windows; it keeps
-  the candidate-log machinery intact because each accepted element still
-  replaces a uniformly random slot;
-* :class:`BernoulliAcceptance` -- fixed-rate subsampling (no bounded
-  sample size; useful for load shedding where only the *rate* matters).
-
-All tests expose ``accept(rng) -> bool`` plus bookkeeping hooks, so a
-:class:`BiasedCandidateLogger` can drive any of them in front of the same
-log file and refresh algorithms.
+:class:`BiasedAcceptance` is constant-probability acceptance, which
+biases the sample exponentially toward recent elements: element ``i`` of
+a stream of ``n`` survives in the sample with probability proportional
+to ``(1 - p/M)^(n-i)``.  This is the memoryless bias the stream-sampling
+literature uses for sliding relevance windows; it keeps the
+candidate-log machinery intact because each accepted element still
+replaces a uniformly random slot.  The ``extra-bias`` experiment
+(:mod:`repro.experiments.extra`) appends its accepted elements to a
+plain :class:`~repro.storage.files.LogFile` and refreshes with Stack.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 from repro.rng.random_source import RandomSource
-from repro.storage.files import LogFile
 
-__all__ = [
-    "AcceptanceTest",
-    "UniformAcceptance",
-    "BiasedAcceptance",
-    "BernoulliAcceptance",
-    "BiasedCandidateLogger",
-]
-
-
-class AcceptanceTest(Protocol):
-    """Decides, per arriving element, whether it becomes a candidate."""
-
-    def accept(self, rng: RandomSource) -> bool:
-        """Advance the stream by one element; True if it is a candidate."""
-        ...  # pragma: no cover - protocol
-
-    @property
-    def expected_rate(self) -> float:
-        """Current per-element acceptance probability (for diagnostics)."""
-        ...  # pragma: no cover - protocol
-
-
-class UniformAcceptance:
-    """The classic reservoir law: accept element ``t+1`` w.p. ``M/(t+1)``."""
-
-    def __init__(self, sample_size: int, initial_dataset_size: int) -> None:
-        if sample_size <= 0:
-            raise ValueError("sample_size must be positive")
-        if initial_dataset_size < sample_size:
-            raise ValueError("dataset must be at least as large as the sample")
-        self._sample_size = sample_size
-        self._seen = initial_dataset_size
-
-    @property
-    def seen(self) -> int:
-        return self._seen
-
-    @property
-    def expected_rate(self) -> float:
-        return self._sample_size / (self._seen + 1)
-
-    def accept(self, rng: RandomSource) -> bool:
-        self._seen += 1
-        return rng.random() * self._seen < self._sample_size
+__all__ = ["BiasedAcceptance"]
 
 
 class BiasedAcceptance:
@@ -121,86 +70,3 @@ class BiasedAcceptance:
 
     def accept(self, rng: RandomSource) -> bool:
         return rng.random() < self._p
-
-
-class BernoulliAcceptance:
-    """Plain fixed-rate subsampling (load shedding): no size bound implied."""
-
-    def __init__(self, rate: float) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
-        self._rate = rate
-
-    @property
-    def expected_rate(self) -> float:
-        return self._rate
-
-    def accept(self, rng: RandomSource) -> bool:
-        return rng.random() < self._rate
-
-
-class BiasedCandidateLogger:
-    """Candidate logging under an arbitrary acceptance test.
-
-    Identical to :class:`~repro.core.logs.CandidateLogger` except the
-    acceptance law is injected.  The refresh phase is unchanged: any
-    candidate refresh algorithm (Array/Stack/Nomem) applies the log,
-    because "each candidate replaces a random element of the sample" holds
-    for every acceptance law above.
-    """
-
-    def __init__(
-        self,
-        log: LogFile,
-        acceptance: AcceptanceTest,
-        rng: RandomSource,
-    ) -> None:
-        self._log = log
-        self._acceptance = acceptance
-        self._rng = rng
-        self.inserts = 0
-        self.candidates = 0
-
-    @property
-    def log(self) -> LogFile:
-        return self._log
-
-    @property
-    def acceptance(self) -> AcceptanceTest:
-        return self._acceptance
-
-    def insert(self, element) -> bool:
-        self.inserts += 1
-        if self._acceptance.accept(self._rng):
-            self._log.append(element)
-            self.candidates += 1
-            return True
-        return False
-
-    def insert_many(self, elements) -> int:
-        """Batched log phase; returns the number of accepted elements.
-
-        Arbitrary acceptance laws draw one variate per element (they have
-        no skip distribution), so the acceptance loop stays element-wise
-        -- bit-identical draws -- but the accepted records are appended
-        in one bulk :meth:`~repro.storage.files.LogFile.append_many`
-        call, which charges the same block writes in the same order.
-        """
-        if not isinstance(elements, (list, tuple, range)):
-            elements = list(elements)
-        accept = self._acceptance.accept
-        rng = self._rng
-        accepted = [element for element in elements if accept(rng)]
-        self.inserts += len(elements)
-        if accepted:
-            self._log.append_many(accepted)
-            self.candidates += len(accepted)
-        return len(accepted)
-
-    def source(self):
-        from repro.core.logs import CandidateLogSource
-
-        return CandidateLogSource(self._log)
-
-    def after_refresh(self) -> None:
-        self._log.truncate()

@@ -3,8 +3,9 @@
 The paper states deferred maintenance for *uniform* reservoirs, but the
 decomposition it rests on -- an **acceptance test** at insert time, a
 **victim-slot choice** at refresh time, and a candidate log in between --
-generalises to other sampling schemes.  This module owns that
-generalisation: a :class:`SampleKind` captures, per scheme,
+generalises to other sampling schemes (footnote 3: "we are free to use
+any other acceptance test").  This module owns that generalisation: a
+:class:`SampleKind` captures, per scheme,
 
 * what a stored **row** is (value plus kind payload: A-ES key, arrival
   sequence) and which codec serialises it;
@@ -16,10 +17,10 @@ generalisation: a :class:`SampleKind` captures, per scheme,
 Deferred-maintenance proof obligations (checked bit-exactly by
 ``tests/properties/test_prop_kinds.py``; see ``docs/sample_kinds.md``):
 
-* **uniform** -- the classic scheme; acceptance via Vitter skips, victim
-  slots drawn at refresh.  Handled by the existing
-  :class:`~repro.core.logs.CandidateLogger` path; :class:`UniformKind`
-  is a marker so catalogs and manifests can name it.
+* **uniform** (:class:`UniformKind`) -- the classic scheme; acceptance
+  via Vitter skips, victim slots drawn uniformly at refresh.  Its victims
+  are RNG slot draws, so every refresh algorithm (Array, Stack, Nomem,
+  naive) can apply its log.
 * **weighted** (:class:`WeightedKind`) -- A-ES exponential keys: each
   record draws exactly one uniform and gets the key ``-ln(1-u)/w``; the
   sample holds the ``M`` *smallest* keys.  The insert-time acceptance
@@ -49,9 +50,10 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Protocol, Sequence
 
-from repro.core.logs import CandidateLogSource
+from repro.core.logs import CandidateLogger
+from repro.core.reservoir import ReservoirSampler, build_reservoir
 from repro.rng.random_source import RandomSource
-from repro.storage.files import LogFile
+from repro.storage.files import SampleFile
 from repro.storage.records import (
     IntRecordCodec,
     RecordCodec,
@@ -74,6 +76,7 @@ __all__ = [
     "DEFAULT_WEIGHT_MOD",
     "parse_kind_spec",
     "make_kind",
+    "restore_kind",
     "make_composite",
     "eager_oracle",
 ]
@@ -90,17 +93,30 @@ COMPOSITE_KINDS = ("stratified",)
 
 DEFAULT_WEIGHT_MOD = 16
 
+#: The candidate logger used to be kind-specific; the name stays as an
+#: alias because the host-time benchmark (``perfbench/layers.py``)
+#: imports and hooks it.
+KindCandidateLogger = CandidateLogger
+
 
 class SampleKind(Protocol):
     """The per-scheme contract the maintenance stack drives.
 
     A kind owns the mutable per-sample state that insert-time acceptance
-    depends on (dataset size, stale threshold, next arrival sequence).
-    One kind instance belongs to one sample; the candidate logger and the
-    refresh algorithm share it.
+    depends on (dataset size, pending skip, stale threshold, next arrival
+    sequence).  One kind instance belongs to one sample; the candidate
+    logger, the refresh algorithm and the query session share it.
     """
 
     name: str
+
+    #: maintenance strategies (see SampleMaintainer) the kind supports
+    strategies: tuple[str, ...]
+
+    #: True when refresh victims are uniform RNG slot draws (any refresh
+    #: algorithm applies the log); False when the kind's replay chooses
+    #: them from the sample's contents (naive and array refresh only)
+    draws_slots: bool
 
     @property
     def capacity(self) -> int:  # pragma: no cover - protocol
@@ -110,7 +126,8 @@ class SampleKind(Protocol):
     def seen(self) -> int:  # pragma: no cover - protocol
         ...
 
-    def params(self) -> dict:  # pragma: no cover - protocol
+    @property
+    def pending_accept(self) -> int | None:  # pragma: no cover - protocol
         ...
 
     def spec(self) -> str:  # pragma: no cover - protocol
@@ -119,7 +136,7 @@ class SampleKind(Protocol):
     def codec(self, record_size: int) -> RecordCodec:  # pragma: no cover
         ...
 
-    def value_of(self, row) -> int:  # pragma: no cover - protocol
+    def values(self, rows: list) -> list:  # pragma: no cover - protocol
         ...
 
     def population(self) -> int:  # pragma: no cover - protocol
@@ -131,17 +148,19 @@ class SampleKind(Protocol):
     def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
         ...  # pragma: no cover - protocol
 
-    def draw(self, element: int, rng: RandomSource):  # pragma: no cover
+    def offer(self, element, rng: RandomSource):  # pragma: no cover
         ...
 
-    def accept(self, record) -> bool:  # pragma: no cover - protocol
+    def offer_many(
+        self, elements, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:  # pragma: no cover - protocol
         ...
 
     def replay_start(self, total: int) -> int:  # pragma: no cover - protocol
         ...
 
-    def begin_replay(self, rows: list):  # pragma: no cover - protocol
-        ...
+    def open_replay(self, sample: SampleFile, rng: RandomSource):
+        ...  # pragma: no cover - protocol
 
     def commit_replay(self, replay) -> None:  # pragma: no cover - protocol
         ...
@@ -157,27 +176,55 @@ class SampleKind(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Uniform (the classic scheme; a marker for catalogs and manifests)
+# Uniform reservoir (the paper's scheme)
 # ---------------------------------------------------------------------------
 
 
-class UniformKind:
-    """The paper's uniform reservoir, as a registry entry.
+class _SlotDraws:
+    """Uniform victims: every candidate replaces a uniformly drawn slot.
 
-    Maintenance of uniform samples stays on the pre-kind code path
-    (:class:`~repro.core.logs.CandidateLogger` + the unmodified refresh
-    algorithms) -- this class only gives that path a name, parameters and
-    a codec so kind-aware catalogs and manifests treat "uniform" like any
-    other kind.  Runs configured with it are byte-identical to runs that
-    never mention kinds at all.
+    Reads no rows -- the draw ignores the sample's contents, which is
+    what lets Array/Stack/Nomem precompute final slots without a scan.
+    """
+
+    __slots__ = ("_rng", "_size")
+
+    def __init__(self, rng: RandomSource, size: int) -> None:
+        self._rng = rng
+        self._size = size
+
+    def step(self, record) -> int:
+        return self._rng.randrange(self._size)
+
+
+class UniformKind:
+    """The paper's uniform reservoir: Vitter skips, uniform victim slots.
+
+    Insert-time acceptance is the reservoir law ``M/(|R|+1)``, computed
+    with Vitter's skip variates by a
+    :class:`~repro.core.reservoir.ReservoirSampler` this kind owns -- so
+    batched offers jump from one candidate to the next in O(accepted)
+    Python work.  The sampler starts fresh at ``initial_size=seen``
+    (after :meth:`build_initial`, a construction with ``seen=``, or
+    :meth:`restore_state`) and draws from the stream each offer hands in.
     """
 
     name = "uniform"
+    strategies = ("immediate", "candidate", "full")
+    draws_slots = True
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, seen: int = 0, skip_method: str = "auto") -> None:
         if capacity <= 0:
             raise ValueError("sample capacity must be positive")
         self._capacity = capacity
+        self._skip_method = skip_method
+        self._start(seen, None)
+
+    def _start(self, seen: int, pending: int | None) -> None:
+        self._sampler = ReservoirSampler(
+            self._capacity, None, initial_size=seen, skip_method=self._skip_method
+        )
+        self._sampler.pending_accept = pending
 
     @property
     def capacity(self) -> int:
@@ -185,12 +232,17 @@ class UniformKind:
 
     @property
     def seen(self) -> int:
-        # The reservoir sampler owns the dataset-size counter on the
-        # uniform path; the kind object is never consulted for it.
-        raise NotImplementedError("uniform maintenance tracks seen in the sampler")
+        return self._sampler.seen
 
-    def params(self) -> dict:
-        return {}
+    @property
+    def pending_accept(self) -> int | None:
+        """The sampler's undrawn skip decision (checkpointed verbatim)."""
+        return self._sampler.pending_accept
+
+    def sampler(self, rng: RandomSource) -> ReservoirSampler:
+        """The log-phase sampler, drawing from ``rng``."""
+        self._sampler.rng = rng
+        return self._sampler
 
     def spec(self) -> str:
         return "uniform"
@@ -198,20 +250,97 @@ class UniformKind:
     def codec(self, record_size: int) -> RecordCodec:
         return IntRecordCodec(record_size)
 
-    def value_of(self, row) -> int:
-        return row
+    def values(self, rows: list) -> list:
+        return rows
+
+    def population(self) -> int:
+        return self.seen
 
     def effective_staleness(self, pending: int) -> int:
         return pending
+
+    def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
+        """One reservoir pass over the initial dataset; returns the rows."""
+        rows, seen = build_reservoir(
+            dataset, self._capacity, rng, skip_method=self._skip_method
+        )
+        self._start(seen, None)
+        return rows
+
+    def offer(self, element, rng: RandomSource):
+        """Acceptance test for one arrival: the element itself, or None."""
+        sampler = self._sampler
+        sampler.rng = rng
+        return element if sampler.test() else None
+
+    def offer_many(
+        self, elements, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:
+        """Skip-jump acceptance over a batch: ``(consumed, accepted)``.
+
+        Same draws as ``consumed`` scalar :meth:`offer` calls; ``consumed``
+        falls short of the batch only when ``max_accepts`` was reached,
+        right after the accepting element.
+        """
+        if not isinstance(elements, (list, tuple, range)):
+            elements = list(elements)
+        consumed, accepted = self.sampler(rng).test_many(len(elements), max_accepts)
+        return consumed, [elements[i] for i in accepted]
+
+    def replay_start(self, total: int) -> int:
+        return 0
+
+    def open_replay(self, sample: SampleFile, rng: RandomSource) -> _SlotDraws:
+        return _SlotDraws(rng, sample.size)
+
+    def commit_replay(self, replay: _SlotDraws) -> None:
+        return None
 
     def checkpoint_fields(self) -> tuple[int, float]:
         return 0, 0.0
 
     def restore_state(self, checkpoint) -> None:
-        return None
+        self._start(checkpoint.dataset_size, checkpoint.pending_accept)
 
     def plausible(self, rows: Sequence, seen: int) -> bool:
         return all(isinstance(row, int) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Kinds that draw and accept element by element (weighted, window)
+# ---------------------------------------------------------------------------
+
+
+def _offer_each(kind, element, rng: RandomSource):
+    """One draw, one test against stale state: the record, or None."""
+    record = kind.draw(element, rng)
+    return record if kind.accept(record) else None
+
+
+def _offer_many_each(
+    kind, elements, rng: RandomSource, max_accepts: int | None = None
+) -> tuple[int, list]:
+    """Element-wise draws over a batch: ``(consumed, accepted records)``.
+
+    Exactly the draws of ``consumed`` scalar offers, stopping right after
+    the accepting element that fills ``max_accepts`` -- the uniform
+    quota semantics, so refresh policies fire at identical points.
+    """
+    records: list = []
+    consumed = 0
+    for element in elements:
+        consumed += 1
+        record = kind.draw(element, rng)
+        if kind.accept(record):
+            records.append(record)
+            if max_accepts is not None and len(records) >= max_accepts:
+                break
+    return consumed, records
+
+
+def _scan_replay(kind, sample: SampleFile, rng: RandomSource):
+    """Content-chosen victims: replay over the sample's current rows."""
+    return kind.begin_replay(list(sample.scan()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +359,10 @@ class _WeightedReplay:
     lower slot, so the victim choice is deterministic.
     """
 
-    __slots__ = ("_rows", "_keys", "_heap")
+    __slots__ = ("rows", "_keys", "_heap")
 
     def __init__(self, rows: list) -> None:
-        self._rows = rows
+        self.rows = rows
         self._keys = [row[1] for row in rows]
         self._heap = [(-key, slot) for slot, key in enumerate(self._keys)]
         heapq.heapify(self._heap)
@@ -257,7 +386,7 @@ class _WeightedReplay:
         key = record[1]
         max_key, slot = self._peek_max()
         if key < max_key:
-            self._rows[slot] = record
+            self.rows[slot] = record
             self._keys[slot] = key
             heapq.heapreplace(self._heap, (-key, slot))
             return slot
@@ -280,6 +409,8 @@ class WeightedKind:
     """
 
     name = "weighted"
+    strategies = ("candidate",)
+    draws_slots = False
 
     def __init__(self, capacity: int, weight_mod: int = DEFAULT_WEIGHT_MOD) -> None:
         if capacity <= 0:
@@ -302,15 +433,17 @@ class WeightedKind:
         return self._seen
 
     @property
+    def pending_accept(self) -> None:
+        """Acceptance draws are eager; nothing pends between records."""
+        return None
+
+    @property
     def threshold(self) -> float:
         return self._threshold
 
     @property
     def weight_mod(self) -> int:
         return self._mod
-
-    def params(self) -> dict:
-        return {"weight_mod": self._mod}
 
     def spec(self) -> str:
         if self._mod == DEFAULT_WEIGHT_MOD:
@@ -320,8 +453,8 @@ class WeightedKind:
     def codec(self, record_size: int) -> RecordCodec:
         return WeightedRecordCodec(record_size)
 
-    def value_of(self, row) -> int:
-        return row[0]
+    def values(self, rows: list) -> list:
+        return [row[0] for row in rows]
 
     def population(self) -> int:
         return self._seen
@@ -347,8 +480,13 @@ class WeightedKind:
         """
         return record[1] < self._threshold
 
+    offer = _offer_each
+    offer_many = _offer_many_each
+
     def replay_start(self, total: int) -> int:
         return 0
+
+    open_replay = _scan_replay
 
     def begin_replay(self, rows: list) -> _WeightedReplay:
         return _WeightedReplay(rows)
@@ -400,17 +538,17 @@ class WeightedKind:
 class _WindowReplay:
     """Apply window records to their fixed slots, newest sequence wins."""
 
-    __slots__ = ("_rows", "_capacity")
+    __slots__ = ("rows", "_capacity")
 
     def __init__(self, rows: list, capacity: int) -> None:
-        self._rows = rows
+        self.rows = rows
         self._capacity = capacity
 
     def step(self, record) -> int | None:
         slot = record[1] % self._capacity
-        current = self._rows[slot]
+        current = self.rows[slot]
         if current is None or current[1] < record[1]:
-            self._rows[slot] = record
+            self.rows[slot] = record
             return slot
         return None
 
@@ -430,6 +568,8 @@ class WindowKind:
     """
 
     name = "window"
+    strategies = ("candidate",)
+    draws_slots = False
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -445,8 +585,9 @@ class WindowKind:
     def seen(self) -> int:
         return self._seen
 
-    def params(self) -> dict:
-        return {"window": self._capacity}
+    @property
+    def pending_accept(self) -> None:
+        return None
 
     def spec(self) -> str:
         return "window"
@@ -454,8 +595,8 @@ class WindowKind:
     def codec(self, record_size: int) -> RecordCodec:
         return TimestampedRecordCodec(record_size)
 
-    def value_of(self, row) -> int:
-        return row[0]
+    def values(self, rows: list) -> list:
+        return [row[0] for row in rows]
 
     def population(self) -> int:
         return min(self._seen, self._capacity)
@@ -476,9 +617,14 @@ class WindowKind:
     def accept(self, record) -> bool:
         return True
 
+    offer = _offer_each
+    offer_many = _offer_many_each
+
     def replay_start(self, total: int) -> int:
         """Logged rows older than the window are expired unread."""
         return max(0, total - self._capacity)
+
+    open_replay = _scan_replay
 
     def begin_replay(self, rows: list) -> _WindowReplay:
         return _WindowReplay(rows, self._capacity)
@@ -515,96 +661,6 @@ class WindowKind:
             if seq % self._capacity != slot or not 0 <= seq < seen:
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# Kind-aware candidate logging (the log phase for non-uniform kinds)
-# ---------------------------------------------------------------------------
-
-
-class KindCandidateLogger:
-    """Candidate logging driven by a :class:`SampleKind`.
-
-    Interface-compatible with :class:`~repro.core.logs.CandidateLogger`
-    (the uniform log phase), so :class:`~repro.core.maintenance.SampleMaintainer`
-    drives either without branching.  The kind runs the acceptance test
-    against its stale state and produces the full log record (value plus
-    kind payload); acceptance draws happen element-wise -- exactly one
-    per record for weighted, none for window -- so the batched path is
-    draw-for-draw identical to scalar inserts, like the biased logger in
-    :mod:`repro.core.acceptance`.
-    """
-
-    def __init__(self, log: LogFile, kind: SampleKind, rng: RandomSource) -> None:
-        if kind.seen < kind.capacity:
-            raise ValueError(
-                "kind candidate logging requires an existing full sample: "
-                f"seen {kind.seen} < capacity {kind.capacity}"
-            )
-        self._log = log
-        self._kind = kind
-        self._rng = rng
-
-    @property
-    def log(self) -> LogFile:
-        return self._log
-
-    @property
-    def kind(self) -> SampleKind:
-        return self._kind
-
-    @property
-    def dataset_size(self) -> int:
-        return self._kind.seen
-
-    @property
-    def sample_size(self) -> int:
-        return self._kind.capacity
-
-    @property
-    def pending_accept(self) -> None:
-        """Kind acceptance draws are eager; nothing pends between records."""
-        return None
-
-    def insert(self, element) -> bool:
-        """Log phase for one insertion; True if it became a candidate."""
-        record = self._kind.draw(element, self._rng)
-        if self._kind.accept(record):
-            self._log.append(record)
-            return True
-        return False
-
-    def insert_many(
-        self, elements: Sequence, max_accepts: int | None = None
-    ) -> tuple[int, int]:
-        """Batched log phase: element-wise draws, one bulk append.
-
-        Returns ``(consumed, accepted)`` with the same stop-after-the-
-        accepting-element quota semantics as the uniform logger, so
-        refresh policies fire at identical points under either path.
-        """
-        kind = self._kind
-        rng = self._rng
-        records: list = []
-        consumed = 0
-        for element in elements:
-            consumed += 1
-            record = kind.draw(element, rng)
-            if kind.accept(record):
-                records.append(record)
-                if max_accepts is not None and len(records) >= max_accepts:
-                    break
-        if records:
-            self._log.append_many(records)
-        return consumed, len(records)
-
-    def source(self) -> CandidateLogSource:
-        """The candidate source for the coming refresh."""
-        return CandidateLogSource(self._log)
-
-    def after_refresh(self) -> None:
-        """Reset the log for reuse (the refresh consumed it)."""
-        self._log.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +704,22 @@ def make_kind(spec: str, capacity: int) -> SampleKind:
     return WindowKind(capacity)
 
 
+def restore_kind(checkpoint: "MaintenanceCheckpoint") -> SampleKind:
+    """Rebuild the kind a manifest names, with its stale state restored.
+
+    The manifest is the source of truth: kind name, parameter (weight
+    modulus) and capacity come from the checkpoint, and so does the
+    state insert-time acceptance resumes from (dataset size, pending
+    skip, stale threshold) -- never from an in-memory kind a crashed
+    maintainer was mutating.
+    """
+    name = checkpoint.kind_name
+    spec = f"{name}:{checkpoint.kind_param}" if name == "weighted" else name
+    kind = make_kind(spec, checkpoint.sample_size)
+    kind.restore_state(checkpoint)
+    return kind
+
+
 def make_composite(name: str, **kwargs) -> "StratifiedSampleManager":
     """Build a registered composite kind (currently ``stratified``).
 
@@ -676,9 +748,12 @@ def eager_oracle(
     """Immediate maintenance in memory: apply each arrival on the spot.
 
     This is the reference the deferred path is proven against: same
-    initial build, then one :meth:`SampleKind.draw` plus one eager replay
-    step per arriving element.  Because kinds draw element-wise, the
-    PRNG stream here is identical to the deferred path's, and the
+    initial build, then one ``draw`` plus one eager replay step per
+    arriving element.  It covers the kinds that draw element-wise
+    (weighted, window), whose PRNG stream here is identical to the
+    deferred path's -- uniform deferral moves the victim draws to
+    refresh time, so it matches immediate maintenance in law, not in
+    bits.  The
     bit-identity property (``tests/properties/test_prop_kinds.py``)
     checks rows *and* PRNG state after the deferred run's final refresh.
     """

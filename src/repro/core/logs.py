@@ -6,8 +6,9 @@ log phase plus the two **candidate sources** that the refresh algorithms
 consume:
 
 * :class:`CandidateLogger` implements candidate logging (Sec. 3.2): the
-  reservoir acceptance test is pushed to insertion time and only accepted
-  elements are appended to the log file.  The refresh phase then treats
+  sample kind's acceptance test (the reservoir law, for uniform samples)
+  is pushed to insertion time and only accepted elements are appended to
+  the log file.  The refresh phase then treats
   every log element as a candidate.
 * :class:`FullLogger` implements full logging (Sec. 3.1): every insertion
   is appended, and the acceptance test is deferred to refresh time.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence, TypeVar
 
-from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile
 
@@ -69,33 +69,28 @@ class CandidateSource(Protocol):
 
 
 class CandidateLogger:
-    """Candidate logging (Sec. 3.2).
+    """Candidate logging (Sec. 3.2), under any sample kind's acceptance test.
 
-    Each arriving insertion is accepted with probability ``M/(|R|+1)`` and,
-    if accepted, appended to the log file; rejected elements cost nothing.
-    The expected log size after ``n`` insertions is
-    ``M ln((|R|+n)/|R|)`` -- it *shrinks* relative to ``n`` as the dataset
-    grows, which is where the paper's orders-of-magnitude online savings
-    come from.
+    Each arriving insertion runs the kind's acceptance test -- for a
+    uniform reservoir, accept with probability ``M/(|R|+1)`` -- and, if
+    accepted, its log record is appended to the log file; rejected
+    elements cost nothing.  The expected uniform log size after ``n``
+    insertions is ``M ln((|R|+n)/|R|)`` -- it *shrinks* relative to ``n``
+    as the dataset grows, which is where the paper's orders-of-magnitude
+    online savings come from.  Footnote 3 ("we are free to use any other
+    acceptance test") is the :class:`~repro.core.kinds.SampleKind`
+    protocol: the log neither knows nor cares which test filled it.
     """
 
-    def __init__(
-        self,
-        log: LogFile,
-        sample_size: int,
-        rng: RandomSource,
-        initial_dataset_size: int,
-        skip_method: str = "auto",
-    ) -> None:
-        if initial_dataset_size < sample_size:
+    def __init__(self, log: LogFile, kind, rng: RandomSource) -> None:
+        if kind.seen < kind.capacity:
             raise ValueError(
-                "candidate logging requires an existing sample: "
-                f"dataset size {initial_dataset_size} < sample size {sample_size}"
+                "candidate logging requires an existing full sample: "
+                f"seen {kind.seen} < capacity {kind.capacity}"
             )
         self._log = log
-        self._sampler = ReservoirSampler(
-            sample_size, rng, initial_size=initial_dataset_size, skip_method=skip_method
-        )
+        self._kind = kind
+        self._rng = rng
 
     @property
     def log(self) -> LogFile:
@@ -103,40 +98,37 @@ class CandidateLogger:
 
     @property
     def dataset_size(self) -> int:
-        return self._sampler.seen
-
-    @property
-    def sample_size(self) -> int:
-        return self._sampler.capacity
+        return self._kind.seen
 
     @property
     def pending_accept(self) -> int | None:
-        """The sampler's undrawn skip decision (checkpointed verbatim)."""
-        return self._sampler.pending_accept
+        """The kind's undrawn skip decision (checkpointed verbatim)."""
+        return self._kind.pending_accept
 
     def insert(self, element: T) -> bool:
         """Log phase for one insertion; True if it became a candidate."""
-        if self._sampler.test(element):
-            self._log.append(element)
-            return True
-        return False
+        record = self._kind.offer(element, self._rng)
+        if record is None:
+            return False
+        self._log.append(record)
+        return True
 
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
     ) -> tuple[int, int]:
-        """Batched log phase: skip-jump to each candidate, append in bulk.
+        """Batched log phase: acceptance over the batch, one bulk append.
 
         Returns ``(consumed, accepted)``.  ``consumed < len(elements)``
         only when ``max_accepts`` acceptances were reached (then the call
         stops right after the accepting element, so a refresh policy can
         fire at exactly the element it would fire at under scalar
         inserts).  Same PRNG draws, log records and block writes as
-        ``len(elements)`` scalar :meth:`insert` calls.
+        ``consumed`` scalar :meth:`insert` calls.
         """
-        consumed, accepted = self._sampler.test_many(len(elements), max_accepts)
-        if accepted:
-            self._log.append_many([elements[i] for i in accepted])
-        return consumed, len(accepted)
+        consumed, records = self._kind.offer_many(elements, self._rng, max_accepts)
+        if records:
+            self._log.append_many(records)
+        return consumed, len(records)
 
     def source(self) -> "CandidateLogSource":
         """The candidate source for the coming refresh."""
@@ -148,14 +140,18 @@ class CandidateLogger:
 
 
 class FullLogger:
-    """Full logging (Sec. 3.1): every insertion goes to the log."""
+    """Full logging (Sec. 3.1): every insertion goes to the log.
+
+    ``initial_dataset_size`` is ``|R|`` at the last refresh; the log
+    holds every insertion since, so a log re-attached after a crash
+    restores the live dataset size on its own.
+    """
 
     def __init__(self, log: LogFile, initial_dataset_size: int) -> None:
         if initial_dataset_size < 0:
             raise ValueError("initial_dataset_size must be non-negative")
         self._log = log
         self._dataset_size_at_refresh = initial_dataset_size
-        self._dataset_size = initial_dataset_size
 
     @property
     def log(self) -> LogFile:
@@ -163,7 +159,7 @@ class FullLogger:
 
     @property
     def dataset_size(self) -> int:
-        return self._dataset_size
+        return self._dataset_size_at_refresh + len(self._log)
 
     @property
     def dataset_size_at_last_refresh(self) -> int:
@@ -172,13 +168,11 @@ class FullLogger:
     def insert(self, element: T) -> bool:
         """Log phase for one insertion; always logged."""
         self._log.append(element)
-        self._dataset_size += 1
         return True
 
     def insert_many(self, elements: Sequence[T]) -> int:
         """Batched log phase: every element appended, one bulk call."""
         self._log.append_many(elements)
-        self._dataset_size += len(elements)
         return len(elements)
 
     def source(self, sample_size: int, rng: RandomSource) -> "FullLogSource":
@@ -188,7 +182,7 @@ class FullLogger:
         )
 
     def after_refresh(self) -> None:
-        self._dataset_size_at_refresh = self._dataset_size
+        self._dataset_size_at_refresh = self.dataset_size
         self._log.truncate()
 
 

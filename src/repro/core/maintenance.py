@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.kinds import KindCandidateLogger, SampleKind
-from repro.core.logs import CandidateLogger, FullLogger
+from repro.core.kinds import SampleKind, UniformKind, restore_kind
+from repro.core.logs import CandidateLogger, CandidateLogSource, FullLogger
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult
 from repro.core.refresh.naive import NaiveFullRefresh
 from repro.core.policies import ManualPolicy, RefreshPolicy
-from repro.core.reservoir import ReservoirSampler
 from repro.obs.api import Instrumentation, maybe_span
 from repro.obs.catalogue import COUNT_BUCKETS, SECONDS_BUCKETS
 from repro.rng.random_source import RandomSource
@@ -75,6 +74,11 @@ class SampleMaintainer:
         When to auto-refresh; defaults to manual.
     initial_dataset_size:
         ``|R|`` at the moment the initial sample was built.
+    kind:
+        The :class:`~repro.core.kinds.SampleKind` whose acceptance test
+        and victim rule the maintenance runs; must have seen
+        ``initial_dataset_size`` elements.  ``None`` builds a
+        :class:`~repro.core.kinds.UniformKind`, the paper's reservoir.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation` facade.  When given,
         the maintainer keeps the ``maintenance.*``/``refresh.*`` metrics
@@ -112,30 +116,22 @@ class SampleMaintainer:
                 raise ValueError(f"strategy {strategy!r} requires a log file")
             if algorithm is None:
                 raise ValueError(f"strategy {strategy!r} requires a refresh algorithm")
-        if kind is not None and kind.name == "uniform":
-            # Uniform is the pre-kind path; dropping the marker here keeps
-            # that path literally unchanged (and byte-identical).
-            kind = None
-        if kind is not None:
-            if strategy != "candidate":
-                raise ValueError(
-                    f"kind {kind.name!r} supports only candidate logging, "
-                    f"got strategy {strategy!r}"
-                )
-            if kind.seen != initial_dataset_size:
-                raise ValueError(
-                    f"kind has seen {kind.seen} elements but "
-                    f"initial_dataset_size is {initial_dataset_size}"
-                )
-            # Propagate the kind to a kind-capable refresh algorithm, the
-            # same way instrumentation propagates below.
-            if not hasattr(algorithm, "kind"):
-                raise ValueError(
-                    f"refresh algorithm {getattr(algorithm, 'name', algorithm)!r} "
-                    f"cannot drive kind {kind.name!r} (no kind support)"
-                )
-            if algorithm.kind is None:
-                algorithm.kind = kind
+        if kind is None:
+            kind = UniformKind(
+                sample.size, seen=initial_dataset_size, skip_method=skip_method
+            )
+        if strategy not in kind.strategies:
+            raise ValueError(
+                f"kind {kind.name!r} supports strategies {kind.strategies}, "
+                f"got strategy {strategy!r}"
+            )
+        # Full logging counts arrivals in its logger; the other strategies
+        # run the kind's acceptance test, so its state must match.
+        if strategy != "full" and kind.seen != initial_dataset_size:
+            raise ValueError(
+                f"kind has seen {kind.seen} elements but "
+                f"initial_dataset_size is {initial_dataset_size}"
+            )
         self._kind = kind
         self._sample = sample
         self._rng = rng
@@ -143,7 +139,6 @@ class SampleMaintainer:
         self._algorithm = algorithm
         self._policy = policy if policy is not None else ManualPolicy()
         self._cost_model = cost_model
-        self._skip_method = skip_method
         self.stats = MaintenanceStats()
         self._ops_since_refresh = 0
         if commit_group is None:
@@ -158,21 +153,12 @@ class SampleMaintainer:
         self._commit_group = commit_group
 
         if strategy == "immediate":
-            self._reservoir = ReservoirSampler(
-                sample.size, rng, initial_size=initial_dataset_size,
-                skip_method=skip_method,
-            )
+            self._reservoir = kind.sampler(rng)
             self._candidate_logger = None
             self._full_logger = None
         elif strategy == "candidate":
             self._reservoir = None
-            if kind is not None:
-                self._candidate_logger = KindCandidateLogger(log, kind, rng)
-            else:
-                self._candidate_logger = CandidateLogger(
-                    log, sample.size, rng, initial_dataset_size,
-                    skip_method=skip_method,
-                )
+            self._candidate_logger = CandidateLogger(log, kind, rng)
             self._full_logger = None
         else:  # full
             self._reservoir = None
@@ -220,25 +206,20 @@ class SampleMaintainer:
         return self._strategy
 
     @property
-    def kind(self) -> SampleKind | None:
-        """The non-uniform sample kind driving maintenance, if any."""
+    def kind(self) -> SampleKind:
+        """The sample kind whose acceptance test and victim rule run here."""
         return self._kind
 
     @property
     def dataset_size(self) -> int:
-        if self._reservoir is not None:
-            return self._reservoir.seen
-        if self._candidate_logger is not None:
-            return self._candidate_logger.dataset_size
-        return self._full_logger.dataset_size
+        if self._full_logger is not None:
+            return self._full_logger.dataset_size
+        return self._kind.seen
 
     @property
     def pending_log_elements(self) -> int:
-        if self._candidate_logger is not None:
-            return len(self._candidate_logger.log)
-        if self._full_logger is not None:
-            return len(self._full_logger.log)
-        return 0
+        log = self._log_file()
+        return len(log) if log is not None else 0
 
     # -- the two phases --------------------------------------------------------
 
@@ -395,31 +376,32 @@ class SampleMaintainer:
             # refresh would otherwise absorb the last block's write.
             online_mark = self._checkpoint()
             with maybe_span(obs, "refresh.log_flush"):
-                if self._candidate_logger is not None:
-                    self._candidate_logger.log.flush()
-                else:
-                    self._full_logger.log.flush()
+                self._log_file().flush()
             self._charge_online(online_mark)
             checkpoint = self._checkpoint()
             if self._strategy == "candidate":
                 source = self._candidate_logger.source()
-                result = self._algorithm.refresh(self._sample, source, self._rng)
+                result = self._algorithm.refresh(
+                    self._sample, source, self._rng, self._kind
+                )
                 self._candidate_logger.after_refresh()
             else:
                 if isinstance(self._algorithm, NaiveFullRefresh):
                     # The naive full refresh scans the raw log itself.
-                    from repro.core.logs import CandidateLogSource
-
                     algorithm = NaiveFullRefresh(
                         self._full_logger.dataset_size_at_last_refresh
                     )
                     if obs is not None and algorithm.instrumentation is None:
                         algorithm.instrumentation = obs
                     source = CandidateLogSource(self._full_logger.log)
-                    result = algorithm.refresh(self._sample, source, self._rng)
+                    result = algorithm.refresh(
+                        self._sample, source, self._rng, self._kind
+                    )
                 else:
                     source = self._full_logger.source(self._sample.size, self._rng)
-                    result = self._algorithm.refresh(self._sample, source, self._rng)
+                    result = self._algorithm.refresh(
+                        self._sample, source, self._rng, self._kind
+                    )
                 self._full_logger.after_refresh()
             # Refresh commit point: the new sample must be on the device
             # before the truncated log stops being replayable.  Any write
@@ -464,20 +446,14 @@ class SampleMaintainer:
 
         with maybe_span(self._instr, "maintenance.checkpoint") as span:
             online_mark = self._checkpoint()
-            pending = None
-            if self._candidate_logger is not None:
-                self._candidate_logger.log.flush()
-                log_count = len(self._candidate_logger.log)
-                dataset_at_refresh = self._candidate_logger.dataset_size
-                pending = self._candidate_logger.pending_accept
-            elif self._full_logger is not None:
-                self._full_logger.log.flush()
-                log_count = len(self._full_logger.log)
+            log = self._log_file()
+            if log is not None:
+                log.flush()
+            log_count = self.pending_log_elements
+            if self._full_logger is not None:
                 dataset_at_refresh = self._full_logger.dataset_size_at_last_refresh
             else:
-                log_count = 0
-                dataset_at_refresh = self._reservoir.seen
-                pending = self._reservoir.pending_accept
+                dataset_at_refresh = self._kind.seen
             # Checkpoint point: the snapshot describes on-device state, so any
             # buffered sample/log writes must reach the device first (barriers
             # are free on plain devices, booked online like the log flush).
@@ -486,11 +462,7 @@ class SampleMaintainer:
             if span is not None:
                 span.set("log_count", log_count)
         seed, spawn_count, state, w = MaintenanceCheckpoint.capture_rng(self._rng)
-        if self._kind is not None:
-            kind_name = self._kind.name
-            kind_param, kind_threshold = self._kind.checkpoint_fields()
-        else:
-            kind_name, kind_param, kind_threshold = "uniform", 0, 0.0
+        kind_param, kind_threshold = self._kind.checkpoint_fields()
         return MaintenanceCheckpoint(
             strategy=self._strategy,
             sample_size=self._sample.size,
@@ -499,13 +471,13 @@ class SampleMaintainer:
             log_count=log_count,
             inserts=self.stats.inserts,
             refreshes=self.stats.refreshes,
-            pending_accept=pending,
+            pending_accept=self._kind.pending_accept,
             ops_since_refresh=self._ops_since_refresh,
             rng_seed=seed,
             rng_spawn_count=spawn_count,
             rng_state=state,
             rng_w=w,
-            kind_name=kind_name,
+            kind_name=self._kind.name,
             kind_param=kind_param,
             kind_threshold=kind_threshold,
         )
@@ -519,10 +491,8 @@ class SampleMaintainer:
         algorithm: RefreshAlgorithm | None = None,
         policy: RefreshPolicy | None = None,
         cost_model: CostModel | None = None,
-        skip_method: str = "auto",
         instrumentation: Instrumentation | None = None,
         commit_group: GroupCommitBarrier | None = None,
-        kind: SampleKind | None = None,
     ) -> "SampleMaintainer":
         """Resume maintenance from a checkpoint: bit-exact continuation.
 
@@ -531,25 +501,16 @@ class SampleMaintainer:
         its on-disk contents are re-attached via
         :meth:`~repro.storage.files.LogFile.reopen`.  The restored PRNG
         state makes every subsequent acceptance decision identical to an
-        uninterrupted run.  Checkpoints of non-uniform samples require
-        the matching ``kind`` instance, whose stale state (dataset size,
-        acceptance threshold) is restored from the manifest fields.
+        uninterrupted run.  The sample's kind is rebuilt from the
+        manifest (:func:`~repro.core.kinds.restore_kind`), stale state
+        (dataset size, pending skip, acceptance threshold) included; read
+        it back as :attr:`kind`.
         """
         if checkpoint.sample_size != sample.size:
             raise ValueError(
                 f"checkpoint is for sample size {checkpoint.sample_size}, "
                 f"got a sample of size {sample.size}"
             )
-        kind_name = getattr(kind, "name", "uniform") if kind is not None else "uniform"
-        if checkpoint.kind_name != kind_name:
-            raise ValueError(
-                f"checkpoint is for kind {checkpoint.kind_name!r}, "
-                f"got kind {kind_name!r}"
-            )
-        if kind is not None and kind.name != "uniform":
-            # Restore the kind's stale state first: the constructor's
-            # kind validation reads it.
-            kind.restore_state(checkpoint)
         rng = checkpoint.restore_rng()
         if checkpoint.strategy != "immediate":
             if log is None:
@@ -566,23 +527,10 @@ class SampleMaintainer:
             algorithm=algorithm,
             policy=policy,
             cost_model=cost_model,
-            skip_method=skip_method,
             instrumentation=instrumentation,
             commit_group=commit_group,
-            kind=kind,
+            kind=restore_kind(checkpoint),
         )
-        # Restore the counters the constructor cannot know.
-        if maintainer._reservoir is not None:
-            maintainer._reservoir._seen = checkpoint.dataset_size
-            maintainer._reservoir.pending_accept = checkpoint.pending_accept
-        elif isinstance(maintainer._candidate_logger, KindCandidateLogger):
-            pass  # the kind's restore_state above carried everything
-        elif maintainer._candidate_logger is not None:
-            sampler = maintainer._candidate_logger._sampler
-            sampler._seen = checkpoint.dataset_size
-            sampler.pending_accept = checkpoint.pending_accept
-        else:
-            maintainer._full_logger._dataset_size = checkpoint.dataset_size
         maintainer.stats.inserts = checkpoint.inserts
         maintainer.stats.refreshes = checkpoint.refreshes
         maintainer._ops_since_refresh = checkpoint.ops_since_refresh

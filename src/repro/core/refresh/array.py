@@ -19,6 +19,7 @@ for large logs in Fig. 13.
 
 from __future__ import annotations
 
+from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
 from repro.core.refresh.base import RefreshResult
 from repro.obs.api import maybe_span
@@ -43,17 +44,8 @@ class ArrayRefresh:
     #: an instrumented :class:`~repro.core.maintenance.SampleMaintainer`.
     instrumentation = None
 
-    #: Optional non-uniform :class:`~repro.core.kinds.SampleKind`; wired
-    #: automatically by a kind-aware SampleMaintainer.  When set, the
-    #: refresh replays the kind's content-dependent victim rule and keeps
-    #: Algorithm 1's write discipline: only the *final* record of each
-    #: displaced slot is written, sequentially, in slot order.
-    kind = None
-
-    def __init__(self, sort: bool = True, kind=None) -> None:
+    def __init__(self, sort: bool = True) -> None:
         self._sort = sort
-        if kind is not None:
-            self.kind = kind
 
     @property
     def name(self) -> str:
@@ -64,9 +56,12 @@ class ArrayRefresh:
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
-        if self.kind is not None:
-            return self._refresh_kind(sample, source, rng)
+        """Algorithm 1 when the kind's victims are RNG slot draws (uniform);
+        otherwise the kind's replay with Algorithm 1's write discipline."""
+        if not kind.draws_slots:
+            return self._refresh_replay(sample, source, rng, kind)
         obs = self.instrumentation
         total = source.count()
         size = sample.size
@@ -140,13 +135,14 @@ class ArrayRefresh:
         sample.write_sequential(displaced_items())
         return RefreshResult(candidates=total, displaced=displaced, memory=memory)
 
-    def _refresh_kind(
+    def _refresh_replay(
         self,
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
-        """Algorithm 1's write discipline generalised to a non-uniform kind.
+        """Algorithm 1's write discipline for content-chosen victims.
 
         The uniform precomputation throws candidate *indexes* at RNG-drawn
         slots; a kind's victims depend on sample *contents*, so the merge
@@ -157,7 +153,6 @@ class ArrayRefresh:
         The replay consumes no randomness, so naive and array refreshes
         leave identical sample bytes *and* identical PRNG state.
         """
-        kind = self.kind
         obs = self.instrumentation
         total = source.count()
         size = sample.size
@@ -169,8 +164,7 @@ class ArrayRefresh:
         with maybe_span(
             obs, "refresh.write", algorithm=self.name, candidates=total
         ) as span:
-            rows = list(sample.scan())
-            replay = kind.begin_replay(rows)
+            replay = kind.open_replay(sample, rng)
             reader = source.open_reader()
             touched: set[int] = set()
             for ordinal in range(start + 1, total + 1):
@@ -179,7 +173,7 @@ class ArrayRefresh:
                     touched.add(slot)
             kind.commit_replay(replay)
             sample.write_sequential(
-                (slot, rows[slot]) for slot in sorted(touched)
+                (slot, replay.rows[slot]) for slot in sorted(touched)
             )
             if span is not None:
                 span.set("displaced", len(touched))

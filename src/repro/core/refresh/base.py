@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
-__all__ = ["RefreshAlgorithm", "RefreshResult"]
+__all__ = ["RefreshAlgorithm", "RefreshResult", "require_slot_draws"]
 
 
 @dataclass
@@ -56,5 +57,16 @@ class RefreshAlgorithm(Protocol):
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:  # pragma: no cover - protocol
         ...
+
+
+def require_slot_draws(algorithm: str, kind: SampleKind) -> None:
+    """Reject a kind whose victims are chosen by content, not drawn: Stack,
+    Nomem and the full-log replay encode uniform slot draws themselves."""
+    if not kind.draws_slots:
+        raise ValueError(
+            f"{algorithm} refresh draws uniform victim slots; kind "
+            f"{kind.name!r} chooses victims by content (use naive or array)"
+        )

@@ -9,8 +9,9 @@ refresh strategies must leave the sample uniformly distributed).
 
 from __future__ import annotations
 
+from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -20,7 +21,7 @@ __all__ = ["NaiveFullRefresh", "NaiveCandidateRefresh"]
 
 
 class NaiveCandidateRefresh:
-    """Write every candidate to a random sample slot, in log order.
+    """Write every displacement to its victim slot, in log order.
 
     ``|C|`` sequential log reads, ``|C|`` *random* sample writes -- and
     non-final candidates get overwritten by later ones (Sec. 3.2 calls out
@@ -33,27 +34,27 @@ class NaiveCandidateRefresh:
     #: an instrumented :class:`~repro.core.maintenance.SampleMaintainer`.
     instrumentation = None
 
-    #: Optional non-uniform :class:`~repro.core.kinds.SampleKind`; wired
-    #: automatically by a kind-aware SampleMaintainer.  When set, victim
-    #: slots come from the kind's replay (content-dependent, no RNG)
-    #: instead of uniform ``randrange`` draws.
-    kind = None
-
-    def __init__(self, kind=None) -> None:
-        if kind is not None:
-            self.kind = kind
-
     def refresh(
         self,
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
-        if self.kind is not None:
-            return self._refresh_kind(sample, source, rng)
+        """Replay the log through the kind's victim rule, writing each step.
+
+        The kind's replay decides whether the current rows are read
+        first: uniform victims are RNG slot draws (``randrange(M)`` per
+        candidate, no read), while weighted and window victims depend on
+        the rows, so those kinds scan the sample once before the replay
+        (and consume no randomness at all).  Each step that displaces a
+        slot is written immediately, non-final writes included: that is
+        the naive baseline's signature cost.
+        """
         total = source.count()
         if total == 0:
             return RefreshResult(candidates=0, displaced=0)
+        start = kind.replay_start(total)
         # No precomputation phase: the strawman goes straight to disk.
         with maybe_span(
             self.instrumentation,
@@ -61,61 +62,16 @@ class NaiveCandidateRefresh:
             algorithm=self.name,
             candidates=total,
         ) as span:
-            reader = source.open_reader()
-            touched: set[int] = set()
-            for ordinal in range(1, total + 1):
-                element = reader.read(ordinal)
-                slot = rng.randrange(sample.size)
-                # The naive strawman *is* random-write I/O -- that inefficiency
-                # is the point of the Sec. 3 baselines, not a violation of the
-                # Alg. 1-3 sequential-only claim.
-                sample.write_random(slot, element)  # repro-lint: disable=IO001
-                touched.add(slot)
-            if span is not None:
-                span.set("displaced", len(touched))
-        return RefreshResult(
-            candidates=total,
-            displaced=len(touched),
-            memory=MemoryReport(),
-        )
-
-    def _refresh_kind(
-        self,
-        sample: SampleFile,
-        source: CandidateSource,
-        rng: RandomSource,
-    ) -> RefreshResult:
-        """Naive replay for a non-uniform kind: write every displacement.
-
-        The kind's victim choice is content-dependent, so (unlike the
-        uniform strawman) the current rows must be read back first -- one
-        sequential sample scan -- before the log replay.  Each replay
-        step that displaces a slot is written immediately, non-final
-        writes included: that is the naive baseline's signature cost.
-        The replay itself consumes no randomness, so the PRNG stream is
-        untouched by refresh for every non-uniform kind.
-        """
-        kind = self.kind
-        total = source.count()
-        if total == 0:
-            return RefreshResult(candidates=0, displaced=0)
-        start = kind.replay_start(total)
-        with maybe_span(
-            self.instrumentation,
-            "refresh.write",
-            algorithm=self.name,
-            candidates=total,
-        ) as span:
-            rows = list(sample.scan())
-            replay = kind.begin_replay(rows)
+            replay = kind.open_replay(sample, rng)
             reader = source.open_reader()
             touched: set[int] = set()
             for ordinal in range(start + 1, total + 1):
                 record = reader.read(ordinal)
                 slot = replay.step(record)
                 if slot is not None:
-                    # Naive pays the random write per displacement, same
-                    # as the uniform strawman above.
+                    # The naive strawman *is* random-write I/O -- that
+                    # inefficiency is the point of the Sec. 3 baselines,
+                    # not a violation of the Alg. 1-3 sequential-only claim.
                     sample.write_random(slot, record)  # repro-lint: disable=IO001
                     touched.add(slot)
             kind.commit_replay(replay)
@@ -155,7 +111,9 @@ class NaiveFullRefresh:
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
+        require_slot_draws(self.name, kind)
         if not isinstance(source, CandidateLogSource):
             raise TypeError(
                 "NaiveFullRefresh scans a raw log; wrap the full log in a "

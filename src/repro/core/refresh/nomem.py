@@ -21,8 +21,9 @@ displacement draws must not perturb the replayed skip sequence.
 
 from __future__ import annotations
 
+from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
@@ -58,7 +59,9 @@ class NomemRefresh:
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
+        require_slot_draws(self.name, kind)
         obs = self.instrumentation
         total = source.count()
         memory = MemoryReport()

@@ -21,8 +21,9 @@ Cost: identical disk I/O to Array Refresh; memory is only ``Psi`` indexes
 
 from __future__ import annotations
 
+from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
@@ -69,7 +70,9 @@ class StackRefresh:
         sample: SampleFile,
         source: CandidateSource,
         rng: RandomSource,
+        kind: SampleKind,
     ) -> RefreshResult:
+        require_slot_draws(self.name, kind)
         obs = self.instrumentation
         total = source.count()
         memory = MemoryReport()

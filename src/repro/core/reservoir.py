@@ -39,7 +39,9 @@ class ReservoirSampler:
 
     ``initial_size`` seeds the dataset-size counter for datasets that
     already contain elements (the paper's experiments start with
-    ``|R| = 1M`` and a full sample).
+    ``|R| = 1M`` and a full sample).  ``rng`` is the stream every draw
+    comes from; a sampler whose owner hands the stream in per call
+    (:class:`~repro.core.kinds.UniformKind`) rebinds it.
     """
 
     def __init__(
@@ -61,7 +63,7 @@ class ReservoirSampler:
                 "partially filled disk samples are not meaningful here"
             )
         self._capacity = capacity
-        self._rng = rng
+        self.rng = rng
         self._seen = initial_size
         self._skip_method = skip_method
         # Position (1-based count) of the next accepted element, or None if
@@ -116,7 +118,7 @@ class ReservoirSampler:
             self._seen += 1
             return slot
         if self._accept_next():
-            return self._rng.randrange(self._capacity)
+            return self.rng.randrange(self._capacity)
         return None
 
     def test(self, _element: T = None) -> bool:
@@ -138,9 +140,9 @@ class ReservoirSampler:
         if self._skip_method == "r":
             # Literal Algorithm R: one Bernoulli per element.
             self._seen += 1
-            return self._rng.random() * self._seen < self._capacity
+            return self.rng.random() * self._seen < self._capacity
         if self._next_accept is None:
-            skip = self._rng.reservoir_skip(
+            skip = self.rng.reservoir_skip(
                 self._capacity, self._seen, method=self._skip_method
             )
             self._next_accept = self._seen + skip + 1
@@ -191,7 +193,7 @@ class ReservoirSampler:
                     break
                 # Lazy draw, exactly as the scalar path: drawn at the
                 # arrival of element pos+1 with ``seen`` still == pos.
-                skip = self._rng.reservoir_skip(
+                skip = self.rng.reservoir_skip(
                     self._capacity, pos, method=self._skip_method
                 )
                 next_accept = pos + skip + 1
@@ -215,7 +217,7 @@ class ReservoirSampler:
         accepted: list[int] = []
         seen = self._seen
         capacity = self._capacity
-        random = self._rng.random
+        random = self.rng.random
         consumed = 0
         for i in range(n):
             seen += 1
@@ -262,14 +264,14 @@ class ReservoirSampler:
             if next_accept is None:
                 if pos >= end:
                     break
-                skip = self._rng.reservoir_skip(
+                skip = self.rng.reservoir_skip(
                     self._capacity, pos, method=self._skip_method
                 )
                 next_accept = pos + skip + 1
             if next_accept <= end:
                 # Slot draw happens at acceptance time, before the next
                 # skip draw -- the scalar ordering.
-                slot = self._rng.randrange(self._capacity)
+                slot = self.rng.randrange(self._capacity)
                 placed.append((consumed + next_accept - start - 1, slot))
                 pos = next_accept
                 next_accept = None
@@ -291,12 +293,12 @@ class ReservoirSampler:
     ) -> tuple[int, list[tuple[int, int]]]:
         seen = self._seen
         capacity = self._capacity
-        random = self._rng.random
+        random = self.rng.random
         for i in range(consumed, n):
             seen += 1
             consumed += 1
             if random() * seen < capacity:
-                placed.append((i, self._rng.randrange(capacity)))
+                placed.append((i, self.rng.randrange(capacity)))
                 if max_accepts is not None and len(placed) >= max_accepts:
                     self._seen = seen
                     return consumed, placed
@@ -329,32 +331,18 @@ def build_reservoir(
     return sample, sampler.seen
 
 
-def merge_into_sample(sample: list[T], slot: int, element: T) -> None:
-    """Apply one accepted element to an in-memory sample list."""
-    if slot == len(sample):
-        sample.append(element)
-    elif 0 <= slot < len(sample):
-        sample[slot] = element
-    else:
-        raise IndexError(f"slot {slot} invalid for sample of size {len(sample)}")
-
-
-def sample_is_plausible(
-    sample: Sequence[T], capacity: int, seen: int, kind=None
-) -> bool:
+def sample_is_plausible(sample: Sequence[T], capacity: int, seen: int, kind) -> bool:
     """Cheap structural invariant used by tests: correct size bookkeeping.
 
-    For a uniform reservoir (``kind=None``) the sample must hold exactly
-    ``min(capacity, seen)`` rows.  Passing a :class:`~repro.core.kinds.SampleKind`
-    additionally checks that kind's per-row invariants (weighted: finite
-    non-negative keys at or below the stale threshold; window: each row's
-    sequence maps to its slot and is below ``seen``).
+    The sample must hold exactly ``min(capacity, seen)`` rows, and each
+    row must satisfy its :class:`~repro.core.kinds.SampleKind`'s
+    invariants (uniform: plain integers; weighted: finite non-negative
+    keys at or below the stale threshold; window: each row's sequence
+    maps to its slot and is below ``seen``).
     """
     if seen < 0 or capacity <= 0:
         return False
     expected = min(capacity, seen)
     if len(sample) != expected:
         return False
-    if kind is None:
-        return True
     return kind.plausible(sample, seen)

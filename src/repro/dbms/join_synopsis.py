@@ -27,6 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.core.refresh.base import RefreshAlgorithm
@@ -108,6 +109,8 @@ class JoinSynopsis:
         self._dimension = dimension
         self._rng = rng
         self._algorithm = algorithm
+        # Refreshes apply candidates under the uniform victim rule.
+        self._kind = UniformKind(sample_size)
         self._policy = policy if policy is not None else ManualPolicy()
         self._codec = JoinedRowCodec(record_size)
 
@@ -194,7 +197,7 @@ class JoinSynopsis:
         """Apply the candidate log, then pending dimension updates."""
         if len(self._log):
             source = CandidateLogSource(self._log)
-            self._algorithm.refresh(self._sample, source, self._rng)
+            self._algorithm.refresh(self._sample, source, self._rng, self._kind)
             self._log.truncate()
         self._apply_dimension_updates()
         self._ops_since_refresh = 0

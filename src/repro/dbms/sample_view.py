@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource, FullLogSource
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.core.refresh.base import RefreshAlgorithm
@@ -102,6 +103,8 @@ class SampleView:
             )
         self._rng = rng
         self._algorithm = algorithm
+        # Refreshes apply candidates under the uniform victim rule.
+        self._kind = UniformKind(sample_size)
         self._cost = cost_model
         self._policy = policy if policy is not None else ManualPolicy()
         self._allow_deletes = allow_deletes
@@ -232,7 +235,7 @@ class SampleView:
             return
         if self._acceptor is not None:
             source = CandidateLogSource(self._insert_log)
-            self._algorithm.refresh(self._sample, source, self._rng)
+            self._algorithm.refresh(self._sample, source, self._rng, self._kind)
         else:
             # Deletions are conducted first; the insert log is processed
             # against the (possibly smaller) sample and the post-deletion
@@ -241,7 +244,7 @@ class SampleView:
             source = FullLogSource(
                 self._insert_log, self._sample.size, base, self._rng
             )
-            self._algorithm.refresh(self._sample, source, self._rng)
+            self._algorithm.refresh(self._sample, source, self._rng, self._kind)
         self._insert_log.truncate()
 
     def _apply_updates(self) -> None:

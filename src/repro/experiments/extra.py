@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 
-from repro.core.acceptance import BiasedAcceptance, BiasedCandidateLogger
+from repro.core.acceptance import BiasedAcceptance
+from repro.core.kinds import UniformKind
+from repro.core.logs import CandidateLogSource
 from repro.core.maintenance import SampleMaintainer
 from repro.core.refresh.stack import StackRefresh
 from repro.core.reservoir import build_reservoir
@@ -119,16 +121,18 @@ def extra_bias(scale: "str | Scale" = "default", seed: int = 0) -> SeriesResult:
             sample = SampleFile(SimulatedBlockDevice(cost, "s"), codec, m)
             sample.initialize(list(range(m)))
             acceptance = BiasedAcceptance.with_half_life(m, half_life)
-            logger = BiasedCandidateLogger(
-                LogFile(SimulatedBlockDevice(cost, "l"), codec), acceptance, rng
-            )
+            log = LogFile(SimulatedBlockDevice(cost, "l"), codec)
+            # Accepted elements replace uniformly drawn slots, so the
+            # candidate log refreshes under the uniform victim rule.
+            victims = UniformKind(m)
             algorithm = StackRefresh()
             refresh_every = max(1, m)
             for start in range(m, m + inserts, refresh_every):
                 for v in range(start, start + refresh_every):
-                    logger.insert(v)
-                algorithm.refresh(sample, logger.source(), rng)
-                logger.after_refresh()
+                    if acceptance.accept(rng):
+                        log.append(v)
+                algorithm.refresh(sample, CandidateLogSource(log), rng, victims)
+                log.truncate()
             newest = m + inserts - 1
             ages.extend(
                 newest - v for v in sample.peek_all() if v >= m

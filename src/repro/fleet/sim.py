@@ -124,12 +124,11 @@ class FleetConfig:
             raise ValueError("hedge_multiplier must be non-negative")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.kinds and any(k.partition(":")[0] != "uniform" for k in self.kinds):
-            if self.engine == "model":
-                raise ValueError(
-                    "non-uniform sample kinds require the full engine "
-                    "(the vectorised model only models uniform reservoirs)"
-                )
+        if self.engine == "model" and self.has_non_uniform_kinds():
+            raise ValueError(
+                "non-uniform sample kinds require the full engine "
+                "(the vectorised model only models uniform reservoirs)"
+            )
 
     def sample_names(self) -> list[str]:
         # Identical format to SimConfig.sample_names -- shared names are

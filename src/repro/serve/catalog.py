@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.kinds import SampleKind, make_kind, parse_kind_spec
+from repro.core.kinds import SampleKind, make_kind, restore_kind
 from repro.core.maintenance import SampleMaintainer
 from repro.core.multi import MultiSampleManager
 from repro.core.policies import ManualPolicy, RefreshPolicy
@@ -28,7 +28,6 @@ from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.naive import NaiveCandidateRefresh
 from repro.core.refresh.nomem import NomemRefresh
 from repro.core.refresh.stack import StackRefresh
-from repro.core.reservoir import build_reservoir
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import BlockDevice, SimulatedBlockDevice
 from repro.storage.bufferpool import BufferPool
@@ -36,7 +35,7 @@ from repro.storage.cost_model import CostModel
 from repro.storage.fault_injection import CrashBudget, FaultInjectionDevice
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.group_commit import GroupCommitBarrier
-from repro.storage.records import IntRecordCodec, RecordCodec
+from repro.storage.records import RecordCodec
 from repro.storage.replicated import clone_image
 from repro.storage.superblock import DualSlotCheckpointStore
 
@@ -54,10 +53,20 @@ ALGORITHMS: dict[str, Callable[[], object]] = {
     "naive": NaiveCandidateRefresh,
 }
 
-#: The subset whose refresh can drive a non-uniform sample kind (their
-#: victim choice comes from the kind's replay; Stack/Nomem encode the
-#: uniform victim distribution in their data structures).
+#: The subset whose refresh can drive a kind with content-chosen victims
+#: (weighted, window: the victim comes from the kind's replay; Stack and
+#: Nomem encode the uniform slot-draw distribution in their own data
+#: structures).
 KIND_ALGORITHMS = ("naive", "array")
+
+
+def _check_kind_algorithm(kind: SampleKind, algorithm: str) -> None:
+    """Reject a refresh algorithm that cannot produce the kind's victims."""
+    if not kind.draws_slots and algorithm not in KIND_ALGORITHMS:
+        raise ValueError(
+            f"kind {kind.spec()!r} requires a kind-capable refresh algorithm "
+            f"{KIND_ALGORITHMS}, got {algorithm!r}"
+        )
 
 
 @dataclass
@@ -87,11 +96,17 @@ class CatalogEntry:
     #: run through it flush-only, manifest saves seal -- so, when the
     #: catalog is replicated, every sealed batch is a checkpoint boundary
     commit_group: GroupCommitBarrier | None = None
-    #: canonical sample-kind spec (``"uniform"``, ``"weighted"``,
-    #: ``"weighted:MOD"``, ``"window"``) and, for non-uniform kinds, the
-    #: live kind instance the maintainer and query session share
-    kind: str = "uniform"
-    kind_obj: SampleKind | None = None
+
+    @property
+    def kind(self) -> str:
+        """Canonical sample-kind spec (``"uniform"``, ``"weighted"``,
+        ``"weighted:MOD"``, ``"window"``)."""
+        return self.maintainer.kind.spec()
+
+    @property
+    def kind_obj(self) -> SampleKind:
+        """The live kind instance the maintainer and query session share."""
+        return self.maintainer.kind
 
 
 class SampleCatalog:
@@ -259,11 +274,11 @@ class SampleCatalog:
         lifetime of the sample is one deterministic stream.
 
         ``kind`` selects the sampling scheme (see
-        :mod:`repro.core.kinds`): ``"uniform"`` (the default) takes the
-        pre-kind code path untouched; ``"weighted"``/``"weighted:MOD"``
-        and ``"window"`` build their initial sample with the kind's eager
-        rule over the *same* initial draws and restrict ``algorithm`` to
-        the kind-capable refreshes (``naive``/``array``).
+        :mod:`repro.core.kinds`): ``"uniform"`` (the default),
+        ``"weighted"``/``"weighted:MOD"`` or ``"window"``.  Every kind
+        builds its initial sample with its own eager rule over the *same*
+        initial draws; kinds whose victims are chosen by content restrict
+        ``algorithm`` to the kind-capable refreshes (``naive``/``array``).
         """
         if name in self._entries:
             raise ValueError(f"sample {name!r} already catalogued")
@@ -278,30 +293,16 @@ class SampleCatalog:
             raise ValueError(
                 f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
             )
-        kind_name, _ = parse_kind_spec(kind)
-        kind_obj: SampleKind | None = None
-        if kind_name != "uniform":
-            if algorithm not in KIND_ALGORITHMS:
-                raise ValueError(
-                    f"kind {kind!r} requires a kind-capable refresh algorithm "
-                    f"{KIND_ALGORITHMS}, got {algorithm!r}"
-                )
-            kind_obj = make_kind(kind, sample_size)
+        kind_obj = make_kind(kind, sample_size)
+        _check_kind_algorithm(kind_obj, algorithm)
         rng = RandomSource(seed)
-        codec: RecordCodec = (
-            kind_obj.codec(record_size)
-            if kind_obj is not None
-            else IntRecordCodec(record_size)
-        )
+        codec = kind_obj.codec(record_size)
         sample_device = self._make_device(f"{name}.sample")
         log_device = self._make_device(f"{name}.log")
         meta_device = self._make_device(f"{name}.meta")
         initial = [rng.randrange(value_range) for _ in range(initial_dataset_size)]
-        if kind_obj is not None:
-            rows = kind_obj.build_initial(initial, rng)
-            seen = kind_obj.seen
-        else:
-            rows, seen = build_reservoir(initial, sample_size, rng)
+        rows = kind_obj.build_initial(initial, rng)
+        seen = kind_obj.seen
         sample = SampleFile(sample_device, codec, sample_size)
         sample.initialize(rows)
         log = LogFile(log_device, codec)
@@ -336,8 +337,6 @@ class SampleCatalog:
             log_device=log_device,
             meta_device=meta_device,
             commit_group=commit_group,
-            kind=kind_obj.spec() if kind_obj is not None else "uniform",
-            kind_obj=kind_obj,
         )
         self._manager.add(name, maintainer)
         self._entries[name] = entry
@@ -346,23 +345,14 @@ class SampleCatalog:
         store.save(maintainer.checkpoint_state())
         if self._instr is not None:
             self._g_samples.set(len(self._entries))
-            if kind_obj is not None:
-                self._instr.emit(
-                    "serve.sample_created",
-                    sample=name,
-                    algorithm=algorithm,
-                    sample_size=sample_size,
-                    dataset_size=seen,
-                    kind=entry.kind,
-                )
-            else:
-                self._instr.emit(
-                    "serve.sample_created",
-                    sample=name,
-                    algorithm=algorithm,
-                    sample_size=sample_size,
-                    dataset_size=seen,
-                )
+            self._instr.emit(
+                "serve.sample_created",
+                sample=name,
+                algorithm=algorithm,
+                sample_size=sample_size,
+                dataset_size=seen,
+                kind=entry.kind,
+            )
         return entry
 
     def checkpoint(self, name: str) -> None:
@@ -385,12 +375,6 @@ class SampleCatalog:
         """
         entry = self.entry(name)
         checkpoint = entry.store.load()
-        # A fresh kind instance per reopen: its stale state (dataset size,
-        # acceptance threshold) comes from the manifest, never from the
-        # in-memory object the crashed maintainer was mutating.
-        kind_obj: SampleKind | None = None
-        if entry.kind != "uniform":
-            kind_obj = make_kind(entry.kind, checkpoint.sample_size)
         sample = SampleFile(entry.sample_device, entry.codec, checkpoint.sample_size)
         log = LogFile(entry.log_device, entry.codec)
         maintainer = SampleMaintainer.from_checkpoint(
@@ -402,12 +386,10 @@ class SampleCatalog:
             cost_model=self._cost_model,
             instrumentation=self._instr,
             commit_group=entry.commit_group,
-            kind=kind_obj,
         )
         entry.maintainer = maintainer
         entry.sample = sample
         entry.log = log
-        entry.kind_obj = kind_obj
         self._manager.replace(name, maintainer)
         if self._instr is not None:
             self._instr.emit(
@@ -466,29 +448,12 @@ class SampleCatalog:
         # adopted images may come from a catalog whose configuration is
         # long gone, so kind name and parameters are read back from the
         # checkpoint, not passed in.
-        kind_obj: SampleKind | None = None
-        kind_spec = "uniform"
-        if checkpoint.kind_name != "uniform":
-            if checkpoint.kind_name == "weighted":
-                kind_spec = f"{checkpoint.kind_name}:{checkpoint.kind_param}"
-            else:
-                kind_spec = checkpoint.kind_name
-            kind_obj = make_kind(kind_spec, checkpoint.sample_size)
-            kind_spec = kind_obj.spec()
-            if algorithm not in KIND_ALGORITHMS:
-                raise ValueError(
-                    f"adopted sample has kind {kind_spec!r}, which requires a "
-                    f"kind-capable refresh algorithm {KIND_ALGORITHMS}, "
-                    f"got {algorithm!r}"
-                )
-        codec: RecordCodec = (
-            kind_obj.codec(record_size)
-            if kind_obj is not None
-            else IntRecordCodec(record_size)
-        )
+        kind_obj = restore_kind(checkpoint)
+        _check_kind_algorithm(kind_obj, algorithm)
+        codec = kind_obj.codec(record_size)
+        refresh_policy = policy if policy is not None else ManualPolicy()
         sample = SampleFile(sample_device, codec, checkpoint.sample_size)
         log = LogFile(log_device, codec)
-        refresh_policy = policy if policy is not None else ManualPolicy()
         maintainer = SampleMaintainer.from_checkpoint(
             checkpoint,
             sample,
@@ -498,7 +463,6 @@ class SampleCatalog:
             cost_model=self._cost_model,
             instrumentation=self._instr,
             commit_group=commit_group,
-            kind=kind_obj,
         )
         entry = CatalogEntry(
             name=name,
@@ -513,8 +477,6 @@ class SampleCatalog:
             log_device=log_device,
             meta_device=meta_device,
             commit_group=commit_group,
-            kind=kind_spec,
-            kind_obj=kind_obj,
         )
         self._manager.add(name, maintainer)
         self._entries[name] = entry

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
@@ -33,7 +34,9 @@ class RefreshHarness:
 
     def run(self, algorithm):
         mark = self.cost.checkpoint()
-        result = algorithm.refresh(self.sample, self.source, self.rng)
+        result = algorithm.refresh(
+            self.sample, self.source, self.rng, UniformKind(self.sample_size)
+        )
         self.refresh_stats = self.cost.since(mark)
         return result
 

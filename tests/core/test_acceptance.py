@@ -1,16 +1,13 @@
-"""Pluggable acceptance tests and biased reservoir sampling (footnote 3)."""
+"""Acceptance laws: the uniform reservoir law and biased sampling (footnote 3)."""
 
 import math
 
 import pytest
 from scipy import stats
 
-from repro.core.acceptance import (
-    BernoulliAcceptance,
-    BiasedAcceptance,
-    BiasedCandidateLogger,
-    UniformAcceptance,
-)
+from repro.core.acceptance import BiasedAcceptance
+from repro.core.kinds import UniformKind
+from repro.core.logs import CandidateLogSource
 from repro.core.refresh.stack import StackRefresh
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
@@ -20,31 +17,33 @@ from repro.storage.records import IntRecordCodec
 
 
 class TestUniformAcceptance:
+    """The reservoir law ``M/(|R|+1)``, now owned by :class:`UniformKind`."""
+
     def test_rate_decays_with_dataset(self):
-        acceptance = UniformAcceptance(10, 100)
-        first = acceptance.expected_rate
+        kind = UniformKind(10, seen=100)
         rng = RandomSource(seed=1)
-        for _ in range(100):
-            acceptance.accept(rng)
-        assert acceptance.expected_rate < first
-        assert acceptance.seen == 200
+        first = kind.capacity / (kind.seen + 1)
+        for v in range(100):
+            kind.offer(v, rng)
+        assert kind.capacity / (kind.seen + 1) < first
+        assert kind.seen == 200
 
     def test_matches_reservoir_law(self):
         rng = RandomSource(seed=2)
         trials = 30_000
         hits = 0
         for _ in range(trials):
-            acceptance = UniformAcceptance(10, 99)
-            if acceptance.accept(rng):
+            kind = UniformKind(10, seen=99)
+            if kind.offer(0, rng) is not None:
                 hits += 1
         expected = trials * 10 / 100
         assert abs(hits - expected) < 5 * math.sqrt(expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            UniformAcceptance(0, 10)
+            UniformKind(0)
         with pytest.raises(ValueError):
-            UniformAcceptance(10, 5)
+            UniformKind(10, seen=5).offer(0, RandomSource(seed=3))
 
 
 class TestBiasedAcceptance:
@@ -77,59 +76,42 @@ class TestBiasedAcceptance:
             BiasedAcceptance.with_half_life(10, 0)
 
 
-class TestBernoulliAcceptance:
-    def test_rate(self):
-        acceptance = BernoulliAcceptance(0.1)
-        rng = RandomSource(seed=4)
-        hits = sum(acceptance.accept(rng) for _ in range(20_000))
-        assert abs(hits - 2000) < 250
-
-    def test_extremes(self):
-        rng = RandomSource(seed=5)
-        assert not any(BernoulliAcceptance(0.0).accept(rng) for _ in range(20))
-        assert all(BernoulliAcceptance(1.0).accept(rng) for _ in range(20))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BernoulliAcceptance(-0.1)
-
-
 class TestBiasedCandidateLogger:
+    """Candidate logging under biased acceptance: the plain-log loop.
+
+    Accepted elements are appended to a plain log file, which the Stack
+    refresh applies under the uniform victim rule -- footnote 3's claim
+    that the candidate log does not care which acceptance test filled it.
+    """
+
     def _run_biased_maintenance(self, seed, m=20, inserts=400, p=0.15):
         rng = RandomSource(seed=seed)
         cost = CostModel()
         codec = IntRecordCodec()
         sample = SampleFile(SimulatedBlockDevice(cost, "s"), codec, m)
         sample.initialize(list(range(m)))
-        logger = BiasedCandidateLogger(
-            LogFile(SimulatedBlockDevice(cost, "l"), codec),
-            BiasedAcceptance(m, p),
-            rng,
-        )
+        log = LogFile(SimulatedBlockDevice(cost, "l"), codec)
+        acceptance = BiasedAcceptance(m, p)
         algorithm = StackRefresh()
         for batch_start in range(m, m + inserts, 100):
             for v in range(batch_start, batch_start + 100):
-                logger.insert(v)
-            algorithm.refresh(sample, logger.source(), rng)
-            logger.after_refresh()
+                if acceptance.accept(rng):
+                    log.append(v)
+            algorithm.refresh(sample, CandidateLogSource(log), rng, UniformKind(m))
+            log.truncate()
         return sample.peek_all()
 
     def test_counts(self):
         rng = RandomSource(seed=6)
-        cost = CostModel()
-        codec = IntRecordCodec()
-        logger = BiasedCandidateLogger(
-            LogFile(SimulatedBlockDevice(cost, "l"), codec),
-            BernoulliAcceptance(0.25),
-            rng,
-        )
+        log = LogFile(SimulatedBlockDevice(CostModel(), "l"), IntRecordCodec())
+        acceptance = BiasedAcceptance(100, 0.25)
         for v in range(2000):
-            logger.insert(v)
-        assert logger.inserts == 2000
-        assert abs(logger.candidates - 500) < 120
-        assert len(logger.log) == logger.candidates
-        logger.after_refresh()
-        assert len(logger.log) == 0
+            if acceptance.accept(rng):
+                log.append(v)
+        assert abs(len(log) - 500) < 120
+        assert CandidateLogSource(log).count() == len(log)
+        log.truncate()
+        assert len(log) == 0
 
     def test_sample_is_biased_toward_recent(self):
         # With constant acceptance p, older elements survive with

@@ -26,6 +26,7 @@ from repro.core.kinds import (
     make_kind,
     parse_kind_spec,
 )
+from repro.core.logs import CandidateLogger
 from repro.core.reservoir import sample_is_plausible
 from repro.rng.random_source import RandomSource
 from repro.storage import superblock
@@ -202,16 +203,28 @@ class TestWindowKind:
         assert restored.seen == checkpoint.dataset_size
 
 
+LOGGER_KINDS = ("uniform", "weighted", "window")
+
+
 class TestKindCandidateLogger:
+    """The one candidate logger, driven by every kind's acceptance test."""
+
     def _logger(self, kind):
         log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
-        return KindCandidateLogger(log, kind, RandomSource(seed=11))
+        return CandidateLogger(log, kind, RandomSource(seed=11))
+
+    def _built(self, spec):
+        kind = make_kind(spec, 4)
+        kind.build_initial(list(range(8)), RandomSource(seed=1))
+        return kind
 
     def test_requires_full_sample(self):
-        kind = WindowKind(8)  # seen == 0 < capacity
-        log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
-        with pytest.raises(ValueError, match="existing full sample"):
-            KindCandidateLogger(log, kind, RandomSource(seed=11))
+        assert KindCandidateLogger is CandidateLogger
+        for kind in (UniformKind(8), WeightedKind(8), WindowKind(8)):
+            # seen == 0 < capacity: no initial sample yet
+            log = LogFile(SimulatedBlockDevice(CostModel(), "log"), kind.codec(16))
+            with pytest.raises(ValueError, match="existing full sample"):
+                CandidateLogger(log, kind, RandomSource(seed=11))
 
     def test_window_logs_everything(self):
         kind = WindowKind(4)
@@ -225,30 +238,52 @@ class TestKindCandidateLogger:
         assert logger.pending_accept is None
 
     def test_insert_many_stops_right_after_quota(self):
-        kind = WindowKind(4)
-        kind.build_initial(list(range(8)), RandomSource(seed=1))
-        logger = self._logger(kind)
-        consumed, accepted = logger.insert_many(iter(range(100, 110)), max_accepts=3)
+        for spec in LOGGER_KINDS:
+            batch, scalar = self._built(spec), self._built(spec)
+            batch_logger, scalar_logger = self._logger(batch), self._logger(scalar)
+            consumed, accepted = batch_logger.insert_many(
+                iter(range(100, 300)), max_accepts=3
+            )
+            assert accepted == 3, spec
+            # The scalar twin reaches its third acceptance at the same
+            # element, with the same draws and the same log records.
+            hits = 0
+            for index, element in enumerate(range(100, 300)):
+                hits += scalar_logger.insert(element)
+                if hits == 3:
+                    break
+            assert consumed == index + 1, spec
+            assert batch_logger.log.peek_all() == scalar_logger.log.peek_all()
+            assert batch.seen == scalar.seen == 8 + consumed
+            assert batch_logger.pending_accept == scalar_logger.pending_accept
+        window = self._built("window")
+        consumed, accepted = self._logger(window).insert_many(
+            iter(range(100, 110)), max_accepts=3
+        )
         # Every window record accepts, so the quota lands on element 3.
         assert (consumed, accepted) == (3, 3)
-        assert kind.seen == 11
+        assert window.seen == 11
 
     def test_after_refresh_truncates(self):
-        kind = WindowKind(4)
-        kind.build_initial(list(range(8)), RandomSource(seed=1))
-        logger = self._logger(kind)
-        logger.insert_many(range(100, 105))
-        assert len(logger.log) == 5
-        assert logger.source().count() == 5
-        logger.after_refresh()
-        assert len(logger.log) == 0
+        for spec in LOGGER_KINDS:
+            batch, scalar = self._built(spec), self._built(spec)
+            logger, scalar_logger = self._logger(batch), self._logger(scalar)
+            consumed, accepted = logger.insert_many(iter(range(100, 140)))
+            for element in range(100, 140):
+                scalar_logger.insert(element)
+            assert consumed == 40
+            assert logger.log.peek_all() == scalar_logger.log.peek_all()
+            assert len(logger.log) == accepted > 0
+            assert logger.source().count() == accepted
+            logger.after_refresh()
+            assert len(logger.log) == 0
 
 
 class TestPlausibility:
     """Satellite (b): per-kind plausibility, negatives included."""
 
     def test_shape_negatives_for_every_kind(self):
-        for kind in (None, WeightedKind(4), WindowKind(4)):
+        for kind in (UniformKind(4), WeightedKind(4), WindowKind(4)):
             # Over-capacity sample: more rows than the file can hold.
             assert not sample_is_plausible([_row(kind, i) for i in range(5)], 4, 100, kind=kind)
             # Fewer elements seen than the sample holds.
@@ -319,7 +354,7 @@ class TestEagerOracle:
 
 
 def _row(kind, index):
-    if kind is None:
+    if kind.name == "uniform":
         return index
     if kind.name == "weighted":
         return (index, 0.1 * (index + 1))

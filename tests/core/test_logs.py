@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy import stats
 
+from repro.core.kinds import UniformKind
 from repro.core.logs import (
     CandidateLogger,
     CandidateLogSource,
@@ -33,7 +34,7 @@ class TestCandidateLogger:
         total = 0
         for t in range(trials):
             log, _ = make_log()
-            logger = CandidateLogger(log, m, RandomSource(seed=t), r0)
+            logger = CandidateLogger(log, UniformKind(m, seen=r0), RandomSource(seed=t))
             for v in range(inserts):
                 logger.insert(v)
             total += len(log)
@@ -44,20 +45,20 @@ class TestCandidateLogger:
 
     def test_log_preserves_arrival_order(self):
         log, _ = make_log()
-        logger = CandidateLogger(log, 10, RandomSource(seed=3), 10)
+        logger = CandidateLogger(log, UniformKind(10, seen=10), RandomSource(seed=3))
         accepted = [v for v in range(200) if logger.insert(v)]
         assert log.peek_all() == accepted
 
     def test_dataset_size_tracks_all_inserts(self):
         log, _ = make_log()
-        logger = CandidateLogger(log, 5, RandomSource(seed=4), 50)
+        logger = CandidateLogger(log, UniformKind(5, seen=50), RandomSource(seed=4))
         for v in range(100):
             logger.insert(v)
         assert logger.dataset_size == 150
 
     def test_rejected_elements_cost_nothing(self):
         log, model = make_log()
-        logger = CandidateLogger(log, 2, RandomSource(seed=5), 10_000)
+        logger = CandidateLogger(log, UniformKind(2, seen=10_000), RandomSource(seed=5))
         mark = model.checkpoint()
         rejected = 0
         for v in range(50):
@@ -69,7 +70,7 @@ class TestCandidateLogger:
 
     def test_after_refresh_truncates(self):
         log, _ = make_log()
-        logger = CandidateLogger(log, 10, RandomSource(seed=6), 10)
+        logger = CandidateLogger(log, UniformKind(10, seen=10), RandomSource(seed=6))
         for v in range(100):
             logger.insert(v)
         assert len(log) > 0
@@ -79,11 +80,11 @@ class TestCandidateLogger:
     def test_requires_existing_sample(self):
         log, _ = make_log()
         with pytest.raises(ValueError):
-            CandidateLogger(log, 10, RandomSource(seed=7), 5)
+            CandidateLogger(log, UniformKind(10, seen=5), RandomSource(seed=7))
 
     def test_source_counts_log(self):
         log, _ = make_log()
-        logger = CandidateLogger(log, 10, RandomSource(seed=8), 10)
+        logger = CandidateLogger(log, UniformKind(10, seen=10), RandomSource(seed=8))
         for v in range(300):
             logger.insert(v)
         assert logger.source().count() == len(log)

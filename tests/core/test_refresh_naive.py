@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource
 from repro.core.refresh.naive import NaiveCandidateRefresh, NaiveFullRefresh
 
@@ -65,13 +66,16 @@ class TestNaiveFullRefresh:
                 raise AssertionError
 
         with pytest.raises(TypeError):
-            NaiveFullRefresh(100).refresh(harness.sample, OtherSource(), harness.rng)
+            NaiveFullRefresh(100).refresh(
+                harness.sample, OtherSource(), harness.rng, UniformKind(10)
+            )
 
     def test_rejects_dataset_smaller_than_sample(self, harness_factory):
         harness = harness_factory(sample_size=10, candidates=10)
         with pytest.raises(ValueError):
             NaiveFullRefresh(dataset_size_before=5).refresh(
-                harness.sample, CandidateLogSource(harness.log), harness.rng
+                harness.sample, CandidateLogSource(harness.log), harness.rng,
+                UniformKind(10),
             )
 
     def test_rejects_negative_dataset(self):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.kinds import UniformKind
 from repro.core.refresh.math import expected_candidates_exact
 from repro.core.refresh.stack import StackRefresh
 from repro.dbms.sample_view import RowRecordCodec
@@ -87,7 +88,7 @@ class TestStagingLogSource:
 
         sample.initialize([Row(k, k * 10) for k in range(40)])
         source = StagingLogSource(staging, 40, 200, rng)
-        result = StackRefresh().refresh(sample, source, rng)
+        result = StackRefresh().refresh(sample, source, rng, UniformKind(40))
         assert result.candidates == source.count()
         rows = sample.peek_all()
         assert len({r.key for r in rows}) == 40
@@ -119,7 +120,7 @@ class TestStagingLogSource:
 
             sample.initialize([Row(k, k) for k in range(30)])
             mark = cost.checkpoint()
-            StackRefresh().refresh(sample, source, rng)
+            StackRefresh().refresh(sample, source, rng, UniformKind(30))
             return cost.since(mark).seq_reads
 
         assert run(updates=True) >= run(updates=False)

@@ -218,7 +218,7 @@ class TestReservoirBatchPrimitives:
             done += consumed
 
         assert batch_accepts == scalar_accepts
-        assert batch._rng.snapshot() == scalar._rng.snapshot()
+        assert batch.rng.snapshot() == scalar.rng.snapshot()
         assert batch._seen == scalar._seen
 
     @given(
@@ -250,7 +250,7 @@ class TestReservoirBatchPrimitives:
             done += consumed
 
         assert batch_placed == scalar_placed
-        assert batch._rng.snapshot() == scalar._rng.snapshot()
+        assert batch.rng.snapshot() == scalar.rng.snapshot()
 
     @given(
         seed=st.integers(0, 2**32),

@@ -27,13 +27,19 @@ from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 
 KIND_SPECS = ("weighted", "weighted:5", "window")
+#: Uniform defers its victim draws to refresh time, so it is bit-exact
+#: against itself (scalar vs batch), not against the eager oracle.
+ALL_KIND_SPECS = ("uniform",) + KIND_SPECS
 ALGORITHMS = {"naive": NaiveCandidateRefresh, "array": ArrayRefresh}
 
 
 class DeferredKindRun:
     """One kind-driven maintainer on simulated disk, from a single seed."""
 
-    def __init__(self, kind_spec, sample_size, dataset_size, seed, algorithm, policy):
+    def __init__(
+        self, kind_spec, sample_size, dataset_size, seed, algorithm, policy,
+        refresh=None,
+    ):
         self.cost = CostModel()
         self.rng = RandomSource(seed=seed)
         self.kind = make_kind(kind_spec, sample_size)
@@ -49,7 +55,7 @@ class DeferredKindRun:
             strategy="candidate",
             initial_dataset_size=self.kind.seen,
             log=LogFile(SimulatedBlockDevice(self.cost, "log"), codec),
-            algorithm=ALGORITHMS[algorithm](),
+            algorithm=refresh if refresh is not None else ALGORITHMS[algorithm](),
             policy=policy,
             cost_model=self.cost,
             kind=self.kind,
@@ -126,7 +132,7 @@ def test_naive_and_array_leave_identical_state(kind_spec, m, extra, inserts, see
 
 
 @given(
-    kind_spec=st.sampled_from(KIND_SPECS),
+    kind_spec=st.sampled_from(ALL_KIND_SPECS),
     m=st.integers(min_value=1, max_value=48),
     extra=st.integers(min_value=0, max_value=120),
     inserts=st.integers(min_value=0, max_value=300),
@@ -160,3 +166,33 @@ def test_scalar_and_batch_inserts_are_bit_identical(
     assert scalar.cost.stats == batch.cost.stats
     assert scalar.maintainer.stats.online == batch.maintainer.stats.online
     assert scalar.maintainer.stats.offline == batch.maintainer.stats.offline
+
+
+@given(
+    algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    m=st.integers(min_value=2, max_value=32),
+    extra=st.integers(min_value=0, max_value=60),
+    inserts=st.integers(min_value=50, max_value=200),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=30, deadline=None)
+def test_shared_refresh_object_uses_each_maintainers_kind(
+    algorithm, m, extra, inserts, seed
+):
+    """One refresh instance serving two weighted samples (different weight
+    moduli, different seeds) replays each sample under its *own* kind --
+    threshold and commit included -- so both still equal the oracle."""
+    shared = ALGORITHMS[algorithm]()
+    elements = list(range(10_000, 10_000 + inserts))
+    first = DeferredKindRun(
+        "weighted", m, m + extra, seed, algorithm, ManualPolicy(), refresh=shared
+    )
+    second = DeferredKindRun(
+        "weighted:3", m, m + extra, seed + 1, algorithm, ManualPolicy(), refresh=shared
+    )
+    for run in (first, second):
+        run.maintainer.insert_many(elements)
+    for run in (first, second):
+        run.maintainer.refresh()
+    assert first.state() == eager_state("weighted", m, m + extra, elements, seed)
+    assert second.state() == eager_state("weighted:3", m, m + extra, elements, seed + 1)

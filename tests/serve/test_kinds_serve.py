@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.core.kinds import UniformKind
 from repro.serve.catalog import KIND_ALGORITHMS, SampleCatalog
 from repro.serve.session import Freshness, QuerySession
 from repro.serve.sim import SimConfig, run_simulation
@@ -43,8 +44,8 @@ class TestCatalogKinds:
         assert catalog.entry("w").kind_obj.weight_mod == 16
         assert catalog.entry("v").kind == "window"
         assert catalog.entry("u").kind == "uniform"
-        assert catalog.entry("u").kind_obj is None
-        assert catalog.get("u").kind is None
+        assert isinstance(catalog.entry("u").kind_obj, UniformKind)
+        assert isinstance(catalog.get("u").kind, UniformKind)
 
     def test_non_uniform_kind_requires_kind_capable_algorithm(self):
         catalog = SampleCatalog()
