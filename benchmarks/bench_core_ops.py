@@ -568,14 +568,14 @@ def test_fleet_fanout_throughput(benchmark):
     vector paths fails CI before it turns the smoke step into a crawl.
     """
     from repro.fleet.sim import FleetConfig, run_fleet_simulation
+    from repro.serve.sim import SimConfig
 
     config = FleetConfig(
-        seed=3,
+        serve=SimConfig(
+            seed=3, samples=2_000, events=200_000, mean_gap_seconds=0.002
+        ),
         shards=8,
-        samples=2_000,
-        events=200_000,
         fanout_queries=5_000,
-        mean_gap_seconds=0.002,
         hedge_multiplier=2.0,
         engine="model",
     )

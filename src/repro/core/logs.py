@@ -224,6 +224,10 @@ class CandidateLogSource:
     def __init__(self, log: LogFile) -> None:
         self._log = log
 
+    @property
+    def log(self) -> LogFile:
+        return self._log
+
     def count(self) -> int:
         return len(self._log)
 

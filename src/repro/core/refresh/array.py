@@ -20,7 +20,7 @@ for large logs in Fig. 13.
 from __future__ import annotations
 
 from repro.core.kinds import SampleKind
-from repro.core.logs import CandidateSource
+from repro.core.logs import CandidateLogSource, CandidateSource
 from repro.core.refresh.base import RefreshResult
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
@@ -189,12 +189,14 @@ class ArrayRefresh:
     ) -> RefreshResult:
         # Log access order follows slot order, which is random in index
         # space: each read is a random block access on the log device.
-        log = getattr(source, "_log", None)
-        if log is None:
+        # Only a candidate log maps ordinal i to log position i-1; the
+        # full-log adapter's candidates sit elsewhere in its log.
+        if not isinstance(source, CandidateLogSource):
             raise TypeError(
                 "array-unsorted needs direct log access; use sort=True for "
                 "adapter-based candidate sources"
             )
+        log = source.log
 
         def displaced_items():
             for slot, index in enumerate(array):

@@ -28,11 +28,6 @@ class RefreshResult:
     displaced: int
     memory: MemoryReport = field(default_factory=MemoryReport)
 
-    @property
-    def stable(self) -> int | None:
-        """Stable elements, when the sample size is known to the caller."""
-        return None  # computed by callers as M - displaced when needed
-
     def __post_init__(self) -> None:
         if self.candidates < 0:
             raise ValueError("candidates must be non-negative")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.serve.cli import add_shared_sim_arguments, shared_config_fields
+
 __all__ = ["add_fleet_sim_parser", "run_fleet_sim_command"]
 
 
@@ -24,21 +26,15 @@ def add_fleet_sim_parser(sub) -> argparse.ArgumentParser:
     parser = sub.add_parser(
         "fleet-sim",
         help="simulate the sharded fleet catalog (deterministic)",
+        description=(
+            "Simulate the sharded fleet catalog (deterministic). "
+            "--algorithm, --policy, --pool-capacity and --no-trace only "
+            "affect --engine full; the model engine ignores them and "
+            "accepts only uniform --kinds."
+        ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
+    add_shared_sim_arguments(parser, samples_default=8)
     parser.add_argument("--shards", type=int, default=4, help="shard count")
-    parser.add_argument(
-        "--samples", type=int, default=8, help="catalog size across the fleet"
-    )
-    parser.add_argument(
-        "--sample-size", type=int, default=256, help="elements per sample (M)"
-    )
-    parser.add_argument(
-        "--events",
-        type=int,
-        default=200,
-        help="base workload events (ingest + single-sample queries)",
-    )
     parser.add_argument(
         "--fanout",
         type=int,
@@ -93,53 +89,6 @@ def add_fleet_sim_parser(sub) -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="mean arrival gap of the base workload (cost seconds)",
     )
-    parser.add_argument(
-        "--algorithm",
-        default="stack",
-        choices=("array", "stack", "nomem", "naive"),
-        help="deferred refresh algorithm for every sample (full engine)",
-    )
-    parser.add_argument(
-        "--kinds",
-        default="",
-        help="comma-separated sample-kind specs (uniform, weighted[:MOD], "
-        "window), round-robin over the global sample index (full engine; "
-        "needs --algorithm naive or array)",
-    )
-    parser.add_argument(
-        "--policy",
-        default="longest-log:64",
-        help="per-shard refresh scheduling policy (full engine)",
-    )
-    parser.add_argument(
-        "--ingest-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of base events that are ingest batches",
-    )
-    parser.add_argument(
-        "--staleness-bound",
-        type=int,
-        default=256,
-        help="k used by bounded_staleness queries",
-    )
-    parser.add_argument(
-        "--pool-capacity",
-        type=int,
-        default=0,
-        help="page-cache frames per shard device (full engine; 0 = off)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the full canonical JSON report to PATH",
-    )
-    parser.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="omit per-shard traces from the JSON report (full engine)",
-    )
     return parser
 
 
@@ -157,17 +106,16 @@ def run_fleet_sim_command(args: argparse.Namespace) -> int:
     from repro.fleet.quota import parse_quotas
     from repro.fleet.sim import FleetConfig, run_fleet_simulation
     from repro.obs.api import Instrumentation
+    from repro.serve.sim import SimConfig
     from repro.storage.cost_model import CostModel
 
     try:
         parse_quotas(args.quota)  # surface bad specs before the run starts
         config = FleetConfig(
-            seed=args.seed,
+            serve=SimConfig(
+                **shared_config_fields(args), mean_gap_seconds=args.mean_gap
+            ),
             shards=args.shards,
-            samples=args.samples,
-            sample_size=args.sample_size,
-            events=args.events,
-            mean_gap_seconds=args.mean_gap,
             fanout_queries=args.fanout,
             fanout_width=_parse_width(args.fanout_width),
             tenants=args.tenants,
@@ -175,14 +123,6 @@ def run_fleet_sim_command(args: argparse.Namespace) -> int:
             hedge_multiplier=args.hedge,
             vnodes=args.vnodes,
             engine=args.engine,
-            algorithm=args.algorithm,
-            policy=args.policy,
-            ingest_fraction=args.ingest_fraction,
-            staleness_bound=args.staleness_bound,
-            pool_capacity=args.pool_capacity,
-            kinds=tuple(
-                spec.strip() for spec in args.kinds.split(",") if spec.strip()
-            ),
         )
     except ValueError as exc:
         print(f"fleet-sim: {exc}", file=sys.stderr)
@@ -195,8 +135,8 @@ def run_fleet_sim_command(args: argparse.Namespace) -> int:
     )
 
     print(
-        f"fleet-sim  seed={config.seed}  engine={report.engine}  "
-        f"shards={config.shards}  samples={config.samples}"
+        f"fleet-sim  seed={config.serve.seed}  engine={report.engine}  "
+        f"shards={config.shards}  samples={config.serve.samples}"
     )
     balance = report.ring["balance"]
     probe = report.ring["rebalance_probe"]

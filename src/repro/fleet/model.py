@@ -112,24 +112,25 @@ def run_model_simulation(
 ) -> dict:
     """Run the vectorised fleet model; returns the report's section dict."""
     obs = instrumentation
-    sample_names = config.sample_names()
+    serve = config.serve
+    sample_names = serve.sample_names()
     shard_names = config.shard_names()
     tenant_names = config.tenant_names()
     K, S, T = len(sample_names), len(shard_names), len(tenant_names)
-    E, F = config.events, config.fanout_queries
+    E, F = serve.events, config.fanout_queries
 
-    ring = HashRing(seed=config.seed, vnodes=config.vnodes, shards=shard_names)
+    ring = HashRing(seed=serve.seed, vnodes=config.vnodes, shards=shard_names)
     shard_index = {name: index for index, name in enumerate(shard_names)}
     place_idx = np.array(
         [shard_index[ring.place(name)] for name in sample_names], dtype=np.int64
     )
 
-    rng = numpy_generator(RandomSource(config.seed).spawn("model").seed)
+    rng = numpy_generator(RandomSource(serve.seed).spawn("model").seed)
 
     # -- pre-draw the base stream -----------------------------------------
-    base_arrival = np.cumsum(rng.exponential(config.mean_gap_seconds, E))
+    base_arrival = np.cumsum(rng.exponential(serve.mean_gap_seconds, E))
     base_sample = rng.integers(0, K, E)
-    base_is_ingest = rng.random(E) < config.ingest_fraction
+    base_is_ingest = rng.random(E) < serve.ingest_fraction
     base_service = rng.exponential(1.0, E) * np.where(
         base_is_ingest,
         config.model_ingest_service_seconds,

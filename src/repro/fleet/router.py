@@ -1,10 +1,12 @@
 """The fleet router: placement, quota gating, fan-out, straggler merge.
 
-:class:`FleetRouter` is the **full-fidelity** fleet engine: it really
-builds one :class:`~repro.serve.catalog.SampleCatalog` plus
-:class:`~repro.serve.scheduler.DeterministicScheduler` per shard (each
-with its own cost model -- shards are independent devices whose clocks
-all start at the same global t=0), places every sample with the seeded
+:class:`FleetRouter` is the **full-fidelity** fleet engine: every shard
+is a ``serve-sim`` over its placed subset of the samples, built by
+serve's own :func:`~repro.serve.sim.sample_plan`,
+:func:`~repro.serve.sim.build_catalog` and
+:func:`~repro.serve.sim.build_scheduler` (each shard with its own cost
+model -- shards are independent devices whose clocks all start at the
+same global t=0).  The router places every sample with the seeded
 hash ring, gates arrivals through per-tenant quotas, decomposes fan-out
 queries into per-shard sub-queries, and merges sub-answers on the global
 cost clock with slowest-shard (straggler) attribution and optional
@@ -13,10 +15,9 @@ hedged-re-read accounting.
 Two properties anchor the design (both property-tested):
 
 * **a 1-shard fleet is invisible** -- with fan-out and quotas off, shard
-  ``shard00`` receives the exact base workload and a catalog built with
-  byte-identical per-sample seeds in the same order as
-  :func:`repro.serve.sim.build_catalog`, so its per-shard report is
-  bit-identical to a plain ``serve-sim`` run of the mirrored config;
+  ``shard00`` receives serve's base workload and a catalog of the whole
+  sample plan, so its per-shard report is bit-identical to a plain
+  ``serve-sim`` run of ``config.serve``;
 * **placement stability** -- adding a shard moves only ~K/N of K placed
   samples, every one of them onto the new shard.
 
@@ -43,13 +44,14 @@ from typing import TYPE_CHECKING
 
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
-from repro.serve.admission import AdmissionController
 from repro.serve.catalog import SampleCatalog
-from repro.serve.scheduler import DeterministicScheduler, make_scheduling_policy
-from repro.serve.session import QuerySession
-from repro.serve.workload import WorkloadEvent, synthetic_workload
-from repro.obs.slo import SLOTracker, parse_slos
-from repro.obs.timeseries import TimeSeriesStore
+from repro.serve.sim import (
+    build_catalog,
+    build_scheduler,
+    build_workload,
+    sample_plan,
+)
+from repro.serve.workload import WorkloadEvent
 from repro.fleet.quota import TenantQuotas, parse_quotas
 from repro.fleet.ring import HashRing, rebalance_plan
 from repro.fleet.workload import fanout_workload
@@ -142,66 +144,14 @@ class FleetRouter:
             )
             self._g_shards = instrumentation.gauge("fleet.shards")
 
-    # -- construction ------------------------------------------------------
-
-    def _build_shard_catalog(
-        self, owned: list[tuple[str, int, str]]
-    ) -> SampleCatalog:
-        """One shard's catalog: its own cost model, samples in global order.
-
-        ``owned`` carries (name, seed, kind) triples whose seeds were
-        drawn from the *global* root in global name order, and whose
-        kinds follow the global sample index -- so a sample's content
-        and scheme never depend on which shard it landed on.
-        """
-        config = self._config
-        replication = None
-        if config.replica:
-            from repro.replication.link import ReplicationLink
-
-            replication = ReplicationLink(lag_budget=config.replica_lag_budget)
-        catalog = SampleCatalog(
-            pool_capacity=config.pool_capacity,
-            pool_readahead=config.pool_readahead,
-            replication=replication,
-        )
-        for name, seed, kind in owned:
-            catalog.create(
-                name,
-                sample_size=config.sample_size,
-                initial_dataset_size=config.initial_dataset_size,
-                algorithm=config.algorithm,
-                seed=seed,
-                kind=kind,
-            )
-        return catalog
-
-    def _build_shard_scheduler(self, catalog: SampleCatalog) -> DeterministicScheduler:
-        """Mirror :func:`repro.serve.sim.run_simulation`'s wiring per shard."""
-        config = self._config
-        interval = config.timeseries_interval
-        return DeterministicScheduler(
-            catalog,
-            policy=make_scheduling_policy(config.policy),
-            admission=AdmissionController(
-                max_queue_depth=config.max_queue_depth,
-                max_wait_seconds=config.max_wait_seconds,
-                overload_action=config.overload_action,
-            ),
-            session=QuerySession(catalog, confidence=config.confidence),
-            slos=SLOTracker(
-                parse_slos(list(config.slos)), window_interval=interval
-            ),
-            timeseries=TimeSeriesStore(interval) if interval > 0 else None,
-        )
-
     # -- the run -----------------------------------------------------------
 
     def run(self, include_trace: bool = True) -> dict:
         config = self._config
+        serve = config.serve
         obs = self._instr
         shard_names = config.shard_names()
-        sample_names = config.sample_names()
+        sample_names = serve.sample_names()
         tenant_names = config.tenant_names()
         if obs is not None:
             self._g_shards.set(len(shard_names))
@@ -210,28 +160,19 @@ class FleetRouter:
             obs, "fleet.place", shards=len(shard_names), samples=len(sample_names)
         ):
             ring = HashRing(
-                seed=config.seed, vnodes=config.vnodes, shards=shard_names
+                seed=serve.seed, vnodes=config.vnodes, shards=shard_names
             )
             placement = ring.placement(sample_names)
 
-        # Per-sample seeds from one global root, spawned in global name
-        # order -- byte-identical to serve's build_catalog, and placement-
-        # independent (moving a sample never changes its content).  Kinds
-        # follow the global sample index for the same reason.
-        root = RandomSource(config.seed)
-        sample_seeds = [
-            (name, root.spawn(name).seed, config.kind_for(index))
-            for index, name in enumerate(sample_names)
-        ]
+        # Each shard holds its placed share of serve's global plan, so a
+        # sample's seed and kind never depend on where it landed.
         owned: dict[str, list[tuple[str, int, str]]] = {
             name: [] for name in shard_names
         }
-        for name, seed, kind in sample_seeds:
+        for name, seed, kind in sample_plan(serve):
             owned[placement[name]].append((name, seed, kind))
-
         catalogs = {
-            shard: self._build_shard_catalog(owned[shard])
-            for shard in shard_names
+            shard: build_catalog(serve, plan=owned[shard]) for shard in shard_names
         }
 
         # Tenancy is a deterministic function of the sample index, so the
@@ -242,29 +183,20 @@ class FleetRouter:
         }
         quotas = TenantQuotas(parse_quotas(config.quotas), instrumentation=obs)
 
-        # Base workload: bit-identical to serve-sim's (same child stream,
-        # same global name list).  Fan-out draws from its own child so
-        # enabling it never perturbs the base stream.
-        base_events = synthetic_workload(
-            RandomSource(config.seed).spawn("workload"),
-            sample_names,
-            config.events,
-            mean_gap_seconds=config.mean_gap_seconds,
-            ingest_fraction=config.ingest_fraction,
-            batch_range=config.batch_range,
-            staleness_bound=config.staleness_bound,
-        )
+        # Base workload: serve-sim's, over the global name list.  Fan-out
+        # draws from its own child so enabling it never perturbs the base.
+        base_events = build_workload(serve, sample_names)
         fanouts = []
         if config.fanout_queries > 0:
             fanouts = fanout_workload(
-                RandomSource(config.seed).spawn("fanout"),
+                RandomSource(serve.seed).spawn("fanout"),
                 sample_names,
                 tenant_names,
                 config.fanout_queries,
                 mean_gap_seconds=config.fanout_mean_gap_seconds,
                 width_range=config.fanout_width,
-                staleness_bound=config.staleness_bound,
-                seq_base=config.events,
+                staleness_bound=serve.staleness_bound,
+                seq_base=serve.events,
             )
 
         # -- front door: quota gate + routing, in global arrival order ----
@@ -276,7 +208,7 @@ class FleetRouter:
         # heap ever holds a (time, seq) tie.
         dispatched: list[tuple] = []
         fanout_front_shed = 0
-        next_sub_seq = config.events + config.fanout_queries
+        next_sub_seq = serve.events + config.fanout_queries
         gate = quotas.enabled
 
         arrivals: list[tuple[float, int, object]] = [
@@ -323,8 +255,7 @@ class FleetRouter:
         # -- per-shard runs (independent devices, shared t=0) --------------
         shard_reports: dict[str, dict] = {}
         for shard in shard_names:
-            catalog = catalogs[shard]
-            scheduler = self._build_shard_scheduler(catalog)
+            scheduler = build_scheduler(serve, catalogs[shard])
             with maybe_span(
                 obs, "fleet.shard_run", shard=shard, events=len(shard_events[shard])
             ):

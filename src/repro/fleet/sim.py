@@ -18,12 +18,6 @@ to execute for real and **model** beyond that, so one CLI covers both
 the property-test regime and the fleet-scale sweep.  Reports always
 carry an ``engine`` field -- the two engines' numbers are *not*
 comparable to each other, only runs of the same engine are.
-
-The ``FleetConfig`` deliberately embeds a verbatim copy of every
-:class:`~repro.serve.sim.SimConfig` knob (``serve_config()`` returns the
-mirrored value): the base single-sample workload and per-sample seeds
-are shared bit-for-bit with ``serve-sim``, which is what makes the N=1
-fleet invisible.
 """
 
 from __future__ import annotations
@@ -32,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.kinds import parse_kind_spec
 from repro.serve.sim import SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,40 +47,17 @@ AUTO_FULL_MAX_SAMPLES = 512
 class FleetConfig:
     """Everything a fleet simulation depends on, in one value.
 
-    The first block mirrors :class:`~repro.serve.sim.SimConfig` field for
-    field; the second block is fleet-only.  ``seed`` feeds the same two
-    serve streams (per-sample, ``workload``) plus fleet-owned children
-    (``fanout``, ``model``) -- all decorrelated by spawn label.
+    ``serve`` is the :class:`~repro.serve.sim.SimConfig` every shard
+    runs over its placed subset of the samples (the full engine builds
+    shards with serve's own builders); the remaining fields are
+    fleet-only.  ``serve.seed`` feeds serve's streams (per-sample,
+    ``workload``) plus fleet-owned children (``fanout``, ``model``) --
+    all decorrelated by spawn label.  ``serve.kinds`` rotate over the
+    *global* sample index, so a sample keeps its kind wherever the ring
+    puts it; kinds require the full engine.
     """
 
-    # -- serve-mirrored knobs (see SimConfig for semantics) ----------------
-    seed: int = 0
-    samples: int = 8
-    sample_size: int = 256
-    initial_dataset_size: int | None = None
-    algorithm: str = "stack"
-    events: int = 200
-    mean_gap_seconds: float = 0.05
-    ingest_fraction: float = 0.5
-    batch_range: tuple[int, int] = (64, 512)
-    staleness_bound: int = 256
-    policy: str = "longest-log:64"
-    max_queue_depth: int | None = None
-    max_wait_seconds: float | None = None
-    overload_action: str = "shed"
-    confidence: float = 0.95
-    pool_capacity: int = 0
-    pool_readahead: int = 8
-    slos: tuple[str, ...] = ()
-    timeseries_interval: float = 0.0
-    replica: bool = False
-    replica_lag_budget: float = 0.0
-    #: per-sample kind specs, round-robin over the *global* sample index
-    #: (placement-independent, so a sample keeps its kind wherever the
-    #: ring puts it); () = all uniform.  Kinds require the full engine.
-    kinds: tuple[str, ...] = ()
-
-    # -- fleet-only knobs --------------------------------------------------
+    serve: SimConfig = SimConfig(samples=8)
     #: shard count; shard names are "shard00", "shard01", ...
     shards: int = 4
     #: virtual nodes per shard on the placement ring
@@ -114,8 +86,10 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
-        if self.samples < 1:
+        if self.serve.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.serve.trace_path is not None:
+            raise ValueError("a fleet run writes no span trace file")
         if self.tenants < 1:
             raise ValueError("tenants must be at least 1")
         if self.fanout_queries < 0:
@@ -130,56 +104,14 @@ class FleetConfig:
                 "(the vectorised model only models uniform reservoirs)"
             )
 
-    def sample_names(self) -> list[str]:
-        # Identical format to SimConfig.sample_names -- shared names are
-        # part of the bit-identity contract with serve-sim.
-        return [f"s{index:02d}" for index in range(self.samples)]
-
     def shard_names(self) -> list[str]:
         return [f"shard{index:02d}" for index in range(self.shards)]
 
     def tenant_names(self) -> list[str]:
         return [f"tenant{index:02d}" for index in range(self.tenants)]
 
-    @property
-    def run_id(self) -> str:
-        return f"{self.seed:08x}"
-
-    def serve_config(self) -> SimConfig:
-        """The serve-sim config this fleet config embeds, verbatim."""
-        return SimConfig(
-            seed=self.seed,
-            samples=self.samples,
-            sample_size=self.sample_size,
-            initial_dataset_size=self.initial_dataset_size,
-            algorithm=self.algorithm,
-            events=self.events,
-            mean_gap_seconds=self.mean_gap_seconds,
-            ingest_fraction=self.ingest_fraction,
-            batch_range=self.batch_range,
-            staleness_bound=self.staleness_bound,
-            policy=self.policy,
-            max_queue_depth=self.max_queue_depth,
-            max_wait_seconds=self.max_wait_seconds,
-            overload_action=self.overload_action,
-            confidence=self.confidence,
-            pool_capacity=self.pool_capacity,
-            pool_readahead=self.pool_readahead,
-            slos=self.slos,
-            timeseries_interval=self.timeseries_interval,
-            replica=self.replica,
-            replica_lag_budget=self.replica_lag_budget,
-            kinds=self.kinds,
-        )
-
-    def kind_for(self, index: int) -> str:
-        """The kind spec of the index-th sample (global round-robin)."""
-        if not self.kinds:
-            return "uniform"
-        return self.kinds[index % len(self.kinds)]
-
     def has_non_uniform_kinds(self) -> bool:
-        return any(k.partition(":")[0] != "uniform" for k in self.kinds)
+        return any(parse_kind_spec(k)[0] != "uniform" for k in self.serve.kinds)
 
     def resolve_engine(self) -> str:
         if self.engine != "auto":
@@ -189,8 +121,8 @@ class FleetConfig:
             # to the full engine regardless of scale.
             return "full"
         if (
-            self.events + self.fanout_queries <= AUTO_FULL_MAX_EVENTS
-            and self.samples <= AUTO_FULL_MAX_SAMPLES
+            self.serve.events + self.fanout_queries <= AUTO_FULL_MAX_EVENTS
+            and self.serve.samples <= AUTO_FULL_MAX_SAMPLES
         ):
             return "full"
         return "model"
@@ -234,23 +166,24 @@ class FleetReport:
 
 
 def _config_echo(config: FleetConfig, engine: str) -> dict:
+    serve = config.serve
     echo = {
-        "seed": config.seed,
+        "seed": serve.seed,
         "shards": config.shards,
-        "samples": config.samples,
+        "samples": serve.samples,
         "tenants": config.tenants,
-        "events": config.events,
+        "events": serve.events,
         "fanout_queries": config.fanout_queries,
         "vnodes": config.vnodes,
-        "algorithm": config.algorithm,
-        "policy": config.policy,
+        "algorithm": serve.algorithm,
+        "policy": serve.policy,
         "hedge_multiplier": config.hedge_multiplier,
         "engine": engine,
     }
-    if config.kinds:
+    if serve.kinds:
         # Only echoed when configured, so kind-less reports keep their
         # pre-kind bytes.
-        echo["kinds"] = list(config.kinds)
+        echo["kinds"] = list(serve.kinds)
     return echo
 
 

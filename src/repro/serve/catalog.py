@@ -43,7 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.api import Instrumentation
     from repro.replication.link import ReplicationLink
 
-__all__ = ["CatalogEntry", "SampleCatalog", "ALGORITHMS", "KIND_ALGORITHMS"]
+__all__ = [
+    "CatalogEntry",
+    "SampleCatalog",
+    "ALGORITHMS",
+    "KIND_ALGORITHMS",
+    "check_kind_algorithm",
+]
 
 #: Refresh-algorithm factories the catalog can instantiate by name.
 ALGORITHMS: dict[str, Callable[[], object]] = {
@@ -60,7 +66,7 @@ ALGORITHMS: dict[str, Callable[[], object]] = {
 KIND_ALGORITHMS = ("naive", "array")
 
 
-def _check_kind_algorithm(kind: SampleKind, algorithm: str) -> None:
+def check_kind_algorithm(kind: SampleKind, algorithm: str) -> None:
     """Reject a refresh algorithm that cannot produce the kind's victims."""
     if not kind.draws_slots and algorithm not in KIND_ALGORITHMS:
         raise ValueError(
@@ -294,7 +300,7 @@ class SampleCatalog:
                 f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
             )
         kind_obj = make_kind(kind, sample_size)
-        _check_kind_algorithm(kind_obj, algorithm)
+        check_kind_algorithm(kind_obj, algorithm)
         rng = RandomSource(seed)
         codec = kind_obj.codec(record_size)
         sample_device = self._make_device(f"{name}.sample")
@@ -449,7 +455,7 @@ class SampleCatalog:
         # long gone, so kind name and parameters are read back from the
         # checkpoint, not passed in.
         kind_obj = restore_kind(checkpoint)
-        _check_kind_algorithm(kind_obj, algorithm)
+        check_kind_algorithm(kind_obj, algorithm)
         codec = kind_obj.codec(record_size)
         refresh_policy = policy if policy is not None else ManualPolicy()
         sample = SampleFile(sample_device, codec, checkpoint.sample_size)

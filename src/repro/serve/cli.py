@@ -8,22 +8,34 @@ Self-contained on the pattern of :mod:`repro.obs.cli`: the main CLI
 calls :func:`add_serve_sim_parser` at parser-build time and
 :func:`run_serve_sim_command` on dispatch; the serving stack is imported
 lazily so ``repro --help`` stays fast.
+
+The flags ``serve-sim`` shares with ``fleet-sim`` are declared once, in
+:func:`add_shared_sim_arguments`, and read back into
+:class:`~repro.serve.sim.SimConfig` fields by
+:func:`shared_config_fields`.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
-__all__ = ["add_serve_sim_parser", "run_serve_sim_command"]
+__all__ = [
+    "add_serve_sim_parser",
+    "add_shared_sim_arguments",
+    "run_serve_sim_command",
+    "shared_config_fields",
+]
 
 
-def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
-    parser = sub.add_parser(
-        "serve-sim",
-        help="simulate the staleness-aware sample server (deterministic)",
-    )
+def add_shared_sim_arguments(
+    parser: argparse.ArgumentParser, samples_default: int
+) -> None:
+    """Register the flags ``serve-sim`` and ``fleet-sim`` both take."""
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--samples", type=int, default=2, help="catalog size")
+    parser.add_argument(
+        "--samples", type=int, default=samples_default, help="catalog size"
+    )
     parser.add_argument(
         "--sample-size", type=int, default=256, help="elements per sample (M)"
     )
@@ -40,8 +52,9 @@ def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
         "--kinds",
         default="",
         help="comma-separated sample-kind specs (uniform, weighted[:MOD], "
-        "window), assigned round-robin over samples; empty = all uniform. "
-        "Non-uniform kinds need --algorithm naive or array",
+        "window), assigned round-robin over the global sample index; "
+        "empty = all uniform. Non-uniform kinds need --algorithm naive or "
+        "array",
     )
     parser.add_argument(
         "--policy",
@@ -64,6 +77,52 @@ def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
         help="k used by the workload's bounded_staleness queries",
     )
     parser.add_argument(
+        "--pool-capacity",
+        type=int,
+        default=0,
+        help=(
+            "page-cache frames per device (0 = no buffer pool, "
+            "bit-identical paper accounting)"
+        ),
+    )
+    parser.add_argument(
+        "--json",
+        metavar="PATH",
+        default=None,
+        help="write the full canonical JSON report to PATH",
+    )
+    parser.add_argument(
+        "--no-trace",
+        action="store_true",
+        help="omit per-event traces from the JSON report",
+    )
+
+
+def shared_config_fields(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.serve.sim.SimConfig` fields the shared flags set."""
+    return {
+        "seed": args.seed,
+        "samples": args.samples,
+        "sample_size": args.sample_size,
+        "events": args.events,
+        "algorithm": args.algorithm,
+        "kinds": tuple(
+            spec.strip() for spec in args.kinds.split(",") if spec.strip()
+        ),
+        "policy": args.policy,
+        "ingest_fraction": args.ingest_fraction,
+        "staleness_bound": args.staleness_bound,
+        "pool_capacity": args.pool_capacity,
+    }
+
+
+def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
+    parser = sub.add_parser(
+        "serve-sim",
+        help="simulate the staleness-aware sample server (deterministic)",
+    )
+    add_shared_sim_arguments(parser, samples_default=2)
+    parser.add_argument(
         "--max-queue-depth",
         type=int,
         default=None,
@@ -82,30 +141,10 @@ def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
         help="what to do with queries that fail admission",
     )
     parser.add_argument(
-        "--pool-capacity",
-        type=int,
-        default=0,
-        help=(
-            "page-cache frames per device (0 = no buffer pool, "
-            "bit-identical paper accounting)"
-        ),
-    )
-    parser.add_argument(
         "--pool-readahead",
         type=int,
         default=8,
         help="blocks to prefetch on a sequential miss inside a declared scan",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the full canonical JSON report (with trace) to PATH",
-    )
-    parser.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="omit the per-event trace from the JSON report",
     )
     parser.add_argument(
         "--trace",
@@ -169,29 +208,22 @@ def run_serve_sim_command(args: argparse.Namespace) -> int:
     from repro.serve.sim import SimConfig, run_simulation
     from repro.storage.cost_model import CostModel
 
-    config = SimConfig(
-        seed=args.seed,
-        samples=args.samples,
-        sample_size=args.sample_size,
-        events=args.events,
-        algorithm=args.algorithm,
-        policy=args.policy,
-        ingest_fraction=args.ingest_fraction,
-        staleness_bound=args.staleness_bound,
-        max_queue_depth=args.max_queue_depth,
-        max_wait_seconds=args.max_wait_seconds,
-        overload_action=args.overload_action,
-        pool_capacity=args.pool_capacity,
-        pool_readahead=args.pool_readahead,
-        trace_path=args.trace,
-        slos=tuple(args.slo),
-        timeseries_interval=args.ts_interval,
-        replica=args.replica,
-        replica_lag_budget=args.replica_lag,
-        kinds=tuple(
-            spec.strip() for spec in args.kinds.split(",") if spec.strip()
-        ),
-    )
+    try:
+        config = SimConfig(
+            **shared_config_fields(args),
+            max_queue_depth=args.max_queue_depth,
+            max_wait_seconds=args.max_wait_seconds,
+            overload_action=args.overload_action,
+            pool_readahead=args.pool_readahead,
+            trace_path=args.trace,
+            slos=tuple(args.slo),
+            timeseries_interval=args.ts_interval,
+            replica=args.replica,
+            replica_lag_budget=args.replica_lag,
+        )
+    except ValueError as exc:
+        print(f"serve-sim: {exc}", file=sys.stderr)
+        return 2
     instrumentation = Instrumentation(cost_model=CostModel())
     report = run_simulation(config, instrumentation=instrumentation)
 

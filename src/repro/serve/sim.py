@@ -8,6 +8,11 @@ it under the deterministic scheduler and returns the canonical
 CLI, the scheduling-policy comparison experiment and the determinism
 tests are all thin wrappers over this function -- same seed in, same
 bytes out, everywhere.
+
+The wiring is exposed piece by piece -- :func:`sample_plan`,
+:func:`build_catalog`, :func:`build_workload` and
+:func:`build_scheduler` -- so :mod:`repro.fleet` builds each shard with
+the very same code over its placed subset of the plan.
 """
 
 from __future__ import annotations
@@ -16,26 +21,30 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.kinds import make_kind
 from repro.obs.slo import SLOTracker, parse_slos
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracefile import SpanSinkJsonl
 from repro.rng.random_source import RandomSource
 from repro.serve.admission import AdmissionController
-from repro.serve.catalog import SampleCatalog
+from repro.serve.catalog import SampleCatalog, check_kind_algorithm
 from repro.serve.scheduler import (
     DeterministicScheduler,
     ServeReport,
     make_scheduling_policy,
 )
 from repro.serve.session import QuerySession
-from repro.serve.workload import synthetic_workload
+from repro.serve.workload import WorkloadEvent, synthetic_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.api import Instrumentation
 
 __all__ = [
     "SimConfig",
+    "sample_plan",
     "build_catalog",
+    "build_scheduler",
+    "build_workload",
     "run_simulation",
     "query_answers",
     "assert_same_answers",
@@ -90,14 +99,16 @@ class SimConfig:
     #: Non-uniform kinds require a kind-capable ``algorithm`` (naive/array).
     kinds: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Reject bad specs up front, before any catalog is built, so a
+        # typo is a usage error rather than a failure mid-run.
+        make_scheduling_policy(self.policy)
+        parse_slos(self.slos)
+        for spec in self.kinds:
+            check_kind_algorithm(make_kind(spec, self.sample_size), self.algorithm)
+
     def sample_names(self) -> list[str]:
         return [f"s{index:02d}" for index in range(self.samples)]
-
-    def kind_for(self, index: int) -> str:
-        """The kind spec of the index-th sample (round-robin assignment)."""
-        if not self.kinds:
-            return "uniform"
-        return self.kinds[index % len(self.kinds)]
 
     @property
     def run_id(self) -> str:
@@ -105,11 +116,27 @@ class SimConfig:
         return f"{self.seed:08x}"
 
 
+def sample_plan(config: SimConfig) -> list[tuple[str, int, str]]:
+    """Every sample's ``(name, seed, kind spec)``, in global spawn order.
+
+    Seeds come from one root spawned in name order and kinds rotate over
+    the global sample index, so a sample's content and scheme never
+    depend on which catalog -- or fleet shard -- ends up holding it.
+    """
+    root = RandomSource(config.seed)
+    kinds = config.kinds or ("uniform",)
+    return [
+        (name, root.spawn(name).seed, kinds[index % len(kinds)])
+        for index, name in enumerate(config.sample_names())
+    ]
+
+
 def build_catalog(
     config: SimConfig,
     instrumentation: "Instrumentation | None" = None,
+    plan: list[tuple[str, int, str]] | None = None,
 ) -> SampleCatalog:
-    """Create the simulation's catalog; one RNG stream per sample."""
+    """Create a catalog holding ``plan`` (default: every sample of the run)."""
     cost_model = (
         instrumentation.cost_model if instrumentation is not None else None
     )
@@ -128,17 +155,54 @@ def build_catalog(
         pool_readahead=config.pool_readahead,
         replication=replication,
     )
-    root = RandomSource(config.seed)
-    for index, name in enumerate(config.sample_names()):
+    for name, seed, kind in sample_plan(config) if plan is None else plan:
         catalog.create(
             name,
             sample_size=config.sample_size,
             initial_dataset_size=config.initial_dataset_size,
             algorithm=config.algorithm,
-            seed=root.spawn(name).seed,
-            kind=config.kind_for(index),
+            seed=seed,
+            kind=kind,
         )
     return catalog
+
+
+def build_workload(config: SimConfig, names: list[str]) -> list[WorkloadEvent]:
+    """The run's base workload over ``names``, from the ``workload`` stream."""
+    return synthetic_workload(
+        RandomSource(config.seed).spawn("workload"),
+        names,
+        config.events,
+        mean_gap_seconds=config.mean_gap_seconds,
+        ingest_fraction=config.ingest_fraction,
+        batch_range=config.batch_range,
+        staleness_bound=config.staleness_bound,
+    )
+
+
+def build_scheduler(
+    config: SimConfig,
+    catalog: SampleCatalog,
+    instrumentation: "Instrumentation | None" = None,
+) -> DeterministicScheduler:
+    """The run's scheduler over ``catalog``: policy, admission, session, SLOs."""
+    interval = config.timeseries_interval
+    return DeterministicScheduler(
+        catalog,
+        policy=make_scheduling_policy(config.policy),
+        admission=AdmissionController(
+            max_queue_depth=config.max_queue_depth,
+            max_wait_seconds=config.max_wait_seconds,
+            overload_action=config.overload_action,
+            instrumentation=instrumentation,
+        ),
+        session=QuerySession(
+            catalog, confidence=config.confidence, instrumentation=instrumentation
+        ),
+        instrumentation=instrumentation,
+        slos=SLOTracker(parse_slos(list(config.slos)), window_interval=interval),
+        timeseries=TimeSeriesStore(interval) if interval > 0 else None,
+    )
 
 
 def run_simulation(
@@ -179,34 +243,8 @@ def run_simulation(
                     catalog = build_catalog(config, instrumentation)
             else:
                 catalog = build_catalog(config, instrumentation)
-        workload_rng = RandomSource(config.seed).spawn("workload")
-        events = synthetic_workload(
-            workload_rng,
-            catalog.names(),
-            config.events,
-            mean_gap_seconds=config.mean_gap_seconds,
-            ingest_fraction=config.ingest_fraction,
-            batch_range=config.batch_range,
-            staleness_bound=config.staleness_bound,
-        )
-        interval = config.timeseries_interval
-        scheduler = DeterministicScheduler(
-            catalog,
-            policy=make_scheduling_policy(config.policy),
-            admission=AdmissionController(
-                max_queue_depth=config.max_queue_depth,
-                max_wait_seconds=config.max_wait_seconds,
-                overload_action=config.overload_action,
-                instrumentation=instrumentation,
-            ),
-            session=QuerySession(
-                catalog, confidence=config.confidence, instrumentation=instrumentation
-            ),
-            instrumentation=instrumentation,
-            slos=SLOTracker(parse_slos(list(config.slos)), window_interval=interval),
-            timeseries=TimeSeriesStore(interval) if interval > 0 else None,
-        )
-        return scheduler.run(events)
+        events = build_workload(config, catalog.names())
+        return build_scheduler(config, catalog, instrumentation).run(events)
 
 
 #: Trace fields that constitute a query's *answer* -- what the client sees.

@@ -7,6 +7,7 @@ from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.math import expected_displaced
 from repro.rng.random_source import RandomSource
 from repro.storage.memory import INDEX_BYTES
+from tests.conftest import make_maintainer
 
 
 class TestBasics:
@@ -111,3 +112,30 @@ class TestUniformity:
     def test_name(self):
         assert ArrayRefresh().name == "array"
         assert ArrayRefresh(sort=False).name == "array-unsorted"
+
+
+class TestUnsortedSources:
+    def test_unsorted_writes_the_same_candidates_as_sorted(self):
+        # Same seed, same slot draws: the sort only permutes which
+        # displaced slot gets which final candidate, never which ones.
+        finals = []
+        for sort in (True, False):
+            maintainer, sample, _ = make_maintainer(
+                "candidate", ArrayRefresh(sort=sort), seed=11,
+                sample_size=64, initial_dataset=1000,
+            )
+            maintainer.insert_many(range(1000, 21000))
+            maintainer.refresh()
+            finals.append(sorted(sample.peek_all()))
+        assert finals[0] == finals[1]
+
+    def test_unsorted_rejects_the_full_log_adapter(self):
+        # The full-log adapter's ordinal i is not log position i-1:
+        # reading the log directly would write the wrong elements.
+        maintainer, _, _ = make_maintainer(
+            "full", ArrayRefresh(sort=False), seed=11,
+            sample_size=64, initial_dataset=1000,
+        )
+        maintainer.insert_many(range(1000, 21000))
+        with pytest.raises(TypeError, match="array-unsorted"):
+            maintainer.refresh()

@@ -68,3 +68,11 @@ class TestFleetSimCommand:
     def test_bad_width_fails_cleanly(self, capsys):
         assert main(ARGS + ["--fanout-width", "banana"]) == 2
         assert "width" in capsys.readouterr().err
+
+    def test_bad_policy_fails_cleanly(self, capsys):
+        assert main(ARGS + ["--policy", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("fleet-sim: unknown scheduling")
+
+    def test_bad_kind_fails_cleanly(self, capsys):
+        assert main(ARGS + ["--kinds", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("fleet-sim: unknown sample kind")

@@ -13,12 +13,11 @@ import json
 import pytest
 
 from repro.fleet.sim import FleetConfig, run_fleet_simulation
+from repro.serve.sim import SimConfig
 
 CONFIG = FleetConfig(
-    seed=11,
+    serve=SimConfig(seed=11, samples=64, events=20_000),
     shards=4,
-    samples=64,
-    events=20_000,
     fanout_queries=500,
     hedge_multiplier=2.0,
     engine="model",
@@ -33,8 +32,8 @@ class TestDeterminism:
 
     def test_seed_changes_the_report(self):
         other = FleetConfig(
-            seed=12, shards=4, samples=64, events=20_000, fanout_queries=500,
-            hedge_multiplier=2.0, engine="model",
+            serve=SimConfig(seed=12, samples=64, events=20_000),
+            shards=4, fanout_queries=500, hedge_multiplier=2.0, engine="model",
         )
         assert run_fleet_simulation(CONFIG).to_json() != run_fleet_simulation(
             other
@@ -46,8 +45,8 @@ class TestShape:
         model = run_fleet_simulation(CONFIG).to_dict()
         full = run_fleet_simulation(
             FleetConfig(
-                seed=11, shards=4, samples=8, events=100, fanout_queries=5,
-                hedge_multiplier=2.0, engine="full",
+                serve=SimConfig(seed=11, samples=8, events=100),
+                shards=4, fanout_queries=5, hedge_multiplier=2.0, engine="full",
             ),
             include_trace=False,
         ).to_dict(include_trace=False)
@@ -62,7 +61,7 @@ class TestShape:
         owned = sum(
             shard["owned_samples"] for shard in report["shards"].values()
         )
-        assert owned == CONFIG.samples
+        assert owned == CONFIG.serve.samples
 
     def test_placement_matches_the_ring_section(self):
         report = run_fleet_simulation(CONFIG).to_dict()
@@ -89,9 +88,10 @@ class TestAccounting:
 
     def test_quota_sheds_reported_at_scale(self):
         config = FleetConfig(
-            seed=11, shards=4, samples=64, events=50_000,
-            mean_gap_seconds=0.002, quotas=("*:reads:50:100",),
-            engine="model",
+            serve=SimConfig(
+                seed=11, samples=64, events=50_000, mean_gap_seconds=0.002
+            ),
+            shards=4, quotas=("*:reads:50:100",), engine="model",
         )
         report = run_fleet_simulation(config).to_dict()
         assert report["quota"]["total_shed"] > 0
@@ -103,8 +103,8 @@ class TestAccounting:
 
     def test_hedge_never_worsens_the_merged_tail(self):
         plain = FleetConfig(
-            seed=11, shards=4, samples=64, events=20_000, fanout_queries=500,
-            engine="model",
+            serve=SimConfig(seed=11, samples=64, events=20_000),
+            shards=4, fanout_queries=500, engine="model",
         )
         a = run_fleet_simulation(plain).to_dict()
         b = run_fleet_simulation(CONFIG).to_dict()
@@ -116,14 +116,16 @@ class TestAccounting:
 
 class TestAutoRouting:
     def test_large_auto_config_lands_on_the_model(self):
-        config = FleetConfig(seed=1, shards=2, samples=600, events=100)
+        config = FleetConfig(
+            serve=SimConfig(seed=1, samples=600, events=100), shards=2
+        )
         report = run_fleet_simulation(config)
         assert report.engine == "model"
 
     @pytest.mark.parametrize("engine", ["full", "model"])
     def test_explicit_engine_echoed_in_the_config(self, engine):
         config = FleetConfig(
-            seed=1, shards=2, samples=4, events=50, engine=engine
+            serve=SimConfig(seed=1, samples=4, events=50), shards=2, engine=engine
         )
         report = run_fleet_simulation(config)
         assert report.to_dict()["config"]["engine"] == engine

@@ -15,12 +15,11 @@ from repro.fleet.sim import (
     run_fleet_simulation,
 )
 from repro.obs.api import Instrumentation
+from repro.serve.sim import SimConfig, sample_plan
 
 CONFIG = FleetConfig(
-    seed=7,
+    serve=SimConfig(seed=7, samples=6, events=150),
     shards=3,
-    samples=6,
-    events=150,
     fanout_queries=12,
     engine="full",
 )
@@ -31,11 +30,12 @@ class TestConfig:
         "kwargs",
         [
             {"shards": 0},
-            {"samples": 0},
+            {"serve": SimConfig(samples=0)},
             {"tenants": 0},
             {"fanout_queries": -1},
             {"hedge_multiplier": -0.5},
             {"engine": "warp"},
+            {"serve": SimConfig(trace_path="spans.jsonl")},
         ],
     )
     def test_validation(self, kwargs):
@@ -43,44 +43,52 @@ class TestConfig:
             FleetConfig(**kwargs)
 
     def test_auto_resolves_full_when_small(self):
-        assert FleetConfig(events=100).resolve_engine() == "full"
+        assert FleetConfig(serve=SimConfig(events=100)).resolve_engine() == "full"
 
     def test_auto_resolves_model_when_large(self):
-        big = FleetConfig(events=AUTO_FULL_MAX_EVENTS + 1)
+        big = FleetConfig(serve=SimConfig(events=AUTO_FULL_MAX_EVENTS + 1))
         assert big.resolve_engine() == "model"
-        wide = FleetConfig(samples=1000)
+        wide = FleetConfig(serve=SimConfig(samples=1000))
         assert wide.resolve_engine() == "model"
 
     def test_fanout_counts_against_the_auto_bound(self):
-        config = FleetConfig(events=AUTO_FULL_MAX_EVENTS, fanout_queries=1)
+        config = FleetConfig(
+            serve=SimConfig(events=AUTO_FULL_MAX_EVENTS), fanout_queries=1
+        )
         assert config.resolve_engine() == "model"
 
     def test_serve_config_mirrors_the_shared_block(self):
-        serve = CONFIG.serve_config()
-        assert serve.seed == CONFIG.seed
-        assert serve.samples == CONFIG.samples
-        assert serve.events == CONFIG.events
-        assert serve.algorithm == CONFIG.algorithm
-        assert serve.sample_names() == CONFIG.sample_names()
+        serve = SimConfig(seed=7, samples=6, events=150)
+        assert FleetConfig(serve=serve).serve is serve
+        assert FleetConfig().serve == SimConfig(samples=8)
 
     def test_kinds_follow_the_global_sample_index(self):
-        config = FleetConfig(algorithm="array", kinds=("weighted", "window"))
-        assert [config.kind_for(i) for i in range(4)] == [
+        config = FleetConfig(
+            serve=SimConfig(
+                samples=4, algorithm="array", kinds=("weighted", "window")
+            )
+        )
+        assert [kind for _, _, kind in sample_plan(config.serve)] == [
             "weighted", "window", "weighted", "window",
         ]
-        assert config.serve_config().kinds == config.kinds
         assert config.has_non_uniform_kinds()
-        assert not FleetConfig(kinds=("uniform",)).has_non_uniform_kinds()
+        uniform = FleetConfig(serve=SimConfig(kinds=("uniform",)))
+        assert not uniform.has_non_uniform_kinds()
 
     def test_non_uniform_kinds_reject_the_model_engine(self):
         with pytest.raises(ValueError, match="full engine"):
-            FleetConfig(engine="model", algorithm="array", kinds=("window",))
+            FleetConfig(
+                serve=SimConfig(algorithm="array", kinds=("window",)),
+                engine="model",
+            )
         # An explicitly uniform mix models fine.
-        FleetConfig(engine="model", kinds=("uniform",))
+        FleetConfig(serve=SimConfig(kinds=("uniform",)), engine="model")
 
     def test_non_uniform_kinds_pin_auto_to_full(self):
         big = FleetConfig(
-            events=AUTO_FULL_MAX_EVENTS + 1, algorithm="array", kinds=("window",)
+            serve=SimConfig(
+                events=AUTO_FULL_MAX_EVENTS + 1, algorithm="array", kinds=("window",)
+            )
         )
         assert big.resolve_engine() == "full"
 
@@ -89,12 +97,14 @@ class TestConfig:
         assert "kinds" not in plain.config
         kinded = run_fleet_simulation(
             FleetConfig(
-                seed=CONFIG.seed,
+                serve=SimConfig(
+                    seed=CONFIG.serve.seed,
+                    samples=4,
+                    events=40,
+                    algorithm="array",
+                    kinds=("weighted", "window"),
+                ),
                 shards=2,
-                samples=4,
-                events=40,
-                algorithm="array",
-                kinds=("weighted", "window"),
                 engine="full",
             )
         )
@@ -109,8 +119,8 @@ class TestFullEngineReport:
 
     def test_different_seed_differs(self):
         other = FleetConfig(
-            seed=8, shards=3, samples=6, events=150, fanout_queries=12,
-            engine="full",
+            serve=SimConfig(seed=8, samples=6, events=150),
+            shards=3, fanout_queries=12, engine="full",
         )
         assert run_fleet_simulation(CONFIG).to_json() != run_fleet_simulation(
             other
@@ -126,9 +136,9 @@ class TestFullEngineReport:
 
     def test_ring_section_accounts_for_every_sample(self):
         ring = run_fleet_simulation(CONFIG).to_dict()["ring"]
-        assert sum(ring["histogram"].values()) == CONFIG.samples
+        assert sum(ring["histogram"].values()) == CONFIG.serve.samples
         probe = ring["rebalance_probe"]
-        assert probe["moved"] + probe["stayed"] == CONFIG.samples
+        assert probe["moved"] + probe["stayed"] == CONFIG.serve.samples
 
     def test_fanout_accounting_adds_up(self):
         fanout = run_fleet_simulation(CONFIG).to_dict()["fanout"]
@@ -165,8 +175,8 @@ class TestFullEngineReport:
 class TestQuotasAndHedging:
     def test_quota_gate_sheds_and_reports(self):
         config = FleetConfig(
-            seed=7, shards=3, samples=6, events=300,
-            mean_gap_seconds=0.002, quotas=("*:reads:10:5",), engine="full",
+            serve=SimConfig(seed=7, samples=6, events=300, mean_gap_seconds=0.002),
+            shards=3, quotas=("*:reads:10:5",), engine="full",
         )
         report = run_fleet_simulation(config).to_dict()
         assert report["quota"]["enabled"] is True
@@ -182,13 +192,13 @@ class TestQuotasAndHedging:
         assert report["quota"]["total_shed"] == 0
 
     def test_hedging_reports_and_never_perturbs_shards(self):
+        serve = SimConfig(seed=7, samples=6, events=150)
         plain = FleetConfig(
-            seed=7, shards=3, samples=6, events=150, fanout_queries=12,
-            engine="full",
+            serve=serve, shards=3, fanout_queries=12, engine="full"
         )
         hedged = FleetConfig(
-            seed=7, shards=3, samples=6, events=150, fanout_queries=12,
-            hedge_multiplier=2.0, engine="full",
+            serve=serve, shards=3, fanout_queries=12, hedge_multiplier=2.0,
+            engine="full",
         )
         a = run_fleet_simulation(plain).to_dict()
         b = run_fleet_simulation(hedged).to_dict()

@@ -40,6 +40,29 @@ RUNS = {
             "fleet.json": "7690f4bad600d48679f30abe23efe0bba4cccb0e7e8e144f9ae4d00dbabed0ab",
         },
     ),
+    "fleet-sim-four-shards-full": (
+        [
+            "fleet-sim", "--seed", "7", "--shards", "4", "--samples", "16",
+            "--events", "500", "--fanout", "40", "--quota", "*:reads:50:100",
+            "--hedge", "2.0", "--kinds", "weighted:5,window",
+            "--algorithm", "array", "--engine", "full",
+            "--json", "{out}/fleet.json",
+        ],
+        {
+            "fleet.json": "99cc824be94a2f3547cf10a934d529c42946a9c16d86e921b6fac47d7bb64795",
+        },
+    ),
+    "fleet-sim-model": (
+        [
+            "fleet-sim", "--seed", "5", "--shards", "16", "--samples", "2000",
+            "--events", "100000", "--fanout", "2000", "--mean-gap", "0.002",
+            "--quota", "*:reads:50:100", "--hedge", "2.0", "--engine", "model",
+            "--json", "{out}/fleet.json",
+        ],
+        {
+            "fleet.json": "7eb64cdd08d3ed10574c4cc33fc7afbabc50e5e78fc351d7f26d6f7c1f77d84b",
+        },
+    ),
     "dr-drill": (
         ["dr-drill", "--seed", "3", "--out", "{out}/drill"],
         {

@@ -3,7 +3,7 @@
 **1-shard invisibility** -- a fleet of one shard, with fan-out and
 quotas off, is nothing but a serve-sim run wearing a hat: shard
 ``shard00``'s report must be *bit-identical* (canonical JSON, trace
-included) to ``run_simulation`` of the mirrored
+included) to ``run_simulation`` of the embedded
 :class:`~repro.serve.sim.SimConfig`, across algorithms, scheduling
 policies, freshness mixes (via the staleness bound) and admission
 settings.  This pins the fleet's per-sample seed derivation, workload
@@ -45,18 +45,20 @@ def test_one_shard_fleet_is_invisible(
     seed, samples, events, algorithm, policy, staleness_bound, ingest_fraction
 ):
     config = FleetConfig(
-        seed=seed,
+        serve=SimConfig(
+            seed=seed,
+            samples=samples,
+            events=events,
+            algorithm=algorithm,
+            policy=policy,
+            staleness_bound=staleness_bound,
+            ingest_fraction=ingest_fraction,
+        ),
         shards=1,
-        samples=samples,
-        events=events,
-        algorithm=algorithm,
-        policy=policy,
-        staleness_bound=staleness_bound,
-        ingest_fraction=ingest_fraction,
         engine="full",
     )
     fleet = run_fleet_simulation(config)
-    serve = run_simulation(config.serve_config())
+    serve = run_simulation(config.serve)
     shard = json.dumps(fleet.shards["shard00"], sort_keys=True)
     plain = json.dumps(serve.to_dict(), sort_keys=True)
     assert shard == plain
@@ -78,16 +80,18 @@ def test_one_shard_fleet_is_invisible_with_kinds(
     """Kind assignment follows the *global* sample index, so a 1-shard
     fleet running mixed kinds is still a serve-sim run wearing a hat."""
     config = FleetConfig(
-        seed=seed,
+        serve=SimConfig(
+            seed=seed,
+            samples=samples,
+            events=events,
+            algorithm=algorithm,
+            kinds=kinds,
+        ),
         shards=1,
-        samples=samples,
-        events=events,
-        algorithm=algorithm,
-        kinds=kinds,
         engine="full",
     )
     fleet = run_fleet_simulation(config)
-    serve = run_simulation(config.serve_config())
+    serve = run_simulation(config.serve)
     shard = json.dumps(fleet.shards["shard00"], sort_keys=True)
     plain = json.dumps(serve.to_dict(), sort_keys=True)
     assert shard == plain
@@ -103,16 +107,18 @@ def test_one_shard_fleet_is_invisible_with_admission(seed, samples, events):
     # The defer path re-queues events under fresh seqs -- the fleet must
     # stay invisible through that bookkeeping too.
     config = FleetConfig(
-        seed=seed,
+        serve=SimConfig(
+            seed=seed,
+            samples=samples,
+            events=events,
+            max_queue_depth=2,
+            overload_action="defer",
+        ),
         shards=1,
-        samples=samples,
-        events=events,
-        max_queue_depth=2,
-        overload_action="defer",
         engine="full",
     )
     fleet = run_fleet_simulation(config)
-    serve = run_simulation(config.serve_config())
+    serve = run_simulation(config.serve)
     assert json.dumps(fleet.shards["shard00"], sort_keys=True) == json.dumps(
         serve.to_dict(), sort_keys=True
     )

@@ -64,3 +64,22 @@ class TestServeSimCommand:
         except SystemExit:
             pass
         assert "serve-sim" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    def test_bad_policy_exits_two(self, capsys):
+        assert main(ARGS + ["--policy", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("serve-sim: unknown scheduling")
+
+    def test_bad_kind_exits_two(self, capsys):
+        assert main(ARGS + ["--kinds", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("serve-sim: unknown sample kind")
+
+    def test_bad_slo_exits_two(self, capsys):
+        assert main(ARGS + ["--slo", "nonsense"]) == 2
+        assert capsys.readouterr().err.startswith("serve-sim: bad SLO spec")
+
+    def test_kind_algorithm_mismatch_exits_two(self, capsys):
+        code = main(ARGS + ["--kinds", "weighted", "--algorithm", "stack"])
+        assert code == 2
+        assert "kind-capable" in capsys.readouterr().err
