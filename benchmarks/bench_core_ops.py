@@ -11,6 +11,8 @@ report (``BENCH_core_ops.json``) and ``repro bench-compare`` gates the
 batch-path numbers against the committed baseline (docs/performance.md).
 """
 
+import pytest
+
 from repro.core.logs import CandidateLogSource
 from repro.core.maintenance import SampleMaintainer
 from repro.core.multi import MultiSampleManager
@@ -410,6 +412,34 @@ def test_replicated_refresh_cycle_throughput(benchmark, scale):
     assert replicated_accesses == pooled_accesses
     assert link.batches_shipped == link.batches_sealed > 0
     assert link.applier.applied_seq == link.batches_shipped
+
+
+# -- sample scan: the read path of every query --------------------------------
+#
+# A query scans the whole sample: one sequential read and one block decode
+# per block.  ``elements_per_sec`` is sample rows decoded per second, per
+# sample kind's codec.
+
+
+@pytest.mark.parametrize("kind", ["uniform", "weighted", "window"])
+def test_sample_scan_throughput(benchmark, scale, kind):
+    """Full ``SampleFile.scan`` of an initialised sample, one kind's codec."""
+    from repro.core.kinds import make_kind
+
+    sample_size = min(scale.sample_size, 10_000)
+    codec = make_kind(kind, sample_size).codec(32)
+    rows = {
+        "uniform": list(range(sample_size)),
+        "weighted": [(v, 1.0 / (v + 1)) for v in range(sample_size)],
+        "window": [(v, v) for v in range(sample_size)],
+    }[kind]
+    sample = SampleFile(SimulatedBlockDevice(CostModel(), "sample"), codec, sample_size)
+    sample.initialize(rows)
+
+    scanned = benchmark(lambda: list(sample.scan()))
+    benchmark.extra_info["elements"] = sample_size
+    benchmark.extra_info["elements_per_sec"] = sample_size / benchmark.stats.stats.mean
+    assert scanned == rows
 
 
 def test_stream_generation_batch(benchmark, scale):

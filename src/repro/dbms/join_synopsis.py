@@ -24,8 +24,8 @@ assumed an append-mostly warehouse); the class refuses them loudly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource
@@ -37,6 +37,7 @@ from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import StructRecordCodec
 
 __all__ = ["JoinedRow", "JoinedRowCodec", "JoinSynopsis"]
 
@@ -54,32 +55,20 @@ class JoinedRow:
     dim_value: int
 
 
-class JoinedRowCodec:
+class JoinedRowCodec(StructRecordCodec[JoinedRow]):
     """Packs a :class:`JoinedRow` (three 64-bit ints) into one record."""
 
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 24:
-            raise ValueError("record_size must hold three 8-byte integers")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 24)
+    FIELDS = "qqq"
 
-    @property
-    def record_size(self) -> int:
-        return self._record_size
+    def _flatten(self, rows: Sequence[JoinedRow]) -> list[int]:
+        return [
+            field
+            for row in rows
+            for field in (row.fact_key, row.fact_value, row.dim_value)
+        ]
 
-    def encode(self, row: JoinedRow) -> bytes:
-        return (
-            struct.pack("<qqq", row.fact_key, row.fact_value, row.dim_value)
-            + self._padding
-        )
-
-    def decode(self, record: bytes) -> JoinedRow:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        fact_key, fact_value, dim_value = struct.unpack_from("<qqq", record)
-        return JoinedRow(fact_key, fact_value, dim_value)
+    def _values(self, fields: tuple) -> list[JoinedRow]:
+        return list(map(JoinedRow, fields[0::3], fields[1::3], fields[2::3]))
 
 
 class JoinSynopsis:

@@ -30,7 +30,7 @@ table again -- it only sees the change stream.
 
 from __future__ import annotations
 
-import struct
+from typing import Sequence
 
 from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource, FullLogSource
@@ -42,33 +42,21 @@ from repro.rng.random_source import RandomSource
 from repro.storage.cost_model import CostModel
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import StructRecordCodec
 
 __all__ = ["RowRecordCodec", "SampleView"]
 
 
-class RowRecordCodec:
+class RowRecordCodec(StructRecordCodec[Row]):
     """Packs a ``Row`` (two 64-bit integers) into one fixed-size record."""
 
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 16:
-            raise ValueError("record_size must hold two 8-byte integers")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 16)
+    FIELDS = "qq"
 
-    @property
-    def record_size(self) -> int:
-        return self._record_size
+    def _flatten(self, rows: Sequence[Row]) -> list[int]:
+        return [field for row in rows for field in (row.key, row.value)]
 
-    def encode(self, row: Row) -> bytes:
-        return struct.pack("<qq", row.key, row.value) + self._padding
-
-    def decode(self, record: bytes) -> Row:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        key, value = struct.unpack_from("<qq", record)
-        return Row(key, value)
+    def _values(self, fields: tuple) -> list[Row]:
+        return list(map(Row, fields[0::2], fields[1::2]))
 
 
 class SampleView:

@@ -11,11 +11,12 @@ refresh straight off the DBMS's own full log -- is exercised for real.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.dbms.table import Row, Table
 from repro.storage.files import LogFile
+from repro.storage.records import StructRecordCodec
 
 __all__ = ["ChangeKind", "Change", "ChangeRecordCodec", "StagingTable"]
 
@@ -34,32 +35,23 @@ class Change:
     row: Row
 
 
-class ChangeRecordCodec:
+class ChangeRecordCodec(StructRecordCodec[Change]):
     """Packs ``(kind, key, value)`` into one fixed-size record."""
 
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 17:
-            raise ValueError("record_size must hold kind + two 8-byte integers")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 17)
+    FIELDS = "Bqq"
 
-    @property
-    def record_size(self) -> int:
-        return self._record_size
+    def _flatten(self, changes: Sequence[Change]) -> list[int]:
+        return [
+            field
+            for change in changes
+            for field in (int(change.kind), change.row.key, change.row.value)
+        ]
 
-    def encode(self, change: Change) -> bytes:
-        return (
-            struct.pack("<Bqq", int(change.kind), change.row.key, change.row.value)
-            + self._padding
-        )
-
-    def decode(self, record: bytes) -> Change:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        kind, key, value = struct.unpack_from("<Bqq", record)
-        return Change(ChangeKind(kind), Row(key, value))
+    def _values(self, fields: tuple) -> list[Change]:
+        return [
+            Change(ChangeKind(kind), Row(key, value))
+            for kind, key, value in zip(fields[0::3], fields[1::3], fields[2::3])
+        ]
 
 
 class StagingTable:

@@ -67,9 +67,15 @@ class _BlockStore:
     def _decode_at(self, block_data: bytes, offset: int) -> T:
         return self._codec.decode(block_data[offset : offset + self._codec.record_size])
 
-    def _patch(self, block_data: bytes, offset: int, value: T) -> bytes:
+    def _encode_at(self, block_data: bytearray, offset: int, value: T) -> None:
         record = self._codec.encode(value)
-        return block_data[:offset] + record + block_data[offset + len(record) :]
+        block_data[offset : offset + len(record)] = record
+
+    def _decode_block(self, data: bytes, block: int, total: int) -> list[T]:
+        """Decode the elements ``data`` (block ``block``) holds among the
+        file's first ``total``, in one codec call."""
+        count = min(self._per_block, total - block * self._per_block)
+        return self._codec.decode_block(data, count)
 
 
 class SampleFile(_BlockStore):
@@ -120,7 +126,7 @@ class SampleFile(_BlockStore):
         for block_index in range(self.block_count):
             start = block_index * self.elements_per_block
             chunk = values[start : start + self.elements_per_block]
-            data = b"".join(self._codec.encode(v) for v in chunk)
+            data = self._codec.encode_block(chunk)
             data = data.ljust(self._device.block_size, b"\x00")
             self._charge_write(block_index, data, sequential=True)
         self._last_random_write_block = None
@@ -135,7 +141,9 @@ class SampleFile(_BlockStore):
         """
         self._check_index(index)
         block, offset = self._locate(index)
-        data = self._patch(self._device.peek_block(block), offset, value)
+        patched = bytearray(self._device.peek_block(block))
+        self._encode_at(patched, offset, value)
+        data = bytes(patched)
         if block == self._last_random_write_block:
             self._store_free(block, data)
         else:
@@ -165,7 +173,7 @@ class SampleFile(_BlockStore):
         """
         blocks_written = 0
         current_block = -1
-        current_data: bytes | None = None
+        current_data: bytearray | None = None
         previous_index = -1
         for index, value in items:
             self._check_index(index)
@@ -178,27 +186,23 @@ class SampleFile(_BlockStore):
             block, offset = self._locate(index)
             if block != current_block:
                 if current_data is not None:
-                    self._charge_write(current_block, current_data, sequential=True)
+                    data = bytes(current_data)
+                    self._charge_write(current_block, data, sequential=True)
                     blocks_written += 1
                 current_block = block
-                current_data = self._device.peek_block(block)
-            current_data = self._patch(current_data, offset, value)
+                current_data = bytearray(self._device.peek_block(block))
+            self._encode_at(current_data, offset, value)
         if current_data is not None:
-            self._charge_write(current_block, current_data, sequential=True)
+            self._charge_write(current_block, bytes(current_data), sequential=True)
             blocks_written += 1
         return blocks_written
 
     def scan(self) -> Iterator[T]:
         """Yield every element front to back: one sequential read per block."""
         declare_scan(self._device, 0, self.block_count)
-        emitted = 0
-        for block_index in range(self.block_count):
-            data = self._charge_read(block_index, sequential=True)
-            for slot in range(self.elements_per_block):
-                if emitted >= self._size:
-                    return
-                yield self._decode_at(data, slot * self._codec.record_size)
-                emitted += 1
+        for block in range(self.block_count):
+            data = self._charge_read(block, sequential=True)
+            yield from self._decode_block(data, block, self._size)
 
     def resize(self, new_size: int) -> None:
         """Shrink the logical sample size (Sec. 5 deletion handling).
@@ -222,7 +226,11 @@ class SampleFile(_BlockStore):
 
     def peek_all(self) -> list[T]:
         """Return all elements without charging I/O (test/verification aid)."""
-        return [self.peek(i) for i in range(self._size)]
+        values: list[T] = []
+        for block in range(self.block_count):
+            data = self._device.peek_block(block)
+            values += self._decode_block(data, block, self._size)
+        return values
 
     # -- internals ---------------------------------------------------------
 
@@ -323,7 +331,7 @@ class LogFile(_BlockStore):
         minimum" for short refresh periods.
         """
         if self._buffer and not self._flushed_partial:
-            self._write_tail_block(list(self._buffer), partial=True)
+            self._write_tail_block(self._buffer)
             self._flushed_partial = True
 
     def reopen(self, element_count: int) -> None:
@@ -344,10 +352,7 @@ class LogFile(_BlockStore):
         self._next_block, tail = divmod(element_count, self.elements_per_block)
         if tail:
             data = self._device.read_block(self._next_block, sequential=False)
-            self._buffer = [
-                self._decode_at(data, slot * self._codec.record_size)
-                for slot in range(tail)
-            ]
+            self._buffer = self._codec.decode_block(data, tail)
             self._flushed_partial = True
         # Continuing the same generation: no rewind seek on the next write
         # (an empty generation still owes its initial seek).
@@ -367,11 +372,9 @@ class LogFile(_BlockStore):
         self.flush()
         declare_scan(self._device, 0, self.block_count)
         values: list[T] = []
-        for block_index in range(self.block_count):
-            data = self._device.read_block(block_index, sequential=True)
-            remaining = self._count - len(values)
-            for slot in range(min(self.elements_per_block, remaining)):
-                values.append(self._decode_at(data, slot * self._codec.record_size))
+        for block in range(self.block_count):
+            data = self._device.read_block(block, sequential=True)
+            values += self._decode_block(data, block, self._count)
         return values
 
     def read_indexed_sorted(self, indices: Sequence[int]) -> list[T]:
@@ -438,22 +441,22 @@ class LogFile(_BlockStore):
         return self._decode_at(self._device.peek_block(block), offset)
 
     def peek_all(self) -> list[T]:
-        return [self.peek(i) for i in range(self._count)]
+        """Return all elements without charging I/O (test/verification aid)."""
+        values: list[T] = []
+        for block in range(self._next_block):
+            data = self._device.peek_block(block)
+            values += self._decode_block(data, block, self._count)
+        return values + self._buffer
 
     # -- internals ---------------------------------------------------------
 
-    def _read_block_charged(self, block: int) -> bytes:
-        return self._device.read_block(block, sequential=True)
-
-    def _write_tail_block(self, values: Sequence[T], partial: bool = False) -> None:
-        data = b"".join(self._codec.encode(v) for v in values)
+    def _write_tail_block(self, values: Sequence[T]) -> None:
+        """Write the tail block; a partial tail is rewritten as it fills."""
+        data = self._codec.encode_block(values)
         data = data.ljust(self._device.block_size, b"\x00")
         sequential = not self._repositioned
         self._device.write_block(self._next_block, data, sequential)
         self._repositioned = False
-        if partial:
-            # Tail stays addressable at the same block; later fills rewrite it.
-            return
 
 
 class SequentialLogReader:
@@ -482,6 +485,6 @@ class SequentialLogReader:
         self._previous = index
         block, offset = self._log._locate(index)
         if block != self._current_block:
-            self._data = self._log._read_block_charged(block)
+            self._data = self._log.device.read_block(block, sequential=True)
             self._current_block = block
         return self._log._decode_at(self._data, offset)

@@ -4,15 +4,22 @@ The paper assumes 32-byte elements, 128 to a 4 096-byte block.  The storage
 layer moves opaque fixed-size byte strings; codecs translate between domain
 values and those byte strings so tests and examples can round-trip real
 payloads through the simulated (or real) disk.
+
+The block is the unit of coding, as it is the unit of charged I/O: scans
+and bulk writes code a whole block per call (``decode_block`` /
+``encode_block``); reads and writes of one record per block access use
+``decode``/``encode``.  Every codec raises :class:`ValueError` on a value
+its layout cannot hold or a buffer too short for its records.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Generic, Protocol, TypeVar
+from typing import ClassVar, Generic, Protocol, Sequence, TypeVar
 
 __all__ = [
     "RecordCodec",
+    "StructRecordCodec",
     "IntRecordCodec",
     "BytesRecordCodec",
     "WeightedRecordCodec",
@@ -35,40 +42,148 @@ class RecordCodec(Protocol[T]):
     def decode(self, record: bytes) -> T:  # pragma: no cover - protocol
         ...
 
+    def encode_block(self, values: Sequence[T]) -> bytes:  # pragma: no cover
+        """``b"".join(map(encode, values))``, in one call."""
+        ...
 
-class IntRecordCodec:
+    def decode_block(self, data: bytes, count: int) -> list[T]:  # pragma: no cover
+        """The first ``count`` records of ``data``, in one call."""
+        ...
+
+
+class StructRecordCodec(Generic[T]):
+    """A fixed-layout record: little-endian :mod:`struct` fields, then zeros.
+
+    Subclasses give ``FIELDS`` (a struct format without the byte-order
+    prefix) and the mapping between values and the flat field tuple of a
+    run of records: :meth:`_flatten` and :meth:`_values`.  The base owns
+    the padding, the length checks and one compiled :class:`struct.Struct`
+    per record count, so a block of ``count`` records packs or unpacks in
+    one C call.
+    """
+
+    FIELDS: ClassVar[str]
+
+    def __init__(self, record_size: int = 32) -> None:
+        width = struct.calcsize("<" + self.FIELDS)
+        if record_size < width:
+            raise ValueError(
+                f"record_size must hold the {width}-byte fields {self.FIELDS!r}"
+            )
+        self._record_size = record_size
+        self._layout = f"{self.FIELDS}{record_size - width}x"
+        self._structs: dict[int, struct.Struct] = {}
+        self._one = self._struct(1)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # Each concrete codec carries the per-record entry points in its
+        # own class namespace, where tools that patch methods per class
+        # (``cls.__dict__[name]``) look for them.
+        for name in ("encode", "decode"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
+
+    @property
+    def record_size(self) -> int:
+        return self._record_size
+
+    def encode(self, value: T) -> bytes:
+        try:
+            return self._one.pack(*self._flatten((value,)))
+        except struct.error as exc:
+            raise ValueError(f"cannot encode {value!r}: {exc}") from None
+
+    def decode(self, record: bytes) -> T:
+        if len(record) != self._record_size:
+            raise ValueError(
+                f"record has {len(record)} bytes, expected {self._record_size}"
+            )
+        return self._values(self._one.unpack(record))[0]
+
+    def encode_block(self, values: Sequence[T]) -> bytes:
+        try:
+            return self._struct(len(values)).pack(*self._flatten(values))
+        except struct.error as exc:
+            for value in values:
+                self.encode(value)  # raises, naming the first misfit
+            raise ValueError(f"cannot encode block: {exc}") from None
+
+    def decode_block(self, data: bytes, count: int) -> list[T]:
+        if not 0 <= count * self._record_size <= len(data):
+            raise ValueError(f"{len(data)} bytes cannot hold {count} records")
+        return self._values(self._struct(count).unpack_from(data))
+
+    def _struct(self, count: int) -> struct.Struct:
+        packer = self._structs.get(count)
+        if packer is None:
+            packer = self._structs[count] = struct.Struct("<" + self._layout * count)
+        return packer
+
+    def _flatten(self, values: Sequence[T]) -> Sequence[object]:
+        """The fields of ``values``, record after record."""
+        raise NotImplementedError
+
+    def _values(self, fields: tuple) -> list[T]:
+        """The values whose fields, record after record, are ``fields``."""
+        raise NotImplementedError
+
+
+class IntRecordCodec(StructRecordCodec[int]):
     """Stores a signed 64-bit integer padded to the element size.
 
     This is the codec the tests and examples use: stream elements and
     dataset keys are integers, padded to the paper's 32-byte element size.
     """
 
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 8:
-            raise ValueError("record_size must hold at least an 8-byte integer")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 8)
+    FIELDS = "q"
 
-    @property
-    def record_size(self) -> int:
-        return self._record_size
+    def _flatten(self, values: Sequence[int]) -> Sequence[int]:
+        return values
 
-    def encode(self, value: int) -> bytes:
-        return struct.pack("<q", value) + self._padding
+    def _values(self, fields: tuple) -> list[int]:
+        return list(fields)
 
-    def decode(self, record: bytes) -> int:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        return struct.unpack_from("<q", record)[0]
+
+class _PairRecordCodec(StructRecordCodec[tuple]):
+    """A row that is a 2-tuple of fields, decoded back to a 2-tuple."""
+
+    def _flatten(self, values: Sequence[tuple]) -> list:
+        return [field for first, second in values for field in (first, second)]
+
+    def _values(self, fields: tuple) -> list[tuple]:
+        return list(zip(fields[0::2], fields[1::2]))
+
+
+class WeightedRecordCodec(_PairRecordCodec):
+    """Stores a weighted-reservoir row: ``(value, key)``.
+
+    The value is a signed 64-bit integer and the key its A-ES exponential
+    key, an IEEE-754 double serialised bit-exactly (``<d``) -- checkpoint
+    and replica round-trips must reproduce acceptance decisions, so the
+    key cannot be truncated or re-derived.
+    """
+
+    FIELDS = "qd"
+
+
+class TimestampedRecordCodec(_PairRecordCodec):
+    """Stores a sliding-window row: ``(value, sequence)``.
+
+    The sequence is the row's arrival index in the stream (a signed
+    64-bit integer); the window kind derives both the row's slot and its
+    expiry from it, so it is part of the durable record.
+    """
+
+    FIELDS = "qq"
 
 
 class BytesRecordCodec:
     """Pass-through codec for byte payloads, with zero padding.
 
     Encoded records embed the payload length so trailing padding is
-    stripped exactly on decode.
+    stripped exactly on decode.  Blocks decode record by record: every
+    length prefix is validated on its own.
     """
 
     def __init__(self, record_size: int = 32) -> None:
@@ -98,63 +213,9 @@ class BytesRecordCodec:
             raise ValueError("corrupt record: length prefix exceeds capacity")
         return record[2 : 2 + length]
 
+    def encode_block(self, values: Sequence[bytes]) -> bytes:
+        return b"".join(map(self.encode, values))
 
-class WeightedRecordCodec:
-    """Stores a weighted-reservoir row: ``(value, key)``.
-
-    The value is a signed 64-bit integer and the key its A-ES exponential
-    key, an IEEE-754 double serialised bit-exactly (``<d``) -- checkpoint
-    and replica round-trips must reproduce acceptance decisions, so the
-    key cannot be truncated or re-derived.
-    """
-
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 16:
-            raise ValueError("record_size must hold an 8-byte value + 8-byte key")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 16)
-
-    @property
-    def record_size(self) -> int:
-        return self._record_size
-
-    def encode(self, value: tuple[int, float]) -> bytes:
-        return struct.pack("<qd", value[0], value[1]) + self._padding
-
-    def decode(self, record: bytes) -> tuple[int, float]:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        element, key = struct.unpack_from("<qd", record)
-        return (element, key)
-
-
-class TimestampedRecordCodec:
-    """Stores a sliding-window row: ``(value, sequence)``.
-
-    The sequence is the row's arrival index in the stream (a signed
-    64-bit integer); the window kind derives both the row's slot and its
-    expiry from it, so it is part of the durable record.
-    """
-
-    def __init__(self, record_size: int = 32) -> None:
-        if record_size < 16:
-            raise ValueError("record_size must hold an 8-byte value + 8-byte sequence")
-        self._record_size = record_size
-        self._padding = b"\x00" * (record_size - 16)
-
-    @property
-    def record_size(self) -> int:
-        return self._record_size
-
-    def encode(self, value: tuple[int, int]) -> bytes:
-        return struct.pack("<qq", value[0], value[1]) + self._padding
-
-    def decode(self, record: bytes) -> tuple[int, int]:
-        if len(record) != self._record_size:
-            raise ValueError(
-                f"record has {len(record)} bytes, expected {self._record_size}"
-            )
-        element, seq = struct.unpack_from("<qq", record)
-        return (element, seq)
+    def decode_block(self, data: bytes, count: int) -> list[bytes]:
+        size = self._record_size
+        return [self.decode(data[i * size : (i + 1) * size]) for i in range(count)]

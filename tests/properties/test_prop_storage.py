@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.refresh.math import (
@@ -10,15 +11,41 @@ from repro.core.refresh.math import (
     expected_candidates_exact,
     expected_displaced,
 )
+from repro.dbms.join_synopsis import JoinedRow, JoinedRowCodec
 from repro.dbms.sample_view import RowRecordCodec
 from repro.dbms.staging import Change, ChangeKind, ChangeRecordCodec
 from repro.dbms.table import Row
 from repro.storage.block_device import SimulatedBlockDevice
-from repro.storage.cost_model import CostModel
+from repro.storage.bufferpool import BufferPool, declare_scan
+from repro.storage.cost_model import AccessStats, CostModel, DiskParameters
 from repro.storage.files import LogFile, SampleFile
-from repro.storage.records import BytesRecordCodec, IntRecordCodec
+from repro.storage.records import (
+    BytesRecordCodec,
+    IntRecordCodec,
+    TimestampedRecordCodec,
+    WeightedRecordCodec,
+)
 
 INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# Mostly representable, sometimes one bit too wide for a 64-bit field.
+FIELD = st.one_of(INT64, st.integers(min_value=-(2**64), max_value=2**64))
+KEY = st.floats(allow_nan=False)
+
+# Every codec with values that either fit its layout or must be refused.
+CODECS = {
+    "int": (IntRecordCodec, FIELD),
+    "bytes": (BytesRecordCodec, st.binary(max_size=34)),
+    "weighted": (WeightedRecordCodec, st.tuples(FIELD, KEY)),
+    "timestamped": (TimestampedRecordCodec, st.tuples(FIELD, FIELD)),
+    "row": (RowRecordCodec, st.builds(Row, FIELD, FIELD)),
+    "change": (
+        ChangeRecordCodec,
+        st.builds(
+            Change, st.sampled_from(list(ChangeKind)), st.builds(Row, FIELD, FIELD)
+        ),
+    ),
+    "joined": (JoinedRowCodec, st.builds(JoinedRow, FIELD, FIELD, FIELD)),
+}
 
 
 class TestCodecProperties:
@@ -46,6 +73,48 @@ class TestCodecProperties:
         codec = ChangeRecordCodec()
         change = Change(kind, Row(key, value))
         assert codec.decode(codec.encode(change)) == change
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_roundtrip_or_typed_error(self, name, data):
+        make, values = CODECS[name]
+        codec = make()
+        xs = data.draw(st.lists(values, max_size=10))
+        try:
+            records = [codec.encode(x) for x in xs]
+        except ValueError:
+            with pytest.raises(ValueError):
+                codec.encode_block(xs)
+            return
+        block = codec.encode_block(xs)
+        assert block == b"".join(records)
+        decoded = codec.decode_block(block, len(xs))
+        assert decoded == [codec.decode(record) for record in records]
+        assert decoded == xs
+        assert codec.encode_block(decoded) == block
+        # Trailing bytes past ``count`` records are not read.
+        assert codec.decode_block(block + b"\xff" * codec.record_size, len(xs)) == xs
+        if xs:
+            with pytest.raises(ValueError):
+                codec.decode_block(block[:-1], len(xs))
+        with pytest.raises(ValueError):
+            codec.decode_block(block, len(xs) + 1)
+
+    @given(
+        payloads=st.lists(st.binary(max_size=30), min_size=1, max_size=10),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_corrupt_length_prefix_inside_block(self, payloads, data):
+        codec = BytesRecordCodec()
+        block = bytearray(codec.encode_block(payloads))
+        victim = data.draw(st.integers(0, len(payloads) - 1))
+        prefix = data.draw(st.integers(codec.record_size - 1, 0xFFFF))
+        offset = victim * codec.record_size
+        block[offset : offset + 2] = prefix.to_bytes(2, "little")
+        with pytest.raises(ValueError, match="corrupt"):
+            codec.decode_block(bytes(block), len(payloads))
 
 
 class TestLogFileModel:
@@ -103,6 +172,122 @@ class TestSampleFileModel:
             model[index] = value
         assert sample.peek_all() == model
         assert list(sample.scan()) == model
+
+
+# The three sample kinds' codecs (uniform, weighted, window) with values.
+KIND_CODECS = {
+    "uniform": (IntRecordCodec, INT64),
+    "weighted": (WeightedRecordCodec, st.tuples(INT64, KEY)),
+    "window": (TimestampedRecordCodec, st.tuples(INT64, INT64)),
+}
+SMALL_DISK = DiskParameters(block_size=256)  # 8 records of 32 bytes
+
+
+def _device(cost: CostModel, pooled: bool):
+    device = SimulatedBlockDevice(cost, "d")
+    return BufferPool(device, capacity=4, readahead=2) if pooled else device
+
+
+def _reference_scan(device, codec, blocks, count, cached_blocks=0):
+    """A scan by the Sec. 6.1 rules, one record per decode: declare the
+    scan, then one sequential read per block outside the cached prefix."""
+    size = codec.record_size
+    declare_scan(device, 0, blocks)
+    values = []
+    for block in range(blocks):
+        if block < cached_blocks:
+            data = device.peek_block(block)
+        else:
+            data = device.read_block(block, sequential=True)
+        take = min(len(data) // size, count - len(values))
+        values += [codec.decode(data[i * size : (i + 1) * size]) for i in range(take)]
+    return values
+
+
+class TestScanPathModel:
+    """Block-at-a-time scans return the list model's values and charge what
+    a record-at-a-time scan by the Sec. 6.1 rules charges: partial last
+    blocks, shrunk samples, cached prefixes and an enabled buffer pool."""
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=60),
+        cached_blocks=st.integers(min_value=0, max_value=3),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_scan_matches_model(self, kind, data, size, cached_blocks, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=size, max_size=size))
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            sample = SampleFile(_device(cost, pooled), make(), size, cached_blocks)
+            sample.initialize(model)
+            runs.append((cost, sample))
+        new_size = data.draw(st.integers(min_value=1, max_value=size))
+        (cost, sample), (ref_cost, ref_sample) = runs
+        sample.resize(new_size)
+        model = model[:new_size]
+
+        before = cost.stats.copy()
+        assert sample.peek_all() == model
+        assert cost.stats == before
+        assert list(sample.scan()) == model
+        charged = cost.stats - before
+
+        ref_before = ref_cost.stats.copy()
+        blocks = sample.block_count
+        assert _reference_scan(
+            ref_sample.device, make(), blocks, new_size, cached_blocks
+        ) == model
+        assert charged == ref_cost.stats - ref_before
+        if not pooled:
+            assert charged == AccessStats(seq_reads=max(0, blocks - cached_blocks))
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        count=st.integers(min_value=0, max_value=60),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_scan_and_reopen_match_model(self, kind, data, count, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=count, max_size=count))
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            log = LogFile(_device(cost, pooled), make())
+            log.append_many(model)
+            log.flush()
+            runs.append((cost, log))
+        (cost, log), (ref_cost, ref_log) = runs
+
+        before = cost.stats.copy()
+        assert log.peek_all() == model
+        assert cost.stats == before
+        assert log.scan_all() == model
+        charged = cost.stats - before
+        ref_before = ref_cost.stats.copy()
+        reference = _reference_scan(ref_log.device, make(), ref_log.block_count, count)
+        assert reference == model
+        assert charged == ref_cost.stats - ref_before
+        if not pooled:
+            assert charged == AccessStats(seq_reads=log.block_count)
+
+        # Recovery: a fresh LogFile over the same device reloads the tail.
+        reopened = LogFile(log.device, make())
+        before = cost.stats.copy()
+        reopened.reopen(count)
+        tail = count % reopened.elements_per_block
+        assert reopened.peek_all() == model
+        if not pooled:
+            assert cost.stats - before == AccessStats(random_reads=int(tail > 0))
+        extra = data.draw(st.lists(values, max_size=10))
+        reopened.append_many(extra)
+        assert reopened.scan_all() == model + extra
 
 
 class TestMathProperties:

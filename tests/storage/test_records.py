@@ -1,8 +1,19 @@
 """Record codecs: fixed-size encoding round-trips."""
 
+import re
+
 import pytest
 
-from repro.storage.records import BytesRecordCodec, IntRecordCodec
+from repro.dbms.join_synopsis import JoinedRow, JoinedRowCodec
+from repro.dbms.sample_view import RowRecordCodec
+from repro.dbms.staging import Change, ChangeKind, ChangeRecordCodec
+from repro.dbms.table import Row
+from repro.storage.records import (
+    BytesRecordCodec,
+    IntRecordCodec,
+    TimestampedRecordCodec,
+    WeightedRecordCodec,
+)
 
 
 class TestIntRecordCodec:
@@ -56,3 +67,30 @@ class TestBytesRecordCodec:
         record = b"\xff\xff" + b"\x00" * 6  # length 65535 > capacity
         with pytest.raises(ValueError):
             codec.decode(record)
+
+
+# One value per fixed-layout codec that its 64-bit fields cannot hold, next
+# to one that they can.
+OUT_OF_RANGE = {
+    "int": (IntRecordCodec, 1, 2**63),
+    "weighted": (WeightedRecordCodec, (1, 0.5), (2**63, 0.5)),
+    "timestamped": (TimestampedRecordCodec, (1, 2), (1, 2**64)),
+    "row": (RowRecordCodec, Row(1, 2), Row(2**63, 2)),
+    "change": (
+        ChangeRecordCodec,
+        Change(ChangeKind.INSERT, Row(1, 2)),
+        Change(ChangeKind.DELETE, Row(1, -(2**63) - 1)),
+    ),
+    "joined": (JoinedRowCodec, JoinedRow(1, 2, 3), JoinedRow(1, 2, 2**64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_encode_raises_value_error(name):
+    make, good, bad = OUT_OF_RANGE[name]
+    codec = make()
+    named = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=named):
+        codec.encode(bad)
+    with pytest.raises(ValueError, match=named):
+        codec.encode_block([good, bad, good])
