@@ -27,7 +27,6 @@ class ImmediateMaintainer:
         sample: SampleFile,
         rng: RandomSource,
         initial_dataset_size: int,
-        skip_method: str = "auto",
         instrumentation: Instrumentation | None = None,
     ) -> None:
         if initial_dataset_size < sample.size:
@@ -37,8 +36,7 @@ class ImmediateMaintainer:
             )
         self._sample = sample
         self._reservoir = ReservoirSampler(
-            sample.size, rng, initial_size=initial_dataset_size,
-            skip_method=skip_method,
+            sample.size, rng, initial_size=initial_dataset_size
         )
         self.accepted = 0
         self._instr = instrumentation

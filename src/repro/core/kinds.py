@@ -213,17 +213,14 @@ class UniformKind:
     strategies = ("immediate", "candidate", "full")
     draws_slots = True
 
-    def __init__(self, capacity: int, seen: int = 0, skip_method: str = "auto") -> None:
+    def __init__(self, capacity: int, seen: int = 0) -> None:
         if capacity <= 0:
             raise ValueError("sample capacity must be positive")
         self._capacity = capacity
-        self._skip_method = skip_method
         self._start(seen, None)
 
     def _start(self, seen: int, pending: int | None) -> None:
-        self._sampler = ReservoirSampler(
-            self._capacity, None, initial_size=seen, skip_method=self._skip_method
-        )
+        self._sampler = ReservoirSampler(self._capacity, None, initial_size=seen)
         self._sampler.pending_accept = pending
 
     @property
@@ -261,9 +258,7 @@ class UniformKind:
 
     def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
         """One reservoir pass over the initial dataset; returns the rows."""
-        rows, seen = build_reservoir(
-            dataset, self._capacity, rng, skip_method=self._skip_method
-        )
+        rows, seen = build_reservoir(dataset, self._capacity, rng)
         self._start(seen, None)
         return rows
 

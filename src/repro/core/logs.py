@@ -14,8 +14,9 @@ consume:
   is appended, and the acceptance test is deferred to refresh time.
 * :class:`FullLogSource` is the Sec. 5 adapter: it lets any candidate
   refresh algorithm run over a full log by replaying Vitter skips from a
-  saved PRNG state -- candidate positions inside the full log are computed
-  twice (count pass, read pass) instead of being stored.
+  saved PRNG state (:class:`SkipReplay`) -- candidate positions inside
+  the full log are computed twice (count pass, read pass) instead of
+  being stored.
 * :class:`UpdateLogger` collects updates (Sec. 5) to be applied after each
   refresh.
 
@@ -41,6 +42,7 @@ __all__ = [
     "UpdateLogger",
     "CandidateLogSource",
     "FullLogSource",
+    "SkipReplay",
 ]
 
 T = TypeVar("T")
@@ -249,14 +251,68 @@ class _CandidateLogReader:
         return self._reader.read(ordinal - 1)
 
 
+class SkipReplay:
+    """Vitter skips over a window of arrivals, replayed from a saved state.
+
+    The Sec. 5 store-state/replay idea shared by every source that finds
+    candidates among raw arrivals: a dedicated skip stream
+    (``rng.spawn(label)``) is snapshotted at construction; ``count()``
+    walks it once and caches the result, and every :meth:`ordinals` walk
+    restores the snapshot and replays the same skips.  Nothing is
+    buffered.
+    """
+
+    __slots__ = ("_rng", "_state", "_sample_size", "_seen_before", "_arrivals", "_count")
+
+    def __init__(
+        self,
+        rng: RandomSource,
+        label: str,
+        sample_size: int,
+        dataset_size_before: int,
+        arrivals: int,
+    ) -> None:
+        if dataset_size_before < sample_size:
+            raise ValueError(
+                "refresh over a full log requires an existing sample: "
+                f"dataset size {dataset_size_before} < sample size {sample_size}"
+            )
+        self._rng = rng.spawn(label)
+        self._state = self._rng.snapshot()
+        self._sample_size = sample_size
+        self._seen_before = dataset_size_before
+        self._arrivals = arrivals
+        self._count: int | None = None
+
+    def count(self) -> int:
+        """Number of candidates among the arrivals (computed, not stored)."""
+        if self._count is None:
+            self._count = sum(1 for _ in self._replay())
+        return self._count
+
+    def ordinals(self):
+        """Iterate the candidates' 1-based ordinals among the arrivals."""
+        # Count first: a later count() then cannot rewind this live replay.
+        self.count()
+        return self._replay()
+
+    def _replay(self):
+        self._rng.restore(self._state)
+        seen = self._seen_before
+        end = seen + self._arrivals
+        while True:
+            seen += self._rng.reservoir_skip(self._sample_size, seen) + 1
+            if seen > end:
+                return
+            yield seen - self._seen_before
+
+
 class FullLogSource:
     """Sec. 5: run candidate refresh over a full log via PRNG replay.
 
-    A dedicated skip stream (``rng.spawn``) generates Vitter's reservoir
-    skips.  ``count()`` walks the skip stream once to count candidates,
-    then restores the stream's state; ``open_reader()`` walks it again,
-    mapping candidate ordinals to full-log positions on the fly.  Nothing
-    is buffered: this is the same store-state/replay idea as Nomem Refresh.
+    A :class:`SkipReplay` over the log's elements generates Vitter's
+    reservoir skips, mapping candidate ordinals to full-log positions on
+    the fly.
 
     The log blocks containing candidates are read sequentially but are
     "further apart from each other, so that the number of blocks read from
@@ -270,69 +326,34 @@ class FullLogSource:
         sample_size: int,
         dataset_size_before: int,
         rng: RandomSource,
-        skip_method: str = "auto",
     ) -> None:
-        if dataset_size_before < sample_size:
-            raise ValueError(
-                "full-log refresh requires an existing sample: "
-                f"dataset size {dataset_size_before} < sample size {sample_size}"
-            )
         self._log = log
-        self._sample_size = sample_size
-        self._dataset_size_before = dataset_size_before
-        self._skip_rng = rng.spawn("fulllog-skips")
-        self._skip_method = skip_method
-        self._count: int | None = None
-        self._replay_state = self._skip_rng.snapshot()
+        self._skips = SkipReplay(
+            rng, "fulllog-skips", sample_size, dataset_size_before, len(log)
+        )
 
     def count(self) -> int:
         """Number of candidates hidden in the full log (computed, not stored)."""
-        if self._count is None:
-            self._skip_rng.restore(self._replay_state)
-            n = len(self._log)
-            candidates = 0
-            for _ in self._iter_positions(n):
-                candidates += 1
-            self._count = candidates
-        return self._count
+        return self._skips.count()
 
     def open_reader(self) -> "_FullLogCandidateReader":
-        # Force the count first so the replay state is the pristine one.
-        self.count()
-        self._skip_rng.restore(self._replay_state)
         return _FullLogCandidateReader(
-            self._log.open_sequential_reader(),
-            self._iter_positions(len(self._log)),
+            self._log.open_sequential_reader(), self._skips.ordinals()
         )
 
     def candidate_positions(self) -> list[int]:
         """All candidate positions within the full log (testing aid)."""
-        self.count()
-        self._skip_rng.restore(self._replay_state)
-        return list(self._iter_positions(len(self._log)))
-
-    def _iter_positions(self, n: int):
-        """Yield 0-based full-log positions of candidates, in order."""
-        seen = self._dataset_size_before
-        end = self._dataset_size_before + n
-        while True:
-            skip = self._skip_rng.reservoir_skip(
-                self._sample_size, seen, method=self._skip_method
-            )
-            seen += skip + 1
-            if seen > end:
-                return
-            yield seen - self._dataset_size_before - 1
+        return [ordinal - 1 for ordinal in self._skips.ordinals()]
 
 
 class _FullLogCandidateReader:
     """Maps candidate ordinals to full-log positions by replaying skips."""
 
-    __slots__ = ("_reader", "_positions", "_next_ordinal")
+    __slots__ = ("_reader", "_ordinals", "_next_ordinal")
 
-    def __init__(self, reader, positions) -> None:
+    def __init__(self, reader, ordinals) -> None:
         self._reader = reader
-        self._positions = positions
+        self._ordinals = ordinals
         self._next_ordinal = 1
 
     def read(self, ordinal: int) -> T:
@@ -341,8 +362,8 @@ class _FullLogCandidateReader:
                 f"full-log candidate reader is forward-only "
                 f"(ordinal {ordinal} after {self._next_ordinal - 1})"
             )
-        position = -1
+        log_ordinal = 0
         while self._next_ordinal <= ordinal:
-            position = next(self._positions)
+            log_ordinal = next(self._ordinals)
             self._next_ordinal += 1
-        return self._reader.read(position)
+        return self._reader.read(log_ordinal - 1)

@@ -99,7 +99,6 @@ class SampleMaintainer:
         algorithm: RefreshAlgorithm | None = None,
         policy: RefreshPolicy | None = None,
         cost_model: CostModel | None = None,
-        skip_method: str = "auto",
         instrumentation: Instrumentation | None = None,
         commit_group: GroupCommitBarrier | None = None,
         kind: SampleKind | None = None,
@@ -117,9 +116,7 @@ class SampleMaintainer:
             if algorithm is None:
                 raise ValueError(f"strategy {strategy!r} requires a refresh algorithm")
         if kind is None:
-            kind = UniformKind(
-                sample.size, seen=initial_dataset_size, skip_method=skip_method
-            )
+            kind = UniformKind(sample.size, seen=initial_dataset_size)
         if strategy not in kind.strategies:
             raise ValueError(
                 f"kind {kind.name!r} supports strategies {kind.strategies}, "

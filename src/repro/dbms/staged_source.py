@@ -8,8 +8,9 @@ algorithm run over the *mixed* staging log of an insert-only window:
 
 * the insert count comes from the staging table's own bookkeeping (a real
   staging table tracks per-kind counts), so no counting pass is needed;
-* Vitter skips are replayed from a saved PRNG state exactly as in
-  :class:`~repro.core.logs.FullLogSource` to find which inserts are
+* Vitter skips are replayed from a saved PRNG state by the same
+  :class:`~repro.core.logs.SkipReplay` that
+  :class:`~repro.core.logs.FullLogSource` uses, to find which inserts are
   candidates;
 * the read pass walks the staging log forward, skipping non-insert
   change records, and reads each block at most once -- the change records
@@ -27,6 +28,7 @@ applies them after the refresh).
 
 from __future__ import annotations
 
+from repro.core.logs import SkipReplay
 from repro.dbms.staging import ChangeKind, StagingTable
 from repro.dbms.table import Row
 from repro.rng.random_source import RandomSource
@@ -43,13 +45,7 @@ class StagingLogSource:
         sample_size: int,
         dataset_size_before: int,
         rng: RandomSource,
-        skip_method: str = "auto",
     ) -> None:
-        if dataset_size_before < sample_size:
-            raise ValueError(
-                "refresh requires an existing sample: dataset size "
-                f"{dataset_size_before} < sample size {sample_size}"
-            )
         inserts, updates, deletes = staging.pending()
         if deletes:
             raise ValueError(
@@ -58,49 +54,20 @@ class StagingLogSource:
                 "(Sec. 5: conduct deletions first, then process the log)"
             )
         self._staging = staging
-        self._inserts = inserts
-        self._sample_size = sample_size
-        self._dataset_size_before = dataset_size_before
-        self._skip_rng = rng.spawn("staging-skips")
-        self._skip_method = skip_method
-        self._replay_state = self._skip_rng.snapshot()
-        self._count: int | None = None
+        self._skips = SkipReplay(
+            rng, "staging-skips", sample_size, dataset_size_before, inserts
+        )
 
     def count(self) -> int:
-        """Number of candidates among the pending inserts.
-
-        Computed by replaying Vitter skips against the staging table's own
-        insert counter -- no log scan needed.
-        """
-        if self._count is None:
-            self._skip_rng.restore(self._replay_state)
-            candidates = 0
-            for _ in self._iter_insert_ordinals():
-                candidates += 1
-            self._count = candidates
-        return self._count
+        """Number of candidates among the pending inserts."""
+        return self._skips.count()
 
     def open_reader(self) -> "_StagingCandidateReader":
-        self.count()
-        self._skip_rng.restore(self._replay_state)
         return _StagingCandidateReader(
             self._staging.log.open_sequential_reader(),
             len(self._staging.log),
-            self._iter_insert_ordinals(),
+            self._skips.ordinals(),
         )
-
-    def _iter_insert_ordinals(self):
-        """Yield 1-based ordinals (among inserts) of the candidates."""
-        seen = self._dataset_size_before
-        end = self._dataset_size_before + self._inserts
-        while True:
-            skip = self._skip_rng.reservoir_skip(
-                self._sample_size, seen, method=self._skip_method
-            )
-            seen += skip + 1
-            if seen > end:
-                return
-            yield seen - self._dataset_size_before
 
 
 class _StagingCandidateReader:

@@ -5,7 +5,7 @@ state can be captured and restored so that the exact same variate sequence
 can be generated twice without buffering it.  This subpackage provides:
 
 * :class:`~repro.rng.mt19937.MT19937` -- the Mersenne Twister generator
-  ([14] in the paper) implemented from scratch with O(1)-cost state
+  ([14] in the paper), run by numpy's bit generator, with explicit state
   snapshot/restore.
 * :class:`~repro.rng.random_source.RandomSource` -- the high-level facade
   used throughout the library (uniform variates, integers, geometric

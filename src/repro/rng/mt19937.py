@@ -1,4 +1,4 @@
-"""Mersenne Twister (MT19937) implemented from scratch.
+"""Mersenne Twister (MT19937) with explicit state snapshot/restore.
 
 The paper's Nomem Refresh algorithm (Sec. 4.3) relies on two properties of a
 pseudo-random number generator:
@@ -8,10 +8,14 @@ pseudo-random number generator:
 2. the state is small ("1 to 1000 words for common generators", citing
    Matsumoto & Nishimura's MT19937 [14]).
 
-We implement MT19937 directly rather than wrapping :mod:`random` so that the
-state snapshot/restore mechanics the algorithm depends on are explicit,
-portable, and under test.  The generator passes the reference test vectors
-of the original C implementation (see ``tests/rng/test_mt19937.py``).
+numpy's :class:`numpy.random.MT19937` bit generator runs the algorithm
+itself: the twist, the tempering and the reference ``init_genrand``
+seeding.  This module keeps what the algorithms need on top of it: raw
+words served at Python speed from one 624-word block at a time, and
+snapshots as immutable :class:`MTState` values.  A snapshot is exactly
+numpy's ``{"key", "pos"}`` state -- the 624 untempered words plus the
+read position -- so the stream matches the reference C implementation
+word for word (see ``tests/rng/test_mt19937.py``).
 
 The state is 624 32-bit words plus an index -- about 2.5 KiB, which is the
 "negligible" memory footprint the paper attributes to Nomem Refresh.
@@ -21,14 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["MT19937", "MTState"]
 
-# MT19937 constants from Matsumoto & Nishimura (1998).
 _N = 624
-_M = 397
-_MATRIX_A = 0x9908B0DF
-_UPPER_MASK = 0x80000000
-_LOWER_MASK = 0x7FFFFFFF
 _MASK32 = 0xFFFFFFFF
 
 # 1 / 2**53, for 53-bit doubles in [0, 1).
@@ -50,6 +51,8 @@ class MTState:
     def __post_init__(self) -> None:
         if len(self.key) != _N:
             raise ValueError(f"MT19937 state must have {_N} words, got {len(self.key)}")
+        if min(self.key) < 0 or max(self.key) > _MASK32:
+            raise ValueError("MT19937 state words must lie in [0, 2**32)")
         if not 0 <= self.position <= _N:
             raise ValueError(f"state position out of range: {self.position}")
 
@@ -60,99 +63,72 @@ class MT19937:
     >>> gen = MT19937(seed=5489)
     >>> state = gen.getstate()
     >>> first = [gen.next_uint32() for _ in range(3)]
+    >>> first
+    [3499211612, 581869302, 3890346734]
     >>> gen.setstate(state)
     >>> first == [gen.next_uint32() for _ in range(3)]
     True
     """
 
-    __slots__ = ("_mt", "_index")
+    # ``_block`` holds the tempered outputs of the state words ``_key``;
+    # ``_bitgen`` sits at the end of that block, so its next raw draw
+    # twists.  ``_key`` is read from numpy lazily, once per block.
+    __slots__ = ("_bitgen", "_block", "_index", "_key")
 
     def __init__(self, seed: int = 5489) -> None:
-        self._mt = [0] * _N
-        self._index = _N
+        # numpy seeds its own way on construction; ``seed`` overrides it.
+        self._bitgen = np.random.MT19937(0)
         self.seed(seed)
 
     def seed(self, seed: int) -> None:
-        """Reinitialise the generator from a non-negative integer seed."""
+        """Reinitialise the generator from a non-negative integer seed.
+
+        This is the reference ``init_genrand`` on the low 32 bits, which
+        is also how ``numpy.random.RandomState(seed)`` seeds.
+        """
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        seed &= _MASK32
-        mt = self._mt
-        mt[0] = seed
-        for i in range(1, _N):
-            prev = mt[i - 1]
-            mt[i] = (1812433253 * (prev ^ (prev >> 30)) + i) & _MASK32
+        self._bitgen._legacy_seeding(seed & _MASK32)
+        self._block: list[int] = []
         self._index = _N
-
-    def seed_by_array(self, init_key: list[int]) -> None:
-        """Seed from an array of integers (``init_by_array`` in the C code).
-
-        This is the seeding procedure the reference implementation uses for
-        its published test vectors.
-        """
-        if not init_key:
-            raise ValueError("init_key must be non-empty")
-        self.seed(19650218)
-        mt = self._mt
-        i, j = 1, 0
-        k = max(_N, len(init_key))
-        for _ in range(k):
-            mt[i] = (
-                (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525)) + init_key[j] + j
-            ) & _MASK32
-            i += 1
-            j += 1
-            if i >= _N:
-                mt[0] = mt[_N - 1]
-                i = 1
-            if j >= len(init_key):
-                j = 0
-        for _ in range(_N - 1):
-            mt[i] = ((mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941)) - i) & _MASK32
-            i += 1
-            if i >= _N:
-                mt[0] = mt[_N - 1]
-                i = 1
-        mt[0] = 0x80000000
-        self._index = _N
+        self._key: tuple[int, ...] | None = None
 
     # -- state management (the Nomem Refresh prerequisite) ----------------
 
     def getstate(self) -> MTState:
         """Capture the full generator state as an immutable snapshot."""
-        return MTState(key=tuple(self._mt), position=self._index)
+        if self._key is None:
+            self._key = tuple(self._bitgen.state["state"]["key"].tolist())
+        return MTState(key=self._key, position=self._index)
 
     def setstate(self, state: MTState) -> None:
         """Restore a snapshot captured by :meth:`getstate`."""
         if not isinstance(state, MTState):
             raise TypeError(f"expected MTState, got {type(state).__name__}")
-        self._mt = list(state.key)
+        # Serve the snapshot's whole block, then move to its position.
+        self._bitgen.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": state.key, "pos": 0},
+        }
+        self._block = self._bitgen.random_raw(_N).tolist()
         self._index = state.position
+        self._key = state.key
 
     # -- core generation ---------------------------------------------------
 
-    def _generate_block(self) -> None:
-        mt = self._mt
-        for i in range(_N):
-            y = (mt[i] & _UPPER_MASK) | (mt[(i + 1) % _N] & _LOWER_MASK)
-            value = mt[(i + _M) % _N] ^ (y >> 1)
-            if y & 1:
-                value ^= _MATRIX_A
-            mt[i] = value
+    def _next_block(self) -> None:
+        self._block = self._bitgen.random_raw(_N).tolist()
         self._index = 0
+        self._key = None
 
     def next_uint32(self) -> int:
         """Return the next raw 32-bit output word."""
-        if self._index >= _N:
-            self._generate_block()
-        y = self._mt[self._index]
-        self._index += 1
-        # Tempering.
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        return y
+        index = self._index
+        if index >= _N:
+            self._next_block()
+            index = 0
+        self._index = index + 1
+        return self._block[index]
 
     def random(self) -> float:
         """Return a uniform float in [0, 1) with 53-bit resolution.
@@ -191,5 +167,13 @@ class MT19937:
         """Advance the stream by discarding ``count`` raw outputs."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        for _ in range(count):
-            self.next_uint32()
+        position = self._index + count
+        if position <= _N:
+            self._index = position
+            return
+        # Whole blocks between here and the target are discarded by numpy
+        # without being returned; the target's own block is served.
+        blocks, index = divmod(position - 1, _N)
+        self._bitgen.random_raw(_N * (blocks - 1), output=False)
+        self._next_block()
+        self._index = index + 1

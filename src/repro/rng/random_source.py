@@ -49,17 +49,40 @@ class RandomSource:
 
     __slots__ = ("_gen", "_seed", "_spawn_count", "_w")
 
-    def __init__(self, seed: int = 0, _generator: MT19937 | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
+        self._start(seed, MT19937(seed=_mix_seed(seed)), 0)
+
+    def _start(self, seed: int, generator: MT19937, spawn_count: int) -> "RandomSource":
+        """Set every field; the one place a source is assembled."""
         self._seed = seed
-        self._gen = _generator if _generator is not None else MT19937(seed=_mix_seed(seed))
-        self._spawn_count = 0
+        self._gen = generator
+        self._spawn_count = spawn_count
         # Vitter Algorithm Z auxiliary variable, carried between skips.
         self._w: float | None = None
+        return self
+
+    @classmethod
+    def resume(
+        cls, seed: int, spawn_count: int, snapshot: tuple[MTState, float | None]
+    ) -> "RandomSource":
+        """Rebuild a source from its seed, spawn count and :meth:`snapshot`.
+
+        The result continues the original's stream and derives the same
+        :meth:`spawn` children, as a checkpoint restore needs.
+        """
+        source = cls.__new__(cls)._start(seed, MT19937(), spawn_count)
+        source.restore(snapshot)
+        return source
 
     @property
     def seed(self) -> int:
         """The seed this source was created with."""
         return self._seed
+
+    @property
+    def spawn_count(self) -> int:
+        """How many children :meth:`spawn` has derived so far."""
+        return self._spawn_count
 
     # -- uniform primitives -------------------------------------------------
 
@@ -129,12 +152,9 @@ class RandomSource:
         material = _splitmix64(material ^ self._spawn_count)
         for ch in label:
             material = _splitmix64(material ^ ord(ch))
-        child = RandomSource.__new__(RandomSource)
-        child._seed = material
-        child._gen = MT19937(seed=material & 0xFFFFFFFF)
-        child._spawn_count = 0
-        child._w = None
-        return child
+        return RandomSource.__new__(RandomSource)._start(
+            material, MT19937(seed=material & 0xFFFFFFFF), 0
+        )
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self._seed})"

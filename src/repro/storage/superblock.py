@@ -199,22 +199,15 @@ class MaintenanceCheckpoint:
         *and* the spawn counter, so child streams derived after recovery
         match the ones an uninterrupted run would derive.
         """
-        rng = RandomSource.__new__(RandomSource)
-        rng._seed = self.rng_seed
-        from repro.rng.mt19937 import MT19937
-
-        generator = MT19937.__new__(MT19937)
-        generator.setstate(self.rng_state)
-        rng._gen = generator
-        rng._spawn_count = self.rng_spawn_count
-        rng._w = self.rng_w
-        return rng
+        return RandomSource.resume(
+            self.rng_seed, self.rng_spawn_count, (self.rng_state, self.rng_w)
+        )
 
     @staticmethod
     def capture_rng(rng: RandomSource) -> tuple[int, int, MTState, float | None]:
         """Extract the serialisable RNG fields from a live source."""
         state, w = rng.snapshot()
-        return rng.seed, rng._spawn_count, state, w
+        return rng.seed, rng.spawn_count, state, w
 
 
 class CheckpointStore:

@@ -7,14 +7,25 @@ from repro.rng.random_source import RandomSource
 
 
 class TestMT19937Properties:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        discard=st.integers(min_value=0, max_value=2000),
+    )
     @settings(max_examples=50)
-    def test_state_roundtrip_any_seed(self, seed):
+    def test_state_roundtrip_any_seed(self, seed, discard):
+        # Restore into a generator on another seed, from any point of the
+        # stream: block boundaries and partial blocks alike.  The snapshot
+        # taken before the discard must not leave a stale one behind.
         gen = MT19937(seed=seed)
+        gen.getstate()
+        gen.jump_discard(discard)
         state = gen.getstate()
-        first = [gen.next_uint32() for _ in range(5)]
-        gen.setstate(state)
-        assert first == [gen.next_uint32() for _ in range(5)]
+        other = MT19937(seed=seed ^ 1)
+        other.setstate(state)
+        assert other.getstate() == state
+        assert [other.next_uint32() for _ in range(1300)] == [
+            gen.next_uint32() for _ in range(1300)
+        ]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

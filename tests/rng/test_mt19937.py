@@ -7,31 +7,41 @@ import pytest
 from repro.rng.mt19937 import MT19937, MTState
 
 
+def _from_cpython(reference: random.Random) -> MT19937:
+    """A generator loaded with CPython's MT19937 state (624 words + index)."""
+    words = reference.getstate()[1]
+    gen = MT19937()
+    gen.setstate(MTState(key=words[:624], position=words[624]))
+    return gen
+
+
 class TestReferenceBehaviour:
     def test_matches_cpython_init_by_array_stream(self):
-        # CPython's random module is the reference MT19937; seeding it with a
-        # multi-word integer exercises init_by_array with those words.
+        # CPython's random module is an independent MT19937; a multi-word
+        # integer seed runs its init_by_array, so the loaded state is one
+        # this package never computes itself.
         key = [0x123, 0x234, 0x345, 0x456]
         as_int = sum(k << (32 * i) for i, k in enumerate(key))
         reference = random.Random(as_int)
-        ours = MT19937()
-        ours.seed_by_array(key)
+        ours = _from_cpython(reference)
         assert [ours.next_uint32() for _ in range(1000)] == [
             reference.getrandbits(32) for _ in range(1000)
         ]
 
     def test_matches_cpython_doubles(self):
-        key = [12345]
         reference = random.Random(12345)
-        ours = MT19937()
-        ours.seed_by_array(key)
+        ours = _from_cpython(reference)
         assert [ours.random() for _ in range(500)] == [
             reference.random() for _ in range(500)
         ]
 
     def test_default_seed_is_reference_5489(self):
-        # The reference C implementation uses 5489 when unseeded.
-        assert MT19937().next_uint32() == MT19937(seed=5489).next_uint32()
+        # The first outputs of the reference C implementation (mt19937ar)
+        # when unseeded, i.e. init_genrand(5489).
+        gen = MT19937()
+        assert [gen.next_uint32() for _ in range(5)] == [
+            3499211612, 581869302, 3890346734, 3586334585, 545404204,
+        ]
 
     def test_distinct_seeds_distinct_streams(self):
         a = [MT19937(seed=1).next_uint32() for _ in range(4)]
@@ -73,6 +83,10 @@ class TestStateManagement:
             MTState(key=(1, 2, 3), position=0)
         with pytest.raises(ValueError):
             MTState(key=tuple(range(624)), position=9999)
+        with pytest.raises(ValueError):
+            MTState(key=(2**40,) * 624, position=0)
+        with pytest.raises(ValueError):
+            MTState(key=(-1,) + (0,) * 623, position=0)
 
 
 class TestIntegerGeneration:
@@ -112,10 +126,6 @@ class TestIntegerGeneration:
     def test_seed_rejects_negative(self):
         with pytest.raises(ValueError):
             MT19937(seed=-1)
-
-    def test_seed_by_array_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MT19937().seed_by_array([])
 
     def test_jump_discard_advances(self):
         a = MT19937(seed=3)
