@@ -22,6 +22,7 @@ from repro.core.refresh.nomem import NomemRefresh, span_of_gaps
 from repro.core.refresh.stack import StackRefresh, select_final_indexes
 from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
+from repro.rng.sequential import SequentialSampler
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.bufferpool import BufferPool
 from repro.storage.cost_model import CostModel
@@ -86,6 +87,15 @@ def test_nomem_precompute(benchmark):
     rng = RandomSource(seed=6)
     span = benchmark(lambda: span_of_gaps(rng, 10_000))
     assert span >= 9_999
+
+
+def test_write_phase_selection(benchmark):
+    """Method S over the sample: which 1,000 of 10,000 positions a refresh
+    displaces, drawn a window of uniforms at a time."""
+    rng = RandomSource(seed=7)
+    positions = benchmark(lambda: list(SequentialSampler(rng, n=1_000, total=10_000)))
+    benchmark.extra_info["positions_per_sec"] = 10_000 / benchmark.stats.stats.mean
+    assert len(positions) == 1_000
 
 
 # -- online insert path: scalar vs. skip-based batch -------------------------

@@ -10,9 +10,10 @@ the smallest candidate index ``|C| - X`` (and hence the survivor count);
 then the PRNG state saved before the first pass is restored and the same
 variates are regenerated one by one while walking the log forward.
 
-Only the PRNG state (~2.5 KiB for MT19937) is ever held -- the Fig. 12
-zero line -- at the cost of generating twice as many geometric variates
-(2(M-1) of them, the Fig. 13 flat-but-higher CPU line).
+Only the PRNG state (~2.5 KiB for MT19937) is ever held, with at most
+one block of its uniforms -- the Fig. 12 zero line -- at the cost of
+generating twice as many geometric variates (2(M-1) of them, the Fig. 13
+flat-but-higher CPU line).
 
 A dedicated "geometric PRNG" stream is used for the skips, exactly as the
 paper says ("store the state of the geometric PRNG"): the write phase's
@@ -20,6 +21,10 @@ displacement draws must not perturb the replayed skip sequence.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
+from typing import Iterator
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
@@ -30,7 +35,23 @@ from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
-__all__ = ["NomemRefresh", "span_of_gaps"]
+__all__ = ["NomemRefresh", "span_of_gaps", "survivor_indexes"]
+
+
+def _gaps(geom_rng: RandomSource, size: int) -> Iterator[int]:
+    """The gaps ``X_k + 1`` for ``k = M-1 .. 1``, drawn a window at a time.
+
+    ``X_k`` is geometric with ``p_k = (M-k)/M``, by the same inverse CDF
+    as :meth:`RandomSource.geometric`; ``math`` does the logs, because a
+    vectorised log differs from libm in the last bit often enough to move
+    survivors.  A window never holds more uniforms than gaps are left, so
+    a drained iterator leaves ``geom_rng`` where scalar draws would.
+    """
+    k = size - 1
+    while k >= 1:
+        for u in geom_rng.random_window(k):
+            yield int(math.log(1.0 - u) / math.log1p(-((size - k) / size))) + 1
+            k -= 1
 
 
 def span_of_gaps(geom_rng: RandomSource, size: int) -> int:
@@ -39,10 +60,32 @@ def span_of_gaps(geom_rng: RandomSource, size: int) -> int:
     Exposed separately so the Fig. 13 CPU experiment can time Nomem's
     dominant cost (its ``2(M-1)`` geometric draws) in isolation.
     """
-    span = 0
-    for k in range(size - 1, 0, -1):
-        span += geom_rng.geometric((size - k) / size) + 1
-    return span
+    return sum(_gaps(geom_rng, size))
+
+
+def survivor_indexes(
+    geom_rng: RandomSource, size: int, total: int
+) -> tuple[int, Iterator[int]]:
+    """Both passes of Algorithm 3: the survivor count and their indexes.
+
+    Pass 1 sums the gaps from a saved state to place the smallest
+    survivor index at ``|C| - X``.  Pass 2 restores the state and replays
+    the same gaps: those that land before the log's start are skipped
+    now, and the rest are drawn lazily, one per index the returned
+    iterator yields in ascending order.  Nothing but the PRNG state and
+    its current block is held.
+    """
+    state = geom_rng.snapshot()
+    span = span_of_gaps(geom_rng, size)
+    geom_rng.restore(state)
+    gaps = _gaps(geom_rng, size)
+    index = total - span
+    k = size - 1
+    # Skip survivor indexes that fall before the log's start.
+    while index < 1 and k >= 1:
+        index += next(gaps)
+        k -= 1
+    return k + 1, accumulate(gaps, initial=index)
 
 
 class NomemRefresh:
@@ -76,40 +119,17 @@ class NomemRefresh:
         with maybe_span(
             obs, "refresh.precompute", algorithm=self.name, candidates=total
         ):
-            # Pass 1: total span X of the M-1 inter-survivor gaps.
-            state = geom_rng.snapshot()
-            span = span_of_gaps(geom_rng, size)
-
-            # Pass 2 setup: replay from the saved state.
-            geom_rng.restore(state)
-            index = total - span
-            k = size - 1
-            # Skip survivor indexes that fall before the log's start.
-            while index < 1 and k >= 1:
-                index += geom_rng.geometric((size - k) / size) + 1
-                k -= 1
-            remaining = k + 1  # survivors with index >= 1, including `index`
+            displaced, indexes = survivor_indexes(geom_rng, size, total)
 
         # Write phase: selection sampling over positions; survivor indexes
         # are consumed in ascending order, so the log is read sequentially.
         with maybe_span(
-            obs, "refresh.write", algorithm=self.name, displaced=remaining
+            obs, "refresh.write", algorithm=self.name, displaced=displaced
         ):
             reader = source.open_reader()
-            chooser = SequentialSampler(rng, n=remaining, total=size)
-            displaced = remaining
-
-            def displaced_items():
-                nonlocal index, k
-                for position in range(size):
-                    if chooser.remaining == 0:
-                        return
-                    if chooser.take():
-                        element = reader.read(index)
-                        if k >= 1:
-                            index += geom_rng.geometric((size - k) / size) + 1
-                            k -= 1
-                        yield position, element
-
-            sample.write_sequential(displaced_items())
+            positions = SequentialSampler(rng, n=displaced, total=size)
+            sample.write_sequential(
+                (position, reader.read(index))
+                for position, index in zip(positions, indexes)
+            )
         return RefreshResult(candidates=total, displaced=displaced, memory=memory)

@@ -21,6 +21,8 @@ Cost: identical disk I/O to Array Refresh; memory is only ``Psi`` indexes
 
 from __future__ import annotations
 
+import math
+
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
 from repro.core.refresh.base import RefreshResult, require_slot_draws
@@ -40,19 +42,28 @@ def select_final_indexes(
 
     Returns the 1-based indexes of the final candidates in *descending*
     order (the order they are pushed; popping yields ascending order).
+
+    The geometric skips are drawn from windows of uniforms by the same
+    inverse CDF as :meth:`RandomSource.geometric`, with ``math`` doing
+    the logs: a vectorised log differs from libm in the last bit often
+    enough to move survivors.  Uniforms left over when the log runs out
+    are given back, so ``rng`` ends where scalar draws would leave it.
     """
     if candidates <= 0:
         return []
-    selected: list[int] = []
+    selected = [candidates]
     index = candidates
-    while index >= 1 and len(selected) < sample_size:
-        selected.append(index)
-        k = len(selected)
-        if k == sample_size:
-            break
-        p_k = (sample_size - k) / sample_size
-        skip = rng.geometric(p_k)
-        index -= skip + 1
+    k = 1
+    while k < sample_size:
+        window = rng.random_window(sample_size - k)
+        for used, u in enumerate(window, 1):
+            p_k = (sample_size - k) / sample_size
+            index -= int(math.log(1.0 - u) / math.log1p(-p_k)) + 1
+            if index < 1:
+                rng.give_back(len(window) - used)
+                return selected
+            selected.append(index)
+            k += 1
     return selected
 
 
@@ -95,17 +106,10 @@ class StackRefresh:
             obs, "refresh.write", algorithm=self.name, displaced=displaced
         ):
             reader = source.open_reader()
-            chooser = SequentialSampler(rng, n=displaced, total=sample.size)
-
-            def displaced_items():
-                for position in range(sample.size):
-                    if chooser.remaining == 0:
-                        return
-                    if chooser.take():
-                        index = stack.pop()
-                        yield position, reader.read(index)
-
-            sample.write_sequential(displaced_items())
+            positions = SequentialSampler(rng, n=displaced, total=sample.size)
+            sample.write_sequential(
+                (position, reader.read(stack.pop())) for position in positions
+            )
         if stack:
             raise AssertionError(
                 f"write phase finished with {len(stack)} candidates unwritten"

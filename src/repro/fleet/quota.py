@@ -22,6 +22,7 @@ tenant without an explicit spec.  A kind with no bucket is unlimited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,10 +49,10 @@ class QuotaSpec:
             raise ValueError("quota tenant must be non-empty")
         if self.kind not in KINDS:
             raise ValueError(f"quota kind must be one of {KINDS}, got {self.kind!r}")
-        if self.rate < 0:
-            raise ValueError("quota rate must be non-negative")
-        if self.burst < 1:
-            raise ValueError("quota burst must be at least 1 token")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError("quota rate must be finite and non-negative")
+        if not 1 <= self.burst < math.inf:
+            raise ValueError("quota burst must be finite and at least 1 token")
 
     @classmethod
     def parse(cls, text: str) -> "QuotaSpec":

@@ -29,6 +29,7 @@ is byte-identical across same-seed runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -61,8 +62,8 @@ class SLO:
             )
         if not 0.0 <= self.objective <= 1.0:
             raise ValueError(f"SLO objective must be in [0, 1]: {self.objective}")
-        if self.threshold < 0:
-            raise ValueError(f"SLO threshold must be >= 0: {self.threshold}")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"SLO threshold must be finite and >= 0: {self.threshold}")
 
     @property
     def name(self) -> str:

@@ -9,10 +9,12 @@ can be generated twice without buffering it.  This subpackage provides:
   snapshot/restore.
 * :class:`~repro.rng.random_source.RandomSource` -- the high-level facade
   used throughout the library (uniform variates, integers, geometric
-  variates, reservoir skips).
+  variates, reservoir skips, and windows of uniforms read a block at a
+  time).
 * :mod:`~repro.rng.distributions` -- the variate generators themselves.
 * :mod:`~repro.rng.sequential` -- Vitter's 1984 sequential sampling
-  (Methods A and D), used by the refresh write phase ([3] in the paper).
+  (Methods S, A and D, [3] in the paper).  The refresh write phase runs
+  Method S, selection sampling, over windows of uniforms.
 """
 
 from repro.rng.mt19937 import MT19937

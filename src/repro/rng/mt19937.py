@@ -11,8 +11,9 @@ pseudo-random number generator:
 numpy's :class:`numpy.random.MT19937` bit generator runs the algorithm
 itself: the twist, the tempering and the reference ``init_genrand``
 seeding.  This module keeps what the algorithms need on top of it: raw
-words served at Python speed from one 624-word block at a time, and
-snapshots as immutable :class:`MTState` values.  A snapshot is exactly
+words served at Python speed from one 624-word block at a time, windows
+of doubles computed by numpy from that block, and snapshots as immutable
+:class:`MTState` values.  A snapshot is exactly
 numpy's ``{"key", "pos"}`` state -- the 624 untempered words plus the
 read position -- so the stream matches the reference C implementation
 word for word (see ``tests/rng/test_mt19937.py``).
@@ -70,10 +71,13 @@ class MT19937:
     True
     """
 
-    # ``_block`` holds the tempered outputs of the state words ``_key``;
-    # ``_bitgen`` sits at the end of that block, so its next raw draw
-    # twists.  ``_key`` is read from numpy lazily, once per block.
-    __slots__ = ("_bitgen", "_block", "_index", "_key")
+    # ``_block`` holds the tempered outputs of the state words ``_key``,
+    # as a list for word-at-a-time reads and as the array ``_raw`` for
+    # windows; ``_bitgen`` sits at the end of that block, so its next raw
+    # draw twists.  ``_key`` is read from numpy lazily, once per block.
+    # ``_doubles`` are the block's doubles on word pairs that start at an
+    # index of parity ``_parity`` (-1: not computed for this block).
+    __slots__ = ("_bitgen", "_block", "_doubles", "_index", "_key", "_parity", "_raw")
 
     def __init__(self, seed: int = 5489) -> None:
         # numpy seeds its own way on construction; ``seed`` overrides it.
@@ -90,6 +94,9 @@ class MT19937:
             raise ValueError("seed must be non-negative")
         self._bitgen._legacy_seeding(seed & _MASK32)
         self._block: list[int] = []
+        self._raw = np.empty(0, dtype=np.uint64)
+        self._doubles: list[float] = []
+        self._parity = -1
         self._index = _N
         self._key: tuple[int, ...] | None = None
 
@@ -110,14 +117,19 @@ class MT19937:
             "bit_generator": "MT19937",
             "state": {"key": state.key, "pos": 0},
         }
-        self._block = self._bitgen.random_raw(_N).tolist()
+        self._load_block()
         self._index = state.position
         self._key = state.key
 
     # -- core generation ---------------------------------------------------
 
+    def _load_block(self) -> None:
+        self._raw = self._bitgen.random_raw(_N)
+        self._block = self._raw.tolist()
+        self._parity = -1
+
     def _next_block(self) -> None:
-        self._block = self._bitgen.random_raw(_N).tolist()
+        self._load_block()
         self._index = 0
         self._key = None
 
@@ -139,6 +151,53 @@ class MT19937:
         a = self.next_uint32() >> 5  # 27 bits
         b = self.next_uint32() >> 6  # 26 bits
         return (a * 67108864.0 + b) * _INV_2_53
+
+    def random_window(self, count: int) -> list[float]:
+        """Return the next doubles, exactly as successive :meth:`random` calls.
+
+        Returns at most ``count`` doubles and at least one (for
+        ``count >= 1``), all from the current 624-word block: the window
+        ends early where the block does.  The one double that straddles
+        two blocks comes back alone.  numpy computes ``genrand_res53``
+        over the block's words once per block; every step is exact in
+        double precision, so the values are bit-identical to
+        :meth:`random`'s.
+
+        >>> a, b = MT19937(seed=7), MT19937(seed=7)
+        >>> a.random_window(3) == [b.random() for _ in range(3)]
+        True
+        """
+        if count < 1:
+            raise ValueError("a window holds at least one double")
+        index = self._index
+        if index >= _N:
+            self._next_block()
+            index = 0
+        elif index == _N - 1:
+            return [self.random()]
+        parity = index & 1
+        if self._parity != parity:
+            # The doubles of word pairs (parity, parity+1), (parity+2, ...).
+            words = self._raw[parity : _N - parity]
+            high, low = words[0::2] >> 5, words[1::2] >> 6
+            self._doubles = ((high * 67108864.0 + low) * _INV_2_53).tolist()
+            self._parity = parity
+        start = index >> 1
+        window = self._doubles[start : start + count]
+        self._index = index + 2 * len(window)
+        return window
+
+    def give_back(self, count: int) -> None:
+        """Return the last ``count`` doubles of the latest window, unused.
+
+        The stream then continues as if they had never been drawn.  Only
+        doubles of the latest :meth:`random_window` may be given back, and
+        never the whole of a window that straddled two blocks.
+        """
+        index = self._index - 2 * count
+        if count < 0 or index < 0:
+            raise ValueError(f"cannot give back {count} doubles at word {self._index}")
+        self._index = index
 
     def randrange(self, n: int) -> int:
         """Return a uniform integer in ``[0, n)`` without modulo bias.

@@ -90,6 +90,19 @@ class RandomSource:
         """Uniform float in [0, 1)."""
         return self._gen.random()
 
+    def random_window(self, count: int) -> list[float]:
+        """The next 1 to ``count`` uniforms, as many :meth:`random` calls.
+
+        A window never reaches past the generator's current 624-word
+        block, so it may be shorter than asked; see
+        :meth:`MT19937.random_window <repro.rng.mt19937.MT19937.random_window>`.
+        """
+        return self._gen.random_window(count)
+
+    def give_back(self, count: int) -> None:
+        """Undraw the last ``count`` uniforms of the latest window."""
+        self._gen.give_back(count)
+
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
         return self._gen.randrange(n)

@@ -12,7 +12,8 @@ We provide all three so the write phase can use whichever fits, and so the
 equivalence (identical selection distribution) can be tested:
 
 * :func:`selection_skips_s` / :class:`SequentialSampler` -- Method S,
-  one uniform per position, O(M);
+  one uniform per position, O(M); the sampler reads its uniforms a
+  window at a time and is what the write phase runs;
 * :func:`selection_skips_a` -- Method A, one uniform per *selected*
   position, O(M) time but O(k) variates;
 * :func:`selection_skips_d` -- Method D, O(k) time and variates.
@@ -21,7 +22,7 @@ equivalence (identical selection distribution) can be tested:
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Protocol
 
 from repro.rng.distributions import UniformSource
 
@@ -166,51 +167,81 @@ def sequential_sample(rng: UniformSource, n: int, total: int, method: str = "d")
     return positions
 
 
-class SequentialSampler:
-    """Incremental Method-S sampler for the refresh write phase.
+class UniformWindows(Protocol):
+    """A uniform source read a window at a time (see :class:`RandomSource`)."""
 
-    Scans positions ``0 .. total-1``; :meth:`take` reports for each position
-    in turn whether it is among the ``n`` selected ones, using the paper's
-    ``q_{j,k} = k / (M - j + 1)`` displacement probability.
+    def random_window(self, count: int) -> list[float]:  # pragma: no cover
+        ...
+
+    def give_back(self, count: int) -> None:  # pragma: no cover
+        ...
+
+
+class SequentialSampler:
+    """Method-S iterator of selected positions for the refresh write phase.
+
+    Scans positions ``0 .. total-1`` and yields, in ascending order, the
+    ``n`` selected ones, using the paper's ``q_{j,k} = k / (M - j + 1)``
+    displacement probability: position ``j`` is selected when its uniform
+    ``u`` satisfies ``u * (M - j) < k``.  Once every remaining position
+    must be selected (``q = 1``) no more uniforms are drawn.
+
+    Uniforms are read a window at a time and the unused tail of a window
+    is given back before a position is yielded, so at every yield the
+    stream stands exactly where one ``random()`` per scanned position
+    would have left it.
 
     >>> rng = _FixedSource([0.0, 0.9, 0.0])
-    >>> sampler = SequentialSampler(rng, n=2, total=3)
-    >>> [sampler.take() for _ in range(3)]
-    [True, False, True]
+    >>> list(SequentialSampler(rng, n=2, total=3))
+    [0, 2]
     """
 
-    __slots__ = ("_rng", "_remaining_selected", "_remaining_records")
+    __slots__ = ("_rng", "_remaining_selected", "_remaining_records", "_total")
 
-    def __init__(self, rng: UniformSource, n: int, total: int) -> None:
+    def __init__(self, rng: UniformWindows, n: int, total: int) -> None:
         _check_args(n, total)
         self._rng = rng
         self._remaining_selected = n
         self._remaining_records = total
+        self._total = total
 
     @property
     def remaining(self) -> int:
         """How many records are still to be selected."""
         return self._remaining_selected
 
-    def take(self) -> bool:
-        """Advance one position; return True if it is selected."""
-        if self._remaining_records <= 0:
-            raise RuntimeError("SequentialSampler scanned past the last record")
-        if self._remaining_selected == 0:
-            self._remaining_records -= 1
-            return False
-        # Once every remaining record must be selected, skip the RNG draw:
-        # q = k/(M-j+1) = 1.  Saves variates and keeps replay streams short.
-        if self._remaining_selected == self._remaining_records:
-            selected = True
-        else:
-            selected = (
-                self._rng.random() * self._remaining_records < self._remaining_selected
-            )
-        self._remaining_records -= 1
-        if selected:
-            self._remaining_selected -= 1
-        return selected
+    def __iter__(self) -> "SequentialSampler":
+        return self
+
+    def __next__(self) -> int:
+        selected = self._remaining_selected
+        if selected == 0:
+            raise StopIteration
+        records = self._remaining_records
+        if selected < records:
+            records = self._scan(selected, records)
+        self._remaining_selected = selected - 1
+        self._remaining_records = records - 1
+        return self._total - records
+
+    def _scan(self, selected: int, records: int) -> int:
+        """Draw until a position is selected; return the records left there.
+
+        A window is cut to ``records - selected`` uniforms, the most that
+        can be rejected before every remaining position must be selected.
+        About ``2 * records / selected`` covers the expected run of
+        rejections with room to spare.
+        """
+        rng = self._rng
+        while True:
+            window = rng.random_window(min(2 * records // selected + 8, records - selected))
+            for used, u in enumerate(window, 1):
+                if u * records < selected:
+                    rng.give_back(len(window) - used)
+                    return records
+                records -= 1
+            if records == selected:
+                return records
 
 
 class _FixedSource:
@@ -218,9 +249,16 @@ class _FixedSource:
 
     def __init__(self, values: list[float]) -> None:
         self._values = list(values)
+        self._window: list[float] = []
 
-    def random(self) -> float:
-        return self._values.pop(0)
+    def random_window(self, count: int) -> list[float]:
+        self._window = self._values[:count]
+        del self._values[:count]
+        return self._window
+
+    def give_back(self, count: int) -> None:
+        if count:
+            self._values[:0] = self._window[-count:]
 
 
 def _check_args(n: int, total: int) -> None:

@@ -183,7 +183,13 @@ def make_scheduling_policy(spec: str) -> RefreshScheduling:
             f"unknown scheduling policy {name!r}; choose from {tuple(_POLICIES)}"
         ) from None
     if arg:
-        return cls(int(arg))
+        try:
+            value = int(arg)
+        except ValueError:
+            raise ValueError(
+                f"bad scheduling policy spec {spec!r}: argument must be an integer"
+            ) from None
+        return cls(value)
     if default is None:
         raise ValueError(f"policy {name!r} needs an argument, e.g. {name}:256")
     return cls(default)

@@ -1,5 +1,7 @@
 """TenantQuotas: token-bucket arithmetic on the cost clock."""
 
+import re
+
 import pytest
 
 from repro.fleet.quota import QuotaSpec, TenantQuotas, parse_quotas
@@ -20,6 +22,13 @@ class TestSpecParsing:
     )
     def test_bad_specs_rejected(self, text):
         with pytest.raises(ValueError, match="quota|bad quota"):
+            QuotaSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "text", ["t:reads:nan:4", "t:reads:inf:4", "t:reads:1:nan", "t:reads:1:inf"]
+    )
+    def test_non_finite_rate_or_burst_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
             QuotaSpec.parse(text)
 
     def test_parse_quotas_preserves_order(self):

@@ -1,6 +1,7 @@
 """SLO engine: spec parsing, error budgets, burn rates, the gate flag."""
 
 import json
+import re
 
 import pytest
 
@@ -31,6 +32,15 @@ def test_parse_shed_rate_objective_is_complement_of_ceiling():
 )
 def test_parse_rejects_bad_specs(spec):
     with pytest.raises(ValueError):
+        SLO.parse(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["latency:nan:0.99", "latency:inf:0.99", "staleness:nan:0.95", "staleness:inf:0.95"],
+)
+def test_parse_rejects_non_finite_thresholds(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
         SLO.parse(spec)
 
 

@@ -2,8 +2,21 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.rng.mt19937 import MT19937
+from repro.rng.mt19937 import MT19937, MTState
 from repro.rng.random_source import RandomSource
+
+# One step of a generator's life.  ``window`` gives back a fraction of
+# what it drew; ``rewind`` restores the current key at a chosen block
+# position, which is how a stream reaches positions 0 and 622-624.
+_STEPS = st.one_of(
+    st.tuples(st.just("window"), st.integers(1, 400), st.floats(0.0, 1.0)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("word")),
+    st.tuples(st.just("randrange"), st.integers(1, 2**40)),
+    st.tuples(st.just("discard"), st.integers(0, 1500)),
+    st.tuples(st.just("rewind"), st.sampled_from((0, 1, 2, 311, 621, 622, 623, 624))),
+    st.tuples(st.just("snapshot")),
+)
 
 
 class TestMT19937Properties:
@@ -26,6 +39,49 @@ class TestMT19937Properties:
         assert [other.next_uint32() for _ in range(1300)] == [
             gen.next_uint32() for _ in range(1300)
         ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        steps=st.lists(_STEPS, max_size=40),
+    )
+    @settings(max_examples=150)
+    def test_windows_match_a_scalar_twin(self, seed, steps):
+        # Every double a window hands out, kept or given back, is the one
+        # successive random() calls on a scalar twin return; whatever the
+        # windows did, the two generators end in the same state.
+        gen, twin = MT19937(seed=seed), MT19937(seed=seed)
+        snapshot = gen.getstate()
+        for step in steps:
+            kind = step[0]
+            if kind == "window":
+                window = gen.random_window(step[1])
+                assert 1 <= len(window) <= step[1]
+                returned = int(step[2] * (len(window) - 1))
+                gen.give_back(returned)
+                kept = len(window) - returned
+                assert window[:kept] == [twin.random() for _ in range(kept)]
+                mark = twin.getstate()
+                assert window[kept:] == [twin.random() for _ in range(returned)]
+                twin.setstate(mark)
+            elif kind == "random":
+                assert gen.random() == twin.random()
+            elif kind == "word":
+                assert gen.next_uint32() == twin.next_uint32()
+            elif kind == "randrange":
+                assert gen.randrange(step[1]) == twin.randrange(step[1])
+            elif kind == "discard":
+                gen.jump_discard(step[1])
+                twin.jump_discard(step[1])
+            elif kind == "rewind":
+                state = MTState(key=gen.getstate().key, position=step[1])
+                gen.setstate(state)
+                twin.setstate(state)
+            else:
+                assert gen.getstate() == twin.getstate()
+                gen.setstate(snapshot)
+                twin.setstate(snapshot)
+                snapshot = gen.getstate()
+        assert gen.getstate() == twin.getstate()
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

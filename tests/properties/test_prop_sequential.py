@@ -32,7 +32,7 @@ class TestSequentialSampleProperties:
     def test_sampler_selects_exactly_n(self, args, seed):
         n, total = args
         sampler = SequentialSampler(RandomSource(seed=seed), n=n, total=total)
-        assert sum(sampler.take() for _ in range(total)) == n
+        assert len(list(sampler)) == n
         assert sampler.remaining == 0
 
 

@@ -1,0 +1,140 @@
+"""Windowed refresh draws against scalar oracles.
+
+The Stack and Nomem refresh read their uniforms a window at a time.  Each
+oracle below is the plain loop they ran before, one ``random()`` or
+``geometric()`` call per draw.  The windowed code must select the same
+positions, indexes and spans, and leave its generator in the same state,
+from any starting point in the stream.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.refresh.nomem import span_of_gaps, survivor_indexes
+from repro.core.refresh.stack import select_final_indexes
+from repro.rng.random_source import RandomSource
+from repro.rng.sequential import SequentialSampler
+
+
+def take_oracle(rng, n, total):
+    """The write phase's one-trial-per-position Method S scan."""
+    remaining_selected, remaining_records = n, total
+    for position in range(total):
+        if remaining_selected == 0:
+            break
+        # q = k/(M-j+1) = 1 once every remaining record must be selected.
+        if remaining_selected == remaining_records:
+            selected = True
+        else:
+            selected = rng.random() * remaining_records < remaining_selected
+        remaining_records -= 1
+        if selected:
+            remaining_selected -= 1
+            yield position
+
+
+def select_final_indexes_oracle(rng, sample_size, candidates):
+    """Algorithm 2's precomputation, one geometric draw per survivor."""
+    if candidates <= 0:
+        return []
+    selected = []
+    index = candidates
+    while index >= 1 and len(selected) < sample_size:
+        selected.append(index)
+        k = len(selected)
+        if k == sample_size:
+            break
+        p_k = (sample_size - k) / sample_size
+        skip = rng.geometric(p_k)
+        index -= skip + 1
+    return selected
+
+
+def span_of_gaps_oracle(geom_rng, size):
+    """Algorithm 3's pass 1."""
+    span = 0
+    for k in range(size - 1, 0, -1):
+        span += geom_rng.geometric((size - k) / size) + 1
+    return span
+
+
+def survivor_indexes_oracle(geom_rng, size, total):
+    """Algorithm 3's pass 1, then pass 2's prefix skip and replay."""
+    state = geom_rng.snapshot()
+    span = span_of_gaps_oracle(geom_rng, size)
+    geom_rng.restore(state)
+    index = total - span
+    k = size - 1
+    while index < 1 and k >= 1:
+        index += geom_rng.geometric((size - k) / size) + 1
+        k -= 1
+    indexes = []
+    for _ in range(k + 1):
+        indexes.append(index)
+        if k >= 1:
+            index += geom_rng.geometric((size - k) / size) + 1
+            k -= 1
+    return indexes
+
+
+def twins(seed, offset):
+    """Two sources at the same point, ``offset`` words into the stream."""
+    sources = RandomSource(seed=seed), RandomSource(seed=seed)
+    for source in sources:
+        for _ in range(offset):
+            source.randrange(2)  # exactly one word each
+    return sources
+
+
+@st.composite
+def n_total(draw):
+    total = draw(st.integers(min_value=0, max_value=3000))
+    n = draw(st.integers(min_value=0, max_value=total))
+    return n, total
+
+
+SEEDS = st.integers(0, 2**32)
+OFFSETS = st.integers(0, 700)
+SIZES = st.integers(min_value=1, max_value=1500)
+CANDIDATES = st.integers(min_value=0, max_value=5000)
+
+
+class TestWindowedDrawsMatchScalarOracles:
+    @given(args=n_total(), seed=SEEDS, offset=OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_sequential_sampler(self, args, seed, offset):
+        # Same positions, and the same stream state at every yield.
+        n, total = args
+        windowed, scalar = twins(seed, offset)
+        sampler = SequentialSampler(windowed, n=n, total=total)
+        oracle = take_oracle(scalar, n, total)
+        for position in sampler:
+            assert position == next(oracle)
+            assert windowed.snapshot() == scalar.snapshot()
+        assert next(oracle, None) is None
+        assert windowed.snapshot() == scalar.snapshot()
+
+    @given(m=SIZES, c=CANDIDATES, seed=SEEDS, offset=OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_select_final_indexes(self, m, c, seed, offset):
+        windowed, scalar = twins(seed, offset)
+        assert select_final_indexes(windowed, m, c) == select_final_indexes_oracle(
+            scalar, m, c
+        )
+        assert windowed.snapshot() == scalar.snapshot()
+
+    @given(m=SIZES, seed=SEEDS, offset=OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_span_of_gaps(self, m, seed, offset):
+        windowed, scalar = twins(seed, offset)
+        assert span_of_gaps(windowed, m) == span_of_gaps_oracle(scalar, m)
+        assert windowed.snapshot() == scalar.snapshot()
+
+    @given(m=SIZES, c=st.integers(min_value=1, max_value=5000), seed=SEEDS, offset=OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_survivor_indexes(self, m, c, seed, offset):
+        windowed, scalar = twins(seed, offset)
+        count, indexes = survivor_indexes(windowed, m, c)
+        expected = survivor_indexes_oracle(scalar, m, c)
+        assert list(indexes) == expected
+        assert count == len(expected)
+        assert windowed.snapshot() == scalar.snapshot()

@@ -98,24 +98,23 @@ class TestSequentialSampler:
         rng = RandomSource(seed=10)
         for n, total in ((0, 5), (3, 3), (7, 20), (100, 150)):
             sampler = SequentialSampler(rng, n=n, total=total)
-            selected = sum(sampler.take() for _ in range(total))
+            selected = len(list(sampler))
             assert selected == n
 
     def test_remaining_counts_down(self):
         rng = RandomSource(seed=11)
         sampler = SequentialSampler(rng, n=4, total=4)
-        for expected_remaining in (4, 3, 2, 1):
+        for position, expected_remaining in enumerate((4, 3, 2, 1)):
             assert sampler.remaining == expected_remaining
-            assert sampler.take() is True
+            assert next(sampler) == position
         assert sampler.remaining == 0
 
     def test_raises_past_last_record(self):
         rng = RandomSource(seed=12)
         sampler = SequentialSampler(rng, n=1, total=2)
-        sampler.take()
-        sampler.take()
-        with pytest.raises(RuntimeError):
-            sampler.take()
+        next(sampler)
+        with pytest.raises(StopIteration):
+            next(sampler)
 
     def test_rejects_invalid_arguments(self):
         rng = RandomSource(seed=13)
@@ -125,15 +124,13 @@ class TestSequentialSampler:
             SequentialSampler(rng, n=-1, total=4)
 
     def test_matches_method_s_distribution(self):
-        # take()-based selection must follow q = k/(M-j+1) exactly.
+        # The selected positions must follow q = k/(M-j+1) exactly.
         n, total, trials = 3, 12, 10_000
         counts = [0] * total
         rng = RandomSource(seed=14)
         for _ in range(trials):
-            sampler = SequentialSampler(rng, n=n, total=total)
-            for position in range(total):
-                if sampler.take():
-                    counts[position] += 1
+            for position in SequentialSampler(rng, n=n, total=total):
+                counts[position] += 1
         expected = trials * n / total
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert stats.chi2.sf(chi2, df=total - 1) > 1e-4

@@ -1,5 +1,7 @@
 """The deterministic scheduler: policies, admission, byte-identical runs."""
 
+import re
+
 import pytest
 
 from repro.obs.api import Instrumentation
@@ -58,6 +60,11 @@ class TestPolicies:
             make_scheduling_policy("deadline")  # bound is mandatory
         with pytest.raises(ValueError):
             make_scheduling_policy("round-robin")
+
+    @pytest.mark.parametrize("spec", ["deadline:nan", "deadline:inf", "fifo:1.5"])
+    def test_factory_error_names_a_non_integer_spec(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            make_scheduling_policy(spec)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
