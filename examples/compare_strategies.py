@@ -23,7 +23,7 @@ from repro import (
     StackRefresh,
     build_reservoir,
 )
-from repro.baselines import GeometricFile, ImmediateMaintainer
+from repro.baselines import GeometricFile
 
 SAMPLE_SIZE = 2_000
 INITIAL = 5_000
@@ -55,19 +55,6 @@ def run_maintainer(strategy, algorithm):
     )
 
 
-def run_immediate():
-    rng = RandomSource(seed=SEED)
-    cost = CostModel()
-    codec = IntRecordCodec()
-    sample = SampleFile(SimulatedBlockDevice(cost, "sample"), codec, SAMPLE_SIZE)
-    initial, seen = build_reservoir(range(INITIAL), SAMPLE_SIZE, rng)
-    sample.initialize(initial)
-    mark = cost.checkpoint()
-    maintainer = ImmediateMaintainer(sample, rng, seen)
-    maintainer.insert_many(range(INITIAL, INITIAL + INSERTS))
-    return cost.since(mark).cost_seconds(), 0.0, cost.since(mark)
-
-
 def run_geometric_file():
     rng = RandomSource(seed=SEED)
     cost = CostModel()
@@ -85,7 +72,7 @@ def run_geometric_file():
 
 def main() -> None:
     contenders = [
-        ("immediate", run_immediate),
+        ("immediate", lambda: run_maintainer("immediate", None)),
         ("full log + stack refresh",
          lambda: run_maintainer("full", StackRefresh())),
         ("candidate log + naive refresh",

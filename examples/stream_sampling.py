@@ -25,7 +25,6 @@ from repro import (
     build_reservoir,
 )
 from repro.analysis.estimators import estimate_fraction, estimate_mean
-from repro.baselines.immediate import ImmediateMaintainer
 from repro.stream.operator import StreamSampleOperator
 from repro.stream.source import bursty_stream
 
@@ -92,7 +91,9 @@ def main() -> None:
     initial, seen = build_reservoir(range(WARMUP), SAMPLE_SIZE, imm_rng)
     imm_sample.initialize(initial)
     mark = imm_cost.checkpoint()
-    immediate = ImmediateMaintainer(imm_sample, imm_rng, seen)
+    immediate = SampleMaintainer(
+        imm_sample, imm_rng, strategy="immediate", initial_dataset_size=seen
+    )
     immediate.insert_many(range(WARMUP, WARMUP + STREAM_LENGTH))
     imm_ms = imm_cost.since(mark).cost_seconds() * 1000
     print(f"immediate would cost   : {imm_ms:.1f} ms "

@@ -50,6 +50,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Protocol, Sequence
 
+from repro import specs
 from repro.core.logs import CandidateLogger
 from repro.core.reservoir import ReservoirSampler, build_reservoir
 from repro.rng.random_source import RandomSource
@@ -443,7 +444,7 @@ class WeightedKind:
     def spec(self) -> str:
         if self._mod == DEFAULT_WEIGHT_MOD:
             return "weighted"
-        return f"weighted:{self._mod}"
+        return specs.label("weighted", self._mod)
 
     def codec(self, record_size: int) -> RecordCodec:
         return WeightedRecordCodec(record_size)
@@ -663,18 +664,14 @@ class WindowKind:
 # ---------------------------------------------------------------------------
 
 
+#: The fields each kind's spec takes after its name.
+_KIND_FORMS = dict.fromkeys(KINDS + COMPOSITE_KINDS, ())
+_KIND_FORMS["weighted"] = (specs.OPTIONAL, int)
+
+
 def parse_kind_spec(spec: str) -> tuple[str, int | None]:
     """Split ``"name"`` / ``"name:param"`` into ``(name, param)``."""
-    name, _, arg = spec.partition(":")
-    name = name.strip()
-    if name not in KINDS and name not in COMPOSITE_KINDS:
-        known = KINDS + COMPOSITE_KINDS
-        raise ValueError(f"unknown sample kind {name!r} (known: {known})")
-    if not arg:
-        return name, None
-    if name != "weighted":
-        raise ValueError(f"kind {name!r} takes no parameter, got {arg!r}")
-    return name, int(arg)
+    return specs.parse("sample kind", spec, _KIND_FORMS, lambda name, p=None: (name, p))
 
 
 def make_kind(spec: str, capacity: int) -> SampleKind:
@@ -684,19 +681,17 @@ def make_kind(spec: str, capacity: int) -> SampleKind:
     modulus), ``"window"``.  Composite kinds are registered but cannot
     be built here -- see :func:`make_composite`.
     """
-    name, param = parse_kind_spec(spec)
-    if name in COMPOSITE_KINDS:
-        raise ValueError(
-            f"kind {name!r} is composite (one sample file cannot hold it); "
-            "build it with repro.core.kinds.make_composite()"
-        )
-    if name == "uniform":
-        return UniformKind(capacity)
-    if name == "weighted":
-        if param is not None:
-            return WeightedKind(capacity, weight_mod=param)
-        return WeightedKind(capacity)
-    return WindowKind(capacity)
+
+    def build(name: str, *params: int) -> SampleKind:
+        if name in COMPOSITE_KINDS:
+            raise ValueError(
+                f"kind {name!r} is composite (one sample file cannot hold it); "
+                "build it with repro.core.kinds.make_composite()"
+            )
+        classes = {"uniform": UniformKind, "weighted": WeightedKind, "window": WindowKind}
+        return classes[name](capacity, *params)
+
+    return specs.parse("sample kind", spec, _KIND_FORMS, build)
 
 
 def restore_kind(checkpoint: "MaintenanceCheckpoint") -> SampleKind:
@@ -709,7 +704,7 @@ def restore_kind(checkpoint: "MaintenanceCheckpoint") -> SampleKind:
     maintainer was mutating.
     """
     name = checkpoint.kind_name
-    spec = f"{name}:{checkpoint.kind_param}" if name == "weighted" else name
+    spec = specs.label(name, checkpoint.kind_param) if name == "weighted" else name
     kind = make_kind(spec, checkpoint.sample_size)
     kind.restore_state(checkpoint)
     return kind

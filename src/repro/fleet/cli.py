@@ -92,32 +92,21 @@ def add_fleet_sim_parser(sub) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_width(text: str) -> tuple[int, int]:
-    low, _, high = text.partition(":")
-    try:
-        return (int(low), int(high or low))
-    except ValueError:
-        raise ValueError(
-            f"bad --fanout-width {text!r}, want LOW:HIGH"
-        ) from None
-
-
 def run_fleet_sim_command(args: argparse.Namespace) -> int:
-    from repro.fleet.quota import parse_quotas
     from repro.fleet.sim import FleetConfig, run_fleet_simulation
+    from repro.fleet.workload import parse_width
     from repro.obs.api import Instrumentation
     from repro.serve.sim import SimConfig
     from repro.storage.cost_model import CostModel
 
     try:
-        parse_quotas(args.quota)  # surface bad specs before the run starts
         config = FleetConfig(
             serve=SimConfig(
                 **shared_config_fields(args), mean_gap_seconds=args.mean_gap
             ),
             shards=args.shards,
             fanout_queries=args.fanout,
-            fanout_width=_parse_width(args.fanout_width),
+            fanout_width=parse_width(args.fanout_width),
             tenants=args.tenants,
             quotas=tuple(args.quota),
             hedge_multiplier=args.hedge,

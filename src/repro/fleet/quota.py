@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro import specs
 from repro.serve.admission import AdmissionDecision
 
 __all__ = ["QuotaSpec", "TenantQuotas", "parse_quotas"]
@@ -55,19 +56,8 @@ class QuotaSpec:
             raise ValueError("quota burst must be finite and at least 1 token")
 
     @classmethod
-    def parse(cls, text: str) -> "QuotaSpec":
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ValueError(
-                f"bad quota spec {text!r}: expected tenant:kind:rate:burst"
-            )
-        tenant, kind, rate, burst = parts
-        try:
-            return cls(
-                tenant=tenant, kind=kind, rate=float(rate), burst=float(burst)
-            )
-        except ValueError as exc:
-            raise ValueError(f"bad quota spec {text!r}: {exc}") from exc
+    def parse(cls, spec: str) -> "QuotaSpec":
+        return specs.parse("quota", spec, (str, str, specs.real, specs.real), cls)
 
 
 def parse_quotas(specs: Iterable[str]) -> tuple[QuotaSpec, ...]:

@@ -26,7 +26,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.kinds import parse_kind_spec
+from repro.fleet.quota import parse_quotas
+from repro.fleet.workload import check_width
 from repro.serve.sim import SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,6 +95,8 @@ class FleetConfig:
             raise ValueError("tenants must be at least 1")
         if self.fanout_queries < 0:
             raise ValueError("fanout_queries must be non-negative")
+        check_width(*self.fanout_width)
+        parse_quotas(self.quotas)  # bad specs are usage errors, as in SimConfig
         if self.hedge_multiplier < 0:
             raise ValueError("hedge_multiplier must be non-negative")
         if self.engine not in ENGINES:
@@ -111,7 +114,7 @@ class FleetConfig:
         return [f"tenant{index:02d}" for index in range(self.tenants)]
 
     def has_non_uniform_kinds(self) -> bool:
-        return any(parse_kind_spec(k)[0] != "uniform" for k in self.serve.kinds)
+        return any(kind != "uniform" for kind in self.serve.kinds)
 
     def resolve_engine(self) -> str:
         if self.engine != "auto":

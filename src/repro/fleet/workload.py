@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import specs
 from repro.rng.random_source import RandomSource
 from repro.serve.session import Freshness
 
@@ -55,6 +56,19 @@ class FanoutQuery:
         return len(self.samples)
 
 
+def check_width(low: int, high: int | None = None) -> tuple[int, int]:
+    """``(low, high)`` once it is a valid width range (``high`` defaults to ``low``)."""
+    high = low if high is None else high
+    if not 1 <= low <= high:
+        raise ValueError(f"width_range ({low}, {high}) needs 1 <= low <= high")
+    return low, high
+
+
+def parse_width(spec: str) -> tuple[int, int]:
+    """A ``LOW:HIGH`` width range; ``N`` alone means ``N:N``."""
+    return specs.parse("fan-out width", spec, (int, specs.OPTIONAL, int), check_width)
+
+
 def fanout_workload(
     rng: RandomSource,
     names: Sequence[str],
@@ -85,9 +99,7 @@ def fanout_workload(
         raise ValueError("need at least one tenant")
     if queries < 0:
         raise ValueError("queries must be non-negative")
-    low, high = width_range
-    if not 1 <= low <= high:
-        raise ValueError(f"bad width_range {width_range}")
+    low, high = check_width(*width_range)
     high = min(high, len(names))
     low = min(low, high)
     modes: list[str] = []

@@ -33,9 +33,13 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from repro import specs
+
 __all__ = ["SLO", "SLOTracker", "parse_slos"]
 
 _KINDS = ("latency", "staleness", "shed_rate", "freshness")
+#: The fields each kind's spec takes after the kind.
+_FORMS = dict(zip(_KINDS, [(specs.real,) * 2, (specs.real,) * 2, (specs.real,), ()]))
 
 
 def _round(value: float, digits: int = 9) -> float:
@@ -48,7 +52,8 @@ class SLO:
 
     ``threshold`` is the per-event pass condition (seconds for latency,
     rows for staleness, unused for shed_rate/freshness); ``objective``
-    is the required compliant fraction.
+    is the required compliant fraction.  ``name`` is the spec
+    :meth:`parse` reads back, and the objective's report key.
     """
 
     kind: str
@@ -64,43 +69,18 @@ class SLO:
             raise ValueError(f"SLO objective must be in [0, 1]: {self.objective}")
         if not 0 <= self.threshold < math.inf:
             raise ValueError(f"SLO threshold must be finite and >= 0: {self.threshold}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "latency":
-            return f"latency:{self.threshold:g}:{self.objective:g}"
-        if self.kind == "staleness":
-            return f"staleness:{self.threshold:g}:{self.objective:g}"
-        if self.kind == "shed_rate":
-            return f"shed_rate:{self.threshold:g}"
-        return "freshness"
+        fields = (self.threshold, self.objective)[: len(_FORMS[self.kind])]
+        object.__setattr__(self, "name", specs.label(self.kind, *fields))
 
     @classmethod
     def parse(cls, spec: str) -> "SLO":
         """Parse a CLI spec: ``latency:0.05:0.99``, ``staleness:256:0.95``,
         ``shed_rate:0.01``, or ``freshness``."""
-        parts = spec.split(":")
-        kind = parts[0]
-        try:
-            if kind in ("latency", "staleness"):
-                if len(parts) != 3:
-                    raise ValueError
-                return cls(kind=kind, threshold=float(parts[1]), objective=float(parts[2]))
-            if kind == "shed_rate":
-                if len(parts) != 2:
-                    raise ValueError
-                ceiling = float(parts[1])
-                return cls(kind=kind, threshold=ceiling, objective=1.0 - ceiling)
-            if kind == "freshness":
-                if len(parts) != 1:
-                    raise ValueError
-                return cls(kind=kind, objective=1.0)
-        except ValueError:
-            pass
-        raise ValueError(
-            f"bad SLO spec {spec!r} (expected latency:SECONDS:OBJECTIVE, "
-            "staleness:ROWS:OBJECTIVE, shed_rate:CEILING, or freshness)"
-        )
+
+        def build(kind: str, threshold: float = 0.0, objective: float = 1.0) -> SLO:
+            return cls(kind, threshold, 1.0 - threshold if kind == "shed_rate" else objective)
+
+        return specs.parse("SLO", spec, _FORMS, build)
 
 
 def parse_slos(specs: list[str] | tuple[str, ...]) -> list[SLO]:

@@ -40,6 +40,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
+from repro import specs
 from repro.obs.api import maybe_span
 from repro.obs.catalogue import COUNT_BUCKETS, SECONDS_BUCKETS
 from repro.obs.slo import SLOTracker, parse_slos
@@ -163,10 +164,12 @@ class DeadlineRefresh:
 
 
 _POLICIES = {
-    "fifo": (FifoRefresh, 1),
-    "longest-log": (LongestLogFirst, 1),
-    "deadline": (DeadlineRefresh, None),
+    "fifo": FifoRefresh,
+    "longest-log": LongestLogFirst,
+    "deadline": DeadlineRefresh,
 }
+#: The fields each policy's spec takes after its name.
+_POLICY_FORMS = dict.fromkeys(_POLICIES, (specs.OPTIONAL, int)) | {"deadline": (int,)}
 
 
 def make_scheduling_policy(spec: str) -> RefreshScheduling:
@@ -175,24 +178,9 @@ def make_scheduling_policy(spec: str) -> RefreshScheduling:
     The argument is the staleness threshold for ``fifo``/``longest-log``
     (default 1) and the mandatory bound for ``deadline``.
     """
-    name, _, arg = spec.partition(":")
-    try:
-        cls, default = _POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {name!r}; choose from {tuple(_POLICIES)}"
-        ) from None
-    if arg:
-        try:
-            value = int(arg)
-        except ValueError:
-            raise ValueError(
-                f"bad scheduling policy spec {spec!r}: argument must be an integer"
-            ) from None
-        return cls(value)
-    if default is None:
-        raise ValueError(f"policy {name!r} needs an argument, e.g. {name}:256")
-    return cls(default)
+    return specs.parse(
+        "scheduling policy", spec, _POLICY_FORMS, lambda name, *a: _POLICIES[name](*a)
+    )
 
 
 # -- the report ---------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import specs
 from repro.analysis.query import Estimate, SampleQuery
 from repro.obs.api import maybe_span
 
@@ -35,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Freshness", "ServedAnswer", "QuerySession"]
 
 _MODES = ("serve_stale", "bounded_staleness", "refresh_on_read", "bounded_expiry")
+#: The fields each mode's spec takes after the mode.
+_FORMS = dict(zip(_MODES, [(), (int,), (), (specs.real,)]))
 
 #: Aggregates the server accepts.  ``avg`` is deliberately absent: it
 #: requires >= 2 matching sampled rows and so can fail on selective
@@ -49,6 +52,8 @@ class Freshness:
 
     Use the constructors -- :meth:`serve_stale`, :meth:`bounded`,
     :meth:`refresh_on_read` -- rather than building instances by hand.
+    ``label`` is the spec :meth:`parse` reads back, built once here since
+    every served query and span carries it.
     """
 
     mode: str
@@ -65,6 +70,8 @@ class Freshness:
                 raise ValueError("bounded_expiry needs a fraction in (0, 1]")
         elif self.bound is not None:
             raise ValueError(f"mode {self.mode!r} takes no bound")
+        label = self.mode if self.bound is None else specs.label(self.mode, self.bound)
+        object.__setattr__(self, "label", label)
 
     @classmethod
     def serve_stale(cls) -> "Freshness":
@@ -97,18 +104,7 @@ class Freshness:
     def parse(cls, spec: str) -> "Freshness":
         """Parse ``serve_stale`` / ``bounded_staleness:K`` /
         ``bounded_expiry:F`` / ``refresh_on_read``."""
-        mode, _, arg = spec.partition(":")
-        if mode == "bounded_staleness":
-            if not arg:
-                raise ValueError("bounded_staleness needs a bound, e.g. bounded_staleness:64")
-            return cls.bounded(int(arg))
-        if mode == "bounded_expiry":
-            if not arg:
-                raise ValueError("bounded_expiry needs a fraction, e.g. bounded_expiry:0.25")
-            return cls.bounded_expiry(float(arg))
-        if arg:
-            raise ValueError(f"mode {mode!r} takes no argument")
-        return cls(mode)
+        return specs.parse("freshness", spec, _FORMS, cls)
 
     def requires_refresh(
         self, pending_log_elements: int, capacity: int | None = None
@@ -131,14 +127,6 @@ class Freshness:
                 raise ValueError("bounded_expiry needs the sample capacity")
             return pending_log_elements > self.bound * capacity
         return pending_log_elements > self.bound
-
-    @property
-    def label(self) -> str:
-        if self.mode == "bounded_staleness":
-            return f"bounded_staleness:{self.bound}"
-        if self.mode == "bounded_expiry":
-            return f"bounded_expiry:{self.bound:g}"
-        return self.mode
 
 
 @dataclass(frozen=True)

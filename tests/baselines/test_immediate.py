@@ -1,9 +1,9 @@
-"""Immediate maintenance baseline."""
+"""Immediate maintenance baseline: ``SampleMaintainer(strategy="immediate")``."""
 
 import pytest
 from scipy import stats
 
-from repro.baselines.immediate import ImmediateMaintainer
+from repro.core.maintenance import SampleMaintainer
 from repro.core.refresh.math import expected_candidates_exact
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
@@ -17,7 +17,10 @@ def make(sample_size=50, initial=200, seed=1):
     rng = RandomSource(seed=seed)
     cost = CostModel()
     sample, seen = make_sample(cost, sample_size, initial, rng)
-    return ImmediateMaintainer(sample, rng, seen), sample, cost
+    maintainer = SampleMaintainer(
+        sample, rng, strategy="immediate", initial_dataset_size=seen
+    )
+    return maintainer, sample, cost
 
 
 class TestImmediateMaintainer:
@@ -25,7 +28,7 @@ class TestImmediateMaintainer:
         maintainer, _, _ = make()
         maintainer.insert_many(range(200, 1200))
         expected = expected_candidates_exact(50, 200, 1000)
-        assert abs(maintainer.accepted - expected) < 5 * expected**0.5
+        assert abs(maintainer.stats.candidates_logged - expected) < 5 * expected**0.5
 
     def test_sample_stays_consistent(self):
         maintainer, sample, _ = make()
@@ -42,7 +45,7 @@ class TestImmediateMaintainer:
         assert delta.seq_writes == 0
         assert delta.random_reads == 0
         # coalescing can only reduce the count
-        assert 0 < delta.random_writes <= maintainer.accepted
+        assert 0 < delta.random_writes <= maintainer.stats.candidates_logged
 
     def test_dataset_size_tracks(self):
         maintainer, _, _ = make()
@@ -56,7 +59,9 @@ class TestImmediateMaintainer:
             SimulatedBlockDevice(cost, "s"), IntRecordCodec(), 10
         )
         with pytest.raises(ValueError):
-            ImmediateMaintainer(sample, rng, initial_dataset_size=5)
+            SampleMaintainer(
+                sample, rng, strategy="immediate", initial_dataset_size=5
+            )
 
     def test_inclusion_uniform(self):
         m, r0, inserts, trials = 10, 20, 80, 2000

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 ARGS = [
@@ -65,14 +67,31 @@ class TestFleetSimCommand:
         assert main(ARGS + ["--quota", "nonsense"]) == 2
         assert "quota" in capsys.readouterr().err
 
+    def test_bad_quota_names_the_spec(self, capsys):
+        assert main(ARGS + ["--quota", "t:reads:1:inf"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "fleet-sim: bad quota spec 't:reads:1:inf':"
+        )
+
+    @pytest.mark.parametrize("width", ["5:2", "0"])
+    def test_bad_width_range_exits_two_naming_the_spec(self, width, capsys):
+        assert main(ARGS + ["--fanout", "3", "--fanout-width", width]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"fleet-sim: bad fan-out width spec {width!r}:"
+        )
+
     def test_bad_width_fails_cleanly(self, capsys):
         assert main(ARGS + ["--fanout-width", "banana"]) == 2
         assert "width" in capsys.readouterr().err
 
     def test_bad_policy_fails_cleanly(self, capsys):
         assert main(ARGS + ["--policy", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith("fleet-sim: unknown scheduling")
+        assert capsys.readouterr().err.startswith(
+            "fleet-sim: bad scheduling policy spec 'bogus': unknown scheduling policy"
+        )
 
     def test_bad_kind_fails_cleanly(self, capsys):
         assert main(ARGS + ["--kinds", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith("fleet-sim: unknown sample kind")
+        assert capsys.readouterr().err.startswith(
+            "fleet-sim: bad sample kind spec 'bogus': unknown sample kind"
+        )

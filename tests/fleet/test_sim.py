@@ -6,6 +6,7 @@ tests/properties/test_prop_fleet.py.
 """
 
 import json
+import re
 
 import pytest
 
@@ -40,6 +41,19 @@ class TestConfig:
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
+            FleetConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "named"),
+        [
+            ({"quotas": ("garbage",)}, "bad quota spec 'garbage'"),
+            ({"quotas": ("t:reads:nan:4",)}, "bad quota spec 't:reads:nan:4'"),
+            ({"fanout_width": (5, 2)}, "width_range (5, 2)"),
+            ({"fanout_width": (0, 0)}, "width_range (0, 0)"),
+        ],
+    )
+    def test_bad_quota_or_width_rejected_at_construction(self, kwargs, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
             FleetConfig(**kwargs)
 
     def test_auto_resolves_full_when_small(self):

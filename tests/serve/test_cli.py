@@ -69,11 +69,15 @@ class TestServeSimCommand:
 class TestUsageErrors:
     def test_bad_policy_exits_two(self, capsys):
         assert main(ARGS + ["--policy", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith("serve-sim: unknown scheduling")
+        assert capsys.readouterr().err.startswith(
+            "serve-sim: bad scheduling policy spec 'bogus': unknown scheduling policy"
+        )
 
     def test_bad_kind_exits_two(self, capsys):
         assert main(ARGS + ["--kinds", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith("serve-sim: unknown sample kind")
+        assert capsys.readouterr().err.startswith(
+            "serve-sim: bad sample kind spec 'bogus': unknown sample kind"
+        )
 
     def test_bad_slo_exits_two(self, capsys):
         assert main(ARGS + ["--slo", "nonsense"]) == 2
