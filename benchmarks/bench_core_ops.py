@@ -452,6 +452,36 @@ def test_sample_scan_throughput(benchmark, scale, kind):
     assert scanned == rows
 
 
+# -- replay refresh: the refresh of a kinded sample ---------------------------
+#
+# A weighted Array refresh scans the sample, replays every logged row
+# against the live threshold (reading the log a block at a time) and
+# writes the displaced slots back a block at a time.  ``rows_per_sec`` is
+# logged rows replayed per second.  Not in the committed baseline, so not
+# gated.
+
+
+def test_replay_refresh(benchmark):
+    """Weighted Array refresh of a 1,024-row sample over a full log."""
+    sample_size = 1024
+
+    def setup():
+        maintainer = _fresh_weighted_maintainer(sample_size, 4 * sample_size, seed=23)
+        maintainer.insert_many(range(4 * sample_size, 20 * sample_size))
+        return (maintainer,), {}
+
+    logged = []
+
+    def run(maintainer):
+        logged.append(maintainer.pending_log_elements)
+        return maintainer.refresh()
+
+    result = benchmark.pedantic(run, setup=setup, rounds=10, warmup_rounds=1)
+    benchmark.extra_info["rows"] = logged[-1]
+    benchmark.extra_info["rows_per_sec"] = logged[-1] / benchmark.stats.stats.mean
+    assert 0 < result.displaced <= result.candidates == logged[-1]
+
+
 def test_stream_generation_batch(benchmark, scale):
     """Batched stream source: producer-side cost of one refresh period."""
     _, _, count = _insert_workload(scale)

@@ -313,27 +313,6 @@ def _offer_each(kind, element, rng: RandomSource):
     return record if kind.accept(record) else None
 
 
-def _offer_many_each(
-    kind, elements, rng: RandomSource, max_accepts: int | None = None
-) -> tuple[int, list]:
-    """Element-wise draws over a batch: ``(consumed, accepted records)``.
-
-    Exactly the draws of ``consumed`` scalar offers, stopping right after
-    the accepting element that fills ``max_accepts`` -- the uniform
-    quota semantics, so refresh policies fire at identical points.
-    """
-    records: list = []
-    consumed = 0
-    for element in elements:
-        consumed += 1
-        record = kind.draw(element, rng)
-        if kind.accept(record):
-            records.append(record)
-            if max_accepts is not None and len(records) >= max_accepts:
-                break
-    return consumed, records
-
-
 def _scan_replay(kind, sample: SampleFile, rng: RandomSource):
     """Content-chosen victims: replay over the sample's current rows."""
     return kind.begin_replay(list(sample.scan()))
@@ -477,7 +456,42 @@ class WeightedKind:
         return record[1] < self._threshold
 
     offer = _offer_each
-    offer_many = _offer_many_each
+
+    def offer_many(
+        self, elements, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:
+        """Batched :meth:`offer`: ``(consumed, accepted records)``.
+
+        The uniforms come a window at a time; each key is still one
+        ``math.log`` (libm bits) over one uniform, exactly as :meth:`draw`
+        computes it.  ``consumed`` falls short of the batch only when
+        ``max_accepts`` was reached, right after the accepting element;
+        the rest of that window is given back, so the stream stands
+        where ``consumed`` scalar offers leave it.
+        """
+        if not isinstance(elements, (list, tuple, range)):
+            elements = list(elements)
+        quota = math.inf if max_accepts is None else max_accepts
+        threshold = self._threshold
+        mod = self._mod
+        log = math.log
+        records: list = []
+        consumed = 0
+        while consumed < len(elements):
+            window = rng.random_window(len(elements) - consumed)
+            batch = elements[consumed : consumed + len(window)]
+            for used, (element, u) in enumerate(zip(batch, window), 1):
+                key = -log(1.0 - u) / (1 + element % mod)
+                if key < threshold:
+                    records.append((element, key))
+                    if len(records) >= quota:
+                        rng.give_back(len(window) - used)
+                        consumed += used
+                        self._seen += consumed
+                        return consumed, records
+            consumed += len(window)
+        self._seen += consumed
+        return consumed, records
 
     def replay_start(self, total: int) -> int:
         return 0
@@ -614,7 +628,20 @@ class WindowKind:
         return True
 
     offer = _offer_each
-    offer_many = _offer_many_each
+
+    def offer_many(
+        self, elements, rng: RandomSource, max_accepts: int | None = None
+    ) -> tuple[int, list]:
+        """Batched :meth:`offer`: every row is accepted, so the batch is
+        cut right after the ``max_accepts``-th (at least one) row."""
+        if not isinstance(elements, (list, tuple, range)):
+            elements = list(elements)
+        take = len(elements)
+        if max_accepts is not None:
+            take = min(take, max(max_accepts, 1))
+        first = self._seen
+        self._seen += take
+        return take, list(zip(elements[:take], range(first, first + take)))
 
     def replay_start(self, total: int) -> int:
         """Logged rows older than the window are expired unread."""

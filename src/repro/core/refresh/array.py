@@ -165,16 +165,14 @@ class ArrayRefresh:
             obs, "refresh.write", algorithm=self.name, candidates=total
         ) as span:
             replay = kind.open_replay(sample, rng)
-            reader = source.open_reader()
-            touched: set[int] = set()
-            for ordinal in range(start + 1, total + 1):
-                slot = replay.step(reader.read(ordinal))
-                if slot is not None:
-                    touched.add(slot)
+            step = replay.step
+            touched: set[int | None] = set()
+            for records in source.open_reader().read_run(start + 1, total):
+                touched.update(map(step, records))
+            touched -= {None}  # the steps that displaced nothing
             kind.commit_replay(replay)
-            sample.write_sequential(
-                (slot, replay.rows[slot]) for slot in sorted(touched)
-            )
+            rows = replay.rows
+            sample.write_sequential([(slot, rows[slot]) for slot in sorted(touched)])
             if span is not None:
                 span.set("displaced", len(touched))
         return RefreshResult(candidates=total, displaced=len(touched), memory=memory)

@@ -169,31 +169,42 @@ class SampleFile(_BlockStore):
         Charges one sequential write per distinct touched block; returns the
         number of blocks written.  This is the refresh write phase: stable
         elements are never read, blocks without displaced elements are
-        skipped entirely.
+        skipped entirely.  Each block's values are packed with one
+        ``encode_block`` call and spliced into its image, so every other
+        byte (stable records, padding, records past a shrunk
+        :meth:`resize`) stays as it was.  A block is written when the
+        first pair of the next block arrives, or the pairs run out, so the
+        reads of a lazy producer interleave with the writes as they would
+        with one record coded per pair.
         """
+        per_block = self.elements_per_block
+        size = self._size
         blocks_written = 0
-        current_block = -1
-        current_data: bytearray | None = None
-        previous_index = -1
+        block = -1
+        block_end = 0
+        slots: list[int] = []
+        values: list[T] = []
+        previous = -1
         for index, value in items:
-            self._check_index(index)
-            if index <= previous_index:
+            if not previous < index < size:
+                self._check_index(index)
                 raise ValueError(
                     f"write_sequential() indexes must be strictly increasing "
-                    f"({index} after {previous_index})"
+                    f"({index} after {previous})"
                 )
-            previous_index = index
-            block, offset = self._locate(index)
-            if block != current_block:
-                if current_data is not None:
-                    data = bytes(current_data)
-                    self._charge_write(current_block, data, sequential=True)
+            previous = index
+            if index >= block_end:
+                if slots:
+                    self._write_slots(block, slots, values)
                     blocks_written += 1
-                current_block = block
-                current_data = bytearray(self._device.peek_block(block))
-            self._encode_at(current_data, offset, value)
-        if current_data is not None:
-            self._charge_write(current_block, bytes(current_data), sequential=True)
+                    slots = []
+                    values = []
+                block = index // per_block
+                block_end = (block + 1) * per_block
+            slots.append(index - block * per_block)
+            values.append(value)
+        if slots:
+            self._write_slots(block, slots, values)
             blocks_written += 1
         return blocks_written
 
@@ -252,6 +263,23 @@ class SampleFile(_BlockStore):
     def _store_free(self, block: int, data: bytes) -> None:
         """Update block contents without an I/O charge (cache hit)."""
         self._device.poke_block(block, data)
+
+    def _write_slots(self, block: int, slots: list[int], values: list[T]) -> None:
+        """Splice ``values`` into ``block`` at ``slots``: one sequential write.
+
+        Slots that form one consecutive run (a window's rows, a dense
+        block) take one slice; scattered slots one slice each.
+        """
+        size = self._codec.record_size
+        packed = memoryview(self._codec.encode_block(values))
+        image = bytearray(self._device.peek_block(block))
+        if slots[-1] - slots[0] == len(slots) - 1:
+            image[slots[0] * size : (slots[-1] + 1) * size] = packed
+        else:
+            for start, slot in zip(range(0, len(packed), size), slots):
+                offset = slot * size
+                image[offset : offset + size] = packed[start : start + size]
+        self._charge_write(block, bytes(image), sequential=True)
 
 
 class LogFile(_BlockStore):
@@ -369,12 +397,9 @@ class LogFile(_BlockStore):
 
     def scan_all(self) -> list[T]:
         """Read the whole log: one sequential read per block."""
-        self.flush()
-        declare_scan(self._device, 0, self.block_count)
         values: list[T] = []
-        for block in range(self.block_count):
-            data = self._device.read_block(block, sequential=True)
-            values += self._decode_block(data, block, self._count)
+        for chunk in self.open_sequential_reader().read_run(0, self._count - 1):
+            values += chunk
         return values
 
     def read_indexed_sorted(self, indices: Sequence[int]) -> list[T]:
@@ -383,35 +408,15 @@ class LogFile(_BlockStore):
         This is how the refresh algorithms touch the log: forward-only, and
         only the blocks that contain final candidates.
         """
-        self.flush()
-        declare_scan(self._device, 0, self.block_count)
-        values: list[T] = []
-        current_block = -1
-        data = b""
-        previous = -1
-        for index in indices:
-            if not 0 <= index < self._count:
-                raise IndexError(f"log index {index} out of range [0, {self._count})")
-            if index <= previous:
-                raise ValueError(
-                    f"read_indexed_sorted() indexes must be strictly increasing "
-                    f"({index} after {previous})"
-                )
-            previous = index
-            block, offset = self._locate(index)
-            if block != current_block:
-                data = self._device.read_block(block, sequential=True)
-                current_block = block
-            values.append(self._decode_at(data, offset))
-        return values
+        reader = self.open_sequential_reader()
+        return [reader.read(index) for index in indices]
 
     def open_sequential_reader(self) -> "SequentialLogReader":
         """Return a forward-only reader charging one seq read per new block.
 
         Stack and Nomem Refresh interleave log reads with sample writes;
-        this reader lets them do that one candidate at a time while keeping
-        the block-level accounting identical to a batched
-        :meth:`read_indexed_sorted`.
+        this reader lets them do that one candidate at a time, and the
+        replays read runs of consecutive records through it.
         """
         self.flush()
         declare_scan(self._device, 0, self.block_count)
@@ -463,18 +468,48 @@ class SequentialLogReader:
     """Forward-only element reader over a :class:`LogFile`.
 
     Indexes must be strictly increasing across calls; each *new* block
-    touched charges one sequential read.
+    touched charges one sequential read and is decoded whole, once, with
+    one ``decode_block`` call; later indexes in it are served from that
+    decode.
     """
 
-    __slots__ = ("_log", "_current_block", "_data", "_previous")
+    __slots__ = ("_log", "_per_block", "_current_block", "_values", "_previous")
 
     def __init__(self, log: LogFile) -> None:
         self._log = log
+        self._per_block = log.elements_per_block
         self._current_block = -1
-        self._data = b""
+        self._values: list = []
         self._previous = -1
 
     def read(self, index: int) -> T:
+        self._check(index)
+        self._previous = index
+        block, slot = divmod(index, self._per_block)
+        return self._block_values(block)[slot]
+
+    def read_run(self, first: int, last: int) -> Iterator[list[T]]:
+        """Yield indexes ``first..last`` in order, one list per block touched.
+
+        Charges exactly what a :meth:`read` of each index charges; an
+        empty run (``last < first``) reads nothing.
+        """
+        if last < first:
+            return
+        self._check(first)
+        if last >= len(self._log):
+            raise IndexError(f"log index {last} out of range [0, {len(self._log)})")
+        per_block = self._per_block
+        index = first
+        while index <= last:
+            block, slot = divmod(index, per_block)
+            end = min(last + 1, (block + 1) * per_block)
+            values = self._block_values(block)
+            self._previous = end - 1
+            yield values[slot : slot + end - index]
+            index = end
+
+    def _check(self, index: int) -> None:
         if not 0 <= index < len(self._log):
             raise IndexError(f"log index {index} out of range [0, {len(self._log)})")
         if index <= self._previous:
@@ -482,9 +517,11 @@ class SequentialLogReader:
                 f"sequential reader requires strictly increasing indexes "
                 f"({index} after {self._previous})"
             )
-        self._previous = index
-        block, offset = self._log._locate(index)
+
+    def _block_values(self, block: int) -> list:
         if block != self._current_block:
-            self._data = self._log.device.read_block(block, sequential=True)
+            log = self._log
+            data = log.device.read_block(block, sequential=True)
+            self._values = log._decode_block(data, block, len(log))
             self._current_block = block
-        return self._log._decode_at(self._data, offset)
+        return self._values

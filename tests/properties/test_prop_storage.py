@@ -16,7 +16,7 @@ from repro.dbms.sample_view import RowRecordCodec
 from repro.dbms.staging import Change, ChangeKind, ChangeRecordCodec
 from repro.dbms.table import Row
 from repro.storage.block_device import SimulatedBlockDevice
-from repro.storage.bufferpool import BufferPool, declare_scan
+from repro.storage.bufferpool import BufferPool, declare_scan, flush_barrier
 from repro.storage.cost_model import AccessStats, CostModel, DiskParameters
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import (
@@ -204,10 +204,70 @@ def _reference_scan(device, codec, blocks, count, cached_blocks=0):
     return values
 
 
+def _reference_reads(log, codec, indices):
+    """Forward log reads by the Sec. 6.1 rules, one record per decode:
+    flush the tail, declare the scan, then one sequential read per new
+    block."""
+    log.flush()
+    device = log.device
+    declare_scan(device, 0, log.block_count)
+    size = codec.record_size
+    per_block = device.block_size // size
+    values, current, data = [], -1, b""
+    for index in indices:
+        block, slot = divmod(index, per_block)
+        if block != current:
+            data = device.read_block(block, sequential=True)
+            current = block
+        values.append(codec.decode(data[slot * size : (slot + 1) * size]))
+    return values
+
+
+def _reference_write(sample, codec, items, cached_blocks):
+    """A sequential write by the Sec. 6.1 rules, one record per encode: one
+    write per touched block, free inside the cached prefix."""
+    device = sample.device
+    size = codec.record_size
+    per_block = device.block_size // size
+    current, image = -1, None
+
+    def put(block, image):
+        if block < cached_blocks:
+            device.poke_block(block, bytes(image))
+        else:
+            device.write_block(block, bytes(image), sequential=True)
+
+    for index, value in items:
+        block, slot = divmod(index, per_block)
+        if block != current:
+            if image is not None:
+                put(current, image)
+            current, image = block, bytearray(device.peek_block(block))
+        image[slot * size : (slot + 1) * size] = codec.encode(value)
+    if image is not None:
+        put(current, image)
+
+
+@st.composite
+def ascending_runs(draw, count):
+    """Disjoint ascending runs ``(first, last)`` of indexes below ``count``."""
+    runs, start = [], 0
+    steps = st.tuples(st.integers(0, 9), st.integers(1, 20))
+    for gap, length in draw(st.lists(steps, max_size=6)):
+        first = start + gap
+        last = first + length - 1
+        if last >= count:
+            break
+        runs.append((first, last))
+        start = last + 1
+    return runs
+
+
 class TestScanPathModel:
-    """Block-at-a-time scans return the list model's values and charge what
-    a record-at-a-time scan by the Sec. 6.1 rules charges: partial last
-    blocks, shrunk samples, cached prefixes and an enabled buffer pool."""
+    """Block-at-a-time scans, refresh reads and refresh writes return the
+    list model's values and charge what a record-at-a-time scan, reader or
+    writer by the Sec. 6.1 rules charges: partial last blocks and tails,
+    shrunk samples, cached prefixes and an enabled buffer pool."""
 
     @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
     @given(
@@ -288,6 +348,109 @@ class TestScanPathModel:
         extra = data.draw(st.lists(values, max_size=10))
         reopened.append_many(extra)
         assert reopened.scan_all() == model + extra
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        count=st.integers(min_value=0, max_value=60),
+        flushed=st.booleans(),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_log_reads_match_model(self, kind, data, count, flushed, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=count, max_size=count))
+        subset = sorted(data.draw(st.sets(st.integers(0, count - 1)))) if count else []
+        runs = data.draw(ascending_runs(count))
+        run_indexes = [i for first, last in runs for i in range(first, last + 1)]
+
+        def twin():
+            cost = CostModel(disk=SMALL_DISK)
+            log = LogFile(_device(cost, pooled), make())
+            log.append_many(model)
+            if flushed:
+                log.flush()
+            return cost, log
+
+        def read_each(log):
+            reader = log.open_sequential_reader()
+            return [reader.read(index) for index in subset]
+
+        for indexes, read in (
+            (subset, read_each),
+            (subset, lambda log: log.read_indexed_sorted(subset)),
+            (run_indexes, lambda log: self._read_runs(log, runs)),
+        ):
+            (cost, log), (ref_cost, ref_log) = twin(), twin()
+            assert read(log) == [model[i] for i in indexes]
+            assert _reference_reads(ref_log, make(), indexes) == [model[i] for i in indexes]
+            assert cost.stats == ref_cost.stats
+
+    @staticmethod
+    def _read_runs(log, runs):
+        reader = log.open_sequential_reader()
+        per_block = log.elements_per_block
+        out = []
+        for first, last in runs:
+            index = first
+            for chunk in reader.read_run(first, last):
+                # One list per block touched, in order.
+                assert chunk and (index + len(chunk) - 1) // per_block == index // per_block
+                out += chunk
+                index += len(chunk)
+            assert index == last + 1
+        return out
+
+    def test_read_run_keeps_bounds_and_order(self):
+        log = LogFile(SimulatedBlockDevice(CostModel(disk=SMALL_DISK)), IntRecordCodec())
+        log.append_many(range(20))
+        reader = log.open_sequential_reader()
+        assert list(reader.read_run(3, 2)) == []
+        assert [v for chunk in reader.read_run(2, 9) for v in chunk] == list(range(2, 10))
+        with pytest.raises(ValueError):
+            list(reader.read_run(9, 12))
+        with pytest.raises(IndexError):
+            list(reader.read_run(15, 20))
+        assert reader.read(10) == 10
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=60),
+        cached_blocks=st.integers(min_value=0, max_value=3),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sequential_write_matches_model(self, kind, data, size, cached_blocks, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=size, max_size=size))
+        new_size = data.draw(st.integers(min_value=1, max_value=size))
+        indexes = sorted(data.draw(st.sets(st.integers(0, new_size - 1))))
+        items = [(index, data.draw(values)) for index in indexes]
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            device = _device(cost, pooled)
+            sample = SampleFile(device, make(), size, cached_blocks)
+            sample.initialize(model)
+            sample.resize(new_size)
+            runs.append((cost, device, sample))
+        (cost, device, sample), (ref_cost, ref_device, ref_sample) = runs
+
+        written = sample.write_sequential(iter(items))
+        _reference_write(ref_sample, make(), items, cached_blocks)
+        assert written == len({index // sample.elements_per_block for index in indexes})
+        blocks = -(-size // sample.elements_per_block)
+        assert [device.peek_block(b) for b in range(blocks)] == [
+            ref_device.peek_block(b) for b in range(blocks)
+        ]
+        assert cost.stats == ref_cost.stats
+        flush_barrier(device)
+        flush_barrier(ref_device)
+        assert cost.stats == ref_cost.stats
+        for index, value in items:
+            model[index] = value
+        assert sample.peek_all() == model[:new_size]
 
 
 class TestMathProperties:

@@ -1,14 +1,19 @@
-"""Windowed refresh draws against scalar oracles.
+"""Windowed draws against scalar oracles.
 
-The Stack and Nomem refresh read their uniforms a window at a time.  Each
-oracle below is the plain loop they ran before, one ``random()`` or
-``geometric()`` call per draw.  The windowed code must select the same
-positions, indexes and spans, and leave its generator in the same state,
-from any starting point in the stream.
+The Stack and Nomem refresh and the weighted kind's batched offers read
+their uniforms a window at a time.  Each oracle below is the plain loop
+they ran before, one ``random()``, ``geometric()`` or ``offer()`` call per
+draw.  The windowed code must select the same positions, indexes, spans
+and records, and leave its generator in the same state, from any
+starting point in the stream.
 """
 
+import copy
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.kinds import WeightedKind, WindowKind
 from repro.core.refresh.nomem import span_of_gaps, survivor_indexes
 from repro.core.refresh.stack import select_final_indexes
 from repro.rng.random_source import RandomSource
@@ -76,6 +81,21 @@ def survivor_indexes_oracle(geom_rng, size, total):
     return indexes
 
 
+def offer_many_oracle(kind, elements, rng, max_accepts):
+    """Batched offers as scalar :meth:`offer` calls, stopping right after
+    the acceptance that fills ``max_accepts``."""
+    records = []
+    consumed = 0
+    for element in elements:
+        consumed += 1
+        record = kind.offer(element, rng)
+        if record is not None:
+            records.append(record)
+            if max_accepts is not None and len(records) >= max_accepts:
+                break
+    return consumed, records
+
+
 def twins(seed, offset):
     """Two sources at the same point, ``offset`` words into the stream."""
     sources = RandomSource(seed=seed), RandomSource(seed=seed)
@@ -138,3 +158,61 @@ class TestWindowedDrawsMatchScalarOracles:
         assert list(indexes) == expected
         assert count == len(expected)
         assert windowed.snapshot() == scalar.snapshot()
+
+
+ELEMENTS = st.lists(st.integers(0, 2**40), max_size=800)
+QUOTAS = st.one_of(st.none(), st.integers(0, 40))
+
+
+def kind_twins(name, capacity, initial, seed):
+    """Two identical kinds; a sample built from ``initial`` rows first
+    gives the weighted kind a finite stale threshold."""
+    kind = WeightedKind(capacity) if name == "weighted" else WindowKind(capacity)
+    if initial:
+        kind.build_initial(range(initial), RandomSource(seed=seed ^ 0x5EED))
+    return kind, copy.deepcopy(kind)
+
+
+def assert_same_offers(
+    name, elements, max_accepts, seed, offset, capacity=8, initial=48, as_iterator=False
+):
+    windowed, scalar = twins(seed, offset)
+    kind, oracle_kind = kind_twins(name, capacity, initial, seed)
+    expected = offer_many_oracle(oracle_kind, elements, scalar, max_accepts)
+    batch = iter(elements) if as_iterator else elements
+    assert kind.offer_many(batch, windowed, max_accepts) == expected
+    assert kind.seen == oracle_kind.seen
+    assert getattr(kind, "threshold", None) == getattr(oracle_kind, "threshold", None)
+    assert windowed.snapshot() == scalar.snapshot()
+
+
+@pytest.mark.parametrize("name", ["weighted", "window"])
+class TestBatchedOffersMatchScalarOffers:
+    @given(
+        elements=ELEMENTS,
+        max_accepts=QUOTAS,
+        seed=SEEDS,
+        offset=OFFSETS,
+        capacity=st.integers(1, 64),
+        extra=st.integers(0, 400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_offer_many(self, name, elements, max_accepts, seed, offset, capacity, extra):
+        assert_same_offers(name, elements, max_accepts, seed, offset, capacity, capacity + extra)
+
+    @given(elements=ELEMENTS, max_accepts=QUOTAS, seed=SEEDS, offset=OFFSETS)
+    @settings(max_examples=30, deadline=None)
+    def test_iterator_input(self, name, elements, max_accepts, seed, offset):
+        assert_same_offers(name, elements, max_accepts, seed, offset, as_iterator=True)
+
+    @pytest.mark.parametrize("offset", [0, 1, 622, 623, 624])
+    @pytest.mark.parametrize("initial", [0, 48])
+    def test_edges(self, name, offset, initial):
+        # With no sample yet (initial=0) every offer is accepted, so a
+        # quota stops the batch mid-window.
+        batch = list(range(1000, 1700))  # more uniforms than one 624-word block
+        assert_same_offers(name, [], None, 7, offset, initial=initial)
+        assert_same_offers(name, [], 1, 7, offset, initial=initial)
+        for quota in (None, 0, 1, 3, 200):
+            assert_same_offers(name, batch, quota, 7, offset, initial=initial)
+            assert_same_offers(name, tuple(batch), quota, 7, offset, initial=initial)
