@@ -137,11 +137,18 @@ def _bench_inserts(benchmark, scale, scalar: bool):
     def setup():
         return (_fresh_maintainer(sample_size, initial_dataset, seed=11),), {}
 
-    def run(maintainer):
-        maintainer.insert_many(stream, scalar=scalar)
+    def run_batch(maintainer):
+        maintainer.insert_many(stream)
         return maintainer.stats.candidates_logged
 
-    accepted = benchmark.pedantic(run, setup=setup, rounds=5, warmup_rounds=1)
+    def run_scalar(maintainer):
+        for element in stream:
+            maintainer.insert(element)
+        return maintainer.stats.candidates_logged
+
+    accepted = benchmark.pedantic(
+        run_scalar if scalar else run_batch, setup=setup, rounds=5, warmup_rounds=1
+    )
     benchmark.extra_info["elements"] = inserts
     benchmark.extra_info["elements_per_sec"] = inserts / benchmark.stats.stats.mean
     assert 0 < accepted < inserts

@@ -85,14 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.10,
         help="maximum acceptable relative error on total cost",
     )
-    validate.add_argument(
-        "--scalar",
-        action="store_true",
-        help=(
-            "run the reference implementation with element-wise inserts "
-            "instead of the skip-based batch path (slower, same counts)"
-        ),
-    )
 
     from repro.devtools.bench_compare import add_bench_compare_parser
 
@@ -170,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         from repro.experiments.validation import validate_engine
 
-        report = validate_engine(trials=args.trials, seed=args.seed, scalar=args.scalar)
+        report = validate_engine(trials=args.trials, seed=args.seed)
         print(report.summary())
         if not report.passed(args.tolerance):
             print(f"FAILED: worst error exceeds {args.tolerance:.0%}")

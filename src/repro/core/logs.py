@@ -1,10 +1,14 @@
-"""The log phase: full logging, candidate logging and the update log.
+"""The log phase: immediate, full and candidate logging, and the update log.
 
 Incremental maintenance has a *log phase* capturing insertions and a
 *refresh phase* applying them to the sample (Sec. 3).  This module owns the
 log phase plus the two **candidate sources** that the refresh algorithms
-consume:
+consume.  Each maintenance strategy is one logger behind the
+:class:`InsertLogger` protocol, which is all
+:class:`~repro.core.maintenance.SampleMaintainer` knows of it:
 
+* :class:`ImmediateLogger` is the paper's immediate-refresh baseline: no
+  log; each accepted element overwrites its victim slot on arrival.
 * :class:`CandidateLogger` implements candidate logging (Sec. 3.2): the
   sample kind's acceptance test (the reservoir law, for uniform samples)
   is pushed to insertion time and only accepted elements are appended to
@@ -32,12 +36,14 @@ from __future__ import annotations
 from typing import Iterator, Protocol, Sequence, TypeVar
 
 from repro.rng.random_source import RandomSource
-from repro.storage.files import LogFile
+from repro.storage.files import LogFile, SampleFile
 
 __all__ = [
     "CandidateSource",
     "CandidateReader",
     "ReadEachRun",
+    "InsertLogger",
+    "ImmediateLogger",
     "CandidateLogger",
     "FullLogger",
     "UpdateLogger",
@@ -90,7 +96,81 @@ class CandidateSource(Protocol):
 # ---------------------------------------------------------------------------
 
 
-class CandidateLogger:
+class InsertLogger(Protocol):
+    """One strategy's log phase: all the maintainer knows of a strategy.
+
+    ``insert_many`` returns ``(consumed, accepted)`` and stops right after
+    the ``max_accepts``-th log append.  ``log`` is None when nothing is
+    logged, and ``source()`` None when a refresh has nothing to apply.
+    ``accepts_at_insert`` is False when the acceptance test waits for the
+    refresh, so accepted elements are not candidates yet.  The loggers
+    subclass it by name so the call graph behind ``repro lint`` dispatches
+    the maintainer's calls to each of them.
+    """
+
+    log: LogFile | None
+    accepts_at_insert: bool
+    #: the dataset size the pending log applies over
+    dataset_size_at_last_refresh: int
+
+    def insert(self, element: T) -> bool: ...  # pragma: no cover - protocol
+
+    def insert_many(
+        self, elements: Sequence[T], max_accepts: int | None = None
+    ) -> tuple[int, int]: ...  # pragma: no cover - protocol
+
+    def source(self) -> CandidateSource | None: ...  # pragma: no cover - protocol
+
+    def after_refresh(self) -> None: ...  # pragma: no cover - protocol
+
+
+class ImmediateLogger(InsertLogger):
+    """Immediate refresh (the paper's baseline): no log at all.
+
+    The kind's reservoir sampler runs the whole reservoir step --
+    acceptance test and victim slot -- and each accepted element is
+    written to its slot on arrival, so a refresh has nothing to apply.
+    """
+
+    log = None
+    accepts_at_insert = True
+
+    def __init__(self, sample: SampleFile, kind, rng: RandomSource) -> None:
+        self._sample = sample
+        self._sampler = kind.sampler(rng)
+
+    @property
+    def dataset_size_at_last_refresh(self) -> int:
+        return self._sampler.seen
+
+    def insert(self, element: T) -> bool:
+        slot = self._sampler.offer(element)
+        if slot is None:
+            return False
+        self._sample.write_random(slot, element)
+        return True
+
+    def insert_many(
+        self, elements: Sequence[T], max_accepts: int | None = None
+    ) -> tuple[int, int]:
+        """Skip-jump acceptance over the batch, one write per acceptance.
+
+        Nothing is appended to a log, so a log-append quota never binds
+        and ``max_accepts`` is ignored.
+        """
+        consumed, placed = self._sampler.offer_many(len(elements))
+        for index, slot in placed:
+            self._sample.write_random(slot, elements[index])
+        return consumed, len(placed)
+
+    def source(self) -> None:
+        return None
+
+    def after_refresh(self) -> None:
+        return None
+
+
+class CandidateLogger(InsertLogger):
     """Candidate logging (Sec. 3.2), under any sample kind's acceptance test.
 
     Each arriving insertion runs the kind's acceptance test -- for a
@@ -103,6 +183,8 @@ class CandidateLogger:
     acceptance test") is the :class:`~repro.core.kinds.SampleKind`
     protocol: the log neither knows nor cares which test filled it.
     """
+
+    accepts_at_insert = True
 
     def __init__(self, log: LogFile, kind, rng: RandomSource) -> None:
         if kind.seen < kind.capacity:
@@ -120,6 +202,11 @@ class CandidateLogger:
 
     @property
     def dataset_size(self) -> int:
+        return self._kind.seen
+
+    @property
+    def dataset_size_at_last_refresh(self) -> int:
+        """Acceptance already ran on every arrival: the live size."""
         return self._kind.seen
 
     @property
@@ -161,58 +248,68 @@ class CandidateLogger:
         self._log.truncate()
 
 
-class FullLogger:
+class FullLogger(InsertLogger):
     """Full logging (Sec. 3.1): every insertion goes to the log.
 
-    ``initial_dataset_size`` is ``|R|`` at the last refresh; the log
-    holds every insertion since, so a log re-attached after a crash
-    restores the live dataset size on its own.
+    The acceptance test waits for the refresh, where the source replays
+    it over the log; the kind's sampler still counts every arrival, so the
+    dataset size at the last refresh is its count less the log.
     """
 
-    def __init__(self, log: LogFile, initial_dataset_size: int) -> None:
-        if initial_dataset_size < 0:
-            raise ValueError("initial_dataset_size must be non-negative")
+    accepts_at_insert = False
+
+    def __init__(self, log: LogFile, kind, rng: RandomSource) -> None:
         self._log = log
-        self._dataset_size_at_refresh = initial_dataset_size
+        self._sampler = kind.sampler(rng)
+        self._rng = rng
 
     @property
     def log(self) -> LogFile:
         return self._log
 
     @property
-    def dataset_size(self) -> int:
-        return self._dataset_size_at_refresh + len(self._log)
-
-    @property
     def dataset_size_at_last_refresh(self) -> int:
-        return self._dataset_size_at_refresh
+        return self._sampler.seen - len(self._log)
 
     def insert(self, element: T) -> bool:
         """Log phase for one insertion; always logged."""
         self._log.append(element)
+        self._sampler.defer(1)
         return True
 
-    def insert_many(self, elements: Sequence[T]) -> int:
-        """Batched log phase: every element appended, one bulk call."""
-        self._log.append_many(elements)
-        return len(elements)
+    def insert_many(
+        self, elements: Sequence[T], max_accepts: int | None = None
+    ) -> tuple[int, int]:
+        """Batched log phase: one bulk append, cut at ``max_accepts``.
 
-    def source(self, sample_size: int, rng: RandomSource) -> "FullLogSource":
+        Every element is appended, so a log-append quota is an operation
+        quota: ``(consumed, accepted)`` are both the elements taken.
+        """
+        take = len(elements)
+        if max_accepts is not None and max_accepts < take:
+            take = max_accepts
+            elements = elements[:take]
+        self._log.append_many(elements)
+        self._sampler.defer(take)
+        return take, take
+
+    def source(self) -> "FullLogSource":
         """Sec. 5 adapter: view this full log as a candidate sequence."""
         return FullLogSource(
-            self._log, sample_size, self._dataset_size_at_refresh, rng
+            self._log, self._sampler.capacity, self.dataset_size_at_last_refresh,
+            self._rng,
         )
 
     def after_refresh(self) -> None:
-        self._dataset_size_at_refresh = self.dataset_size
         self._log.truncate()
 
 
 class UpdateLogger:
     """Separate log for updates, applied after each refresh (Sec. 5).
 
-    Stores ``(key, new_value)`` pairs encoded by the log file's codec; the
-    DBMS layer (:mod:`repro.dbms.sample_view`) owns the application step.
+    Stores change records encoded by the log file's codec; the DBMS layer
+    (:mod:`repro.dbms.sample_view`, :mod:`repro.dbms.join_synopsis`) owns
+    the application step.
     """
 
     def __init__(self, log: LogFile) -> None:
@@ -256,10 +353,6 @@ class CandidateLogSource:
     def open_reader(self) -> "_CandidateLogReader":
         return _CandidateLogReader(self._log)
 
-    def scan_all(self) -> list[T]:
-        """All candidates in order (naive candidate refresh)."""
-        return self._log.scan_all()
-
 
 class _CandidateLogReader:
     __slots__ = ("_reader",)
@@ -279,13 +372,15 @@ class SkipReplay:
 
     The Sec. 5 store-state/replay idea shared by every source that finds
     candidates among raw arrivals: a dedicated skip stream
-    (``rng.spawn(label)``) is snapshotted at construction; ``count()``
+    (``rng.spawn(label)``) is spawned and snapshotted on first use, so a
+    source whose candidates nobody asks for spawns nothing; ``count()``
     walks it once and caches the result, and every :meth:`ordinals` walk
     restores the snapshot and replays the same skips.  Nothing is
     buffered.
     """
 
-    __slots__ = ("_rng", "_state", "_sample_size", "_seen_before", "_arrivals", "_count")
+    __slots__ = ("_parent", "_label", "_rng", "_state", "_sample_size",
+                 "_seen_before", "_arrivals", "_count")
 
     def __init__(
         self,
@@ -300,8 +395,10 @@ class SkipReplay:
                 "refresh over a full log requires an existing sample: "
                 f"dataset size {dataset_size_before} < sample size {sample_size}"
             )
-        self._rng = rng.spawn(label)
-        self._state = self._rng.snapshot()
+        self._parent = rng
+        self._label = label
+        self._rng: RandomSource | None = None
+        self._state = None
         self._sample_size = sample_size
         self._seen_before = dataset_size_before
         self._arrivals = arrivals
@@ -320,6 +417,9 @@ class SkipReplay:
         return self._replay()
 
     def _replay(self):
+        if self._rng is None:
+            self._rng = self._parent.spawn(self._label)
+            self._state = self._rng.snapshot()
         self._rng.restore(self._state)
         seen = self._seen_before
         end = seen + self._arrivals
@@ -335,7 +435,9 @@ class FullLogSource:
 
     A :class:`SkipReplay` over the log's elements generates Vitter's
     reservoir skips, mapping candidate ordinals to full-log positions on
-    the fly.
+    the fly.  The naive full refresh (Sec. 3.1) instead scans the raw log
+    (:meth:`scan_all`) from :attr:`dataset_size_before`, and then no skip
+    stream is spawned.
 
     The log blocks containing candidates are read sequentially but are
     "further apart from each other, so that the number of blocks read from
@@ -351,6 +453,7 @@ class FullLogSource:
         rng: RandomSource,
     ) -> None:
         self._log = log
+        self.dataset_size_before = dataset_size_before
         self._skips = SkipReplay(
             rng, "fulllog-skips", sample_size, dataset_size_before, len(log)
         )
@@ -363,6 +466,10 @@ class FullLogSource:
         return _FullLogCandidateReader(
             self._log.open_sequential_reader(), self._skips.ordinals()
         )
+
+    def scan_all(self) -> list[T]:
+        """Every logged insertion in order (naive full refresh)."""
+        return self._log.scan_all()
 
     def candidate_positions(self) -> list[int]:
         """All candidate positions within the full log (testing aid)."""

@@ -7,13 +7,17 @@ online cost is the processing cost of arriving insertions.  The offline
 cost mirrors the cost for refreshing the sample."), and keeps the dataset
 size that the reservoir acceptance probabilities depend on.
 
-Strategies:
+Strategies, each one logger from :mod:`repro.core.logs`:
 
 * ``"immediate"`` -- classic reservoir maintenance straight onto disk, no
   log (the paper's immediate-refresh baseline);
 * ``"candidate"`` -- candidate logging + any deferred refresh algorithm;
 * ``"full"`` -- full logging + the Sec. 5 adapter so the same deferred
   refresh algorithms run over the full log.
+
+Past construction the maintainer drives the logger only through the
+:class:`~repro.core.logs.InsertLogger` protocol; the strategy name is a
+label for spans, metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.kinds import SampleKind, UniformKind, restore_kind
-from repro.core.logs import CandidateLogger, CandidateLogSource, FullLogger
+from repro.core.logs import CandidateLogger, FullLogger, ImmediateLogger, InsertLogger
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult
-from repro.core.refresh.naive import NaiveFullRefresh
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.obs.api import Instrumentation, maybe_span
 from repro.obs.catalogue import COUNT_BUCKETS, SECONDS_BUCKETS
@@ -68,12 +71,13 @@ class SampleMaintainer:
     algorithm:
         The deferred refresh algorithm (Array/Stack/Nomem/naive).  With
         ``strategy="full"`` any candidate algorithm works via the Sec. 5
-        adapter, or pass :class:`NaiveFullRefresh` for the Sec. 3.1
-        baseline.
+        adapter, or pass :class:`~repro.core.refresh.naive.NaiveFullRefresh`
+        for the Sec. 3.1 baseline.
     policy:
         When to auto-refresh; defaults to manual.
     initial_dataset_size:
-        ``|R|`` at the moment the initial sample was built.
+        ``|R|`` as maintenance starts: when the initial sample was built,
+        or, resuming over a full log, including the insertions it holds.
     kind:
         The :class:`~repro.core.kinds.SampleKind` whose acceptance test
         and victim rule the maintenance runs; must have seen
@@ -88,6 +92,9 @@ class SampleMaintainer:
         refresh algorithm so its phases are traced too.  ``None`` keeps
         every hot path at a single ``is None`` test.
     """
+
+    #: the strategy's log phase, the one seam the strategies differ in
+    _logger: InsertLogger
 
     def __init__(
         self,
@@ -122,9 +129,7 @@ class SampleMaintainer:
                 f"kind {kind.name!r} supports strategies {kind.strategies}, "
                 f"got strategy {strategy!r}"
             )
-        # Full logging counts arrivals in its logger; the other strategies
-        # run the kind's acceptance test, so its state must match.
-        if strategy != "full" and kind.seen != initial_dataset_size:
+        if kind.seen != initial_dataset_size:
             raise ValueError(
                 f"kind has seen {kind.seen} elements but "
                 f"initial_dataset_size is {initial_dataset_size}"
@@ -150,17 +155,11 @@ class SampleMaintainer:
         self._commit_group = commit_group
 
         if strategy == "immediate":
-            self._reservoir = kind.sampler(rng)
-            self._candidate_logger = None
-            self._full_logger = None
+            self._logger = ImmediateLogger(sample, kind, rng)
         elif strategy == "candidate":
-            self._reservoir = None
-            self._candidate_logger = CandidateLogger(log, kind, rng)
-            self._full_logger = None
-        else:  # full
-            self._reservoir = None
-            self._candidate_logger = None
-            self._full_logger = FullLogger(log, initial_dataset_size)
+            self._logger = CandidateLogger(log, kind, rng)
+        else:
+            self._logger = FullLogger(log, kind, rng)
 
         self._instr = instrumentation
         if instrumentation is not None:
@@ -209,13 +208,16 @@ class SampleMaintainer:
 
     @property
     def dataset_size(self) -> int:
-        if self._full_logger is not None:
-            return self._full_logger.dataset_size
         return self._kind.seen
 
     @property
+    def log(self) -> LogFile | None:
+        """The log file the strategy appends to; None for immediate."""
+        return self._logger.log
+
+    @property
     def pending_log_elements(self) -> int:
-        log = self._log_file()
+        log = self._logger.log
         return len(log) if log is not None else 0
 
     # -- the two phases --------------------------------------------------------
@@ -226,81 +228,48 @@ class SampleMaintainer:
         obs = self._instr
         if obs is not None and obs.trace_inserts:
             with obs.span("insert", strategy=self._strategy) as span:
-                accepted = self._apply_insert(element)
+                accepted = self._logger.insert(element)
                 span.set("accepted", accepted)
         else:
-            accepted = self._apply_insert(element)
+            accepted = self._logger.insert(element)
         self._charge_online(checkpoint)
         self.stats.inserts += 1
         self._ops_since_refresh += 1
+        if accepted and self._logger.accepts_at_insert:
+            self.stats.candidates_logged += 1
         if obs is not None:
             self._c_inserts.inc()
             (self._c_accepted if accepted else self._c_rejected).inc()
-            if accepted and self._strategy != "immediate":
+            if accepted and self._logger.log is not None:
                 self._c_log_appended.inc()
             self._sync_gauges()
         if self._policy.should_refresh(self._ops_since_refresh, self.pending_log_elements):
             self.refresh()
 
-    def _apply_insert(self, element) -> bool:
-        """Acceptance test + write/append; True when the element survived."""
-        obs = self._instr
-        trace = obs if (obs is not None and obs.trace_inserts) else None
-        if self._strategy == "immediate":
-            slot = self._reservoir.offer(element)
-            if slot is None:
-                return False
-            with maybe_span(trace, "insert.sample_write", slot=slot):
-                self._sample.write_random(slot, element)
-            self.stats.candidates_logged += 1
-            return True
-        if self._strategy == "candidate":
-            # The logger runs the acceptance test (pure CPU) and appends on
-            # acceptance, so the span's block delta is the append alone.
-            with maybe_span(trace, "insert.log_append") as span:
-                accepted = self._candidate_logger.insert(element)
-                if span is not None:
-                    span.set("accepted", accepted)
-            if accepted:
-                self.stats.candidates_logged += 1
-            return accepted
-        # Full logging: every insertion is appended, none rejected.
-        with maybe_span(trace, "insert.log_append"):
-            self._full_logger.insert(element)
-        return True
-
-    def insert_many(self, elements, *, scalar: bool = False) -> int:
+    def insert_many(self, elements) -> int:
         """Process a batch of insertions; returns how many were processed.
 
-        The default is the **skip-based batch path**: Vitter's skip
-        variates jump directly from one accepted candidate to the next,
-        so the Python-level work per batch is O(accepted), not O(batch).
-        The path is bit-identical to element-wise :meth:`insert` -- same
-        PRNG draws in the same order, same sample contents, same log
-        records, same :class:`~repro.storage.cost_model.AccessStats`,
-        same metric counters -- because the skip stream is exactly the
-        one the scalar acceptance test consumes lazily.
+        This is the **skip-based batch path**: Vitter's skip variates jump
+        directly from one accepted candidate to the next, so the
+        Python-level work per batch is O(accepted), not O(batch).  The
+        path is bit-identical to element-wise :meth:`insert` -- same PRNG
+        draws in the same order, same sample contents, same log records,
+        same :class:`~repro.storage.cost_model.AccessStats`, same metric
+        counters -- because the skip stream is exactly the one the scalar
+        acceptance test consumes lazily.
 
         Batches are split at refresh boundaries: the refresh policy's
         ``batch_quota`` bounds each chunk so an auto-refresh fires after
         exactly the element it would fire after under scalar inserts.
-        Policies without ``batch_quota``, and ``scalar=True``, fall back
-        to element-wise processing.
         """
-        quota = getattr(self._policy, "batch_quota", None)
-        if scalar or quota is None:
-            count = 0
-            for element in elements:
-                self.insert(element)
-                count += 1
-            return count
         if not isinstance(elements, (list, tuple, range)):
             elements = list(elements)
         total = len(elements)
         obs = self._instr
+        logger = self._logger
         done = 0
         while done < total:
-            ops_limit, accept_limit = quota(
+            ops_limit, accept_limit = self._policy.batch_quota(
                 self._ops_since_refresh, self.pending_log_elements
             )
             end = total if ops_limit is None else min(total, done + ops_limit)
@@ -310,13 +279,15 @@ class SampleMaintainer:
                 with obs.span(
                     "batch_insert", strategy=self._strategy, n=len(chunk)
                 ) as span:
-                    consumed, accepted = self._apply_insert_batch(chunk, accept_limit)
+                    consumed, accepted = logger.insert_many(chunk, accept_limit)
                     span.set("consumed", consumed)
                     span.set("accepted", accepted)
             else:
-                consumed, accepted = self._apply_insert_batch(chunk, accept_limit)
+                consumed, accepted = logger.insert_many(chunk, accept_limit)
             self._charge_online(checkpoint)
             self.stats.inserts += consumed
+            if logger.accepts_at_insert:
+                self.stats.candidates_logged += accepted
             self._ops_since_refresh += consumed
             done += consumed
             if obs is not None:
@@ -324,7 +295,7 @@ class SampleMaintainer:
                 rejected = consumed - accepted
                 if accepted:
                     self._c_accepted.inc(accepted)
-                    if self._strategy != "immediate":
+                    if logger.log is not None:
                         self._c_log_appended.inc(accepted)
                 if rejected:
                     self._c_rejected.inc(rejected)
@@ -336,29 +307,10 @@ class SampleMaintainer:
                 self.refresh()
         return total
 
-    def _apply_insert_batch(self, chunk, accept_limit: int | None) -> tuple[int, int]:
-        """Batched acceptance + write/append; returns (consumed, accepted)."""
-        if self._strategy == "immediate":
-            consumed, placed = self._reservoir.offer_many(len(chunk))
-            for index, slot in placed:
-                self._sample.write_random(slot, chunk[index])
-            self.stats.candidates_logged += len(placed)
-            return consumed, len(placed)
-        if self._strategy == "candidate":
-            consumed, accepted = self._candidate_logger.insert_many(
-                chunk, max_accepts=accept_limit
-            )
-            self.stats.candidates_logged += accepted
-            return consumed, accepted
-        # Full logging appends every element, so a log-append quota is an
-        # operation quota.
-        take = len(chunk) if accept_limit is None else min(len(chunk), accept_limit)
-        self._full_logger.insert_many(chunk[:take] if take < len(chunk) else chunk)
-        return take, take
-
     def refresh(self) -> RefreshResult | None:
         """Run the deferred refresh (the offline phase); no-op if immediate."""
-        if self._strategy == "immediate":
+        source = self._logger.source()
+        if source is None:
             self._ops_since_refresh = 0
             return None
         obs = self._instr
@@ -373,33 +325,11 @@ class SampleMaintainer:
             # refresh would otherwise absorb the last block's write.
             online_mark = self._checkpoint()
             with maybe_span(obs, "refresh.log_flush"):
-                self._log_file().flush()
+                self._logger.log.flush()
             self._charge_online(online_mark)
             checkpoint = self._checkpoint()
-            if self._strategy == "candidate":
-                source = self._candidate_logger.source()
-                result = self._algorithm.refresh(
-                    self._sample, source, self._rng, self._kind
-                )
-                self._candidate_logger.after_refresh()
-            else:
-                if isinstance(self._algorithm, NaiveFullRefresh):
-                    # The naive full refresh scans the raw log itself.
-                    algorithm = NaiveFullRefresh(
-                        self._full_logger.dataset_size_at_last_refresh
-                    )
-                    if obs is not None and algorithm.instrumentation is None:
-                        algorithm.instrumentation = obs
-                    source = CandidateLogSource(self._full_logger.log)
-                    result = algorithm.refresh(
-                        self._sample, source, self._rng, self._kind
-                    )
-                else:
-                    source = self._full_logger.source(self._sample.size, self._rng)
-                    result = self._algorithm.refresh(
-                        self._sample, source, self._rng, self._kind
-                    )
-                self._full_logger.after_refresh()
+            result = self._algorithm.refresh(self._sample, source, self._rng, self._kind)
+            self._logger.after_refresh()
             # Refresh commit point: the new sample must be on the device
             # before the truncated log stops being replayable.  Any write
             # a buffer pool deferred is booked here, as offline cost.
@@ -443,14 +373,11 @@ class SampleMaintainer:
 
         with maybe_span(self._instr, "maintenance.checkpoint") as span:
             online_mark = self._checkpoint()
-            log = self._log_file()
+            log = self._logger.log
             if log is not None:
                 log.flush()
             log_count = self.pending_log_elements
-            if self._full_logger is not None:
-                dataset_at_refresh = self._full_logger.dataset_size_at_last_refresh
-            else:
-                dataset_at_refresh = self._kind.seen
+            dataset_at_refresh = self._logger.dataset_size_at_last_refresh
             # Checkpoint point: the snapshot describes on-device state, so any
             # buffered sample/log writes must reach the device first (barriers
             # are free on plain devices, booked online like the log flush).
@@ -509,17 +436,13 @@ class SampleMaintainer:
                 f"got a sample of size {sample.size}"
             )
         rng = checkpoint.restore_rng()
-        if checkpoint.strategy != "immediate":
-            if log is None:
-                raise ValueError(
-                    f"strategy {checkpoint.strategy!r} requires the log file"
-                )
+        if checkpoint.strategy != "immediate" and log is not None:
             log.reopen(checkpoint.log_count)
         maintainer = cls(
             sample,
             rng,
             strategy=checkpoint.strategy,
-            initial_dataset_size=checkpoint.dataset_size_at_refresh,
+            initial_dataset_size=checkpoint.dataset_size,
             log=log,
             algorithm=algorithm,
             policy=policy,
@@ -558,17 +481,10 @@ class SampleMaintainer:
 
     # -- telemetry -------------------------------------------------------------
 
-    def _log_file(self) -> LogFile | None:
-        if self._candidate_logger is not None:
-            return self._candidate_logger.log
-        if self._full_logger is not None:
-            return self._full_logger.log
-        return None
-
     def _sync_gauges(self) -> None:
         """Refresh the staleness gauges after any state change."""
         self._g_pending.set(self.pending_log_elements)
-        log = self._log_file()
+        log = self._logger.log
         self._g_log_blocks.set(log.block_count if log is not None else 0)
 
     # -- cost accounting -------------------------------------------------------

@@ -17,17 +17,23 @@ __all__ = ["RefreshPolicy", "PeriodicPolicy", "ThresholdPolicy", "ManualPolicy"]
 class RefreshPolicy(Protocol):
     """Decides whether to refresh after an operation was processed.
 
-    Policies may additionally implement the optional ``batch_quota``
-    extension (see the built-in policies): the batched insert path of
-    :class:`~repro.core.maintenance.SampleMaintainer` uses it to bound
-    how far a batch may run before a refresh could become due.  Policies
-    without it still work -- the maintainer falls back to element-wise
-    inserts, preserving exact refresh timing.
+    ``batch_quota`` bounds how far a batch may run before a refresh could
+    become due: the batched insert path of
+    :class:`~repro.core.maintenance.SampleMaintainer` cuts every batch at
+    it, so a refresh fires after exactly the element it would fire after
+    under element-wise inserts.
     """
 
     def should_refresh(self, operations_since_refresh: int, log_elements: int) -> bool:
         """``operations_since_refresh`` counts dataset operations;
         ``log_elements`` counts what actually landed in the log."""
+        ...  # pragma: no cover - protocol
+
+    def batch_quota(
+        self, operations_since_refresh: int, log_elements: int
+    ) -> tuple[int | None, int | None]:
+        """``(max_operations, max_log_appends)`` before a refresh could be
+        due; ``None`` leaves that bound open."""
         ...  # pragma: no cover - protocol
 
     def notify_refresh(self) -> None:

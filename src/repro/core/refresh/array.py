@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshResult
+from repro.core.refresh.base import RefreshAlgorithm, RefreshResult
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -30,7 +30,7 @@ from repro.storage.memory import MemoryReport
 __all__ = ["ArrayRefresh"]
 
 
-class ArrayRefresh:
+class ArrayRefresh(RefreshAlgorithm):
     """Algorithm 1 of the paper.
 
     ``sort=True`` (the default, and what the paper's experiments use)

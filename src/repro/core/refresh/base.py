@@ -42,7 +42,11 @@ class RefreshResult:
 
 @runtime_checkable
 class RefreshAlgorithm(Protocol):
-    """A deferred refresh strategy: apply a candidate source to the sample."""
+    """A deferred refresh strategy: apply a candidate source to the sample.
+
+    The algorithms subclass it by name so the call graph behind
+    ``repro lint`` dispatches a maintainer's refresh to each of them.
+    """
 
     #: Human-readable name used in experiment tables.
     name: str

@@ -10,8 +10,8 @@ refresh strategies must leave the sample uniformly distributed).
 from __future__ import annotations
 
 from repro.core.kinds import SampleKind
-from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshResult, require_slot_draws
+from repro.core.logs import CandidateSource, FullLogSource
+from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -20,7 +20,7 @@ from repro.storage.memory import MemoryReport
 __all__ = ["NaiveFullRefresh", "NaiveCandidateRefresh"]
 
 
-class NaiveCandidateRefresh:
+class NaiveCandidateRefresh(RefreshAlgorithm):
     """Write every displacement to its victim slot, in log order.
 
     ``|C|`` sequential log reads, ``|C|`` *random* sample writes -- and
@@ -83,15 +83,14 @@ class NaiveCandidateRefresh:
         )
 
 
-class NaiveFullRefresh:
+class NaiveFullRefresh(RefreshAlgorithm):
     """Reservoir sampling replayed over a full log (Sec. 3.1).
 
     Scans the whole log; each element is accepted with probability
     ``M/(|R|+i)`` and written to a random slot immediately.  This is
     literally "apply reservoir sampling subsequently to each of its
-    elements".  Requires a :class:`CandidateLogSource`-style scan, so it
-    accepts the raw log source plus the dataset size before the logged
-    insertions.
+    elements".  It needs the raw log and the dataset size before the
+    logged insertions, so it runs over a :class:`FullLogSource` only.
     """
 
     name = "naive-full"
@@ -99,11 +98,6 @@ class NaiveFullRefresh:
     #: Optional telemetry (see :mod:`repro.obs`); wired automatically by
     #: an instrumented :class:`~repro.core.maintenance.SampleMaintainer`.
     instrumentation = None
-
-    def __init__(self, dataset_size_before: int) -> None:
-        if dataset_size_before < 0:
-            raise ValueError("dataset_size_before must be non-negative")
-        self._dataset_size_before = dataset_size_before
 
     def refresh(
         self,
@@ -113,18 +107,15 @@ class NaiveFullRefresh:
         kind: SampleKind,
     ) -> RefreshResult:
         require_slot_draws(self.name, kind)
-        if not isinstance(source, CandidateLogSource):
+        if not isinstance(source, FullLogSource):
             raise TypeError(
-                "NaiveFullRefresh scans a raw log; wrap the full log in a "
-                "CandidateLogSource (its elements are ALL insertions)"
+                "NaiveFullRefresh scans a raw full log; pass a FullLogSource"
             )
-        if self._dataset_size_before < sample.size:
-            raise ValueError("dataset smaller than sample: nothing to refresh")
         with maybe_span(
             self.instrumentation, "refresh.write", algorithm=self.name
         ) as span:
             elements = source.scan_all()
-            seen = self._dataset_size_before
+            seen = source.dataset_size_before
             accepted = 0
             touched: set[int] = set()
             for element in elements:

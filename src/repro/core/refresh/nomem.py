@@ -28,7 +28,7 @@ from typing import Iterator
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshResult, require_slot_draws
+from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
@@ -88,7 +88,7 @@ def survivor_indexes(
     return k + 1, accumulate(gaps, initial=index)
 
 
-class NomemRefresh:
+class NomemRefresh(RefreshAlgorithm):
     """Algorithm 3 of the paper."""
 
     name = "nomem"

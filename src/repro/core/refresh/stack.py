@@ -25,7 +25,7 @@ import math
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshResult, require_slot_draws
+from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
@@ -67,7 +67,7 @@ def select_final_indexes(
     return selected
 
 
-class StackRefresh:
+class StackRefresh(RefreshAlgorithm):
     """Algorithm 2 of the paper."""
 
     name = "stack"

@@ -121,6 +121,12 @@ class ReservoirSampler:
             return self.rng.randrange(self._capacity)
         return None
 
+    def defer(self, count: int) -> None:
+        """Count ``count`` arrivals untested (full logging tests at refresh)."""
+        if self._next_accept is not None:
+            raise RuntimeError("cannot defer arrivals past a pending acceptance")
+        self._seen += count
+
     def test(self, _element: T = None) -> bool:
         """Acceptance test only (the candidate-logging primitive).
 

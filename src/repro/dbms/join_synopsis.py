@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.kinds import UniformKind
-from repro.core.logs import CandidateLogSource
+from repro.core.logs import CandidateLogSource, UpdateLogger
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.core.refresh.base import RefreshAlgorithm
-from repro.core.reservoir import ReservoirSampler, build_reservoir
+from repro.core.reservoir import build_reservoir
 from repro.dbms.table import Row, Table
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
@@ -98,8 +98,6 @@ class JoinSynopsis:
         self._dimension = dimension
         self._rng = rng
         self._algorithm = algorithm
-        # Refreshes apply candidates under the uniform victim rule.
-        self._kind = UniformKind(sample_size)
         self._policy = policy if policy is not None else ManualPolicy()
         self._codec = JoinedRowCodec(record_size)
 
@@ -112,16 +110,15 @@ class JoinSynopsis:
             sample_size,
         )
         self._sample.initialize([self._join(row) for row in initial_rows])
-        self._dataset_size = dataset_size
+        # One uniform kind counts the fact table, runs the insert-time
+        # acceptance test and the victim rule the refresh applies.
+        self._kind = UniformKind(sample_size, seen=dataset_size)
 
         self._log = LogFile(
             SimulatedBlockDevice(cost_model, "join-synopsis-log"), self._codec
         )
-        self._dim_update_log = LogFile(
-            SimulatedBlockDevice(cost_model, "join-dim-update-log"), self._codec
-        )
-        self._acceptor = ReservoirSampler(
-            sample_size, rng, initial_size=dataset_size
+        self._dim_update_log = UpdateLogger(
+            LogFile(SimulatedBlockDevice(cost_model, "join-dim-update-log"), self._codec)
         )
         self._ops_since_refresh = 0
         self.refreshes = 0
@@ -137,7 +134,7 @@ class JoinSynopsis:
 
     @property
     def fact_table_size(self) -> int:
-        return self._dataset_size
+        return self._kind.seen
 
     def rows(self) -> list[JoinedRow]:
         """Current synopsis contents (pending updates not yet applied)."""
@@ -147,9 +144,8 @@ class JoinSynopsis:
 
     def _on_fact_change(self, kind: str, row: Row) -> None:
         if kind == "insert":
-            if self._acceptor.test(row):
+            if self._kind.offer(row, self._rng) is not None:
                 self._log.append(self._join(row))
-            self._dataset_size += 1
         elif kind == "delete":
             raise RuntimeError(
                 "JoinSynopsis does not support fact deletions (candidate "
@@ -166,7 +162,7 @@ class JoinSynopsis:
         if kind == "update":
             # Queue a patch: every synopsis row whose fk == row.key gets
             # the new dimension value after the next refresh.
-            self._dim_update_log.append(JoinedRow(0, row.key, row.value))
+            self._dim_update_log.update(JoinedRow(0, row.key, row.value))
         elif kind == "delete":
             raise RuntimeError(
                 "dimension deletions would orphan fact rows (foreign key); "
@@ -196,8 +192,7 @@ class JoinSynopsis:
     def _apply_dimension_updates(self) -> None:
         if len(self._dim_update_log) == 0:
             return
-        updates = self._dim_update_log.scan_all()
-        self._dim_update_log.truncate()
+        updates = self._dim_update_log.drain()
         new_values = {u.fact_value: u.dim_value for u in updates}
         patches = []
         for position, row in enumerate(self._sample.scan()):
@@ -218,7 +213,7 @@ class JoinSynopsis:
         rows = self.rows()
         if not rows:
             return 0.0
-        return sum(value_of(r) for r in rows) * (self._dataset_size / len(rows))
+        return sum(value_of(r) for r in rows) * (self._kind.seen / len(rows))
 
     def estimate_join_mean(self, value_of) -> float:
         rows = self.rows()

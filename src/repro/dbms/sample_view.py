@@ -33,10 +33,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.kinds import UniformKind
-from repro.core.logs import CandidateLogSource, FullLogSource
+from repro.core.logs import CandidateLogSource, FullLogSource, UpdateLogger
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.core.refresh.base import RefreshAlgorithm
-from repro.core.reservoir import ReservoirSampler, build_reservoir
+from repro.core.reservoir import build_reservoir
 from repro.dbms.table import Row, Table
 from repro.rng.random_source import RandomSource
 from repro.storage.cost_model import CostModel
@@ -91,8 +91,6 @@ class SampleView:
             )
         self._rng = rng
         self._algorithm = algorithm
-        # Refreshes apply candidates under the uniform victim rule.
-        self._kind = UniformKind(sample_size)
         self._cost = cost_model
         self._policy = policy if policy is not None else ManualPolicy()
         self._allow_deletes = allow_deletes
@@ -105,24 +103,21 @@ class SampleView:
             SimulatedBlockDevice(cost_model, "view-sample"), self._codec, sample_size
         )
         self._sample.initialize(initial)
+        # One uniform kind runs the insert-time acceptance test (candidate
+        # logging) and the victim rule the refresh applies.
+        self._kind = UniformKind(sample_size, seen=dataset_size)
         self._dataset_size = dataset_size
         self._dataset_size_at_refresh = dataset_size
 
         self._insert_log = LogFile(
             SimulatedBlockDevice(cost_model, "view-insert-log"), self._codec
         )
-        self._update_log = LogFile(
-            SimulatedBlockDevice(cost_model, "view-update-log"), self._codec
+        self._update_log = UpdateLogger(
+            LogFile(SimulatedBlockDevice(cost_model, "view-update-log"), self._codec)
         )
-        self._delete_log = LogFile(
-            SimulatedBlockDevice(cost_model, "view-delete-log"), self._codec
+        self._delete_log = UpdateLogger(
+            LogFile(SimulatedBlockDevice(cost_model, "view-delete-log"), self._codec)
         )
-        if not allow_deletes:
-            self._acceptor = ReservoirSampler(
-                sample_size, rng, initial_size=dataset_size
-            )
-        else:
-            self._acceptor = None
         self._window_inserted_keys: set[int] = set()
         self._ops_since_refresh = 0
         self.refreshes = 0
@@ -150,7 +145,7 @@ class SampleView:
         if kind == "insert":
             self._on_insert(row)
         elif kind == "update":
-            self._update_log.append(row)
+            self._update_log.update(row)
         elif kind == "delete":
             self._on_delete(row)
         else:
@@ -163,14 +158,10 @@ class SampleView:
 
     def _on_insert(self, row: Row) -> None:
         self._window_inserted_keys.add(row.key)
-        if self._acceptor is not None:
-            # Candidate logging.
-            if self._acceptor.test(row):
-                self._insert_log.append(row)
-            self._dataset_size += 1
-        else:
+        # Full logging keeps every insert; candidate logging the accepted.
+        if self._allow_deletes or self._kind.offer(row, self._rng) is not None:
             self._insert_log.append(row)
-            self._dataset_size += 1
+        self._dataset_size += 1
 
     def _on_delete(self, row: Row) -> None:
         if not self._allow_deletes:
@@ -183,7 +174,7 @@ class SampleView:
             # that the insertions and deletions are disjunctive": make it
             # sure by closing the current window before logging the delete.
             self.refresh()
-        self._delete_log.append(row)
+        self._delete_log.update(row)
         self._dataset_size -= 1
 
     # -- the refresh --------------------------------------------------------------
@@ -203,8 +194,7 @@ class SampleView:
         """Remove deleted members, compact, shrink; returns #deletes logged."""
         if len(self._delete_log) == 0:
             return 0
-        deletes = self._delete_log.scan_all()
-        self._delete_log.truncate()
+        deletes = self._delete_log.drain()
         deleted_keys = {row.key for row in deletes}
         survivors = [
             row for row in self._sample_scan() if row.key not in deleted_keys
@@ -221,7 +211,7 @@ class SampleView:
     def _apply_insertions(self, deletes_applied: int) -> None:
         if len(self._insert_log) == 0:
             return
-        if self._acceptor is not None:
+        if not self._allow_deletes:
             source = CandidateLogSource(self._insert_log)
             self._algorithm.refresh(self._sample, source, self._rng, self._kind)
         else:
@@ -238,8 +228,7 @@ class SampleView:
     def _apply_updates(self) -> None:
         if len(self._update_log) == 0:
             return
-        updates = self._update_log.scan_all()
-        self._update_log.truncate()
+        updates = self._update_log.drain()
         new_values = {row.key: row.value for row in updates}
         patches = []
         for position, row in enumerate(self._sample_scan()):

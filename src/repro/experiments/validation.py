@@ -95,7 +95,6 @@ def _reference_run(
     inserts: int,
     refresh_period: int,
     seed: int,
-    scalar: bool = False,
 ) -> tuple[float, float]:
     rng = RandomSource(seed=seed)
     cost = CostModel()
@@ -109,9 +108,7 @@ def _reference_run(
         algorithm=StackRefresh(), policy=PeriodicPolicy(refresh_period),
         cost_model=cost,
     )
-    maintainer.insert_many(
-        range(initial_dataset, initial_dataset + inserts), scalar=scalar
-    )
+    maintainer.insert_many(range(initial_dataset, initial_dataset + inserts))
     return (
         maintainer.stats.online.cost_seconds(),
         maintainer.stats.offline.cost_seconds(),
@@ -125,16 +122,12 @@ def validate_engine(
     refresh_period: int = 1024,
     trials: int = 20,
     seed: int = 0,
-    scalar: bool = False,
 ) -> ValidationReport:
     """Run reference and engine at identical parameters; report agreement.
 
     Costs are averaged over ``trials`` independent seeds per
     implementation (both are stochastic realisations of the same model).
-    The reference runs use the skip-based batch insert path; ``scalar``
-    is the escape hatch forcing element-wise inserts (both produce
-    bit-identical counts -- the equivalence property tests prove it --
-    so this only trades speed).
+    The reference runs use the skip-based batch insert path.
     """
     agreements = []
     for strategy in ("immediate", "candidate", "full"):
@@ -142,7 +135,7 @@ def validate_engine(
         for t in range(trials):
             online, offline = _reference_run(
                 strategy, sample_size, initial_dataset, inserts,
-                refresh_period, seed=seed + 1000 + t, scalar=scalar,
+                refresh_period, seed=seed + 1000 + t,
             )
             ref_online += online
             ref_offline += offline

@@ -233,8 +233,6 @@ SPANS: dict[str, str] = {
     # -- maintenance core (repro.core.maintenance, baselines) ---------------
     "insert": "one scalar insertion through the maintenance front door",
     "batch_insert": "one skip-based batch insertion (attrs: offered)",
-    "insert.sample_write": "sample-slot overwrite during immediate refresh",
-    "insert.log_append": "candidate append to the current log generation",
     "refresh": "one deferred refresh cycle (attrs: candidates, displaced)",
     "refresh.log_flush": "log flush/truncate at the end of a refresh",
     "refresh.precompute": "offline precompute phase of a refresh",

@@ -93,20 +93,39 @@ class TestCandidateLogger:
 class TestFullLogger:
     def test_logs_everything(self):
         log, _ = make_log()
-        logger = FullLogger(log, 100)
+        kind = UniformKind(10, seen=100)
+        logger = FullLogger(log, kind, RandomSource(seed=1))
         for v in range(50):
             assert logger.insert(v)
         assert len(log) == 50
-        assert logger.dataset_size == 150
+        assert kind.seen == 150
 
     def test_after_refresh_advances_baseline(self):
         log, _ = make_log()
-        logger = FullLogger(log, 100)
+        logger = FullLogger(log, UniformKind(10, seen=100), RandomSource(seed=2))
         for v in range(50):
             logger.insert(v)
+        assert logger.dataset_size_at_last_refresh == 100
         logger.after_refresh()
         assert logger.dataset_size_at_last_refresh == 150
         assert len(log) == 0
+
+    def test_insert_many_stops_at_max_accepts(self):
+        log, _ = make_log()
+        kind = UniformKind(10, seen=100)
+        logger = FullLogger(log, kind, RandomSource(seed=3))
+        assert logger.insert_many(list(range(20)), max_accepts=7) == (7, 7)
+        assert logger.insert_many(range(20, 25)) == (5, 5)
+        assert log.peek_all() == list(range(7)) + list(range(20, 25))
+        assert kind.seen == 112
+
+    def test_source_starts_at_last_refresh(self):
+        log, _ = make_log()
+        logger = FullLogger(log, UniformKind(10, seen=100), RandomSource(seed=4))
+        logger.insert_many(range(30))
+        source = logger.source()
+        assert source.dataset_size_before == 100
+        assert source.scan_all() == list(range(30))
 
 
 class TestUpdateLogger:
@@ -131,16 +150,12 @@ class TestCandidateLogSource:
         with pytest.raises(ValueError):
             reader.read(2)
 
-    def test_scan_all(self):
-        log, _ = make_log()
-        log.extend([1, 2, 3])
-        assert CandidateLogSource(log).scan_all() == [1, 2, 3]
 
 
 class TestFullLogSource:
     def _full_log(self, inserts, seed=9, r0=100):
         log, model = make_log()
-        logger = FullLogger(log, r0)
+        logger = FullLogger(log, UniformKind(10, seen=r0), RandomSource(seed=seed))
         for v in range(inserts):
             logger.insert(v)
         return log, model
@@ -196,3 +211,17 @@ class TestFullLogSource:
         log, _ = self._full_log(10)
         with pytest.raises(ValueError):
             FullLogSource(log, 10, 5, RandomSource(seed=14))
+
+    def test_scan_all(self):
+        log, _ = make_log()
+        log.extend([1, 2, 3])
+        assert FullLogSource(log, 2, 10, RandomSource(seed=15)).scan_all() == [1, 2, 3]
+
+    def test_skip_stream_spawned_on_first_count(self):
+        log, _ = self._full_log(300)
+        rng = RandomSource(seed=16)
+        source = FullLogSource(log, 10, 100, rng)
+        assert rng.spawn_count == 0
+        source.count()
+        source.open_reader()
+        assert rng.spawn_count == 1

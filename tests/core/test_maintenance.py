@@ -138,7 +138,7 @@ class TestFullStrategy:
 
     def test_refresh_with_naive_full(self):
         maintainer, sample, _ = make_maintainer(
-            "full", NaiveFullRefresh(0), seed=13
+            "full", NaiveFullRefresh(), seed=13
         )
         maintainer.insert_many(range(200, 900))
         result = maintainer.refresh()
@@ -165,3 +165,31 @@ class TestPolicies:
         maintainer, _, _ = make_maintainer("candidate", StackRefresh(), seed=16)
         maintainer.insert_many(range(200, 1200))
         assert maintainer.stats.refreshes == 0
+
+
+class TestDatasetSize:
+    @pytest.mark.parametrize("strategy", ["immediate", "candidate", "full"])
+    def test_kind_tracks_dataset_size_live_and_after_restore(self, strategy):
+        # The kind's dataset size feeds estimates (``population()``), so it
+        # must follow every insertion whichever strategy logs them.
+        rng = RandomSource(seed=17)
+        cost = CostModel()
+        sample, seen = make_sample(cost, 64, 256, rng)
+        log_device = SimulatedBlockDevice(cost, "log")
+        algorithm = None if strategy == "immediate" else StackRefresh()
+        maintainer = SampleMaintainer(
+            sample, rng, strategy=strategy, initial_dataset_size=seen,
+            log=LogFile(log_device, IntRecordCodec()), algorithm=algorithm,
+        )
+        maintainer.insert_many(range(256, 1500))
+        assert maintainer.dataset_size == 1500
+        assert maintainer.kind.seen == 1500
+        assert maintainer.kind.population() == 1500
+
+        restored = SampleMaintainer.from_checkpoint(
+            maintainer.checkpoint_state(), sample,
+            log=LogFile(log_device, IntRecordCodec()), algorithm=algorithm,
+        )
+        assert restored.dataset_size == 1500
+        assert restored.kind.seen == 1500
+        assert restored.kind.population() == 1500

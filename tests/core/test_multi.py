@@ -131,7 +131,7 @@ class TestBatchDelegationEquivalence:
             maintainer = manager.get(name)
             out[name] = (
                 maintainer.sample.peek_all(),
-                maintainer._candidate_logger.log.peek_all(),
+                maintainer.log.peek_all(),
                 maintainer.pending_log_elements,
                 maintainer.dataset_size,
                 maintainer.stats.inserts,

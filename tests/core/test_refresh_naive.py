@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.kinds import UniformKind
-from repro.core.logs import CandidateLogSource
+from repro.core.logs import CandidateLogSource, FullLogSource
 from repro.core.refresh.naive import NaiveCandidateRefresh, NaiveFullRefresh
 
 
@@ -42,42 +42,48 @@ class TestNaiveCandidateRefresh:
 
 
 class TestNaiveFullRefresh:
+    @staticmethod
+    def _full_run(harness, dataset_size_before):
+        # The harness log holds the raw insertions; view it as a full log.
+        harness.source = FullLogSource(
+            harness.log, harness.sample_size, dataset_size_before, harness.rng
+        )
+        return harness.run(NaiveFullRefresh())
+
     def test_acceptance_follows_reservoir_law(self, harness_factory):
         # Log of n elements over dataset R0: expected acceptance is
         # sum M/(R0+i), far below n.
         m, r0, n = 20, 1000, 400
         harness = harness_factory(sample_size=m, candidates=n)
-        result = harness.run(NaiveFullRefresh(dataset_size_before=r0))
+        result = self._full_run(harness, r0)
         assert result.candidates < n / 5  # ~ 20*ln(1.4) ~ 7
 
     def test_sample_integrity(self, harness_factory):
         harness = harness_factory(sample_size=30, candidates=200)
-        result = harness.run(NaiveFullRefresh(dataset_size_before=100))
+        result = self._full_run(harness, 100)
         harness.check_sample_integrity(result)
 
-    def test_requires_candidate_log_source(self, harness_factory):
+    def test_requires_full_log_source(self, harness_factory):
         harness = harness_factory(sample_size=10, candidates=10)
-
-        class OtherSource:
-            def count(self):
-                return 0
-
-            def open_reader(self):
-                raise AssertionError
-
         with pytest.raises(TypeError):
-            NaiveFullRefresh(100).refresh(
-                harness.sample, OtherSource(), harness.rng, UniformKind(10)
+            NaiveFullRefresh().refresh(
+                harness.sample, CandidateLogSource(harness.log), harness.rng,
+                UniformKind(10),
             )
 
     def test_rejects_dataset_smaller_than_sample(self, harness_factory):
         harness = harness_factory(sample_size=10, candidates=10)
         with pytest.raises(ValueError):
-            NaiveFullRefresh(dataset_size_before=5).refresh(
-                harness.sample, CandidateLogSource(harness.log), harness.rng,
-                UniformKind(10),
-            )
+            self._full_run(harness, 5)
 
-    def test_rejects_negative_dataset(self):
+    def test_rejects_negative_dataset(self, harness_factory):
+        harness = harness_factory(sample_size=10, candidates=10)
         with pytest.raises(ValueError):
-            NaiveFullRefresh(dataset_size_before=-1)
+            self._full_run(harness, -1)
+
+    def test_spawns_no_skip_stream(self, harness_factory):
+        # The raw scan replays acceptance from the refresh stream itself;
+        # the full-log source's skip stream is never spawned.
+        harness = harness_factory(sample_size=30, candidates=200)
+        self._full_run(harness, 100)
+        assert harness.rng.spawn_count == 0

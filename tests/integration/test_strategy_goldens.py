@@ -1,0 +1,157 @@
+"""Golden digests for every maintenance strategy, not only candidate logging.
+
+``test_golden_bytes.py`` pins CLI outputs, which all run candidate
+logging.  This module pins the library path of the other strategies:
+each run below drives a :class:`SampleMaintainer` through scalar and
+batched inserts under a refresh period that splits batches, refreshes
+once more by hand, inserts a tail and checkpoints.  It then hashes the
+sample device, the log device, the checkpoint bytes and the online and
+offline :class:`AccessStats`.  The digests were recorded before the
+strategies moved behind one logger protocol, and a refactor that claims
+to change no behaviour must reproduce every one of them.
+
+If a change alters these bytes on purpose, print ``_digests(name)`` for
+each run, paste the new values here, and say in the change description
+why the bytes moved.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core.maintenance import SampleMaintainer
+from repro.core.policies import PeriodicPolicy
+from repro.core.refresh.naive import NaiveCandidateRefresh, NaiveFullRefresh
+from repro.core.refresh.nomem import NomemRefresh
+from repro.core.refresh.stack import StackRefresh
+from repro.core.reservoir import build_reservoir
+from repro.rng.random_source import RandomSource
+from repro.storage.block_device import SimulatedBlockDevice
+from repro.storage.cost_model import CostModel
+from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import IntRecordCodec
+
+
+def _naive_full():
+    # The full-log source carries the base dataset size; older releases
+    # took it as a constructor argument the maintainer then replaced.
+    try:
+        return NaiveFullRefresh()
+    except TypeError:
+        return NaiveFullRefresh(0)
+
+
+#: ``name -> (strategy, algorithm factory, seed)``
+RUNS = {
+    "immediate": ("immediate", None, 101),
+    "full-stack": ("full", StackRefresh, 102),
+    "full-nomem": ("full", NomemRefresh, 103),
+    "full-naive": ("full", _naive_full, 104),
+    "candidate-naive": ("candidate", NaiveCandidateRefresh, 105),
+}
+
+#: ``name -> {artefact: sha256}``
+GOLDEN = {
+    "immediate": {
+        "sample": "77d21425ebebdb9baab09bee7d9c7189378358366210346d5cb32da1e8067cf0",
+        "log": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "checkpoint": "35e6f3a57670aadd06f644ee400f11df8ca3deae725217e8afcafcb168c9e85b",
+        "stats": "e7934e3876d38accab58ba931e56d78b406b307738236f89c088fbfac5b14d82",
+    },
+    "full-stack": {
+        "sample": "9168661d805a6a0d28d2b1ca81b7f0f491308f19af2d352c4045662d4193480a",
+        "log": "78939131dfa2495b60ebb8aa890776aa43dc3d56a5a15b84bd2deb8dbbb6c2c7",
+        "checkpoint": "6d4171007207ff4a772b05f7f848b438da30b6761e3d94657d3b960adde1a4b3",
+        "stats": "a1cccb5a316d1d80a10fff92fa664e938cedda0aa27fc694e5900d80b48de81b",
+    },
+    "full-nomem": {
+        "sample": "694c1313452369b0982d4b7fe931c5b27a399f65949d3c282e5463a658c2e9f6",
+        "log": "78939131dfa2495b60ebb8aa890776aa43dc3d56a5a15b84bd2deb8dbbb6c2c7",
+        "checkpoint": "537d3c56de2387014a20b23090db5db84ad5b8f2597553fbc45082fdab5932ef",
+        "stats": "7f7a29e1627ce69fc8ec0da684071c5ffaa40311c5bc8ace49b74435067e3ee1",
+    },
+    "full-naive": {
+        "sample": "c220607f1768227432e48532cb695ac01094624f9f5cc79babdadce367b0eea1",
+        "log": "78939131dfa2495b60ebb8aa890776aa43dc3d56a5a15b84bd2deb8dbbb6c2c7",
+        "checkpoint": "401287ce63666bcfd2cfb38fd813a82ef398a64ed0fc0be0c39e8d91bf389ce0",
+        "stats": "8a2b46cb26ac4afe1058438cd8fd5c9aa9d5da59a2808da741395e0e61b6ebc3",
+    },
+    "candidate-naive": {
+        "sample": "daf59cc99b333ccae72cf344dd0b11088f4ab1bb8067d48b522a591ae3f10e8d",
+        "log": "ade936feb6af26fcac3c2d89fe1e3b10b72c834ec29e39a87f4478b9ff894b91",
+        "checkpoint": "6c9010dc0603520dd0acad6bdf88094448183a54182f1ca95dc45cfea708764a",
+        "stats": "51d0ab2ce9f500e50e1ba562ae1c7393144f0a3c637360abc13067ce6fee732a",
+    },
+}
+
+SAMPLE_SIZE = 300
+INITIAL_DATASET = 1200
+PERIOD = 397
+BATCH = 150
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _device_bytes(device: SimulatedBlockDevice) -> bytes:
+    blocks = device.snapshot_blocks()
+    return b"".join(
+        index.to_bytes(8, "little") + blocks[index] for index in sorted(blocks)
+    )
+
+
+def _digests(name: str) -> dict[str, str]:
+    strategy, make_algorithm, seed = RUNS[name]
+    rng = RandomSource(seed=seed)
+    cost = CostModel()
+    codec = IntRecordCodec()
+    sample_device = SimulatedBlockDevice(cost, "sample")
+    log_device = SimulatedBlockDevice(cost, "log")
+    sample = SampleFile(sample_device, codec, SAMPLE_SIZE)
+    initial, seen = build_reservoir(range(INITIAL_DATASET), SAMPLE_SIZE, rng)
+    sample.initialize(initial)
+    maintainer = SampleMaintainer(
+        sample,
+        rng,
+        strategy=strategy,
+        initial_dataset_size=seen,
+        log=LogFile(log_device, codec),
+        algorithm=make_algorithm() if make_algorithm is not None else None,
+        policy=PeriodicPolicy(PERIOD),
+        cost_model=cost,
+    )
+    value = INITIAL_DATASET
+    for _ in range(3):
+        for _ in range(BATCH // 4):
+            maintainer.insert(value)
+            value += 1
+        for _ in range(9):
+            maintainer.insert_many(range(value, value + BATCH))
+            value += BATCH
+    maintainer.refresh()
+    maintainer.insert_many(range(value, value + 3 * BATCH + 7))
+    checkpoint = maintainer.checkpoint_state()
+    stats = maintainer.stats
+    return {
+        "sample": _sha256(_device_bytes(sample_device)),
+        "log": _sha256(_device_bytes(log_device)),
+        "checkpoint": _sha256(checkpoint.to_bytes()),
+        "stats": _sha256(
+            repr(
+                (
+                    stats.online,
+                    stats.offline,
+                    stats.inserts,
+                    stats.refreshes,
+                    stats.candidates_logged,
+                    stats.displaced_total,
+                )
+            ).encode()
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_strategy_runs_match_golden_digests(name):
+    assert _digests(name) == GOLDEN[name]

@@ -1,8 +1,8 @@
 """Property-based tests: the batch insert path is bit-identical to scalar.
 
-PR 3's contract: ``SampleMaintainer.insert_many`` with the skip-based
-batch path must be indistinguishable from the element-wise loop under the
-same ``repro.rng`` seed -- same sample contents, same candidate-log
+The contract: ``SampleMaintainer.insert_many`` with the skip-based
+batch path must be indistinguishable from an element-wise ``insert()``
+loop under the same ``repro.rng`` seed -- same sample contents, same candidate-log
 records, same AccessStats, same obs counters, same final RNG state.  The
 batch path draws the *same* variates in the *same* order (skips lazily,
 victim slots at acceptance time), so equality here is exact, not
@@ -120,7 +120,8 @@ class TestBatchScalarEquivalence:
         )
 
         stream = list(range(INITIAL_DATASET, INITIAL_DATASET + inserts))
-        scalar.insert_many(stream, scalar=True)
+        for element in stream:
+            scalar.insert(element)
         for start in range(0, len(stream), batch_size):
             batch.insert_many(stream[start : start + batch_size])
 
@@ -141,11 +142,12 @@ class TestBatchScalarEquivalence:
         batch, _, _ = _build("candidate", make_policy(), seed)
 
         stream = list(range(INITIAL_DATASET, INITIAL_DATASET + 600))
-        scalar.insert_many(stream, scalar=True)
+        for element in stream:
+            scalar.insert(element)
         for start in range(0, len(stream), batch_size):
             batch.insert_many(stream[start : start + batch_size])
 
-        assert batch._log_file().peek_all() == scalar._log_file().peek_all()
+        assert batch.log.peek_all() == scalar.log.peek_all()
 
     @given(
         strategy=st.sampled_from(["candidate", "full"]),
@@ -162,33 +164,13 @@ class TestBatchScalarEquivalence:
         )
 
         stream = list(range(INITIAL_DATASET, INITIAL_DATASET + 500))
-        scalar.insert_many(stream, scalar=True)
+        for element in stream:
+            scalar.insert(element)
         for start in range(0, len(stream), batch_size):
             batch.insert_many(stream[start : start + batch_size])
 
         assert batch_sample.peek_all() == scalar_sample.peek_all()
         assert batch._rng.snapshot() == scalar._rng.snapshot()
-
-    @given(
-        batch_size=st.sampled_from([1, 7, 1000]),
-        seed=st.integers(0, 2**32),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_scalar_flag_forces_elementwise(self, batch_size, seed):
-        """insert_many(scalar=True) matches a hand-written insert() loop."""
-        loop, loop_sample, _ = _build("candidate", PeriodicPolicy(100), seed)
-        flag, flag_sample, _ = _build("candidate", PeriodicPolicy(100), seed)
-
-        stream = list(range(INITIAL_DATASET, INITIAL_DATASET + 300))
-        for element in stream:
-            loop.insert(element)
-        for start in range(0, len(stream), batch_size):
-            flag.insert_many(stream[start : start + batch_size], scalar=True)
-
-        assert flag_sample.peek_all() == loop_sample.peek_all()
-        assert flag._rng.snapshot() == loop._rng.snapshot()
-        assert flag.stats.online == loop.stats.online
-        assert flag.stats.offline == loop.stats.offline
 
 
 class TestReservoirBatchPrimitives:

@@ -148,7 +148,7 @@ class TestDisabledPoolFidelity:
         wrapped, _, _, _ = _build(ManualPolicy(), seed, algorithm, pool_capacity=0)
         bare.insert_many(range(INITIAL_DATASET, INITIAL_DATASET + 400))
         wrapped.insert_many(range(INITIAL_DATASET, INITIAL_DATASET + 400))
-        assert wrapped._log_file().peek_all() == bare._log_file().peek_all()
+        assert wrapped.log.peek_all() == bare.log.peek_all()
 
 
 class TestEnabledPoolFidelity:
