@@ -36,12 +36,6 @@ Deferred-maintenance proof obligations (checked bit-exactly by
   and logged with its arrival sequence; expiry happens at refresh time
   from the log: only the last ``min(pending, W)`` logged rows can be
   live, and each maps to the fixed slot ``seq mod W``.
-
-Composite kinds (one logical sample made of many per-group reservoirs)
-are registered in :data:`COMPOSITE_KINDS` and built with
-:func:`make_composite`; they cannot live in a single
-:class:`~repro.storage.files.SampleFile` and are therefore rejected by
-:func:`make_kind` with a pointer to the composite factory.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ from repro.storage.records import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.stratified import StratifiedSampleManager
     from repro.storage.superblock import MaintenanceCheckpoint
 
 __all__ = [
@@ -73,12 +66,10 @@ __all__ = [
     "WindowKind",
     "KindCandidateLogger",
     "KINDS",
-    "COMPOSITE_KINDS",
     "DEFAULT_WEIGHT_MOD",
     "parse_kind_spec",
     "make_kind",
     "restore_kind",
-    "make_composite",
     "eager_oracle",
 ]
 
@@ -86,11 +77,6 @@ __all__ = [
 #: of a name in this tuple is serialised into superblock manifests
 #: (version 3+), so entries must never be reordered, only appended.
 KINDS = ("uniform", "weighted", "window")
-
-#: Registered composite kinds: one logical sample spread over many
-#: per-group reservoirs.  Built via :func:`make_composite`, not
-#: :func:`make_kind` -- they have no single-file row representation.
-COMPOSITE_KINDS = ("stratified",)
 
 DEFAULT_WEIGHT_MOD = 16
 
@@ -692,7 +678,7 @@ class WindowKind:
 
 
 #: The fields each kind's spec takes after its name.
-_KIND_FORMS = dict.fromkeys(KINDS + COMPOSITE_KINDS, ())
+_KIND_FORMS = dict.fromkeys(KINDS, ())
 _KIND_FORMS["weighted"] = (specs.OPTIONAL, int)
 
 
@@ -705,16 +691,10 @@ def make_kind(spec: str, capacity: int) -> SampleKind:
     """Build the kind a spec string names, bound to one sample's capacity.
 
     Specs: ``"uniform"``, ``"weighted"``, ``"weighted:MOD"`` (weight
-    modulus), ``"window"``.  Composite kinds are registered but cannot
-    be built here -- see :func:`make_composite`.
+    modulus), ``"window"``.
     """
 
     def build(name: str, *params: int) -> SampleKind:
-        if name in COMPOSITE_KINDS:
-            raise ValueError(
-                f"kind {name!r} is composite (one sample file cannot hold it); "
-                "build it with repro.core.kinds.make_composite()"
-            )
         classes = {"uniform": UniformKind, "weighted": WeightedKind, "window": WindowKind}
         return classes[name](capacity, *params)
 
@@ -735,23 +715,6 @@ def restore_kind(checkpoint: "MaintenanceCheckpoint") -> SampleKind:
     kind = make_kind(spec, checkpoint.sample_size)
     kind.restore_state(checkpoint)
     return kind
-
-
-def make_composite(name: str, **kwargs) -> "StratifiedSampleManager":
-    """Build a registered composite kind (currently ``stratified``).
-
-    A stratified sample is one bounded uniform reservoir *per group*,
-    each under its own deferred maintenance -- see
-    :class:`repro.core.stratified.StratifiedSampleManager`, whose
-    constructor arguments are forwarded verbatim.
-    """
-    if name not in COMPOSITE_KINDS:
-        raise ValueError(
-            f"unknown composite kind {name!r} (known: {COMPOSITE_KINDS})"
-        )
-    from repro.core.stratified import StratifiedSampleManager
-
-    return StratifiedSampleManager(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.serve.catalog import SampleCatalog
+from repro.serve.scheduler import distribution
 from repro.serve.sim import (
     build_catalog,
     build_scheduler,
@@ -60,32 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.sim import FleetConfig
     from repro.obs.api import Instrumentation
 
-__all__ = ["FleetRouter", "latency_distribution", "ring_section"]
+__all__ = ["FleetRouter", "ring_section"]
 
 
 def _round(value: float) -> float:
     # Same canonical quantum as the serve trace: 1 ns of cost time.
     return round(value, 9)
-
-
-def latency_distribution(values: list[float]) -> dict:
-    """Nearest-rank distribution with the tail point fan-out cares about.
-
-    Like the serve report's distribution but with ``p99`` -- straggler
-    analysis lives in the tail, and p95 of a max-of-width merge hides it.
-    """
-    if not values:
-        return {"count": 0}
-    ordered = sorted(values)
-    n = len(ordered)
-    return {
-        "count": n,
-        "mean": _round(sum(ordered) / n),
-        "p50": _round(ordered[(50 * (n - 1)) // 100]),
-        "p95": _round(ordered[(95 * (n - 1)) // 100]),
-        "p99": _round(ordered[(99 * (n - 1)) // 100]),
-        "max": _round(ordered[-1]),
-    }
 
 
 def ring_section(ring: HashRing, sample_names: list[str]) -> dict:
@@ -399,8 +380,8 @@ class FleetRouter:
             "answered": answered,
             "partial": partial,
             "unresolved": unresolved,
-            "widths": latency_distribution(widths),
-            "latency": latency_distribution(latencies),
+            "widths": distribution(widths, tail=True),
+            "latency": distribution(latencies, tail=True),
             "straggler": {
                 shard: {
                     "count": entry["count"],

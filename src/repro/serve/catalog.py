@@ -2,27 +2,29 @@
 
 A sample server multiplexes many samples (the paper's fleet argument:
 one sample per table, group or materialized view).  The catalog owns
-that fleet: it creates each sample's on-disk structures (sample file,
-candidate log, superblock), registers the maintainer with a shared
-:class:`~repro.core.multi.MultiSampleManager`, and persists each
-sample's **manifest** -- its complete resumable maintenance state -- as a
+that fleet and is its only registry: it creates each sample's on-disk
+structures (sample file, candidate log, superblock), keeps one
+:class:`CatalogEntry` per sample, and persists each sample's
+**manifest** -- its complete resumable maintenance state -- as a
 :class:`~repro.storage.superblock.MaintenanceCheckpoint` in a
 torn-write-tolerant :class:`~repro.storage.superblock.DualSlotCheckpointStore`.
 
-Recovery (:meth:`SampleCatalog.reopen`) rebuilds a maintainer from the
-newest valid checkpoint over the surviving devices; because checkpoints
-carry the full PRNG state, a recovered sample resumes maintenance
-*bit-identically* to a run that never crashed.
+Every sample comes up one way.  :meth:`SampleCatalog.create` and
+:meth:`SampleCatalog.adopt` provision the devices, commit group and
+manifest store; :meth:`SampleCatalog.reopen` and
+:meth:`SampleCatalog.adopt` mount a maintainer from the newest valid
+checkpoint over those devices.  Because checkpoints carry the full PRNG
+state, a recovered sample resumes maintenance *bit-identically* to a run
+that never crashed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.kinds import SampleKind, make_kind, restore_kind
 from repro.core.maintenance import SampleMaintainer
-from repro.core.multi import MultiSampleManager
 from repro.core.policies import ManualPolicy, RefreshPolicy
 from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.naive import NaiveCandidateRefresh
@@ -31,13 +33,13 @@ from repro.core.refresh.stack import StackRefresh
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import BlockDevice, SimulatedBlockDevice
 from repro.storage.bufferpool import BufferPool
-from repro.storage.cost_model import CostModel
+from repro.storage.cost_model import AccessStats, CostModel
 from repro.storage.fault_injection import CrashBudget, FaultInjectionDevice
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.group_commit import GroupCommitBarrier
 from repro.storage.records import RecordCodec
 from repro.storage.replicated import clone_image
-from repro.storage.superblock import DualSlotCheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore, MaintenanceCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.api import Instrumentation
@@ -65,6 +67,12 @@ ALGORITHMS: dict[str, Callable[[], object]] = {
 #: structures).
 KIND_ALGORITHMS = ("naive", "array")
 
+#: A sample's three devices, in creation order (``{name}.{role}``).
+_ROLES = ("sample", "log", "meta")
+
+#: Initial datasets are uniform integers in ``[0, _VALUE_RANGE)``.
+_VALUE_RANGE = 1 << 30
+
 
 def check_kind_algorithm(kind: SampleKind, algorithm: str) -> None:
     """Reject a refresh algorithm that cannot produce the kind's victims."""
@@ -77,7 +85,7 @@ def check_kind_algorithm(kind: SampleKind, algorithm: str) -> None:
 
 @dataclass
 class CatalogEntry:
-    """One catalogued sample: its maintainer, devices and manifest store.
+    """One catalogued sample: its devices, manifest store and maintainer.
 
     The devices are kept here (not just the files over them) because they
     are what survives a simulated crash -- recovery builds fresh files
@@ -91,9 +99,6 @@ class CatalogEntry:
     algorithm: str
     policy: RefreshPolicy
     codec: RecordCodec
-    maintainer: SampleMaintainer
-    sample: SampleFile
-    log: LogFile
     store: DualSlotCheckpointStore
     sample_device: BlockDevice
     log_device: BlockDevice
@@ -101,18 +106,28 @@ class CatalogEntry:
     #: one commit point spanning the three devices above; refresh commits
     #: run through it flush-only, manifest saves seal -- so, when the
     #: catalog is replicated, every sealed batch is a checkpoint boundary
-    commit_group: GroupCommitBarrier | None = None
+    commit_group: GroupCommitBarrier
+    #: set once the sample is built (create) or mounted (reopen, adopt)
+    maintainer: SampleMaintainer = field(init=False)
+
+    @property
+    def devices(self) -> tuple[BlockDevice, BlockDevice, BlockDevice]:
+        """The sample, log and manifest devices, in :data:`_ROLES` order."""
+        return self.sample_device, self.log_device, self.meta_device
+
+    @property
+    def sample(self) -> SampleFile:
+        return self.maintainer.sample
+
+    @property
+    def log(self) -> LogFile:
+        return self.maintainer.log
 
     @property
     def kind(self) -> str:
         """Canonical sample-kind spec (``"uniform"``, ``"weighted"``,
         ``"weighted:MOD"``, ``"window"``)."""
         return self.maintainer.kind.spec()
-
-    @property
-    def kind_obj(self) -> SampleKind:
-        """The live kind instance the maintainer and query session share."""
-        return self.maintainer.kind
 
 
 class SampleCatalog:
@@ -123,7 +138,6 @@ class SampleCatalog:
         cost_model: CostModel | None = None,
         instrumentation: "Instrumentation | None" = None,
         pool_capacity: int = 0,
-        pool_readahead: int = 8,
         replication: "ReplicationLink | None" = None,
         crash_budget: CrashBudget | None = None,
         torn_writes: bool = False,
@@ -133,12 +147,9 @@ class SampleCatalog:
         self._cost_model = cost_model if cost_model is not None else CostModel()
         self._instr = instrumentation
         self._pool_capacity = pool_capacity
-        self._pool_readahead = pool_readahead
-        self._pools: list[BufferPool] = []
         self._replication = replication
         self._crash_budget = crash_budget
         self._torn_writes = torn_writes
-        self._manager = MultiSampleManager(self._cost_model)
         self._entries: dict[str, CatalogEntry] = {}
         if instrumentation is not None:
             self._g_samples = instrumentation.gauge("serve.catalog_samples")
@@ -148,10 +159,6 @@ class SampleCatalog:
     @property
     def cost_model(self) -> CostModel:
         return self._cost_model
-
-    @property
-    def manager(self) -> MultiSampleManager:
-        return self._manager
 
     @property
     def pool_capacity(self) -> int:
@@ -169,10 +176,16 @@ class SampleCatalog:
         ``enabled: false``) when the catalog runs without a page cache,
         so report comparisons can simply drop this section.
         """
+        pools = [
+            device
+            for entry in self._entries.values()
+            for device in entry.devices
+            if isinstance(device, BufferPool)
+        ]
         totals = {
             "enabled": self._pool_capacity > 0,
             "capacity": self._pool_capacity,
-            "pools": len(self._pools),
+            "pools": len(pools),
             "hits": 0,
             "misses": 0,
             "readahead_blocks": 0,
@@ -181,7 +194,7 @@ class SampleCatalog:
             "coalesced_writes": 0,
             "flush_barriers": 0,
         }
-        for pool in self._pools:
+        for pool in pools:
             stats = pool.stats
             totals["hits"] += stats.hits
             totals["misses"] += stats.misses
@@ -193,6 +206,16 @@ class SampleCatalog:
         charged = totals["hits"] + totals["misses"]
         totals["hit_rate"] = round(totals["hits"] / charged, 6) if charged else 0.0
         return totals
+
+    def online_stats(self) -> AccessStats:
+        """Online (insert-time) I/O summed over every catalogued sample."""
+        stats = (entry.maintainer.stats.online for entry in self._entries.values())
+        return sum(stats, AccessStats())
+
+    def offline_stats(self) -> AccessStats:
+        """Offline (refresh-time) I/O summed over every catalogued sample."""
+        stats = (entry.maintainer.stats.offline for entry in self._entries.values())
+        return sum(stats, AccessStats())
 
     def _make_device(self, name: str) -> BlockDevice:
         """One simulated device, decorated per the catalog's configuration.
@@ -216,25 +239,13 @@ class SampleCatalog:
                 crash_budget=self._crash_budget,
             )
         if self._pool_capacity > 0:
-            pool = BufferPool(
+            device = BufferPool(
                 device,
                 capacity=self._pool_capacity,
-                readahead=self._pool_readahead,
                 instrumentation=self._instr,
                 name=name,
             )
-            self._pools.append(pool)
-            return pool
         return device
-
-    def _make_commit_group(self, *devices: BlockDevice) -> GroupCommitBarrier:
-        """One barrier spanning a sample's devices (sample, log, manifest)."""
-        return GroupCommitBarrier(
-            devices,
-            link=self._replication,
-            fault_budget=self._crash_budget,
-            instrumentation=self._instr,
-        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -246,7 +257,7 @@ class SampleCatalog:
         return list(self._entries)
 
     def get(self, name: str) -> SampleMaintainer:
-        return self._manager.get(name)
+        return self.entry(name).maintainer
 
     def entry(self, name: str) -> CatalogEntry:
         try:
@@ -256,7 +267,79 @@ class SampleCatalog:
 
     def pending(self) -> dict[str, int]:
         """Per-sample staleness: pending log elements, in catalog order."""
-        return self._manager.pending_log_elements()
+        return {
+            name: entry.maintainer.pending_log_elements
+            for name, entry in self._entries.items()
+        }
+
+    # -- bring-up ------------------------------------------------------------
+
+    def _provision(
+        self,
+        name: str,
+        algorithm: str,
+        kind: SampleKind,
+        policy: RefreshPolicy | None,
+        record_size: int,
+    ) -> CatalogEntry:
+        """Check a new sample, then make its devices, commit group and store.
+
+        Every check runs before the first device exists, so a rejected
+        sample leaves the catalog (its pools, its replication link)
+        exactly as it found it.  The entry is not registered here.
+        """
+        if name in self._entries:
+            raise ValueError(f"sample {name!r} already catalogued")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
+            )
+        check_kind_algorithm(kind, algorithm)
+        sample_device, log_device, meta_device = (
+            self._make_device(f"{name}.{role}") for role in _ROLES
+        )
+        commit_group = GroupCommitBarrier(
+            (sample_device, log_device, meta_device),
+            link=self._replication,
+            fault_budget=self._crash_budget,
+            instrumentation=self._instr,
+        )
+        return CatalogEntry(
+            name=name,
+            algorithm=algorithm,
+            policy=policy if policy is not None else ManualPolicy(),
+            codec=kind.codec(record_size),
+            store=DualSlotCheckpointStore(meta_device, commit_barrier=commit_group),
+            sample_device=sample_device,
+            log_device=log_device,
+            meta_device=meta_device,
+            commit_group=commit_group,
+        )
+
+    def _mount(self, entry: CatalogEntry) -> MaintenanceCheckpoint:
+        """Restore ``entry``'s maintainer from its newest valid manifest.
+
+        Builds fresh files over the entry's devices and resumes the
+        maintainer bit-exactly (PRNG state included); returns the
+        checkpoint it mounted.
+        """
+        checkpoint = entry.store.load()
+        entry.maintainer = SampleMaintainer.from_checkpoint(
+            checkpoint,
+            SampleFile(entry.sample_device, entry.codec, checkpoint.sample_size),
+            log=LogFile(entry.log_device, entry.codec),
+            algorithm=ALGORITHMS[entry.algorithm](),
+            policy=entry.policy,
+            cost_model=self._cost_model,
+            instrumentation=self._instr,
+            commit_group=entry.commit_group,
+        )
+        return checkpoint
+
+    def _register(self, entry: CatalogEntry) -> None:
+        self._entries[entry.name] = entry
+        if self._instr is not None:
+            self._g_samples.set(len(self._entries))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -269,14 +352,13 @@ class SampleCatalog:
         seed: int = 0,
         policy: RefreshPolicy | None = None,
         record_size: int = 32,
-        value_range: int = 1 << 30,
         kind: str = "uniform",
     ) -> CatalogEntry:
         """Create a sample: build the initial reservoir, persist a manifest.
 
         The initial dataset (default ``4 * sample_size`` uniform integers
-        in ``[0, value_range)``) is drawn from the sample's own seeded
-        RNG, which then continues as the maintenance RNG -- so the whole
+        in ``[0, 2**30)``) is drawn from the sample's own seeded RNG,
+        which then continues as the maintenance RNG -- so the whole
         lifetime of the sample is one deterministic stream.
 
         ``kind`` selects the sampling scheme (see
@@ -286,8 +368,6 @@ class SampleCatalog:
         initial draws; kinds whose victims are chosen by content restrict
         ``algorithm`` to the kind-capable refreshes (``naive``/``array``).
         """
-        if name in self._entries:
-            raise ValueError(f"sample {name!r} already catalogued")
         if initial_dataset_size is None:
             initial_dataset_size = 4 * sample_size
         if initial_dataset_size < sample_size:
@@ -295,68 +375,36 @@ class SampleCatalog:
                 f"initial dataset ({initial_dataset_size}) must be at least "
                 f"the sample size ({sample_size})"
             )
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
-            )
-        kind_obj = make_kind(kind, sample_size)
-        check_kind_algorithm(kind_obj, algorithm)
+        sample_kind = make_kind(kind, sample_size)
+        entry = self._provision(name, algorithm, sample_kind, policy, record_size)
         rng = RandomSource(seed)
-        codec = kind_obj.codec(record_size)
-        sample_device = self._make_device(f"{name}.sample")
-        log_device = self._make_device(f"{name}.log")
-        meta_device = self._make_device(f"{name}.meta")
-        initial = [rng.randrange(value_range) for _ in range(initial_dataset_size)]
-        rows = kind_obj.build_initial(initial, rng)
-        seen = kind_obj.seen
-        sample = SampleFile(sample_device, codec, sample_size)
-        sample.initialize(rows)
-        log = LogFile(log_device, codec)
-        refresh_policy = policy if policy is not None else ManualPolicy()
-        commit_group = self._make_commit_group(
-            sample_device, log_device, meta_device
-        )
-        maintainer = SampleMaintainer(
+        initial = [rng.randrange(_VALUE_RANGE) for _ in range(initial_dataset_size)]
+        sample = SampleFile(entry.sample_device, entry.codec, sample_size)
+        sample.initialize(sample_kind.build_initial(initial, rng))
+        entry.maintainer = SampleMaintainer(
             sample,
             rng,
             strategy="candidate",
-            initial_dataset_size=seen,
-            log=log,
+            initial_dataset_size=sample_kind.seen,
+            log=LogFile(entry.log_device, entry.codec),
             algorithm=ALGORITHMS[algorithm](),
-            policy=refresh_policy,
+            policy=entry.policy,
             cost_model=self._cost_model,
             instrumentation=self._instr,
-            commit_group=commit_group,
-            kind=kind_obj,
+            commit_group=entry.commit_group,
+            kind=sample_kind,
         )
-        store = DualSlotCheckpointStore(meta_device, commit_barrier=commit_group)
-        entry = CatalogEntry(
-            name=name,
-            algorithm=algorithm,
-            policy=refresh_policy,
-            codec=codec,
-            maintainer=maintainer,
-            sample=sample,
-            log=log,
-            store=store,
-            sample_device=sample_device,
-            log_device=log_device,
-            meta_device=meta_device,
-            commit_group=commit_group,
-        )
-        self._manager.add(name, maintainer)
-        self._entries[name] = entry
+        self._register(entry)
         # Persist the birth manifest immediately: a catalogued sample is
         # recoverable from the moment create() returns.
-        store.save(maintainer.checkpoint_state())
+        entry.store.save(entry.maintainer.checkpoint_state())
         if self._instr is not None:
-            self._g_samples.set(len(self._entries))
             self._instr.emit(
                 "serve.sample_created",
                 sample=name,
                 algorithm=algorithm,
                 sample_size=sample_size,
-                dataset_size=seen,
+                dataset_size=sample_kind.seen,
                 kind=entry.kind,
             )
         return entry
@@ -373,30 +421,13 @@ class SampleCatalog:
     def reopen(self, name: str) -> SampleMaintainer:
         """Recover the named sample from its newest valid manifest.
 
-        Builds fresh file objects over the surviving devices, restores
-        the maintainer from the checkpoint (exact PRNG state included)
-        and swaps it into the fleet.  Raises
-        :class:`~repro.storage.superblock.CheckpointError` when neither
-        manifest slot validates.
+        Builds fresh file objects over the surviving devices and restores
+        the maintainer from the checkpoint (exact PRNG state included).
+        Raises :class:`~repro.storage.superblock.CheckpointError` when
+        neither manifest slot validates.
         """
         entry = self.entry(name)
-        checkpoint = entry.store.load()
-        sample = SampleFile(entry.sample_device, entry.codec, checkpoint.sample_size)
-        log = LogFile(entry.log_device, entry.codec)
-        maintainer = SampleMaintainer.from_checkpoint(
-            checkpoint,
-            sample,
-            log=log,
-            algorithm=ALGORITHMS[entry.algorithm](),
-            policy=entry.policy,
-            cost_model=self._cost_model,
-            instrumentation=self._instr,
-            commit_group=entry.commit_group,
-        )
-        entry.maintainer = maintainer
-        entry.sample = sample
-        entry.log = log
-        self._manager.replace(name, maintainer)
+        checkpoint = self._mount(entry)
         if self._instr is not None:
             self._instr.emit(
                 "serve.sample_reopened",
@@ -404,7 +435,7 @@ class SampleCatalog:
                 dataset_size=checkpoint.dataset_size,
                 pending_log_elements=checkpoint.log_count,
             )
-        return maintainer
+        return entry.maintainer
 
     def reopen_all(self) -> None:
         for name in self._entries:
@@ -422,72 +453,28 @@ class SampleCatalog:
 
         ``images`` maps the device roles ``sample``/``log``/``meta`` to
         ``block -> bytes`` maps (see
-        :func:`repro.storage.device_image`).  The images are cloned onto
-        fresh devices without charging I/O -- they already paid their
-        cost on the replica -- then the sample is brought up exactly like
-        :meth:`reopen`: load the newest valid manifest, rebuild the
-        files, restore the maintainer bit-exactly.  Raises
-        :class:`~repro.storage.superblock.CheckpointError` (adopting
-        nothing) when the manifest image has no loadable slot.
+        :func:`repro.storage.device_image`).  The manifest image is
+        validated first, on a throwaway device that charges nothing:
+        when it has no loadable slot
+        (:class:`~repro.storage.superblock.CheckpointError`) or names a
+        kind ``algorithm`` cannot refresh (``ValueError``), the catalog is
+        left untouched.  Otherwise the images are cloned onto fresh
+        devices without charging I/O -- they already paid their cost on
+        the replica -- and the sample is mounted exactly like
+        :meth:`reopen`.
         """
-        if name in self._entries:
-            raise ValueError(f"sample {name!r} already catalogued")
-        if algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
-            )
-        sample_device = self._make_device(f"{name}.sample")
-        log_device = self._make_device(f"{name}.log")
-        meta_device = self._make_device(f"{name}.meta")
-        for device, role in (
-            (sample_device, "sample"),
-            (log_device, "log"),
-            (meta_device, "meta"),
-        ):
-            clone_image(device, images.get(role, {}))
-        commit_group = self._make_commit_group(
-            sample_device, log_device, meta_device
-        )
-        store = DualSlotCheckpointStore(meta_device, commit_barrier=commit_group)
-        checkpoint = store.load()
         # The manifest is the source of truth for the sample's kind: the
         # adopted images may come from a catalog whose configuration is
-        # long gone, so kind name and parameters are read back from the
-        # checkpoint, not passed in.
-        kind_obj = restore_kind(checkpoint)
-        check_kind_algorithm(kind_obj, algorithm)
-        codec = kind_obj.codec(record_size)
-        refresh_policy = policy if policy is not None else ManualPolicy()
-        sample = SampleFile(sample_device, codec, checkpoint.sample_size)
-        log = LogFile(log_device, codec)
-        maintainer = SampleMaintainer.from_checkpoint(
-            checkpoint,
-            sample,
-            log=log,
-            algorithm=ALGORITHMS[algorithm](),
-            policy=refresh_policy,
-            cost_model=self._cost_model,
-            instrumentation=self._instr,
-            commit_group=commit_group,
-        )
-        entry = CatalogEntry(
-            name=name,
-            algorithm=algorithm,
-            policy=refresh_policy,
-            codec=codec,
-            maintainer=maintainer,
-            sample=sample,
-            log=log,
-            store=store,
-            sample_device=sample_device,
-            log_device=log_device,
-            meta_device=meta_device,
-            commit_group=commit_group,
-        )
-        self._manager.add(name, maintainer)
-        self._entries[name] = entry
+        # long gone, so kind name and parameters are read back from it.
+        probe = SimulatedBlockDevice(CostModel(self._cost_model.disk))
+        clone_image(probe, images.get("meta", {}))
+        kind = restore_kind(DualSlotCheckpointStore(probe).load())
+        entry = self._provision(name, algorithm, kind, policy, record_size)
+        for device, role in zip(entry.devices, _ROLES):
+            clone_image(device, images.get(role, {}))
+        checkpoint = self._mount(entry)
+        self._register(entry)
         if self._instr is not None:
-            self._g_samples.set(len(self._entries))
             self._instr.emit(
                 "serve.sample_adopted",
                 sample=name,

@@ -141,12 +141,6 @@ def add_serve_sim_parser(sub) -> argparse.ArgumentParser:
         help="what to do with queries that fail admission",
     )
     parser.add_argument(
-        "--pool-readahead",
-        type=int,
-        default=8,
-        help="blocks to prefetch on a sequential miss inside a declared scan",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -214,7 +208,6 @@ def run_serve_sim_command(args: argparse.Namespace) -> int:
             max_queue_depth=args.max_queue_depth,
             max_wait_seconds=args.max_wait_seconds,
             overload_action=args.overload_action,
-            pool_readahead=args.pool_readahead,
             trace_path=args.trace,
             slos=tuple(args.slo),
             timeseries_interval=args.ts_interval,

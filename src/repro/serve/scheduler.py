@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
@@ -62,6 +62,7 @@ __all__ = [
     "make_scheduling_policy",
     "ServeReport",
     "DeterministicScheduler",
+    "distribution",
 ]
 
 
@@ -275,18 +276,81 @@ def _round(value: float) -> float:
     return round(value, 9)
 
 
-def _distribution(values: list[float]) -> dict:
+def distribution(values: list[float], tail: bool = False) -> dict:
+    """Nearest-rank summary of ``values``: count, mean, p50, p95 and max.
+
+    ``tail`` adds ``p99`` (fan-out straggler analysis lives in the tail,
+    and p95 of a max-of-width merge hides it).  Every float goes through
+    the report's canonical rounding.
+    """
     if not values:
         return {"count": 0}
     ordered = sorted(values)
     n = len(ordered)
-    return {
+    out = {
         "count": n,
         "mean": _round(sum(ordered) / n),
         "p50": _round(ordered[(50 * (n - 1)) // 100]),
         "p95": _round(ordered[(95 * (n - 1)) // 100]),
-        "max": _round(ordered[-1]),
     }
+    if tail:
+        out["p99"] = _round(ordered[(99 * (n - 1)) // 100])
+    out["max"] = _round(ordered[-1])
+    return out
+
+
+class _Run:
+    """The state of one :meth:`DeterministicScheduler.run` call.
+
+    The event heap and its sorted time mirror, the deferral bookkeeping,
+    the device clock (``busy_until``), the per-query tallies and the
+    report being filled in.
+    """
+
+    def __init__(
+        self, events: Sequence[WorkloadEvent], names: list[str], policy: str
+    ) -> None:
+        self.heap = [(event.time, event.seq, event) for event in events]
+        heapq.heapify(self.heap)
+        # Sorted mirror of every heap entry's time, with `head` marking how
+        # many have been popped.  Pops leave the heap in ascending (time,
+        # seq) order and a deferred re-queue lands at `busy_until` (>= the
+        # time just popped), so the popped prefix stays a prefix and the
+        # backlog count in pop() is one bisect instead of an O(n) scan.
+        self.times = sorted(entry[0] for entry in self.heap)
+        self.head = 0
+        # Deferred re-queues get sequence numbers above every workload seq,
+        # so a deferral never jumps ahead of a same-instant arrival.
+        self.next_seq = max((event.seq for event in events), default=-1) + 1
+        self.deferred_once: set[int] = set()
+        self.busy_until = 0.0
+        self.latencies: list[float] = []
+        self.stalenesses: list[float] = []
+        self.report = ServeReport(policy=policy, events=len(events), clock_seconds=0.0)
+        self.report.refreshes_by_sample = {name: 0 for name in names}
+
+    def pop(self) -> tuple[float, int, WorkloadEvent, int]:
+        """Pop the next event: ``(arrival, seq, event, queue depth)``.
+
+        The depth is a backlog proxy: arrivals that will queue up before
+        the device frees again (deterministic -- derived only from the
+        heap).
+        """
+        arrival, seq, event = heapq.heappop(self.heap)
+        self.head += 1
+        depth = bisect_left(self.times, self.busy_until, self.head) - self.head
+        return arrival, seq, event, depth
+
+    def defer(self, event: WorkloadEvent) -> None:
+        """Re-queue ``event`` at ``busy_until``, behind same-instant arrivals.
+
+        Every already-popped time is <= ``busy_until``, so the mirror's
+        insertion point never falls inside the popped prefix.
+        """
+        self.deferred_once.add(event.seq)
+        heapq.heappush(self.heap, (self.busy_until, self.next_seq, event))
+        self.next_seq += 1
+        insort(self.times, self.busy_until)
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -359,153 +423,73 @@ class DeterministicScheduler:
         """Process a workload to completion; returns the canonical report."""
         catalog = self._catalog
         cost_model = catalog.cost_model
-        obs = self._instr
-        heap: list[tuple[float, int, WorkloadEvent]] = [
-            (event.time, event.seq, event) for event in events
-        ]
-        heapq.heapify(heap)
-        # Sorted mirror of every heap entry's time, with `head` marking how
-        # many have been popped.  Pops leave the heap in ascending (time,
-        # seq) order and a deferred re-queue lands at `busy_until` (>= the
-        # time just popped), so the popped prefix stays a prefix and the
-        # backlog count below is one bisect instead of an O(n) scan.
-        times = sorted(entry[0] for entry in heap)
-        head = 0
-        # Deferred re-queues get sequence numbers above every workload seq,
-        # so a deferral never jumps ahead of a same-instant arrival.
-        next_seq_box = [max((event.seq for event in events), default=-1) + 1]
-        deferred_once: set[int] = set()
-        busy_until = 0.0
-        trace: list[dict] = []
-        latencies: list[float] = []
-        stalenesses: list[float] = []
-        refreshes_by_sample: dict[str, int] = {name: 0 for name in catalog.names()}
-        online_mark = catalog.manager.online_stats()
-        offline_mark = catalog.manager.offline_stats()
+        link = catalog.replication
+        run = _Run(events, catalog.names(), self._policy.name)
+        online_mark = catalog.online_stats()
+        offline_mark = catalog.offline_stats()
         device_mark = cost_model.checkpoint()
-        report = ServeReport(policy=self._policy.name, events=len(events), clock_seconds=0.0)
 
-        while heap:
-            arrival, seq, event = heapq.heappop(heap)
-            head += 1
-            start = arrival if arrival > busy_until else busy_until
-            wait = start - arrival
-            # Backlog proxy: arrivals that will queue up before the device
-            # frees again (deterministic -- derived only from the heap).
-            depth = bisect_left(times, busy_until, head) - head
-            heap_size_before = len(heap)
-
-            if obs is None:
-                busy_until = self._process_event(
-                    event=event,
-                    seq=seq,
-                    arrival=arrival,
-                    start=start,
-                    wait=wait,
-                    depth=depth,
-                    busy_until=busy_until,
-                    heap=heap,
-                    next_seq_box=next_seq_box,
-                    deferred_once=deferred_once,
-                    trace=trace,
-                    latencies=latencies,
-                    stalenesses=stalenesses,
-                    refreshes_by_sample=refreshes_by_sample,
-                    report=report,
-                )
-            else:
-                with ExitStack() as stack:
-                    # One deterministic trace id per workload event: every
-                    # span opened on its behalf -- admission, session read,
-                    # triggered refresh, pool and device I/O -- shares it.
-                    stack.enter_context(
-                        obs.tracer.trace_context(self._trace_id(f"{event.seq:06d}"))
-                    )
-                    stack.enter_context(
-                        obs.span(
-                            "serve.event",
-                            kind=event.kind,
-                            seq=event.seq,
-                            sample=event.sample,
-                        )
-                    )
-                    busy_until = self._process_event(
-                        event=event,
-                        seq=seq,
-                        arrival=arrival,
-                        start=start,
-                        wait=wait,
-                        depth=depth,
-                        busy_until=busy_until,
-                        heap=heap,
-                        next_seq_box=next_seq_box,
-                        deferred_once=deferred_once,
-                        trace=trace,
-                        latencies=latencies,
-                        stalenesses=stalenesses,
-                        refreshes_by_sample=refreshes_by_sample,
-                        report=report,
-                    )
-            if len(heap) > heap_size_before:
-                # A deferral re-queued the event at the pre-event
-                # busy_until (which the defer branch returns unchanged);
-                # keep the sorted mirror in step.  Every already-popped
-                # time is <= that value, so the insertion point can never
-                # fall inside the popped prefix.
-                insort(times, busy_until)
-            if self._ts is not None:
-                self._sample_timeseries(busy_until, depth, device_mark)
-            # Shipping opportunity: the async replication daemon's wakeup,
-            # modelled deterministically as "after every completed event".
-            link = catalog.replication
-            if link is not None:
-                link.ship_due(cost_model.cost_seconds())
-
-        # Drain: keep the staleness invariant when traffic stops.
         drain_index = 0
         while True:
-            jobs_before = report.refresh_jobs
-            if obs is None:
-                busy_until = self._run_one_refresh_job(
-                    busy_until, trace, refreshes_by_sample, report
-                )
+            if run.heap:
+                arrival, seq, event, depth = run.pop()
+                with self._trace_scope(f"{event.seq:06d}", event):
+                    self._process_event(run, event, seq, arrival, depth)
+                if self._ts is not None:
+                    self._sample_timeseries(run.busy_until, depth, device_mark)
             else:
-                with obs.tracer.trace_context(
-                    self._trace_id(f"drain:{drain_index:06d}")
-                ):
-                    busy_until = self._run_one_refresh_job(
-                        busy_until, trace, refreshes_by_sample, report
-                    )
-            if report.refresh_jobs == jobs_before:
-                break
-            drain_index += 1
-            link = catalog.replication
+                # Drain: keep the staleness invariant when traffic stops.
+                with self._trace_scope(f"drain:{drain_index:06d}"):
+                    if not self._run_one_refresh_job(run):
+                        break
+                drain_index += 1
+            # Shipping opportunity: the async replication daemon's wakeup,
+            # modelled deterministically as "after every completed step".
             if link is not None:
                 link.ship_due(cost_model.cost_seconds())
 
-        link = catalog.replication
+        report = run.report
         if link is not None:
             # Clean shutdown drains the outbox: only a crash loses batches.
             link.ship_all()
             report.replication = link.stats()
-
-        report.clock_seconds = _round(busy_until)
-        report.latency = _distribution(latencies)
-        report.staleness = _distribution(stalenesses)
-        report.refreshes_by_sample = dict(refreshes_by_sample)
-        report.online = _stats_dict(
-            catalog.manager.online_stats() - online_mark
-        )
-        report.offline = _stats_dict(
-            catalog.manager.offline_stats() - offline_mark
-        )
+        report.clock_seconds = _round(run.busy_until)
+        report.latency = distribution(run.latencies)
+        report.staleness = distribution(run.stalenesses)
+        report.online = _stats_dict(catalog.online_stats() - online_mark)
+        report.offline = _stats_dict(catalog.offline_stats() - offline_mark)
         report.device = _stats_dict(cost_model.since(device_mark))
         report.pool = catalog.pool_stats()
         report.slo = self._slos.to_dict()
         if self._ts is not None:
             report.timeseries = self._ts.to_dict()
-        report.trace = trace
         return report
+
+    @contextmanager
+    def _trace_scope(self, label: str, event: WorkloadEvent | None = None):
+        """The trace context of one workload event or drain step.
+
+        One deterministic trace id per step: every span opened on its
+        behalf -- admission, session read, triggered refresh, pool and
+        device I/O -- shares it.  An event also opens its ``serve.event``
+        span.  A no-op when the scheduler is uninstrumented.
+        """
+        obs = self._instr
+        if obs is None:
+            yield
+            return
+        with ExitStack() as stack:
+            stack.enter_context(obs.tracer.trace_context(self._trace_id(label)))
+            if event is not None:
+                stack.enter_context(
+                    obs.span(
+                        "serve.event",
+                        kind=event.kind,
+                        seq=event.seq,
+                        sample=event.sample,
+                    )
+                )
+            yield
 
     def _trace_id(self, label: str) -> str:
         run_id = self._instr.tracer.run_id if self._instr is not None else ""
@@ -527,32 +511,25 @@ class DeterministicScheduler:
 
     def _process_event(
         self,
+        run: _Run,
         event: WorkloadEvent,
         seq: int,
         arrival: float,
-        start: float,
-        wait: float,
         depth: int,
-        busy_until: float,
-        heap: list,
-        next_seq_box: list,
-        deferred_once: set,
-        trace: list,
-        latencies: list,
-        stalenesses: list,
-        refreshes_by_sample: dict,
-        report: ServeReport,
-    ) -> float:
-        """Run one popped event to completion; returns the new busy_until.
+    ) -> None:
+        """Run one popped event to completion, advancing ``run.busy_until``.
 
         Includes the post-event background refresh job (so a refresh
         *triggered* by this event's ingest or staleness lands in the same
         trace tree), except after a defer/shed, which yield the device
-        immediately as before.
+        immediately.
         """
         catalog = self._catalog
         cost_model = catalog.cost_model
         obs = self._instr
+        report = run.report
+        start = arrival if arrival > run.busy_until else run.busy_until
+        wait = start - arrival
 
         if event.kind == "ingest":
             mark = cost_model.checkpoint()
@@ -561,12 +538,12 @@ class DeterministicScheduler:
             ):
                 catalog.ingest(event.sample, event.batch)
             service = cost_model.since(mark).cost_seconds(cost_model.disk)
-            busy_until = start + service
+            run.busy_until = start + service
             report.ingest_batches += 1
             report.elements_ingested += len(event.batch)
             if obs is not None:
                 self._c_ingest.inc()
-            trace.append(
+            report.trace.append(
                 {
                     "kind": "ingest",
                     "seq": seq,
@@ -584,26 +561,24 @@ class DeterministicScheduler:
                 decision = self._admission.admit(
                     wait_seconds=wait,
                     queue_depth=depth,
-                    already_deferred=event.seq in deferred_once,
+                    already_deferred=event.seq in run.deferred_once,
                 )
                 if admit_span is not None:
                     admit_span.set("action", decision.action)
             if decision.action == "defer":
-                deferred_once.add(event.seq)
+                run.defer(event)
                 report.queries_deferred += 1
-                heapq.heappush(heap, (busy_until, next_seq_box[0], event))
-                next_seq_box[0] += 1
-                trace.append(
+                report.trace.append(
                     {
                         "kind": "defer",
                         "seq": seq,
                         "sample": event.sample,
                         "arrival": _round(arrival),
-                        "retry_at": _round(busy_until),
+                        "retry_at": _round(run.busy_until),
                         "queue_depth": depth,
                     }
                 )
-                return busy_until
+                return
             if decision.action == "shed":
                 report.queries_shed += 1
                 self._slos.record_shed(arrival)
@@ -611,7 +586,7 @@ class DeterministicScheduler:
                     obs, "serve.shed", sample=event.sample, queue_depth=depth
                 ):
                     pass
-                trace.append(
+                report.trace.append(
                     {
                         "kind": "shed",
                         "seq": seq,
@@ -621,7 +596,7 @@ class DeterministicScheduler:
                         "queue_depth": depth,
                     }
                 )
-                return busy_until
+                return
             mark = cost_model.checkpoint()
             with maybe_span(
                 obs,
@@ -640,15 +615,15 @@ class DeterministicScheduler:
                     span.set("staleness", answer.staleness)
                     span.set("refreshed", answer.refreshed)
             service = cost_model.since(mark).cost_seconds(cost_model.disk)
-            busy_until = start + service
+            run.busy_until = start + service
             latency = (start + service) - arrival
             report.queries_answered += 1
             if answer.refreshed:
                 report.forced_refreshes += 1
-                refreshes_by_sample[event.sample] += 1
+                report.refreshes_by_sample[event.sample] += 1
                 self._policy.notify_refreshed(event.sample)
-            latencies.append(latency)
-            stalenesses.append(float(answer.staleness))
+            run.latencies.append(latency)
+            run.stalenesses.append(float(answer.staleness))
             if event.freshness.mode == "bounded_staleness":
                 bound: int | None = event.freshness.bound
             elif event.freshness.mode == "refresh_on_read":
@@ -656,18 +631,20 @@ class DeterministicScheduler:
             else:
                 bound = None
             self._slos.record_query(
-                busy_until, latency, answer.staleness, bound
+                run.busy_until, latency, answer.staleness, bound
             )
             if self._ts is not None:
-                self._ts.observe("serve.query_latency_seconds", busy_until, latency)
                 self._ts.observe(
-                    "serve.query_staleness", busy_until, float(answer.staleness)
+                    "serve.query_latency_seconds", run.busy_until, latency
+                )
+                self._ts.observe(
+                    "serve.query_staleness", run.busy_until, float(answer.staleness)
                 )
             if obs is not None:
                 self._c_queries.inc()
                 self._h_latency.observe(latency)
                 self._h_staleness.observe(float(answer.staleness))
-            trace.append(
+            report.trace.append(
                 {
                     "kind": "query",
                     "seq": seq,
@@ -686,21 +663,13 @@ class DeterministicScheduler:
                 }
             )
 
-        return self._run_one_refresh_job(
-            busy_until, trace, refreshes_by_sample, report
-        )
+        self._run_one_refresh_job(run)
 
-    def _run_one_refresh_job(
-        self,
-        busy_until: float,
-        trace: list[dict],
-        refreshes_by_sample: dict[str, int],
-        report: ServeReport,
-    ) -> float:
-        """Ask the policy for one refresh job; returns the new busy_until."""
+    def _run_one_refresh_job(self, run: _Run) -> bool:
+        """Ask the policy for one refresh job and run it; False when idle."""
         selected = self._policy.select(self._catalog.pending())
         if selected is None:
-            return busy_until
+            return False
         cost_model = self._catalog.cost_model
         obs = self._instr
         mark = cost_model.checkpoint()
@@ -717,18 +686,20 @@ class DeterministicScheduler:
                 span.set("displaced", result.displaced)
         service = cost_model.since(mark).cost_seconds(cost_model.disk)
         self._policy.notify_refreshed(selected)
+        report = run.report
         report.refresh_jobs += 1
-        refreshes_by_sample[selected] += 1
+        report.refreshes_by_sample[selected] += 1
         if obs is not None:
             self._c_refresh_jobs.inc()
-        trace.append(
+        report.trace.append(
             {
                 "kind": "refresh",
                 "sample": selected,
-                "start": _round(busy_until),
+                "start": _round(run.busy_until),
                 "service": _round(service),
                 "candidates": result.candidates if result is not None else 0,
                 "displaced": result.displaced if result is not None else 0,
             }
         )
-        return busy_until + service
+        run.busy_until += service
+        return True

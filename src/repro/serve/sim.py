@@ -77,7 +77,6 @@ class SimConfig:
     confidence: float = 0.95
     #: page-cache frames per device (0 = no pool, bit-identical accounting)
     pool_capacity: int = 0
-    pool_readahead: int = 8
     #: write every finished span as sorted-key JSONL here (None = no trace
     #: file; also enables per-block storage spans on the instrumentation)
     trace_path: str | None = None
@@ -152,7 +151,6 @@ def build_catalog(
         cost_model=cost_model,
         instrumentation=instrumentation,
         pool_capacity=config.pool_capacity,
-        pool_readahead=config.pool_readahead,
         replication=replication,
     )
     for name, seed, kind in sample_plan(config) if plan is None else plan:

@@ -4,8 +4,7 @@ The end-to-end deferred-vs-eager bit-identity lives in
 ``tests/properties/test_prop_kinds.py``; this module pins the unit-level
 contracts every kind must honour -- spec parsing, the one-draw-per-record
 discipline, per-kind plausibility (including the negative cases), the
-manifest round-trip and the registry's reach into the stratified
-composite.
+manifest round-trip.
 """
 
 import math
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core import kinds
 from repro.core.kinds import (
-    COMPOSITE_KINDS,
     DEFAULT_WEIGHT_MOD,
     KINDS,
     KindCandidateLogger,
@@ -22,7 +20,6 @@ from repro.core.kinds import (
     WeightedKind,
     WindowKind,
     eager_oracle,
-    make_composite,
     make_kind,
     parse_kind_spec,
 )
@@ -33,7 +30,6 @@ from repro.storage import superblock
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile
-from repro.storage.records import IntRecordCodec
 
 
 class TestRegistry:
@@ -42,11 +38,12 @@ class TestRegistry:
         assert parse_kind_spec("weighted") == ("weighted", None)
         assert parse_kind_spec("weighted:5") == ("weighted", 5)
         assert parse_kind_spec("window") == ("window", None)
-        assert parse_kind_spec("stratified") == ("stratified", None)
 
     def test_parse_rejects_unknown_and_bad_params(self):
         with pytest.raises(ValueError, match="unknown sample kind"):
             parse_kind_spec("mystery")
+        with pytest.raises(ValueError, match="unknown sample kind 'stratified'"):
+            parse_kind_spec("stratified")
         with pytest.raises(ValueError, match="takes no parameter"):
             parse_kind_spec("window:8")
         with pytest.raises(ValueError, match="takes no parameter"):
@@ -64,30 +61,6 @@ class TestRegistry:
         window = make_kind("window", 16)
         assert isinstance(window, WindowKind)
         assert window.spec() == "window"
-
-    def test_make_kind_rejects_composites_with_pointer(self):
-        with pytest.raises(ValueError, match="make_composite"):
-            make_kind("stratified", 16)
-
-    def test_make_composite_reaches_stratified(self):
-        """Satellite (a): the composite registry entry builds a working
-        stratified manager without importing it directly."""
-        from repro.core.stratified import StratifiedSampleManager
-
-        manager = make_composite(
-            "stratified",
-            group_of=lambda v: v % 3,
-            per_group_size=8,
-            codec=IntRecordCodec(),
-            rng=RandomSource(seed=9),
-        )
-        assert isinstance(manager, StratifiedSampleManager)
-        manager.insert_many(range(24))
-        assert set(manager.keys()) == {0, 1, 2}
-        assert sorted(manager.group(1).contents()) == [1, 4, 7, 10, 13, 16, 19, 22]
-        with pytest.raises(ValueError, match="unknown composite kind"):
-            make_composite("mystery")
-        assert "stratified" in COMPOSITE_KINDS
 
     def test_manifest_kind_table_mirrors_registry(self):
         """The storage layer keeps its own copy of the kind index table

@@ -80,7 +80,7 @@ def _kind_state(kind):
 #: grammar -> (spec strings, parse, label, comparable state of the object)
 GRAMMARS = {
     "sample kind": (
-        spec_of("uniform", "window", "stratified", "weighted", "weighted:{}"),
+        spec_of("uniform", "window", "weighted", "weighted:{}"),
         lambda s: make_kind(s, 8),
         lambda k: k.spec(),
         _kind_state,

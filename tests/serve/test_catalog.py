@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.replication.link import ReplicationLink
 from repro.storage.fault_injection import FaultInjectionDevice, InjectedCrash
+from repro.storage.replicated import device_image
 from repro.storage.superblock import CheckpointError, DualSlotCheckpointStore
 from repro.serve.catalog import SampleCatalog
 
@@ -134,3 +136,46 @@ class TestManifestRecovery:
             entry.meta_device.poke_block(slot, bytes(block))
         with pytest.raises(CheckpointError):
             catalog.reopen("s0")
+
+
+def weighted_images() -> dict:
+    """Device images of a checkpointed ``weighted`` sample."""
+    source = SampleCatalog()
+    entry = source.create("w", sample_size=32, algorithm="array", kind="weighted")
+    return {
+        role: device_image(getattr(entry, f"{role}_device"))
+        for role in ("sample", "log", "meta")
+    }
+
+
+class TestFailedAdopt:
+    """A rejected adopt leaves the catalog exactly as it found it."""
+
+    @pytest.mark.parametrize("site", ["pooled", "replicated"])
+    @pytest.mark.parametrize(
+        ("images", "algorithm", "error"),
+        [
+            pytest.param(
+                lambda: {"sample": {}, "log": {}, "meta": {}},
+                "stack",
+                CheckpointError,
+                id="no-manifest",
+            ),
+            pytest.param(weighted_images, "stack", ValueError, id="kind-mismatch"),
+        ],
+    )
+    def test_failed_adopt_changes_nothing(self, images, algorithm, error, site):
+        link = ReplicationLink() if site == "replicated" else None
+        catalog = SampleCatalog(pool_capacity=4, replication=link)
+        catalog.create("s0", sample_size=16, algorithm="stack", seed=1)
+
+        def state():
+            devices = link.device_names if link is not None else None
+            return len(catalog), catalog.pool_stats(), devices
+
+        before = state()
+        for _ in range(2):  # a retry fails the same way
+            with pytest.raises(error):
+                catalog.adopt("ghost", images(), algorithm=algorithm)
+            assert state() == before
+        assert "ghost" not in catalog

@@ -41,10 +41,10 @@ class TestCatalogKinds:
         catalog.create("u", sample_size=32, algorithm="stack", seed=3, kind="uniform")
         # weighted:16 is the default modulus, so the spec canonicalises.
         assert catalog.entry("w").kind == "weighted"
-        assert catalog.entry("w").kind_obj.weight_mod == 16
+        assert catalog.entry("w").maintainer.kind.weight_mod == 16
         assert catalog.entry("v").kind == "window"
         assert catalog.entry("u").kind == "uniform"
-        assert isinstance(catalog.entry("u").kind_obj, UniformKind)
+        assert isinstance(catalog.entry("u").maintainer.kind, UniformKind)
         assert isinstance(catalog.get("u").kind, UniformKind)
 
     def test_non_uniform_kind_requires_kind_capable_algorithm(self):
@@ -90,7 +90,7 @@ class TestKindManifestRecovery:
         # crashed maintainer's in-memory one.
         assert recovered.kind is not None
         assert recovered.kind is not mirror.get("s0").kind
-        assert crashed.entry("s0").kind_obj is recovered.kind
+        assert crashed.entry("s0").maintainer.kind is recovered.kind
         mirror.ingest("s0", suffix)
         crashed.ingest("s0", suffix)
         assert (

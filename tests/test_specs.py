@@ -45,7 +45,7 @@ def test_label_is_short_when_exact_and_exact_always(value, text):
         ("sample kind", "weighted:0", "weight_mod must be positive"),
         ("sample kind", "window:8", "takes no parameter, got 1"),
         ("sample kind", "mystery", "unknown sample kind 'mystery' "
-         "(known: uniform, weighted, window, stratified)"),
+         "(known: uniform, weighted, window)"),
         ("freshness", "bounded_staleness:4:5", "takes 1 parameter, got 2"),
         ("scheduling policy", "deadline:-5", "bound must be non-negative"),
         ("scheduling policy", "fifo:1:2", "takes 0 to 1 parameter, got 2"),
