@@ -27,7 +27,7 @@ from repro import (
     build_reservoir,
 )
 from repro.core.multi import MultiSampleManager
-from repro.storage.superblock import CheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore
 
 M, R0, CRASH_AT, TOTAL, SEED = 500, 1_500, 4_000, 9_000, 77
 FLEET_M = 5_000  # per-sample slots in the fleet demo: big enough that
@@ -60,7 +60,7 @@ def crash_recovery_demo() -> None:
     cost = CostModel()
     crashing, sample, log_device = build(cost)
     crashing.insert_many(range(R0, R0 + CRASH_AT))
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(crashing.checkpoint_state())
     print(f"checkpoint at insert {CRASH_AT}: "
           f"log holds {crashing.pending_log_elements} candidates, "

@@ -366,8 +366,8 @@ class SampleMaintainer:
 
         Flushes the log's partial tail first (booked online, like any log
         write) so the on-disk log matches the recorded element count.  Pair
-        with :class:`repro.storage.superblock.CheckpointStore` to persist,
-        and :meth:`from_checkpoint` to resume.
+        with :class:`repro.storage.superblock.DualSlotCheckpointStore` to
+        persist, and :meth:`from_checkpoint` to resume.
         """
         from repro.storage.superblock import MaintenanceCheckpoint
 

@@ -94,18 +94,6 @@ class MultiSampleManager:
         except KeyError:
             raise KeyError(f"no sample named {name!r}") from None
 
-    def replace(self, name: str, maintainer: SampleMaintainer) -> None:
-        """Swap in a new maintainer under an existing name.
-
-        The recovery path uses this: after a crash, the serving catalog
-        rebuilds a maintainer from its superblock checkpoint and swaps it
-        in without disturbing the rest of the fleet (or the registration
-        order, which iteration and reporting depend on).
-        """
-        if name not in self._maintainers:
-            raise KeyError(f"no sample named {name!r}")
-        self._maintainers[name] = maintainer
-
     def insert(self, element, only: "str | list[str] | None" = None) -> None:
         """Feed one element to all (or the named) samples."""
         for maintainer in self._targets(only):

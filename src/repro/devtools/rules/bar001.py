@@ -4,8 +4,8 @@ The dual-slot checkpoint protocol (docs/storage.md, paper Sec. 6.2's
 recovery discussion) is only atomic if the *data* a checkpoint describes
 is durable before the superblock that points at it: flush sample/log
 devices, then write the superblock, then flush again.  The second flush
-lives inside ``CheckpointStore.save`` itself; the *first* one is the
-caller's job, and skipping it silently yields a superblock that can
+lives inside ``DualSlotCheckpointStore.save`` itself; the *first* one is
+the caller's job, and skipping it silently yields a superblock that can
 reference unwritten blocks after a crash -- the recovery test only fails
 when the crash actually lands in the window.
 

@@ -10,7 +10,7 @@ after-the-fact :class:`~repro.storage.cost_model.AccessStats` totals:
   -- named instruments declared in :mod:`repro.obs.catalogue`;
 * :class:`Tracer`/:class:`Span` -- per-phase spans whose "duration" is
   cost-model seconds and block counts, never wall clocks (TIME001 holds
-  by construction; a :class:`Clock` protocol covers the real-disk path);
+  by construction);
 * :class:`EventBus`/:class:`Event` -- structured occurrences (crash
   injections, span ends) with a no-op fast path;
 * exporters -- JSONL event log, Prometheus text, JSON snapshot.
@@ -56,7 +56,7 @@ from repro.obs.instruments import (
     validate_instrument_name,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Clock, CostClock, NullClock, Span, Tracer
+from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Instrumentation",
@@ -81,9 +81,6 @@ __all__ = [
     "Event",
     "EventBus",
     # tracing
-    "Clock",
-    "CostClock",
-    "NullClock",
     "Span",
     "Tracer",
     # trace files

@@ -20,7 +20,7 @@ from repro.obs.events import EventBus
 from repro.obs.exporters import snapshot as _snapshot
 from repro.obs.instruments import Counter, DEFAULT_BUCKETS, Gauge, Histogram
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Clock, Tracer
+from repro.obs.trace import Tracer
 from repro.storage.cost_model import CostModel
 
 __all__ = ["Instrumentation", "maybe_span"]
@@ -61,36 +61,18 @@ class Instrumentation:
         request's trace tree down to individual I/O charges.  Off by
         default for the same volume reason as ``trace_inserts``; the
         serve simulator turns it on when exporting a ``--trace`` file.
-    clock:
-        Override the span time source (see :class:`repro.obs.trace.Clock`);
-        the real-disk path injects the wall clock that lives in
-        :mod:`repro.storage.real_disk`.
     """
 
     def __init__(
         self,
         cost_model: CostModel | None = None,
-        registry: MetricsRegistry | None = None,
-        events: EventBus | None = None,
-        tracer: Tracer | None = None,
         trace_inserts: bool = False,
         trace_storage: bool = False,
-        max_spans: int = 10_000,
-        clock: Clock | None = None,
     ) -> None:
         self.cost_model = cost_model
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.events = events if events is not None else EventBus()
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(
-                cost_model=cost_model,
-                clock=clock,
-                max_spans=max_spans,
-                event_bus=self.events,
-            )
-        )
+        self.registry = MetricsRegistry()
+        self.events = EventBus()
+        self.tracer = Tracer(cost_model=cost_model, event_bus=self.events)
         self.trace_inserts = trace_inserts
         self.trace_storage = trace_storage
         self._device_counters: dict[tuple[str, str, bool], Counter] = {}

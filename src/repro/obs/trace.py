@@ -8,13 +8,7 @@ the span, i.e. counted block accesses weighted with the paper's Sec. 6.1
 access times, plus the categorised block counts themselves.  That keeps
 the TIME001 invariant (no wall clocks in cost-accounted paths) true *by
 construction*: tracing an algorithm cannot smuggle hardware timing into
-its reported numbers.
-
-The one legitimate exception is running the reference algorithms against
-a real file system, where elapsed time is the measurement.  For that,
-span timing is pluggable via the :class:`Clock` protocol; the sanctioned
-wall clock lives in :mod:`repro.storage.real_disk` (the calibration
-module that is TIME001-exempt by design), not here.
+its reported numbers.  A tracer without a cost model reads zero.
 """
 
 from __future__ import annotations
@@ -22,35 +16,11 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator
 
 from repro.storage.cost_model import AccessStats, CostModel
 
-__all__ = ["Clock", "CostClock", "NullClock", "Span", "Tracer"]
-
-
-class Clock(Protocol):
-    """Injectable time source for span durations."""
-
-    def now(self) -> float:  # pragma: no cover - protocol
-        ...
-
-
-class CostClock:
-    """The default clock: reads the cost model's accumulated seconds."""
-
-    def __init__(self, cost_model: CostModel) -> None:
-        self._cost_model = cost_model
-
-    def now(self) -> float:
-        return self._cost_model.cost_seconds()
-
-
-class NullClock:
-    """Clock for tracers without a cost model: every reading is zero."""
-
-    def now(self) -> float:
-        return 0.0
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -132,14 +102,10 @@ class Tracer:
     def __init__(
         self,
         cost_model: CostModel | None = None,
-        clock: Clock | None = None,
         max_spans: int = 10_000,
         event_bus=None,
     ) -> None:
         self._cost_model = cost_model
-        if clock is None:
-            clock = CostClock(cost_model) if cost_model is not None else NullClock()
-        self._clock = clock
         self._stack: list[Span] = []
         self._finished: deque[Span] = deque(maxlen=max_spans)
         self._events = event_bus
@@ -209,18 +175,20 @@ class Tracer:
             trace_id=self._trace_id,
         )
         self._next_span_id += 1
-        span.start_seconds = self._clock.now()
-        checkpoint = (
-            self._cost_model.checkpoint() if self._cost_model is not None else None
-        )
+        cost_model = self._cost_model
+        if cost_model is not None:
+            span.start_seconds = cost_model.cost_seconds()
+            checkpoint = cost_model.checkpoint()
         self._stack.append(span)
         try:
             yield span
         finally:
             self._stack.pop()
-            span.end_seconds = self._clock.now()
-            if checkpoint is not None:
-                span.io = self._cost_model.since(checkpoint)
+            if cost_model is not None:
+                span.end_seconds = cost_model.cost_seconds()
+                span.io = cost_model.since(checkpoint)
+            else:
+                span.end_seconds = 0.0
             self._finished.append(span)
             for sink in self._sinks:
                 sink(span)

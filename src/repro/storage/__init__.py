@@ -15,9 +15,13 @@ methodology:
   the two block-aligned on-disk structures every algorithm manipulates;
 * :mod:`~repro.storage.real_disk` -- a real-file backend plus the
   access-time calibration that regenerates the Sec. 6.1 table;
-* :mod:`~repro.storage.bufferpool` -- an optional page cache between the
-  files and any device (pin/unpin, LRU, readahead, write coalescing with
-  flush barriers); disabled by default for bit-exact paper accounting;
+* :mod:`~repro.storage.bufferpool` -- the one page cache between the
+  files and any device (LRU, readahead, write coalescing with flush
+  barriers); disabled by default for bit-exact paper accounting;
+* :mod:`~repro.storage.fault_injection` -- crash injection; every faulty
+  device draws from one :class:`CrashBudget`, private or process-wide;
+* :mod:`~repro.storage.superblock` -- durable maintenance checkpoints in
+  the dual-slot :class:`DualSlotCheckpointStore`;
 * :mod:`~repro.storage.memory` -- main-memory accounting for Fig. 12.
 
 Every backend -- simulated, real-disk, fault-injected, buffer-pooled --
@@ -47,7 +51,7 @@ from repro.storage.fault_injection import (
 from repro.storage.files import LogFile, SampleFile, SequentialLogReader
 from repro.storage.group_commit import GroupCommitBarrier
 from repro.storage.memory import MemoryReport
-from repro.storage.real_disk import RealBlockDevice, WallClock, calibrate_disk
+from repro.storage.real_disk import RealBlockDevice, calibrate_disk
 from repro.storage.records import BytesRecordCodec, IntRecordCodec, RecordCodec
 from repro.storage.replicated import (
     BlockRecord,
@@ -63,7 +67,6 @@ from repro.storage.replicated import (
 )
 from repro.storage.superblock import (
     CheckpointError,
-    CheckpointStore,
     DualSlotCheckpointStore,
     MaintenanceCheckpoint,
 )
@@ -80,7 +83,6 @@ __all__ = [
     "declare_scan",
     "flush_barrier",
     "RealBlockDevice",
-    "WallClock",
     "calibrate_disk",
     "LogFile",
     "SampleFile",
@@ -90,7 +92,6 @@ __all__ = [
     "BytesRecordCodec",
     "RecordCodec",
     "MaintenanceCheckpoint",
-    "CheckpointStore",
     "DualSlotCheckpointStore",
     "CheckpointError",
     "FaultInjectionDevice",

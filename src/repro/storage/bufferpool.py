@@ -7,10 +7,8 @@ file's in-memory buffer and CacheDiff's block reuse do for their
 workloads.  :class:`BufferPool` is that cache: a fixed budget of page
 frames over an inner device, with
 
-* **pin/unpin** -- a pinned frame is never evicted (callers bracket
-  multi-step reads);
-* **LRU eviction** -- the least-recently-used unpinned frame makes room,
-  writing its page back first when dirty;
+* **LRU eviction** -- the least-recently-used frame makes room, writing
+  its page back first when dirty;
 * **sequential readahead** -- inside a *declared* scan window
   (:func:`declare_scan` / :meth:`BufferPool.begin_scan`), a sequential
   read miss prefetches the next blocks of the window in one go, so a
@@ -107,19 +105,18 @@ class PoolStats:
 
 
 class _Frame:
-    """One resident page: its bytes, dirty state and pin count.
+    """One resident page: its bytes and dirty state.
 
     ``write_sequential`` remembers the access classification the *last*
     writer declared, so a deferred write-back charges the device with the
     classification the write would have carried uncoalesced.
     """
 
-    __slots__ = ("data", "dirty", "pins", "write_sequential")
+    __slots__ = ("data", "dirty", "write_sequential")
 
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.dirty = False
-        self.pins = 0
         self.write_sequential = True
 
 
@@ -381,25 +378,6 @@ class BufferPool:
         self._frames.clear()
         self._scan_end = 0
 
-    def pin(self, index: int, sequential: bool = False) -> bytes:
-        """Fault the block in (charged read on miss) and pin its frame."""
-        if self._capacity == 0:
-            raise RuntimeError("cannot pin frames on a disabled (capacity 0) pool")
-        data = self.read_block(index, sequential)
-        frame = self._frames.get(index)
-        if frame is None:  # pragma: no cover - requires a fully pinned pool
-            raise RuntimeError(
-                f"block {index} could not be kept resident: every frame is pinned"
-            )
-        frame.pins += 1
-        return data
-
-    def unpin(self, index: int) -> None:
-        frame = self._frames.get(index)
-        if frame is None or frame.pins == 0:
-            raise RuntimeError(f"block {index} is not pinned")
-        frame.pins -= 1
-
     # -- internals -----------------------------------------------------------
 
     def _touch(self, index: int, frame: _Frame) -> None:
@@ -408,22 +386,18 @@ class BufferPool:
         self._frames[index] = frame
 
     def _install(self, index: int, frame: _Frame) -> None:
+        """Add ``frame``, then evict LRU frames while over capacity.
+
+        The new frame is the most recent, so it is never the victim.  A
+        crash mid-write-back leaves its victim resident, and the next
+        install evicts it first.
+        """
         self._frames[index] = frame
         while len(self._frames) > self._capacity:
-            # Never evict the page being faulted in: a pool whose every
-            # other frame is pinned is out of buffers, not out of victims.
-            self._evict(exclude=index)
+            self._evict()
 
-    def _evict(self, exclude: int = -1) -> None:
-        for index, frame in self._frames.items():
-            if frame.pins == 0 and index != exclude:
-                break
-        else:
-            del self._frames[exclude]
-            raise RuntimeError(
-                f"buffer pool over capacity ({self._capacity}) with every "
-                "frame pinned; unpin before reading further"
-            )
+    def _evict(self) -> None:
+        index, frame = next(iter(self._frames.items()))
         if frame.dirty:
             self._inner.write_block(index, frame.data, frame.write_sequential)
             self.stats.flushed_blocks += 1

@@ -32,15 +32,17 @@ class InjectedCrash(RuntimeError):
 
 
 class CrashBudget:
-    """A write budget shared by every device of one simulated process.
+    """A write budget: private to one device, or shared by every device of
+    one simulated process.
 
-    A per-device ``writes_until_crash`` can only land a crash at a chosen
-    point in *that device's* write sequence.  Disaster-recovery drills
-    need the opposite: one global, seeded crash point in the process's
-    interleaved write stream across sample + log + manifest devices --
-    including points *inside* a multi-device group commit.  Every
-    :class:`FaultInjectionDevice` of the process shares one budget; the
-    Nth durable write overall raises, whichever device it lands on.
+    A device's private budget (its ``writes_until_crash``) can only land a
+    crash at a chosen point in *that device's* write sequence.
+    Disaster-recovery drills need the opposite: one global, seeded crash
+    point in the process's interleaved write stream across sample + log +
+    manifest devices -- including points *inside* a multi-device group
+    commit.  Every :class:`FaultInjectionDevice` of the process shares one
+    budget; the Nth durable write overall raises, whichever device it
+    lands on.
 
     The budget also records **commit windows**: a
     :class:`~repro.storage.group_commit.GroupCommitBarrier` brackets its
@@ -98,14 +100,13 @@ class CrashBudget:
 class FaultInjectionDevice:
     """Decorates a block device; crashes after ``writes_until_crash`` writes.
 
-    ``writes_until_crash=None`` disarms the device (pass-through).  The
-    counter spans the device's lifetime, not a single operation, so a
-    crash can land in the middle of any multi-block write sequence.
-
-    ``crash_budget`` shares one :class:`CrashBudget` across every device
-    of a simulated process: when given, it replaces the per-device
-    counter, so the drill's seeded crash point addresses the process's
-    global write sequence (and can land mid-group-commit).
+    Every write draws from one :class:`CrashBudget`: the shared
+    ``crash_budget`` of a simulated process when given -- so the drill's
+    seeded crash point addresses the process's global write sequence (and
+    can land mid-group-commit) -- else a private one armed with
+    ``writes_until_crash`` (``None`` disarms: pass-through).  The count
+    spans the device's lifetime, not a single operation, so a crash can
+    land in the middle of any multi-block write sequence.
     """
 
     def __init__(
@@ -116,11 +117,10 @@ class FaultInjectionDevice:
         torn_writes: bool = False,
         crash_budget: CrashBudget | None = None,
     ) -> None:
-        if writes_until_crash is not None and writes_until_crash < 0:
-            raise ValueError("writes_until_crash must be non-negative")
+        if crash_budget is None:
+            crash_budget = CrashBudget(writes_until_crash)
         self._inner = inner
-        self._budget = writes_until_crash
-        self._shared = crash_budget
+        self._budget = crash_budget
         self._instr = instrumentation
         self._torn = torn_writes
         self._crash_reported = False
@@ -140,29 +140,24 @@ class FaultInjectionDevice:
         return self._inner
 
     def arm(self, writes_until_crash: int, torn_writes: bool | None = None) -> None:
-        """(Re-)arm the crash trigger; optionally toggle torn-write mode."""
-        if writes_until_crash < 0:
-            raise ValueError("writes_until_crash must be non-negative")
-        self._budget = writes_until_crash
+        """(Re-)arm the crash budget this device draws from; optionally
+        toggle torn-write mode.  A shared budget is armed for every device
+        of the process."""
+        self._budget.arm(writes_until_crash)
         if torn_writes is not None:
             self._torn = torn_writes
         self._crash_reported = False
 
     def disarm(self) -> None:
-        self._budget = None
+        self._budget.disarm()
         self._crash_reported = False
 
     def read_block(self, index: int, sequential: bool) -> bytes:
         return self._inner.read_block(index, sequential)
 
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
-        if self._shared is not None:
-            if self._shared.consume():
-                self._crash(index, data)
-        elif self._budget is not None:
-            if self._budget == 0:
-                self._crash(index, data)
-            self._budget -= 1
+        if self._budget.consume():
+            self._crash(index, data)
         self._inner.write_block(index, data, sequential)
         self.writes_survived += 1
 

@@ -79,28 +79,13 @@ class _BlockStore:
 
 
 class SampleFile(_BlockStore):
-    """The disk-resident sample: ``M`` elements at fixed positions.
+    """The disk-resident sample: ``M`` elements at fixed positions."""
 
-    ``cached_blocks`` models the Fig. 14 experiment where the non-GF
-    algorithms are granted the same amount of main memory as the geometric
-    file's buffer and use it to pin a prefix of the sample: accesses to
-    pinned blocks are free.
-    """
-
-    def __init__(
-        self,
-        device: BlockDevice,
-        codec: RecordCodec,
-        size: int,
-        cached_blocks: int = 0,
-    ) -> None:
+    def __init__(self, device: BlockDevice, codec: RecordCodec, size: int) -> None:
         super().__init__(device, codec)
         if size <= 0:
             raise ValueError("sample size must be positive")
-        if cached_blocks < 0:
-            raise ValueError("cached_blocks must be non-negative")
         self._size = size
-        self._cached_blocks = cached_blocks
         self._last_random_write_block: int | None = None
         self._last_random_read_block: int | None = None
 
@@ -113,10 +98,6 @@ class SampleFile(_BlockStore):
     def block_count(self) -> int:
         return -(-self._size // self.elements_per_block)
 
-    @property
-    def cached_blocks(self) -> int:
-        return self._cached_blocks
-
     def initialize(self, values: Sequence[T]) -> None:
         """Bulk-load the initial sample with one sequential pass."""
         if len(values) != self._size:
@@ -128,7 +109,7 @@ class SampleFile(_BlockStore):
             chunk = values[start : start + self.elements_per_block]
             data = self._codec.encode_block(chunk)
             data = data.ljust(self._device.block_size, b"\x00")
-            self._charge_write(block_index, data, sequential=True)
+            self._device.write_block(block_index, data, sequential=True)
         self._last_random_write_block = None
 
     # -- random access (immediate refresh, naive candidate refresh) -------
@@ -145,9 +126,10 @@ class SampleFile(_BlockStore):
         self._encode_at(patched, offset, value)
         data = bytes(patched)
         if block == self._last_random_write_block:
-            self._store_free(block, data)
+            # Cache hit: update the block contents without an I/O charge.
+            self._device.poke_block(block, data)
         else:
-            self._charge_write(block, data, sequential=False)
+            self._device.write_block(block, data, sequential=False)
             self._last_random_write_block = block
 
     def read_random(self, index: int) -> T:
@@ -212,7 +194,7 @@ class SampleFile(_BlockStore):
         """Yield every element front to back: one sequential read per block."""
         declare_scan(self._device, 0, self.block_count)
         for block in range(self.block_count):
-            data = self._charge_read(block, sequential=True)
+            data = self._device.read_block(block, sequential=True)
             yield from self._decode_block(data, block, self._size)
 
     def resize(self, new_size: int) -> None:
@@ -249,21 +231,6 @@ class SampleFile(_BlockStore):
         if not 0 <= index < self._size:
             raise IndexError(f"sample index {index} out of range [0, {self._size})")
 
-    def _charge_write(self, block: int, data: bytes, sequential: bool) -> None:
-        if block < self._cached_blocks:
-            self._store_free(block, data)
-        else:
-            self._device.write_block(block, data, sequential)
-
-    def _charge_read(self, block: int, sequential: bool) -> bytes:
-        if block < self._cached_blocks:
-            return self._device.peek_block(block)
-        return self._device.read_block(block, sequential)
-
-    def _store_free(self, block: int, data: bytes) -> None:
-        """Update block contents without an I/O charge (cache hit)."""
-        self._device.poke_block(block, data)
-
     def _write_slots(self, block: int, slots: list[int], values: list[T]) -> None:
         """Splice ``values`` into ``block`` at ``slots``: one sequential write.
 
@@ -279,7 +246,7 @@ class SampleFile(_BlockStore):
             for start, slot in zip(range(0, len(packed), size), slots):
                 offset = slot * size
                 image[offset : offset + size] = packed[start : start + size]
-        self._charge_write(block, bytes(image), sequential=True)
+        self._device.write_block(block, bytes(image), sequential=True)
 
 
 class LogFile(_BlockStore):
@@ -316,9 +283,6 @@ class LogFile(_BlockStore):
             self._write_tail_block(self._buffer)
             self._buffer = []
             self._next_block += 1
-
-    def extend(self, values: Iterable[T]) -> None:
-        self.append_many(values)
 
     def append_many(self, values: "Iterable[T] | Sequence[T]") -> None:
         """Append a batch with one Python-level pass per *block*.

@@ -28,22 +28,7 @@ from dataclasses import dataclass
 
 from repro.storage.cost_model import CostModel, DiskParameters
 
-__all__ = ["RealBlockDevice", "CalibrationResult", "calibrate_disk", "WallClock"]
-
-
-class WallClock:
-    """The sanctioned wall clock for span timing on the real-disk path.
-
-    Implements the :class:`repro.obs.trace.Clock` protocol.  Simulated
-    runs price spans with the cost model (:class:`repro.obs.trace.CostClock`);
-    when the reference algorithms run against a :class:`RealBlockDevice`,
-    elapsed time *is* the measurement, so this clock -- living in the one
-    module exempt from TIME001 -- may be injected into a
-    :class:`repro.obs.Tracer` instead.
-    """
-
-    def now(self) -> float:
-        return time.perf_counter()
+__all__ = ["RealBlockDevice", "CalibrationResult", "calibrate_disk"]
 
 
 class RealBlockDevice:

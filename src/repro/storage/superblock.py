@@ -13,9 +13,10 @@ durable.  This module makes it so:
   MT19937 state so that maintenance resumed from a checkpoint makes
   *bit-identical* decisions to an uninterrupted run (the same property
   Nomem Refresh exploits, applied to durability);
-* :class:`CheckpointStore` -- serialises a checkpoint into a single
-  4 096-byte superblock on a block device (one random write to save, one
-  random read to load).
+* :class:`DualSlotCheckpointStore` -- serialises a checkpoint into one
+  of two alternating 4 096-byte superblocks on a block device (one random
+  write to save, one random read per slot to load), so a torn superblock
+  write never loses the previous checkpoint.
 
 Everything fits one block: MT19937 state is 624 words (~2.5 kB), the rest
 a few integers.  Recovery semantics are write-ahead-log style: a
@@ -30,7 +31,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.rng.mt19937 import MTState
 from repro.rng.random_source import RandomSource
@@ -42,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "MaintenanceCheckpoint",
-    "CheckpointStore",
     "DualSlotCheckpointStore",
     "CheckpointError",
 ]
@@ -171,24 +171,30 @@ class MaintenanceCheckpoint:
         if not 0 <= kind_idx < len(_KINDS):
             raise CheckpointError(f"invalid sample-kind index {kind_idx}")
         key = _MT_WORDS.unpack_from(body, _HEADER.size)
-        return cls(
-            strategy=_STRATEGIES[strategy_idx],
-            sample_size=sample_size,
-            dataset_size=dataset_size,
-            dataset_size_at_refresh=dataset_at_refresh,
-            log_count=log_count,
-            inserts=inserts,
-            refreshes=refreshes,
-            pending_accept=pending_accept if pending_accept >= 0 else None,
-            ops_since_refresh=ops_since_refresh,
-            rng_seed=seed,
-            rng_spawn_count=spawn_count,
-            rng_state=MTState(key=key, position=position),
-            rng_w=w if (flags & _FLAG_HAS_W) else None,
-            kind_name=_KINDS[kind_idx],
-            kind_param=kind_param,
-            kind_threshold=kind_threshold,
-        )
+        try:
+            return cls(
+                strategy=_STRATEGIES[strategy_idx],
+                sample_size=sample_size,
+                dataset_size=dataset_size,
+                dataset_size_at_refresh=dataset_at_refresh,
+                log_count=log_count,
+                inserts=inserts,
+                refreshes=refreshes,
+                pending_accept=pending_accept if pending_accept >= 0 else None,
+                ops_since_refresh=ops_since_refresh,
+                rng_seed=seed,
+                rng_spawn_count=spawn_count,
+                rng_state=MTState(key=key, position=position),
+                rng_w=w if (flags & _FLAG_HAS_W) else None,
+                kind_name=_KINDS[kind_idx],
+                kind_param=kind_param,
+                kind_threshold=kind_threshold,
+            )
+        except ValueError as exc:
+            # A CRC-valid block can still carry an out-of-range field (a
+            # negative count, an MT position past the state); refusing it
+            # as a CheckpointError lets the dual-slot store fall back.
+            raise CheckpointError(f"invalid superblock field: {exc}") from exc
 
     # -- RNG reconstruction ----------------------------------------------------
 
@@ -210,65 +216,16 @@ class MaintenanceCheckpoint:
         return rng.seed, rng.spawn_count, state, w
 
 
-class CheckpointStore:
-    """Persists one checkpoint in a superblock on a block device.
-
-    ``block_index`` defaults to 0 -- give the store its own small device
-    (or reserve the first block of an existing one).
-    """
-
-    def __init__(
-        self,
-        device: BlockDevice,
-        block_index: int = 0,
-        commit_barrier: "GroupCommitBarrier | None" = None,
-    ) -> None:
-        if block_index < 0:
-            raise ValueError("block_index must be non-negative")
-        self._device = device
-        self._block_index = block_index
-        self._barrier = commit_barrier
-
-    def save(self, checkpoint: MaintenanceCheckpoint) -> None:
-        """Write the superblock: one random block write, flushed through.
-
-        A checkpoint that sits in a buffer pool is no checkpoint at all,
-        so the save ends with a flush barrier -- the group commit across
-        the sample's devices when one is attached (which also seals the
-        replication batch), else a barrier on this store's own device.
-        """
-        data = checkpoint.to_bytes(self._device.block_size)
-        self._device.write_block(self._block_index, data, sequential=False)
-        if self._barrier is not None:
-            self._barrier.commit()
-        else:
-            flush_barrier(self._device)
-
-    def load(self) -> MaintenanceCheckpoint:
-        """Read and validate the superblock: one random block read."""
-        data = self._device.read_block(self._block_index, sequential=False)
-        return MaintenanceCheckpoint.from_bytes(data)
-
-    def exists(self) -> bool:
-        """True if the superblock location holds a valid checkpoint."""
-        data = self._device.peek_block(self._block_index)
-        try:
-            MaintenanceCheckpoint.from_bytes(data)
-        except CheckpointError:
-            return False
-        return True
-
-
 class DualSlotCheckpointStore:
     """Torn-write-tolerant checkpoint persistence over two alternating slots.
 
-    A single-slot :class:`CheckpointStore` has a crash window: a power
-    failure *during* the superblock write leaves a torn block whose CRC no
-    longer validates, losing both the new checkpoint and the one it was
-    overwriting.  The classic fix (every journalled file system uses it)
-    is two slots written alternately: a save always targets the slot *not*
-    holding the newest valid checkpoint, so the previous checkpoint
-    survives any torn write untouched.
+    A single superblock has a crash window: a power failure *during* its
+    write leaves a torn block whose CRC no longer validates, losing both
+    the new checkpoint and the one it was overwriting.  The classic fix
+    (every journalled file system uses it) is two slots written
+    alternately: a save always targets the slot *not* holding the newest
+    valid checkpoint, so the previous checkpoint survives any torn write
+    untouched.
 
     Recovery (:meth:`load`) validates both slots and returns the one with
     the most progress -- checkpoints carry monotone ``inserts``/``refreshes``
@@ -277,8 +234,8 @@ class DualSlotCheckpointStore:
     device, or two consecutive torn writes) does it raise
     :class:`CheckpointError`.
 
-    Costs mirror the single-slot store: one random write per save, and up
-    to two random reads per load.
+    Costs: one random write per save, and one random read per slot per
+    load.  ``save`` and ``exists`` pick the newest slot uncharged.
     """
 
     def __init__(
@@ -296,19 +253,19 @@ class DualSlotCheckpointStore:
         self._slots = (first, second)
         self._barrier = commit_barrier
 
-    def _peek_slot(self, index: int) -> "MaintenanceCheckpoint | None":
-        """Validate one slot without charging I/O (recovery probes charge)."""
-        try:
-            return MaintenanceCheckpoint.from_bytes(self._device.peek_block(index))
-        except CheckpointError:
-            return None
+    def _newest(
+        self, read: Callable[[int], bytes]
+    ) -> "tuple[int, MaintenanceCheckpoint] | None":
+        """(slot block index, checkpoint) of the newest valid slot, if any.
 
-    def _newest(self) -> "tuple[int, MaintenanceCheckpoint] | None":
-        """(slot block index, checkpoint) of the newest valid slot, if any."""
+        ``read`` fetches one slot's block: ``peek_block`` to choose a save
+        target uncharged, a charged random read on the recovery path.
+        """
         best: tuple[int, MaintenanceCheckpoint] | None = None
         for slot in self._slots:
-            checkpoint = self._peek_slot(slot)
-            if checkpoint is None:
+            try:
+                checkpoint = MaintenanceCheckpoint.from_bytes(read(slot))
+            except CheckpointError:
                 continue
             if best is None or (checkpoint.inserts, checkpoint.refreshes) > (
                 best[1].inserts, best[1].refreshes
@@ -323,7 +280,7 @@ class DualSlotCheckpointStore:
         crash mid-write degrades to "the previous checkpoint", never to
         "no checkpoint".
         """
-        newest = self._newest()
+        newest = self._newest(self._device.peek_block)
         target = (
             self._slots[0]
             if newest is None or newest[0] != self._slots[0]
@@ -342,17 +299,9 @@ class DualSlotCheckpointStore:
         Charges one random read per probed slot (recovery-path I/O).
         Raises :class:`CheckpointError` when neither slot validates.
         """
-        best: tuple[int, MaintenanceCheckpoint] | None = None
-        for slot in self._slots:
-            data = self._device.read_block(slot, sequential=False)
-            try:
-                checkpoint = MaintenanceCheckpoint.from_bytes(data)
-            except CheckpointError:
-                continue
-            if best is None or (checkpoint.inserts, checkpoint.refreshes) > (
-                best[1].inserts, best[1].refreshes
-            ):
-                best = (slot, checkpoint)
+        best = self._newest(
+            lambda slot: self._device.read_block(slot, sequential=False)
+        )
         if best is None:
             raise CheckpointError(
                 "no valid checkpoint in either superblock slot "
@@ -362,4 +311,4 @@ class DualSlotCheckpointStore:
 
     def exists(self) -> bool:
         """True when at least one slot holds a valid checkpoint."""
-        return self._newest() is not None
+        return self._newest(self._device.peek_block) is not None

@@ -26,7 +26,7 @@ class RefreshHarness:
         # of every final element is unambiguous.
         self.sample.initialize(list(range(sample_size)))
         self.log = LogFile(SimulatedBlockDevice(self.cost, "log"), codec)
-        self.log.extend(range(1000, 1000 + candidates))
+        self.log.append_many(range(1000, 1000 + candidates))
         self.source = CandidateLogSource(self.log)
         self.rng = RandomSource(seed=seed)
         self.sample_size = sample_size

@@ -142,7 +142,7 @@ class TestUpdateLogger:
 class TestCandidateLogSource:
     def test_reader_is_one_based_and_forward_only(self):
         log, _ = make_log()
-        log.extend([10, 20, 30])
+        log.append_many([10, 20, 30])
         source = CandidateLogSource(log)
         reader = source.open_reader()
         assert reader.read(1) == 10
@@ -214,7 +214,7 @@ class TestFullLogSource:
 
     def test_scan_all(self):
         log, _ = make_log()
-        log.extend([1, 2, 3])
+        log.append_many([1, 2, 3])
         assert FullLogSource(log, 2, 10, RandomSource(seed=15)).scan_all() == [1, 2, 3]
 
     def test_skip_stream_spawned_on_first_count(self):

@@ -20,7 +20,7 @@ from repro.storage.cost_model import CostModel
 from repro.storage.fault_injection import FaultInjectionDevice, InjectedCrash
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import IntRecordCodec
-from repro.storage.superblock import CheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore
 
 M, R0, INSERTS, SEED = 512, 1024, 4000, 9
 
@@ -59,7 +59,7 @@ def test_crash_mid_refresh_redo_recovers(algorithm_cls, crash_after_writes):
 
     crashing, sample, device, log_device, cost = build(algorithm_cls(), wrap)
     crashing.insert_many(range(R0, R0 + INSERTS))
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(crashing.checkpoint_state())
     # Arm the device: the initialize() writes are done; the next
     # `crash_after_writes` sample-block writes succeed, then the crash.

@@ -17,7 +17,7 @@ from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import IntRecordCodec
-from repro.storage.superblock import CheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore
 
 M = 100
 R0 = 300
@@ -60,7 +60,7 @@ def test_metrics_and_pending_gauge_survive_crash_recover_roundtrip():
     assert pre_refreshes == 1
     assert pre_pending == maintainer.pending_log_elements > 0
 
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(maintainer.checkpoint_state())
     # checkpoint_state() flushes the log tail, which can round the block
     # gauge up; capture the post-flush reading as the durable truth.
@@ -92,7 +92,7 @@ def test_recovered_gauges_match_reattached_log_without_prior_telemetry():
     # anyway and the gauges must reflect the re-attached on-disk log.
     maintainer, sample, log_device, cost = build(None)
     maintainer.insert_many(range(R0, R0 + CRASH_AT))
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(maintainer.checkpoint_state())
     pending = maintainer.pending_log_elements
     del maintainer

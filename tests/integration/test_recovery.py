@@ -19,7 +19,7 @@ from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import IntRecordCodec
-from repro.storage.superblock import CheckpointStore
+from repro.storage.superblock import DualSlotCheckpointStore
 
 M = 100
 R0 = 300
@@ -61,7 +61,7 @@ def test_recovered_run_equals_uninterrupted_run(strategy, algorithm_cls):
     algorithm2 = None if algorithm_cls is type(None) else algorithm_cls()
     crashing, crash_sample, log_device, cost = build(strategy, algorithm2)
     crashing.insert_many(range(R0, R0 + CRASH_AT))
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(crashing.checkpoint_state())
     del crashing  # the process dies; only device contents survive
 
@@ -104,7 +104,7 @@ def test_recovery_after_refresh_continues_cleanly():
     maintainer, sample, log_device, cost = build("candidate", StackRefresh())
     maintainer.insert_many(range(R0, R0 + 500))
     maintainer.refresh()
-    store = CheckpointStore(SimulatedBlockDevice(cost, "superblock"))
+    store = DualSlotCheckpointStore(SimulatedBlockDevice(cost, "superblock"))
     store.save(maintainer.checkpoint_state())
 
     control_continue, control_sample, _, _ = build("candidate", StackRefresh())

@@ -9,7 +9,8 @@ NaN and infinities, non-numbers, and floats that ``:g`` would round.
 
 The decoder property: a real checkpoint, truncated or with one byte
 flipped, either raises ``CheckpointError`` or decodes to the identical
-checkpoint.
+checkpoint; re-sealed with its CRC recomputed after the flip, it either
+raises ``CheckpointError`` or decodes to a checkpoint.
 """
 
 import pytest
@@ -29,6 +30,7 @@ from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.superblock import CheckpointError, MaintenanceCheckpoint
+from tests.storage.test_superblock import reseal
 
 #: fields every grammar's numbers accept
 VALID = st.one_of(
@@ -215,3 +217,10 @@ def test_flipped_checkpoint_refused_or_identical(checkpoint, offset, mask):
     data = bytearray(checkpoint.to_bytes())
     data[offset] ^= mask
     _decodes_identically_or_refuses(bytes(data), checkpoint)
+    # With the CRC recomputed the flip reaches the field checks, which
+    # must refuse with CheckpointError too, never another exception.
+    try:
+        decoded = MaintenanceCheckpoint.from_bytes(reseal(bytes(data)))
+    except CheckpointError:
+        return
+    assert isinstance(decoded, MaintenanceCheckpoint)

@@ -188,17 +188,14 @@ def _device(cost: CostModel, pooled: bool):
     return BufferPool(device, capacity=4, readahead=2) if pooled else device
 
 
-def _reference_scan(device, codec, blocks, count, cached_blocks=0):
+def _reference_scan(device, codec, blocks, count):
     """A scan by the Sec. 6.1 rules, one record per decode: declare the
-    scan, then one sequential read per block outside the cached prefix."""
+    scan, then one sequential read per block."""
     size = codec.record_size
     declare_scan(device, 0, blocks)
     values = []
     for block in range(blocks):
-        if block < cached_blocks:
-            data = device.peek_block(block)
-        else:
-            data = device.read_block(block, sequential=True)
+        data = device.read_block(block, sequential=True)
         take = min(len(data) // size, count - len(values))
         values += [codec.decode(data[i * size : (i + 1) * size]) for i in range(take)]
     return values
@@ -223,29 +220,22 @@ def _reference_reads(log, codec, indices):
     return values
 
 
-def _reference_write(sample, codec, items, cached_blocks):
+def _reference_write(sample, codec, items):
     """A sequential write by the Sec. 6.1 rules, one record per encode: one
-    write per touched block, free inside the cached prefix."""
+    write per touched block."""
     device = sample.device
     size = codec.record_size
     per_block = device.block_size // size
     current, image = -1, None
-
-    def put(block, image):
-        if block < cached_blocks:
-            device.poke_block(block, bytes(image))
-        else:
-            device.write_block(block, bytes(image), sequential=True)
-
     for index, value in items:
         block, slot = divmod(index, per_block)
         if block != current:
             if image is not None:
-                put(current, image)
+                device.write_block(current, bytes(image), sequential=True)
             current, image = block, bytearray(device.peek_block(block))
         image[slot * size : (slot + 1) * size] = codec.encode(value)
     if image is not None:
-        put(current, image)
+        device.write_block(current, bytes(image), sequential=True)
 
 
 @st.composite
@@ -267,23 +257,22 @@ class TestScanPathModel:
     """Block-at-a-time scans, refresh reads and refresh writes return the
     list model's values and charge what a record-at-a-time scan, reader or
     writer by the Sec. 6.1 rules charges: partial last blocks and tails,
-    shrunk samples, cached prefixes and an enabled buffer pool."""
+    shrunk samples and an enabled buffer pool."""
 
     @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
     @given(
         data=st.data(),
         size=st.integers(min_value=1, max_value=60),
-        cached_blocks=st.integers(min_value=0, max_value=3),
         pooled=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_sample_scan_matches_model(self, kind, data, size, cached_blocks, pooled):
+    def test_sample_scan_matches_model(self, kind, data, size, pooled):
         make, values = KIND_CODECS[kind]
         model = data.draw(st.lists(values, min_size=size, max_size=size))
         runs = []
         for _ in range(2):
             cost = CostModel(disk=SMALL_DISK)
-            sample = SampleFile(_device(cost, pooled), make(), size, cached_blocks)
+            sample = SampleFile(_device(cost, pooled), make(), size)
             sample.initialize(model)
             runs.append((cost, sample))
         new_size = data.draw(st.integers(min_value=1, max_value=size))
@@ -299,12 +288,10 @@ class TestScanPathModel:
 
         ref_before = ref_cost.stats.copy()
         blocks = sample.block_count
-        assert _reference_scan(
-            ref_sample.device, make(), blocks, new_size, cached_blocks
-        ) == model
+        assert _reference_scan(ref_sample.device, make(), blocks, new_size) == model
         assert charged == ref_cost.stats - ref_before
         if not pooled:
-            assert charged == AccessStats(seq_reads=max(0, blocks - cached_blocks))
+            assert charged == AccessStats(seq_reads=blocks)
 
     @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
     @given(
@@ -417,11 +404,10 @@ class TestScanPathModel:
     @given(
         data=st.data(),
         size=st.integers(min_value=1, max_value=60),
-        cached_blocks=st.integers(min_value=0, max_value=3),
         pooled=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_sequential_write_matches_model(self, kind, data, size, cached_blocks, pooled):
+    def test_sequential_write_matches_model(self, kind, data, size, pooled):
         make, values = KIND_CODECS[kind]
         model = data.draw(st.lists(values, min_size=size, max_size=size))
         new_size = data.draw(st.integers(min_value=1, max_value=size))
@@ -431,14 +417,14 @@ class TestScanPathModel:
         for _ in range(2):
             cost = CostModel(disk=SMALL_DISK)
             device = _device(cost, pooled)
-            sample = SampleFile(device, make(), size, cached_blocks)
+            sample = SampleFile(device, make(), size)
             sample.initialize(model)
             sample.resize(new_size)
             runs.append((cost, device, sample))
         (cost, device, sample), (ref_cost, ref_device, ref_sample) = runs
 
         written = sample.write_sequential(iter(items))
-        _reference_write(ref_sample, make(), items, cached_blocks)
+        _reference_write(ref_sample, make(), items)
         assert written == len({index // sample.elements_per_block for index in indexes})
         blocks = -(-size // sample.elements_per_block)
         assert [device.peek_block(b) for b in range(blocks)] == [

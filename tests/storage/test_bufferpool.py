@@ -45,8 +45,6 @@ class TestDisabledPool:
         pool.begin_scan(0, 100)
         pool.flush()
         assert pool.stats.flush_barriers == 0
-        with pytest.raises(RuntimeError):
-            pool.pin(0)
 
 
 class TestReadPath:
@@ -176,26 +174,6 @@ class TestEviction:
         assert device.peek_block(0) == block(device, 1)
         assert pool.stats.flushed_blocks == 1
         assert device.cost_model.stats.random_writes == 1
-
-    def test_pinned_frames_are_never_evicted(self):
-        device = make_device()
-        pool = BufferPool(device, capacity=2)
-        pool.pin(0)
-        pool.read_block(1, sequential=False)
-        pool.read_block(2, sequential=False)  # must evict 1, not pinned 0
-        charged = total_accesses(device)
-        pool.read_block(0, sequential=False)
-        assert total_accesses(device) == charged
-        pool.unpin(0)
-        with pytest.raises(RuntimeError):
-            pool.unpin(0)
-
-    def test_fully_pinned_pool_raises_instead_of_evicting(self):
-        pool = BufferPool(make_device(), capacity=2)
-        pool.pin(0)
-        pool.pin(1)
-        with pytest.raises(RuntimeError, match="pinned"):
-            pool.read_block(2, sequential=False)
 
 
 class TestTruncationAndInvalidation:

@@ -10,7 +10,11 @@ import pytest
 from repro.obs import Instrumentation
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
-from repro.storage.fault_injection import FaultInjectionDevice, InjectedCrash
+from repro.storage.fault_injection import (
+    CrashBudget,
+    FaultInjectionDevice,
+    InjectedCrash,
+)
 
 BLOCK = b"\x00" * 4096
 
@@ -79,3 +83,27 @@ def test_uninstrumented_device_crashes_silently():
     device = make_device(None, writes_until_crash=0)
     with pytest.raises(InjectedCrash):
         device.write_block(0, BLOCK, sequential=True)
+
+
+def test_arming_a_device_arms_its_shared_budget():
+    """Arming one of two devices that share a crash budget arms the budget:
+    the Nth write overall raises, whichever device it lands on."""
+    budget = CrashBudget()
+    first, second = (
+        FaultInjectionDevice(
+            SimulatedBlockDevice(CostModel(), name), crash_budget=budget
+        )
+        for name in ("sample-disk", "log-disk")
+    )
+    first.arm(writes_until_crash=2)
+    assert budget.armed
+    first.write_block(0, BLOCK, sequential=True)
+    second.write_block(0, BLOCK, sequential=True)
+    with pytest.raises(InjectedCrash):
+        second.write_block(1, BLOCK, sequential=True)
+    with pytest.raises(InjectedCrash):
+        first.write_block(1, BLOCK, sequential=True)
+    assert budget.writes_seen == 2
+    second.disarm()
+    assert not budget.armed
+    first.write_block(1, BLOCK, sequential=True)

@@ -59,8 +59,9 @@ class TestAppend:
         assert model.stats.seq_writes == 1
 
     def test_extend(self):
+        """A batch append extends the log by its length."""
         log, _ = make()
-        log.extend(range(5))
+        log.append_many(range(5))
         assert len(log) == 5
 
 
@@ -77,16 +78,16 @@ class TestTruncateAndReuse:
 
     def test_truncate_discards_content(self):
         log, _ = make()
-        log.extend(range(10))
+        log.append_many(range(10))
         log.truncate()
-        log.extend(range(100, 103))
+        log.append_many(range(100, 103))
         assert log.peek_all() == [100, 101, 102]
 
 
 class TestReads:
     def test_scan_all_roundtrip_and_charges(self):
         log, model = make()
-        log.extend(range(EPB * 2 + 10))
+        log.append_many(range(EPB * 2 + 10))
         mark = model.checkpoint()
         assert log.scan_all() == list(range(EPB * 2 + 10))
         delta = model.since(mark)
@@ -95,7 +96,7 @@ class TestReads:
 
     def test_read_indexed_sorted_charges_per_distinct_block(self):
         log, model = make()
-        log.extend(range(EPB * 4))
+        log.append_many(range(EPB * 4))
         mark = model.checkpoint()
         values = log.read_indexed_sorted([0, 1, EPB * 2, EPB * 3 + 5])
         assert values == [0, 1, EPB * 2, EPB * 3 + 5]
@@ -103,7 +104,7 @@ class TestReads:
 
     def test_read_indexed_sorted_requires_ascending(self):
         log, _ = make()
-        log.extend(range(10))
+        log.append_many(range(10))
         with pytest.raises(ValueError):
             log.read_indexed_sorted([3, 3])
         with pytest.raises(ValueError):
@@ -111,13 +112,13 @@ class TestReads:
 
     def test_read_indexed_sorted_bounds(self):
         log, _ = make()
-        log.extend(range(10))
+        log.append_many(range(10))
         with pytest.raises(IndexError):
             log.read_indexed_sorted([10])
 
     def test_sequential_reader_matches_batch(self):
         log, model = make()
-        log.extend(range(EPB * 3))
+        log.append_many(range(EPB * 3))
         reader = log.open_sequential_reader()
         mark = model.checkpoint()
         values = [reader.read(i) for i in (0, 5, EPB, EPB * 2 + 1)]
@@ -126,7 +127,7 @@ class TestReads:
 
     def test_sequential_reader_enforces_forward_order(self):
         log, _ = make()
-        log.extend(range(10))
+        log.append_many(range(10))
         reader = log.open_sequential_reader()
         reader.read(4)
         with pytest.raises(ValueError):
@@ -136,14 +137,14 @@ class TestReads:
 
     def test_read_one_random_charges_random_read(self):
         log, model = make()
-        log.extend(range(EPB * 2))
+        log.append_many(range(EPB * 2))
         mark = model.checkpoint()
         assert log.read_one_random(EPB + 3) == EPB + 3
         assert model.since(mark).random_reads == 1
 
     def test_peek_is_free_even_for_buffered_tail(self):
         log, model = make()
-        log.extend(range(EPB + 7))
+        log.append_many(range(EPB + 7))
         mark = model.checkpoint()
         assert log.peek(EPB + 3) == EPB + 3  # still in the append buffer
         assert log.peek(5) == 5
@@ -154,7 +155,7 @@ class TestReads:
     def test_block_count_includes_partial_tail(self):
         log, _ = make()
         assert log.block_count == 0
-        log.extend(range(EPB))
+        log.append_many(range(EPB))
         assert log.block_count == 1
         log.append(0)
         assert log.block_count == 2
@@ -163,7 +164,7 @@ class TestReads:
 class TestReopen:
     def test_reopen_restores_count_and_tail(self):
         log, model = make()
-        log.extend(range(EPB + 50))
+        log.append_many(range(EPB + 50))
         log.flush()
         # "Crash": a fresh LogFile over the same device.
         fresh = LogFile(log._device, IntRecordCodec())
@@ -178,13 +179,13 @@ class TestReopen:
 
     def test_reopen_block_aligned_log_costs_nothing(self):
         log, model = make()
-        log.extend(range(EPB * 2))
+        log.append_many(range(EPB * 2))
         fresh = LogFile(log._device, IntRecordCodec())
         mark = model.checkpoint()
         fresh.reopen(EPB * 2)
         assert model.since(mark).total_accesses == 0
         # Appends continue sequentially (same generation).
-        fresh.extend(range(EPB))
+        fresh.append_many(range(EPB))
         assert model.since(mark).seq_writes == 1
         assert model.since(mark).random_writes == 0
 
@@ -192,7 +193,7 @@ class TestReopen:
         log, model = make()
         fresh = LogFile(log._device, IntRecordCodec())
         fresh.reopen(0)
-        fresh.extend(range(EPB))
+        fresh.append_many(range(EPB))
         assert model.stats.random_writes == 1
 
     def test_reopen_requires_fresh_log(self):
@@ -246,8 +247,11 @@ class TestAppendMany:
         assert batch_model.stats == scalar_model.stats
 
     def test_extend_delegates_to_append_many(self):
+        """A batch append over a fresh log pays the rewind seek once, then
+        one sequential write per further full block; the tail stays
+        buffered."""
         log, model = make()
-        log.extend(range(EPB * 2 + 3))
+        log.append_many(range(EPB * 2 + 3))
         assert len(log) == EPB * 2 + 3
         assert model.stats.random_writes == 1  # rewind seek, first block
         assert model.stats.seq_writes == 1

@@ -62,10 +62,10 @@ class TestRealBlockDevice:
         model = CostModel()
         with RealBlockDevice(tmp_path / "log.bin", model) as device:
             log = LogFile(device, IntRecordCodec())
-            log.extend(range(300))
+            log.append_many(range(300))
             assert log.scan_all() == list(range(300))
             log.truncate()
-            log.extend(range(5))
+            log.append_many(range(5))
             assert log.peek_all() == [0, 1, 2, 3, 4]
 
 

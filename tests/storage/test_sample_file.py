@@ -8,12 +8,9 @@ from repro.storage.files import SampleFile
 from repro.storage.records import IntRecordCodec
 
 
-def make(size=300, cached_blocks=0):
+def make(size=300):
     model = CostModel()
-    sample = SampleFile(
-        SimulatedBlockDevice(model, "sample"), IntRecordCodec(), size,
-        cached_blocks=cached_blocks,
-    )
+    sample = SampleFile(SimulatedBlockDevice(model, "sample"), IntRecordCodec(), size)
     return sample, model
 
 
@@ -122,34 +119,6 @@ class TestScan:
         sample, _ = make(130)
         sample.initialize(list(range(130)))
         assert len(list(sample.scan())) == 130
-
-
-class TestCachedBlocks:
-    def test_cached_prefix_accesses_are_free(self):
-        sample, model = make(300, cached_blocks=1)
-        sample.initialize(list(range(300)))
-        # Block 0 (first 128 elements) is pinned: initialize charged 2, not 3.
-        assert model.stats.seq_writes == 2
-        mark = model.checkpoint()
-        sample.write_random(5, -1)     # cached: free
-        sample.write_random(200, -2)   # on disk: charged
-        assert model.since(mark).random_writes == 1
-        assert sample.peek(5) == -1
-
-    def test_cached_scan_reads_fewer_blocks(self):
-        sample, model = make(300, cached_blocks=2)
-        sample.initialize(list(range(300)))
-        mark = model.checkpoint()
-        list(sample.scan())
-        assert model.since(mark).seq_reads == 1
-
-    def test_negative_cached_blocks_rejected(self):
-        model = CostModel()
-        with pytest.raises(ValueError):
-            SampleFile(
-                SimulatedBlockDevice(model, "s"), IntRecordCodec(), 10,
-                cached_blocks=-1,
-            )
 
 
 class TestResize:

@@ -1,5 +1,7 @@
 """Superblock serialisation and the checkpoint store."""
 
+import zlib
+
 import pytest
 
 from repro.rng.random_source import RandomSource
@@ -7,9 +9,16 @@ from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.superblock import (
     CheckpointError,
-    CheckpointStore,
+    DualSlotCheckpointStore,
     MaintenanceCheckpoint,
+    _CRC,
+    _HEADER,
+    _MT_WORDS,
 )
+
+#: header field positions, in ``_HEADER`` order
+FIELD = {"sample_size": 4, "refreshes": 9, "position": 15}
+_BODY = _HEADER.size + _MT_WORDS.size
 
 
 def make_checkpoint(**overrides):
@@ -35,6 +44,16 @@ def make_checkpoint(**overrides):
     )
     fields.update(overrides)
     return MaintenanceCheckpoint(**fields), rng
+
+
+def reseal(data, **fields):
+    """``data`` with header ``fields`` replaced and its CRC recomputed, so
+    the block reaches the decoder's field checks."""
+    header = list(_HEADER.unpack_from(data))
+    for name, value in fields.items():
+        header[FIELD[name]] = value
+    body = _HEADER.pack(*header) + data[_HEADER.size : _BODY]
+    return body + _CRC.pack(zlib.crc32(body)) + data[_BODY + _CRC.size :]
 
 
 class TestSerialisation:
@@ -88,15 +107,15 @@ class TestSerialisation:
 class TestCheckpointStore:
     def test_save_load_roundtrip(self):
         model = CostModel()
-        store = CheckpointStore(SimulatedBlockDevice(model, "super"))
+        store = DualSlotCheckpointStore(SimulatedBlockDevice(model, "super"))
         checkpoint, _ = make_checkpoint()
         store.save(checkpoint)
         assert model.stats.random_writes == 1
         assert store.load() == checkpoint
-        assert model.stats.random_reads == 1
+        assert model.stats.random_reads == 2  # recovery probes both slots
 
     def test_exists(self):
-        store = CheckpointStore(SimulatedBlockDevice(CostModel(), "super"))
+        store = DualSlotCheckpointStore(SimulatedBlockDevice(CostModel(), "super"))
         assert not store.exists()
         checkpoint, _ = make_checkpoint()
         store.save(checkpoint)
@@ -104,4 +123,6 @@ class TestCheckpointStore:
 
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
-            CheckpointStore(SimulatedBlockDevice(CostModel(), "s"), block_index=-1)
+            DualSlotCheckpointStore(
+                SimulatedBlockDevice(CostModel(), "s"), block_indexes=(0, -1)
+            )

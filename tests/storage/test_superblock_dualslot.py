@@ -3,8 +3,9 @@
 The failure scenario: power dies *during* the superblock write.  The
 :class:`FaultInjectionDevice`'s torn-write mode splices the first half of
 the new block onto the old tail, which the CRC rejects on read -- a
-single-slot store then has nothing valid left.  The dual-slot store
-alternates slots, so the previous checkpoint always survives.
+single superblock would have nothing valid left.  The dual-slot store
+alternates slots, so the previous checkpoint always survives, and so it
+does when a CRC-valid slot carries an out-of-range field.
 """
 
 import pytest
@@ -14,11 +15,10 @@ from repro.storage.cost_model import CostModel
 from repro.storage.fault_injection import FaultInjectionDevice, InjectedCrash
 from repro.storage.superblock import (
     CheckpointError,
-    CheckpointStore,
     DualSlotCheckpointStore,
     MaintenanceCheckpoint,
 )
-from tests.storage.test_superblock import make_checkpoint
+from tests.storage.test_superblock import make_checkpoint, reseal
 
 
 def make_device():
@@ -83,11 +83,11 @@ class TestDualSlotBasics:
 
 
 class TestTornWriteRecovery:
-    def _crashed_mid_save(self, store_cls):
+    def _crashed_mid_save(self):
         """Save once cleanly, then crash with a torn write on the second."""
         inner = make_device()
         device = FaultInjectionDevice(inner, torn_writes=True)
-        store = store_cls(device)
+        store = DualSlotCheckpointStore(device)
         first, _ = make_checkpoint(inserts=100)
         second, _ = make_checkpoint(inserts=200)
         store.save(first)
@@ -95,36 +95,21 @@ class TestTornWriteRecovery:
         with pytest.raises(InjectedCrash):
             store.save(second)
         device.disarm()
-        return store, first
+        return store, first, inner
 
     def test_torn_write_corrupts_the_block(self):
-        inner = make_device()
-        device = FaultInjectionDevice(inner, torn_writes=True)
-        store = CheckpointStore(device)
-        first, _ = make_checkpoint(inserts=100)
-        second, _ = make_checkpoint(inserts=200)
-        store.save(first)
-        device.arm(writes_until_crash=0)
-        with pytest.raises(InjectedCrash):
-            store.save(second)
-        device.disarm()
-        # The block now holds a half-new/half-old splice: CRC must fail.
-        with pytest.raises(CheckpointError):
-            store.load()
-
-    def test_single_slot_store_loses_everything(self):
-        store, _ = self._crashed_mid_save(CheckpointStore)
-        with pytest.raises(CheckpointError):
-            store.load()
-        assert not store.exists()
+        _, _, inner = self._crashed_mid_save()
+        # Slot 1 now holds a half-new/half-old splice: CRC must fail.
+        with pytest.raises(CheckpointError, match="CRC"):
+            MaintenanceCheckpoint.from_bytes(inner.peek_block(1))
 
     def test_dual_slot_store_falls_back_to_previous(self):
-        store, first = self._crashed_mid_save(DualSlotCheckpointStore)
+        store, first, _ = self._crashed_mid_save()
         assert store.exists()
         assert store.load() == first
 
     def test_recovered_store_resumes_alternation(self):
-        store, first = self._crashed_mid_save(DualSlotCheckpointStore)
+        store, first, _ = self._crashed_mid_save()
         third, _ = make_checkpoint(inserts=300)
         store.save(third)  # must target the torn slot, not the survivor
         assert store.load() == third
@@ -169,7 +154,7 @@ class TestTornWriteRecovery:
         """Without torn_writes the crash happens before any bytes land."""
         inner = make_device()
         device = FaultInjectionDevice(inner)  # torn_writes=False
-        store = CheckpointStore(device)
+        store = DualSlotCheckpointStore(device)
         first, _ = make_checkpoint(inserts=100)
         store.save(first)
         device.arm(writes_until_crash=0)
@@ -177,3 +162,36 @@ class TestTornWriteRecovery:
             store.save(make_checkpoint(inserts=200)[0])
         device.disarm()
         assert store.load() == first
+        # The crash came before any bytes landed: slot 1 is still blank.
+        assert inner.peek_block(1) == b"\x00" * inner.block_size
+
+
+class TestOutOfRangeFieldRecovery:
+    """A CRC-valid slot with a field no checkpoint can hold is refused
+    like a torn one, and the store falls back to the other slot."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"sample_size": -5},
+            {"refreshes": -1},
+            {"position": 9999},
+            {"position": -7},
+        ],
+        ids=["negative-count", "negative-refreshes", "mt-position-high",
+             "mt-position-negative"],
+    )
+    def test_bad_field_falls_back_to_older_slot(self, field):
+        device = make_device()
+        store = DualSlotCheckpointStore(device)
+        first, _ = make_checkpoint(inserts=100)
+        store.save(first)
+        store.save(make_checkpoint(inserts=200)[0])
+        bad = reseal(device.peek_block(1), **field)
+        device.poke_block(1, bad)
+        with pytest.raises(CheckpointError, match="invalid superblock field"):
+            MaintenanceCheckpoint.from_bytes(bad)
+        assert store.exists()
+        assert store.load() == first
+        store.save(make_checkpoint(inserts=300)[0])  # targets the bad slot
+        assert device.peek_block(0) == first.to_bytes()
