@@ -459,6 +459,33 @@ def test_sample_scan_throughput(benchmark, scale, kind):
     assert scanned == rows
 
 
+# -- served queries: scan -> mask -> estimate ---------------------------------
+#
+# One ``QuerySession`` query over a 4,096-row uniform sample behind a
+# 16-frame page cache: the sample spans 32 blocks, so every scan misses.
+# The query scans the value column into one array, masks it with the
+# threshold and estimates.  ``queries_per_sec`` is answered queries per
+# second.  Not in the committed baseline, so not gated.
+
+
+@pytest.mark.parametrize("aggregate", ["count", "fraction", "sum"])
+def test_query_throughput(benchmark, aggregate):
+    """One served query, scan to estimate, per aggregate."""
+    from repro.serve.catalog import SampleCatalog
+    from repro.serve.session import Freshness, QuerySession
+
+    sample_size = 4096
+    catalog = SampleCatalog(pool_capacity=16)
+    catalog.create("s", sample_size, seed=29)
+    session = QuerySession(catalog)
+    fresh = Freshness.serve_stale()
+
+    answer = benchmark(lambda: session.execute("s", fresh, aggregate, 1 << 29))
+    benchmark.extra_info["queries_per_sec"] = 1 / benchmark.stats.stats.mean
+    assert answer.rows_scanned == sample_size
+    assert answer.estimate.low <= answer.estimate.value <= answer.estimate.high
+
+
 # -- replay refresh: the refresh of a kinded sample ---------------------------
 #
 # A weighted Array refresh scans the sample, replays every logged row

@@ -10,8 +10,14 @@ unit_price)``.  The join synopsis (Acharya et al., cited as [10] in the
 paper) keeps a uniform sample of the join; a price correction on the
 dimension side flows through the Sec. 5 update-log pattern.
 
+Queries run over columns: the synopsis rows become one numpy array per
+field, an aggregate reads the price column, and a filter is a mask over
+any column of the same rows.
+
 Run:  python examples/approximate_queries.py
 """
+
+import numpy as np
 
 from repro import CostModel, PeriodicPolicy, RandomSource, StackRefresh
 from repro.analysis.query import SampleQuery
@@ -50,17 +56,19 @@ def main() -> None:
     synopsis.refresh()
 
     rows = synopsis.rows()
-    q = SampleQuery(rows, dataset_size=synopsis.fact_table_size)
+    product = np.array([row.fact_value for row in rows])
+    price = np.array([row.dim_value for row in rows])
+    q = SampleQuery(price, dataset_size=synopsis.fact_table_size)
 
     # Q1: total revenue.
-    revenue = q.sum(lambda r: r.dim_value)
+    revenue = q.sum()
     true_revenue = sum(
         (99 if row.value == 7 else price_of(row.value)) for row in sales.rows()
     )
     print(f"Q1 total revenue : {revenue}  (true {true_revenue:,})")
 
     # Q2: how many sales of premium products (price > 40.00)?
-    premium = q.where(lambda r: r.dim_value > 4000).count()
+    premium = q.where(lambda p: p > 4000).count()
     true_premium = sum(
         1 for row in sales.rows()
         if (99 if row.value == 7 else price_of(row.value)) > 4000
@@ -68,9 +76,10 @@ def main() -> None:
     print(f"Q2 premium sales : {premium}  (true {true_premium:,})")
 
     # Q3: average price of product 7's sales -- reflects the markdown.
-    marked_down = q.where(lambda r: r.fact_value == 7)
+    # The mask comes from the product column, aligned with the prices.
+    marked_down = q.where(lambda _: product == 7)
     print(f"Q3 product-7 rows in synopsis: {marked_down.matching_rows}; "
-          f"avg price {marked_down.avg(lambda r: r.dim_value).value:.0f} "
+          f"avg price {marked_down.avg().value:.0f} "
           f"(exact 99 after the markdown)")
 
     for label, estimate, truth in (

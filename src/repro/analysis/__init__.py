@@ -12,10 +12,7 @@ maintenance strategy leaves the sample uniform.
 from repro.analysis.bounds import (
     ConfidenceInterval,
     fraction_confidence_interval,
-    hoeffding_mean_interval,
     mean_confidence_interval,
-    required_sample_size,
-    sum_confidence_interval,
 )
 from repro.analysis.query import Estimate, SampleQuery
 from repro.analysis.estimators import (
@@ -36,10 +33,7 @@ from repro.analysis.uniformity import (
 __all__ = [
     "ConfidenceInterval",
     "mean_confidence_interval",
-    "sum_confidence_interval",
     "fraction_confidence_interval",
-    "hoeffding_mean_interval",
-    "required_sample_size",
     "Estimate",
     "SampleQuery",
     "estimate_mean",

@@ -4,8 +4,7 @@ The paper's case for *uniform* samples is that they "derive precise
 results and error bounds" (Sec. 1) for whatever estimate is asked later.
 This module supplies the bounds: normal-approximation confidence
 intervals with the finite-population correction (the sample is drawn
-without replacement from a dataset of known size), plus a
-distribution-free Hoeffding bound for bounded-value estimates.
+without replacement from a dataset of known size).
 
 All intervals are two-sided at the requested confidence level.
 """
@@ -14,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "ConfidenceInterval",
     "mean_confidence_interval",
-    "sum_confidence_interval",
     "fraction_confidence_interval",
-    "hoeffding_mean_interval",
-    "required_sample_size",
 ]
 
 
@@ -51,11 +51,13 @@ class ConfidenceInterval:
         return self.low <= value <= self.high
 
 
+@lru_cache
 def _z_score(confidence: float) -> float:
     """Two-sided standard-normal quantile via the inverse error function.
 
     Newton refinement over ``erf`` keeps us scipy-free with ~1e-10
-    accuracy for any practical confidence level.
+    accuracy for any practical confidence level.  Memoised: every
+    interval of every query asks for one of a few confidence levels.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -83,34 +85,38 @@ def _fpc(sample_size: int, population_size: int | None) -> float:
 
 
 def mean_confidence_interval(
-    sample: Sequence[float],
+    sample: ArrayLike,
     confidence: float = 0.95,
     population_size: int | None = None,
 ) -> ConfidenceInterval:
-    """Normal-approximation CI for the population mean."""
-    n = len(sample)
+    """Normal-approximation CI for the population mean of a 1-D array.
+
+    Bit for bit the loop over its values as Python floats ``vs``:
+    ``mean = sum(vs) / n`` and ``sum((v - mean) ** 2 for v in vs)``.  The
+    squares come from libm ``pow``, which ``float ** 2`` calls (numpy's
+    ``d * d`` rounds some apart), and the builtin ``sum`` totals them in
+    order (``np.sum`` is pairwise; the builtin is compensated from 3.12).
+    """
+    values = np.asarray(sample)
+    n = len(values)
     if n < 2:
         raise ValueError("need at least two observations")
-    mean = sum(sample) / n
-    variance = sum((v - mean) ** 2 for v in sample) / (n - 1)
+    mean = _float_sum(values) / n
+    deviations = (values - mean).tolist()
+    variance = sum(map(math.pow, deviations, repeat(2.0))) / (n - 1)
     stderr = math.sqrt(variance / n) * _fpc(n, population_size)
     margin = _z_score(confidence) * stderr
     return ConfidenceInterval(mean, mean - margin, mean + margin, confidence)
 
 
-def sum_confidence_interval(
-    sample: Sequence[float],
-    population_size: int,
-    confidence: float = 0.95,
-) -> ConfidenceInterval:
-    """CI for the population total: the mean interval scaled by ``N``."""
-    base = mean_confidence_interval(sample, confidence, population_size)
-    return ConfidenceInterval(
-        base.estimate * population_size,
-        base.low * population_size,
-        base.high * population_size,
-        confidence,
-    )
+def _float_sum(values: np.ndarray) -> float:
+    """``sum(map(float, values))`` to the last bit: integers whose
+    magnitudes sum below 2**53 add exactly, in int64 as in doubles."""
+    if values.dtype.kind == "i":
+        largest = max(-int(values.min()), int(values.max()))
+        if largest * len(values) < 2**53:
+            return float(values.sum())
+    return sum(values.astype(float).tolist())
 
 
 def fraction_confidence_interval(
@@ -146,46 +152,3 @@ def fraction_confidence_interval(
     low = max(0.0, min(p, centre - margin))
     high = min(1.0, max(p, centre + margin))
     return ConfidenceInterval(p, low, high, confidence)
-
-
-def hoeffding_mean_interval(
-    sample: Sequence[float],
-    value_range: tuple[float, float],
-    confidence: float = 0.95,
-) -> ConfidenceInterval:
-    """Distribution-free CI for the mean of values in ``[low, high]``.
-
-    ``P(|mean_est - mean| >= t) <= 2 exp(-2 n t^2 / (high-low)^2)`` -- no
-    normality assumption, at the price of width.
-    """
-    n = len(sample)
-    if n < 1:
-        raise ValueError("need at least one observation")
-    low, high = value_range
-    if high <= low:
-        raise ValueError("value_range must be non-degenerate")
-    for v in sample:
-        if not low <= v <= high:
-            raise ValueError(f"value {v} outside declared range [{low}, {high}]")
-    mean = sum(sample) / n
-    alpha = 1.0 - confidence
-    margin = (high - low) * math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-    return ConfidenceInterval(mean, mean - margin, mean + margin, confidence)
-
-
-def required_sample_size(
-    relative_error: float,
-    confidence: float = 0.95,
-    coefficient_of_variation: float = 1.0,
-) -> int:
-    """Sample size needed for a relative error on the mean.
-
-    ``n >= (z * cv / e)^2`` -- the planning formula behind the paper's
-    "many estimators require the sample to be sufficiently large".
-    """
-    if relative_error <= 0:
-        raise ValueError("relative_error must be positive")
-    if coefficient_of_variation <= 0:
-        raise ValueError("coefficient_of_variation must be positive")
-    z = _z_score(confidence)
-    return math.ceil((z * coefficient_of_variation / relative_error) ** 2)

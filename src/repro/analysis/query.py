@@ -3,11 +3,15 @@
 The application-facing layer the paper's Sec. 1 motivates: once a uniform
 sample exists, arbitrary later queries get approximate answers with error
 bounds.  :class:`SampleQuery` provides a small fluent API over a sample's
-contents:
+value column -- one 1-D numpy array, such as
+:meth:`~repro.storage.files.SampleFile.scan_values` returns:
 
->>> q = SampleQuery(sample_rows, dataset_size=1_000_000)
->>> q.where(lambda r: r > 100).count()          # Estimate with a CI
->>> q.avg(lambda r: r)                          # Estimate with a CI
+>>> q = SampleQuery(values, dataset_size=1_000_000)
+>>> q.where(lambda v: v > 100).count()          # Estimate with a CI
+>>> q.avg()                                     # Estimate with a CI
+
+Predicates are vectorised: ``where`` calls one once with the column and
+keeps the rows of the boolean mask it returns.
 
 Statistics notes (all standard survey-sampling results):
 
@@ -19,12 +23,18 @@ Statistics notes (all standard survey-sampling results):
   the textbook domain-sum estimator;
 * ``avg()`` over a filtered query conditions on the matching subsample
   (a ratio estimator; its CI uses the subsample size).
+
+Answers are bit for bit a row-at-a-time loop's over the values as Python
+floats (see :func:`~repro.analysis.bounds.mean_confidence_interval`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.analysis.bounds import (
     ConfidenceInterval,
@@ -33,8 +43,6 @@ from repro.analysis.bounds import (
 )
 
 __all__ = ["Estimate", "SampleQuery"]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,58 +75,63 @@ class Estimate:
         )
 
 
-class SampleQuery(Generic[T]):
-    """Fluent approximate queries over a uniform sample.
+class SampleQuery:
+    """Fluent approximate queries over a uniform sample's values.
 
-    ``rows`` is the sample's contents; ``dataset_size`` the size of the
-    population it represents (the maintenance layer tracks it).  The
-    object is immutable; ``where`` returns a narrowed copy that remembers
-    the *original* sample size for correct scaling.
+    ``values`` is the sample's value column (a 1-D array); ``dataset_size``
+    the size of the population it represents (the maintenance layer
+    tracks it).  The object is immutable; ``where`` returns a narrowed
+    copy that remembers the *original* sample size for correct scaling.
     """
 
     def __init__(
         self,
-        rows: Sequence[T],
+        values: ArrayLike,
         dataset_size: int,
         confidence: float = 0.95,
         _base_sample_size: int | None = None,
     ) -> None:
-        if dataset_size < len(rows) and _base_sample_size is None:
+        values = np.asarray(values)
+        if values.ndim != 1:
+            raise ValueError(f"values must be 1-D, got shape {values.shape}")
+        if dataset_size < len(values) and _base_sample_size is None:
             raise ValueError(
                 f"dataset_size {dataset_size} smaller than the sample "
-                f"({len(rows)} rows)"
+                f"({len(values)} rows)"
             )
         if not 0.0 < confidence < 1.0:
             raise ValueError("confidence must be in (0, 1)")
-        self._rows = list(rows)
+        self._values = values
         self._dataset_size = dataset_size
         self._confidence = confidence
         self._base = (
-            _base_sample_size if _base_sample_size is not None else len(rows)
+            _base_sample_size if _base_sample_size is not None else len(values)
         )
         if self._base == 0:
             raise ValueError("cannot query an empty sample")
 
     # -- composition --------------------------------------------------------
 
-    def where(self, predicate: Callable[[T], bool]) -> "SampleQuery[T]":
-        """Narrow to rows matching the predicate (population filter)."""
+    def where(self, predicate: Callable[[np.ndarray], ArrayLike]) -> "SampleQuery":
+        """Narrow to rows matching the predicate (population filter): it
+        maps the value array to one boolean per row."""
+        mask = np.asarray(predicate(self._values), dtype=bool)
         return SampleQuery(
-            [row for row in self._rows if predicate(row)],
+            self._values[mask],
             self._dataset_size,
             self._confidence,
             _base_sample_size=self._base,
         )
 
-    def with_confidence(self, confidence: float) -> "SampleQuery[T]":
+    def with_confidence(self, confidence: float) -> "SampleQuery":
         return SampleQuery(
-            self._rows, self._dataset_size, confidence,
+            self._values, self._dataset_size, confidence,
             _base_sample_size=self._base,
         )
 
     @property
     def matching_rows(self) -> int:
-        return len(self._rows)
+        return len(self._values)
 
     @property
     def sample_size(self) -> int:
@@ -130,7 +143,7 @@ class SampleQuery(Generic[T]):
     def count(self) -> Estimate:
         """Estimated number of population rows matching the filters."""
         ci = fraction_confidence_interval(
-            len(self._rows), self._base, self._confidence,
+            len(self._values), self._base, self._confidence,
             population_size=self._dataset_size,
         )
         n = self._dataset_size
@@ -141,16 +154,16 @@ class SampleQuery(Generic[T]):
             ),
         )
 
-    def sum(self, value_of: Callable[[T], float]) -> Estimate:
-        """Estimated population sum of ``value_of`` over matching rows.
+    def sum(self) -> Estimate:
+        """Estimated population sum of the values of matching rows.
 
         Uses the domain-sum estimator: non-matching sampled rows
         contribute zero, so the scaling base is the unfiltered sample.
         """
-        contributions = [value_of(row) for row in self._rows]
-        padded = contributions + [0.0] * (self._base - len(self._rows))
-        if len(padded) < 2:
+        if self._base < 2:
             raise ValueError("need an unfiltered sample of at least 2 rows")
+        padded = np.zeros(self._base, self._values.dtype)
+        padded[: len(self._values)] = self._values
         mean_ci = mean_confidence_interval(
             padded, self._confidence, population_size=self._dataset_size
         )
@@ -163,22 +176,20 @@ class SampleQuery(Generic[T]):
             ),
         )
 
-    def avg(self, value_of: Callable[[T], float]) -> Estimate:
-        """Estimated mean of ``value_of`` over matching population rows."""
-        if len(self._rows) < 2:
+    def avg(self) -> Estimate:
+        """Estimated mean of the values of matching population rows."""
+        if len(self._values) < 2:
             raise ValueError(
                 "fewer than 2 matching sampled rows; the filter is too "
                 "selective for this sample"
             )
-        ci = mean_confidence_interval(
-            [value_of(row) for row in self._rows], self._confidence
-        )
+        ci = mean_confidence_interval(self._values, self._confidence)
         return Estimate(value=ci.estimate, interval=ci)
 
     def fraction(self) -> Estimate:
         """Estimated fraction of the population matching the filters."""
         ci = fraction_confidence_interval(
-            len(self._rows), self._base, self._confidence,
+            len(self._values), self._base, self._confidence,
             population_size=self._dataset_size,
         )
         return Estimate(value=ci.estimate, interval=ci)

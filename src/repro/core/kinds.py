@@ -8,7 +8,8 @@ any other acceptance test").  This module owns that generalisation: a
 :class:`SampleKind` captures, per scheme,
 
 * what a stored **row** is (value plus kind payload: A-ES key, arrival
-  sequence) and which codec serialises it;
+  sequence) and which codec serialises it -- the value is always field
+  0 of the record, the column a query scans;
 * the **acceptance test** run at insert time against *stale* state (state
   as of the last refresh), which decides what enters the candidate log;
 * the **replay** run at refresh time, which folds logged candidates into
@@ -123,9 +124,6 @@ class SampleKind(Protocol):
     def codec(self, record_size: int) -> RecordCodec:  # pragma: no cover
         ...
 
-    def values(self, rows: list) -> list:  # pragma: no cover - protocol
-        ...
-
     def population(self) -> int:  # pragma: no cover - protocol
         ...
 
@@ -233,9 +231,6 @@ class UniformKind:
 
     def codec(self, record_size: int) -> RecordCodec:
         return IntRecordCodec(record_size)
-
-    def values(self, rows: list) -> list:
-        return rows
 
     def population(self) -> int:
         return self.seen
@@ -414,9 +409,6 @@ class WeightedKind:
     def codec(self, record_size: int) -> RecordCodec:
         return WeightedRecordCodec(record_size)
 
-    def values(self, rows: list) -> list:
-        return [row[0] for row in rows]
-
     def population(self) -> int:
         return self._seen
 
@@ -590,9 +582,6 @@ class WindowKind:
 
     def codec(self, record_size: int) -> RecordCodec:
         return TimestampedRecordCodec(record_size)
-
-    def values(self, rows: list) -> list:
-        return [row[0] for row in rows]
 
     def population(self) -> int:
         return min(self._seen, self._capacity)

@@ -152,11 +152,11 @@ class QuerySession:
 
     The read path is: check the target sample's staleness against the
     request's :class:`Freshness`; refresh first if the mode demands it;
-    sequentially scan the sample (the only query-time I/O, charged to the
-    shared cost model); evaluate the aggregate with
-    :class:`~repro.analysis.query.SampleQuery`.  Predicates are
-    ``value >= threshold`` range filters, matching the synthetic integer
-    workloads.
+    sequentially scan the sample's value column into one array (the only
+    query-time I/O, charged to the shared cost model); mask it and
+    evaluate the aggregate with :class:`~repro.analysis.query.SampleQuery`.
+    Predicates are ``value >= threshold`` range filters, matching the
+    synthetic integer workloads.
     """
 
     def __init__(
@@ -222,28 +222,25 @@ class QuerySession:
             if self._instr is not None:
                 self._c_forced.inc()
         with maybe_span(self._instr, "session.scan", sample=name):
-            rows = list(maintainer.sample.scan())
-        # Weighted and window rows carry kind payloads (key, sequence); the
-        # aggregate estimators see the values, scaled to the kind's
-        # represented population (window: the window itself).
+            values = maintainer.sample.scan_values()
+        # Every kind stores the value as field 0; estimates scale to the
+        # kind's represented population (window: the window itself).
         population = kind.population()
-        query: SampleQuery = SampleQuery(
-            kind.values(rows), population, self._confidence
-        )
+        query = SampleQuery(values, population, self._confidence)
         if threshold is not None:
-            query = query.where(lambda value: value >= threshold)
+            query = query.where(lambda column: column >= threshold)
         if aggregate == "count":
             estimate = query.count()
         elif aggregate == "fraction":
             estimate = query.fraction()
         else:
-            estimate = query.sum(float)
+            estimate = query.sum()
         return ServedAnswer(
             sample=name,
             aggregate=aggregate,
             estimate=estimate,
             dataset_size=population,
-            rows_scanned=len(rows),
+            rows_scanned=len(values),
             staleness=effective,
             refreshed=refreshed,
             freshness=freshness,

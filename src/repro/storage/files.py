@@ -12,7 +12,7 @@ Charging rules (matching Sec. 6.1 of the paper):
   written after the log is truncated/reused charges a **random write**
   instead -- the "one random I/O ... to move from the current position to
   the beginning of the log file" of Sec. 6.2;
-* scans charge one **sequential read** per block;
+* scans (``scan``, ``scan_values``) charge one **sequential read** per block;
 * indexed forward reads (refresh algorithms touching only the blocks that
   contain final candidates) charge one sequential read per *distinct*
   block;
@@ -28,6 +28,8 @@ Charging rules (matching Sec. 6.1 of the paper):
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from repro.storage.block_device import BlockDevice
 from repro.storage.bufferpool import declare_scan
@@ -196,6 +198,25 @@ class SampleFile(_BlockStore):
         for block in range(self.block_count):
             data = self._device.read_block(block, sequential=True)
             yield from self._decode_block(data, block, self._size)
+
+    def scan_values(self) -> np.ndarray:
+        """Every element's value (field 0) front to back, as one array.
+
+        Charges what :meth:`scan` charges -- the scan declaration, then
+        one sequential read per block -- but decodes no record: each
+        block's bytes are viewed through the codec's ``dtype`` (one
+        ``np.frombuffer`` per block) and the value columns are joined
+        once.  Needs a struct-backed codec.
+        """
+        dtype = self._codec.dtype
+        per_block = self.elements_per_block
+        declare_scan(self._device, 0, self.block_count)
+        columns = []
+        for block in range(self.block_count):
+            data = self._device.read_block(block, sequential=True)
+            count = min(per_block, self._size - block * per_block)
+            columns.append(np.frombuffer(data, dtype, count)["f0"])
+        return np.concatenate(columns)
 
     def resize(self, new_size: int) -> None:
         """Shrink the logical sample size (Sec. 5 deletion handling).

@@ -17,6 +17,8 @@ from __future__ import annotations
 import struct
 from typing import ClassVar, Generic, Protocol, Sequence, TypeVar
 
+import numpy as np
+
 __all__ = [
     "RecordCodec",
     "StructRecordCodec",
@@ -60,6 +62,8 @@ class StructRecordCodec(Generic[T]):
     the padding, the length checks and one compiled :class:`struct.Struct`
     per record count, so a block of ``count`` records packs or unpacks in
     one C call.
+    :attr:`dtype` is the layout as a numpy structured type: field ``f<i>``
+    at its packed offset, one item per record.
     """
 
     FIELDS: ClassVar[str]
@@ -74,6 +78,13 @@ class StructRecordCodec(Generic[T]):
         self._layout = f"{self.FIELDS}{record_size - width}x"
         self._structs: dict[int, struct.Struct] = {}
         self._one = self._struct(1)
+        fields = range(len(self.FIELDS))
+        self.dtype = np.dtype({
+            "names": [f"f{i}" for i in fields],
+            "formats": ["<" + code for code in self.FIELDS],
+            "offsets": [struct.calcsize("<" + self.FIELDS[:i]) for i in fields],
+            "itemsize": record_size,
+        })
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)

@@ -6,10 +6,7 @@ from scipy import stats
 from repro.analysis.bounds import (
     ConfidenceInterval,
     fraction_confidence_interval,
-    hoeffding_mean_interval,
     mean_confidence_interval,
-    required_sample_size,
-    sum_confidence_interval,
 )
 from repro.analysis.bounds import _z_score
 from repro.core.reservoir import build_reservoir
@@ -87,15 +84,6 @@ class TestMeanInterval:
             mean_confidence_interval([1.0, 2.0], population_size=1)
 
 
-class TestSumInterval:
-    def test_scales_mean_interval(self):
-        sample = [1.0, 2.0, 3.0, 4.0]
-        mean_ci = mean_confidence_interval(sample, population_size=100)
-        sum_ci = sum_confidence_interval(sample, population_size=100)
-        assert sum_ci.estimate == pytest.approx(mean_ci.estimate * 100)
-        assert sum_ci.half_width == pytest.approx(mean_ci.half_width * 100)
-
-
 class TestFractionInterval:
     def test_wilson_properties(self):
         ci = fraction_confidence_interval(5, 100)
@@ -117,46 +105,3 @@ class TestFractionInterval:
             fraction_confidence_interval(5, 0)
         with pytest.raises(ValueError):
             fraction_confidence_interval(11, 10)
-
-
-class TestHoeffding:
-    def test_wider_than_normal_interval(self):
-        rng = RandomSource(seed=2)
-        sample = [rng.random() for _ in range(500)]
-        normal = mean_confidence_interval(sample)
-        hoeffding = hoeffding_mean_interval(sample, (0.0, 1.0))
-        assert hoeffding.half_width > normal.half_width
-
-    def test_never_misses_by_much(self):
-        rng = RandomSource(seed=3)
-        trials, misses = 300, 0
-        for _ in range(trials):
-            sample = [rng.random() for _ in range(200)]
-            ci = hoeffding_mean_interval(sample, (0.0, 1.0), confidence=0.95)
-            misses += not ci.contains(0.5)
-        assert misses < trials * 0.05  # Hoeffding is conservative
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hoeffding_mean_interval([], (0, 1))
-        with pytest.raises(ValueError):
-            hoeffding_mean_interval([0.5], (1, 0))
-        with pytest.raises(ValueError):
-            hoeffding_mean_interval([2.0], (0, 1))
-
-
-class TestPlanning:
-    def test_required_size_grows_with_precision(self):
-        loose = required_sample_size(0.10)
-        tight = required_sample_size(0.01)
-        assert tight > 50 * loose
-
-    def test_known_value(self):
-        # 5% error, 95% confidence, cv=1: (1.96/0.05)^2 ~ 1537.
-        assert required_sample_size(0.05) == pytest.approx(1537, abs=2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            required_sample_size(0)
-        with pytest.raises(ValueError):
-            required_sample_size(0.1, coefficient_of_variation=0)

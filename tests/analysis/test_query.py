@@ -30,8 +30,8 @@ class TestConstruction:
             SampleQuery([], dataset_size=100)
 
     def test_with_confidence_widens_interval(self, query):
-        narrow = query.with_confidence(0.80).avg(float)
-        wide = query.with_confidence(0.99).avg(float)
+        narrow = query.with_confidence(0.80).avg()
+        wide = query.with_confidence(0.99).avg()
         assert wide.interval.half_width > narrow.interval.half_width
 
 
@@ -56,14 +56,14 @@ class TestCount:
 
 class TestSum:
     def test_unfiltered_sum(self, query):
-        estimate = query.sum(float)
+        estimate = query.sum()
         truth = sum(POPULATION)
         assert estimate.value == pytest.approx(truth, rel=0.1)
         assert estimate.low <= truth <= estimate.high
 
     def test_filtered_sum_uses_domain_estimator(self, query):
         truth = sum(v for v in POPULATION if v >= 9_000)
-        estimate = query.where(lambda v: v >= 9_000).sum(float)
+        estimate = query.where(lambda v: v >= 9_000).sum()
         assert estimate.value == pytest.approx(truth, rel=0.35)
         assert estimate.low <= truth <= estimate.high
 
@@ -77,7 +77,7 @@ class TestSum:
             est = (
                 SampleQuery(rows, len(POPULATION))
                 .where(lambda v: v % 7 == 0)
-                .sum(float)
+                .sum()
             )
             covered += est.low <= truth <= est.high
         assert covered > trials * 0.88
@@ -85,13 +85,13 @@ class TestSum:
 
 class TestAvgAndFraction:
     def test_avg(self, query):
-        estimate = query.where(lambda v: v >= 5_000).avg(float)
+        estimate = query.where(lambda v: v >= 5_000).avg()
         assert estimate.value == pytest.approx(7_500, rel=0.05)
         assert estimate.low <= 7_499.5 <= estimate.high
 
     def test_avg_requires_matches(self, query):
         with pytest.raises(ValueError):
-            query.where(lambda v: v < 0).avg(float)
+            query.where(lambda v: v < 0).avg()
 
     def test_fraction(self, query):
         estimate = query.where(lambda v: v % 2 == 0).fraction()

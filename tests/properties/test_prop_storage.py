@@ -1,7 +1,9 @@
 """Property-based tests: codecs, files, and the closed-form math."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +102,30 @@ class TestCodecProperties:
                 codec.decode_block(block[:-1], len(xs))
         with pytest.raises(ValueError):
             codec.decode_block(block, len(xs) + 1)
+
+    @pytest.mark.parametrize("name", sorted(set(CODECS) - {"bytes"}))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dtype_reads_back_every_field(self, name, data):
+        # The numpy view of a block, field for field, is the struct layout:
+        # packed offsets (``Bqq`` puts its integers at 1 and 9), one item
+        # per record.
+        make, values = CODECS[name]
+        codec = make()
+        xs = data.draw(st.lists(values, max_size=10))
+        try:
+            block = codec.encode_block(xs)
+        except ValueError:
+            return
+        assert codec.dtype.itemsize == codec.record_size
+        view = np.frombuffer(block, codec.dtype)
+        columns = [view[field].tolist() for field in codec.dtype.names]
+        size = codec.record_size
+        expected = [
+            struct.unpack_from("<" + codec.FIELDS, block, i * size)
+            for i in range(len(xs))
+        ]
+        assert list(zip(*columns)) == expected
 
     @given(
         payloads=st.lists(st.binary(max_size=30), min_size=1, max_size=10),
@@ -254,10 +280,11 @@ def ascending_runs(draw, count):
 
 
 class TestScanPathModel:
-    """Block-at-a-time scans, refresh reads and refresh writes return the
-    list model's values and charge what a record-at-a-time scan, reader or
-    writer by the Sec. 6.1 rules charges: partial last blocks and tails,
-    shrunk samples and an enabled buffer pool."""
+    """Block-at-a-time scans (records or the value array), refresh reads
+    and refresh writes return the list model's values and charge what a
+    record-at-a-time scan, reader or writer by the Sec. 6.1 rules charges:
+    partial last blocks and tails, shrunk samples and an enabled buffer
+    pool."""
 
     @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
     @given(
@@ -292,6 +319,45 @@ class TestScanPathModel:
         assert charged == ref_cost.stats - ref_before
         if not pooled:
             assert charged == AccessStats(seq_reads=blocks)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=60),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_value_scan_matches_model(self, kind, data, size, pooled):
+        # The array scan returns the model's value column (field 0) and
+        # charges what the record scan charges on a twin device.
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=size, max_size=size))
+        new_size = data.draw(st.integers(min_value=1, max_value=size))
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            sample = SampleFile(_device(cost, pooled), make(), size)
+            sample.initialize(model)
+            sample.resize(new_size)
+            runs.append((cost, sample))
+        (cost, sample), (ref_cost, ref_sample) = runs
+        model = model[:new_size]
+
+        before = cost.stats.copy()
+        column = sample.scan_values()
+        charged = cost.stats - before
+        ref_before = ref_cost.stats.copy()
+        assert list(ref_sample.scan()) == model
+        assert charged == ref_cost.stats - ref_before
+        if pooled:
+            assert sample.device.stats == ref_sample.device.stats
+        else:
+            assert charged == AccessStats(seq_reads=sample.block_count)
+
+        expected = model if kind == "uniform" else [row[0] for row in model]
+        assert column.shape == (new_size,)
+        assert column.dtype == np.int64
+        assert column.tolist() == expected
 
     @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
     @given(
