@@ -223,10 +223,12 @@ def test_insert_batch_throughput(benchmark, scale):
 
 # -- fleet ingest: MultiSampleManager broadcast, scalar vs. batch ------------
 #
-# The serving catalog ingests through MultiSampleManager.insert_many, which
-# delegates whole batches to each maintainer's skip-based path.  The scalar
-# variant is the pre-delegation element-major loop (one Python-level insert
-# per element per sample) -- the fleet-sized version of the same gap.
+# MultiSampleManager.insert_many broadcasts a batch by delegating it whole
+# to each maintainer's skip-based path (the serving catalog's
+# SampleCatalog.ingest calls SampleMaintainer.insert_many directly, one
+# sample per batch).  The scalar variant is the pre-delegation element-major
+# loop (one Python-level insert per element per sample) -- the fleet-sized
+# version of the same gap.
 
 FLEET_SIZE = 4
 

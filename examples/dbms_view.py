@@ -14,7 +14,7 @@ Run:  python examples/dbms_view.py
 """
 
 from repro import CostModel, LogFile, RandomSource, SimulatedBlockDevice, StackRefresh
-from repro.analysis.estimators import estimate_sum
+from repro.analysis.query import SampleQuery
 from repro.core.policies import PeriodicPolicy
 from repro.dbms import SampleView, StagingTable, Table
 from repro.dbms.staging import ChangeRecordCodec
@@ -74,10 +74,12 @@ def main() -> None:
 
     # -- estimate total order value from the sample --------------------------
     sampled_values = [row.value for row in view.rows()]
-    estimate = estimate_sum(sampled_values, population_size=len(table))
+    total = SampleQuery(sampled_values, dataset_size=len(table)).sum()
     truth = sum(live.values())
-    print(f"estimated total value  : {estimate:,.0f} cents "
-          f"(true {truth:,} , error {abs(estimate - truth) / truth:.1%})")
+    error = abs(total.value - truth) / truth
+    print(f"estimated total value  : {total.value:,.0f} cents "
+          f"[{total.low:,.0f}, {total.high:,.0f}] "
+          f"(true {truth:,} , error {error:.1%})")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ Run:  python examples/groupby_sampling.py
 from collections import Counter
 
 from repro import IntRecordCodec, PeriodicPolicy, RandomSource
+from repro.analysis.query import SampleQuery
 from repro.core.stratified import StratifiedSampleManager
 from repro.core.reservoir import build_reservoir
 from repro.stream.source import zipf_stream
@@ -57,10 +58,11 @@ def main() -> None:
               f"| {'single-sample est.':>18}")
     print(header)
     print("-" * len(header))
-    group_sums = manager.estimate_group_sums(lambda v: 1.0)
     for group in sorted(truth):
+        stratum = manager.group(group)
+        size = SampleQuery(stratum.contents(), stratum.dataset_size).count()
         single_est = single_counts.get(group, 0) * STREAM / total_budget
-        print(f"{group:>5} | {truth[group]:>9} | {group_sums[group]:>15.0f} "
+        print(f"{group:>5} | {truth[group]:>9} | {size.value:>15.0f} "
               f"| {single_est:>18.0f}")
     print()
     rare = min(truth, key=truth.get)

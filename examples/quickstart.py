@@ -7,7 +7,7 @@ Walks the library's happy path end to end:
 2. attach a SampleMaintainer with candidate logging (Sec. 3.2 of the paper)
    and Stack Refresh (Sec. 4.2), refreshing every 5 000 insertions;
 3. stream in new data;
-4. query the sample with a couple of estimators and inspect the I/O bill.
+4. estimate the mean with its confidence interval and inspect the I/O bill.
 
 Run:  python examples/quickstart.py
 """
@@ -24,7 +24,7 @@ from repro import (
     StackRefresh,
     build_reservoir,
 )
-from repro.analysis.estimators import estimate_mean, estimate_quantile
+from repro.analysis.query import SampleQuery
 
 
 def main() -> None:
@@ -63,11 +63,10 @@ def main() -> None:
           f"{stats.refreshes} refreshes")
 
     # -- 4. query the sample -----------------------------------------------
-    contents = sample.peek_all()
-    print(f"estimated mean    : {estimate_mean(contents):.0f} "
+    mean = SampleQuery(sample.peek_all(), maintainer.dataset_size).avg()
+    print(f"estimated mean    : {mean.value:.0f} "
+          f"[{mean.low:.0f}, {mean.high:.0f}] @95% "
           f"(true {sum(range(60_000)) / 60_000:.0f})")
-    print(f"estimated median  : {estimate_quantile(contents, 0.5):.0f} "
-          f"(true {60_000 / 2:.0f})")
 
     # -- 5. the I/O bill ----------------------------------------------------
     online = stats.online.cost_seconds()

@@ -24,7 +24,7 @@ from repro import (
     SimulatedBlockDevice,
     build_reservoir,
 )
-from repro.analysis.estimators import estimate_fraction, estimate_mean
+from repro.analysis.query import SampleQuery
 from repro.stream.operator import StreamSampleOperator
 from repro.stream.source import bursty_stream
 
@@ -100,12 +100,15 @@ def main() -> None:
           f"({imm_ms / max(online_ms, 1e-9):.0f}x the online bill)")
 
     # Whole-stream questions answered from the bounded-size sample:
-    contents = maintainer.sample.peek_all()
     total = WARMUP + STREAM_LENGTH
-    print(f"est. stream mean       : {estimate_mean(contents):,.0f} "
+    q = SampleQuery(maintainer.sample.peek_all(), maintainer.dataset_size)
+    mean = q.avg()
+    print(f"est. stream mean       : {mean.value:,.0f} "
+          f"[{mean.low:,.0f}, {mean.high:,.0f}] "
           f"(true {sum(range(total)) / total:,.0f})")
-    late = estimate_fraction(contents, lambda v: v >= total * 0.9)
-    print(f"est. fraction in last 10% of arrivals: {late:.3f} (true 0.100)")
+    late = q.where(lambda v: v >= total * 0.9).fraction()
+    print(f"est. fraction in last 10% of arrivals: {late.value:.3f} "
+          f"[{late.low:.3f}, {late.high:.3f}] (true 0.100)")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Estimation on samples, and statistical validation of uniformity.
 
-The paper's motivation for *large* disk-based samples is that estimators
-degrade on undersized ones ("even 'simple' statistics estimators like the
-estimation of the number of distinct values do not perform well on
-undersized samples", Sec. 1).  :mod:`~repro.analysis.estimators` provides
-the estimators the examples exercise; :mod:`~repro.analysis.uniformity`
-provides the statistical tests the test suite uses to prove that every
-maintenance strategy leaves the sample uniform.
+The paper's case for *uniform* samples is that whatever is asked later
+gets "precise results and error bounds" (Sec. 1).
+:class:`~repro.analysis.query.SampleQuery` is the one estimator: it turns
+a sample's value column into counts, sums, averages and fractions, each
+with a confidence interval from :mod:`~repro.analysis.bounds`.
+:mod:`~repro.analysis.uniformity` provides the statistical tests the test
+suite uses to prove that every maintenance strategy leaves the sample
+uniform.
 """
 
 from repro.analysis.bounds import (
@@ -15,14 +16,6 @@ from repro.analysis.bounds import (
     mean_confidence_interval,
 )
 from repro.analysis.query import Estimate, SampleQuery
-from repro.analysis.estimators import (
-    estimate_mean,
-    estimate_sum,
-    estimate_count_distinct_gee,
-    estimate_count_distinct_chao,
-    estimate_quantile,
-    estimate_fraction,
-)
 from repro.analysis.uniformity import (
     chi_square_statistic,
     chi_square_uniform_pvalue,
@@ -36,12 +29,6 @@ __all__ = [
     "fraction_confidence_interval",
     "Estimate",
     "SampleQuery",
-    "estimate_mean",
-    "estimate_sum",
-    "estimate_count_distinct_gee",
-    "estimate_count_distinct_chao",
-    "estimate_quantile",
-    "estimate_fraction",
     "chi_square_statistic",
     "chi_square_uniform_pvalue",
     "inclusion_counts",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -98,12 +98,28 @@ def mean_confidence_interval(
     order (``np.sum`` is pairwise; the builtin is compensated from 3.12).
     """
     values = np.asarray(sample)
-    n = len(values)
-    if n < 2:
+    if len(values) < 2:
         raise ValueError("need at least two observations")
-    mean = _float_sum(values) / n
-    deviations = (values - mean).tolist()
-    variance = sum(map(math.pow, deviations, repeat(2.0))) / (n - 1)
+    return _padded_mean_interval(values, len(values), confidence, population_size)
+
+
+def _padded_mean_interval(
+    values: np.ndarray,
+    n: int,
+    confidence: float,
+    population_size: int | None,
+) -> ConfidenceInterval:
+    """:func:`mean_confidence_interval` of ``values`` padded with zeros to
+    ``n >= 2`` rows, bit for bit, without building the padded array.
+
+    Every padded row deviates from the mean by ``-mean``, so its square is
+    one libm ``pow``, repeated after the matching rows' squares through
+    the same builtin ``sum`` in the same order.
+    """
+    mean = _float_sum(values) / n if len(values) else 0.0
+    squares = map(math.pow, (values - mean).tolist(), repeat(2.0))
+    pads = repeat(math.pow(-mean, 2.0), n - len(values))
+    variance = sum(chain(squares, pads)) / (n - 1)
     stderr = math.sqrt(variance / n) * _fpc(n, population_size)
     margin = _z_score(confidence) * stderr
     return ConfidenceInterval(mean, mean - margin, mean + margin, confidence)

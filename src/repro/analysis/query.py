@@ -38,6 +38,7 @@ from numpy.typing import ArrayLike
 
 from repro.analysis.bounds import (
     ConfidenceInterval,
+    _padded_mean_interval,
     fraction_confidence_interval,
     mean_confidence_interval,
 )
@@ -80,8 +81,9 @@ class SampleQuery:
 
     ``values`` is the sample's value column (a 1-D array); ``dataset_size``
     the size of the population it represents (the maintenance layer
-    tracks it).  The object is immutable; ``where`` returns a narrowed
-    copy that remembers the *original* sample size for correct scaling.
+    tracks it); ``confidence`` the level of every interval it answers.
+    The object is immutable; ``where`` returns a narrowed copy that
+    remembers the *original* sample size for correct scaling.
     """
 
     def __init__(
@@ -123,12 +125,6 @@ class SampleQuery:
             _base_sample_size=self._base,
         )
 
-    def with_confidence(self, confidence: float) -> "SampleQuery":
-        return SampleQuery(
-            self._values, self._dataset_size, confidence,
-            _base_sample_size=self._base,
-        )
-
     @property
     def matching_rows(self) -> int:
         return len(self._values)
@@ -162,10 +158,8 @@ class SampleQuery:
         """
         if self._base < 2:
             raise ValueError("need an unfiltered sample of at least 2 rows")
-        padded = np.zeros(self._base, self._values.dtype)
-        padded[: len(self._values)] = self._values
-        mean_ci = mean_confidence_interval(
-            padded, self._confidence, population_size=self._dataset_size
+        mean_ci = _padded_mean_interval(
+            self._values, self._base, self._confidence, self._dataset_size
         )
         n = self._dataset_size
         return Estimate(

@@ -13,8 +13,10 @@ congressional sampling addresses).
 Groups appear dynamically.  A new group starts in a **filling** phase --
 its first ``per_group_size`` elements go straight into its sample file,
 which *is* the complete group at that point -- and switches to normal
-deferred maintenance once full.  Per-group dataset sizes are tracked, so
-group aggregates are estimable with the usual Horvitz-Thompson scaling.
+deferred maintenance once full.  Per-group dataset sizes are tracked
+exactly, so a group's :meth:`GroupSample.contents` and
+:attr:`GroupSample.dataset_size` make its
+:class:`~repro.analysis.query.SampleQuery`.
 """
 
 from __future__ import annotations
@@ -117,20 +119,6 @@ class GroupSample:
         """
         return [self._sample.peek(i) for i in range(self.sample_size)]
 
-    def estimate_sum(self, value_of: Callable[[T], float]) -> float:
-        """Horvitz-Thompson estimate of ``sum(value_of)`` over the group."""
-        contents = self.contents()
-        if not contents:
-            return 0.0
-        sampled = sum(value_of(element) for element in contents)
-        return sampled * (self._seen / len(contents))
-
-    def estimate_mean(self, value_of: Callable[[T], float]) -> float:
-        contents = self.contents()
-        if not contents:
-            raise ValueError(f"group {self.key!r} has no elements")
-        return sum(value_of(e) for e in contents) / len(contents)
-
 
 class StratifiedSampleManager:
     """Bounded uniform samples per group, maintained deferredly.
@@ -222,20 +210,3 @@ class StratifiedSampleManager:
     def group_sizes(self) -> dict[K, int]:
         """True per-group dataset sizes (tracked exactly)."""
         return {key: g.dataset_size for key, g in self._groups.items()}
-
-    def estimate_group_sums(
-        self, value_of: Callable[[T], float]
-    ) -> dict[K, float]:
-        """Group-by SUM estimate: one Horvitz-Thompson estimate per group."""
-        return {
-            key: group.estimate_sum(value_of)
-            for key, group in self._groups.items()
-        }
-
-    def estimate_group_means(
-        self, value_of: Callable[[T], float]
-    ) -> dict[K, float]:
-        return {
-            key: group.estimate_mean(value_of)
-            for key, group in self._groups.items()
-        }

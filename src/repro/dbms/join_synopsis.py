@@ -77,7 +77,9 @@ class JoinSynopsis:
     The fact table's row values are foreign keys into the dimension
     table.  The synopsis is populated by one creation-time pass over the
     fact table (like any materialized view) and afterwards sees only the
-    change streams of both tables.
+    change streams of both tables.  Queries are a
+    :class:`~repro.analysis.query.SampleQuery` over a column of
+    :meth:`rows`, scaled to :attr:`fact_table_size`.
     """
 
     def __init__(
@@ -205,21 +207,6 @@ class JoinSynopsis:
                     )
         if patches:
             self._sample.write_sequential(patches)
-
-    # -- estimation --------------------------------------------------------------------
-
-    def estimate_join_sum(self, value_of) -> float:
-        """Horvitz-Thompson estimate of ``sum(value_of)`` over the join."""
-        rows = self.rows()
-        if not rows:
-            return 0.0
-        return sum(value_of(r) for r in rows) * (self._kind.seen / len(rows))
-
-    def estimate_join_mean(self, value_of) -> float:
-        rows = self.rows()
-        if not rows:
-            raise ValueError("empty synopsis")
-        return sum(value_of(r) for r in rows) / len(rows)
 
     # -- internals -----------------------------------------------------------------------
 

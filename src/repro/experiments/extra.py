@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analysis.query import SampleQuery
 from repro.core.acceptance import BiasedAcceptance
 from repro.core.kinds import UniformKind
 from repro.core.logs import CandidateLogSource
@@ -71,7 +72,9 @@ def extra_accuracy(scale: "str | Scale" = "default", seed: int = 0) -> SeriesRes
             maintainer.insert_many(range(next_value, next_value + window))
             next_value += window
             maintainer.refresh()
-            estimate = sum(sample.peek_all()) / m
+            estimate = SampleQuery(
+                sample.peek_all(), maintainer.dataset_size
+            ).avg().value
             truth = (next_value - 1) / 2.0
             errors[window_index].append(abs(estimate - truth) / truth)
     mean_error = [sum(es) / len(es) for es in errors]

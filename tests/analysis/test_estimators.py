@@ -1,93 +1,30 @@
-"""Sample-based estimators."""
+"""Point estimates of mean, sum and fraction through SampleQuery."""
 
 import pytest
 
-from repro.analysis.estimators import (
-    estimate_count_distinct_chao,
-    estimate_count_distinct_gee,
-    estimate_fraction,
-    estimate_mean,
-    estimate_quantile,
-    estimate_sum,
-)
+from repro.analysis.query import SampleQuery
 from repro.core.reservoir import build_reservoir
 from repro.rng.random_source import RandomSource
 
 
 class TestMeanAndSum:
-    def test_mean(self):
-        assert estimate_mean([1, 2, 3, 4]) == 2.5
-
-    def test_sum_scales_by_population(self):
-        assert estimate_sum([1, 2, 3], population_size=300) == 600.0
-
     def test_sum_rejects_small_population(self):
         with pytest.raises(ValueError):
-            estimate_sum([1, 2, 3], population_size=2)
+            SampleQuery([1, 2, 3], dataset_size=2).sum()
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mean([])
+            SampleQuery([], dataset_size=10).avg()
 
     def test_mean_estimate_converges_on_uniform_sample(self):
         # Draw a reservoir sample from 0..9999 and estimate the mean.
         population = range(10_000)
         sample, _ = build_reservoir(population, 500, RandomSource(seed=1))
-        assert estimate_mean(sample) == pytest.approx(4999.5, rel=0.08)
+        estimate = SampleQuery(sample, dataset_size=len(population)).avg()
+        assert estimate.value == pytest.approx(4999.5, rel=0.08)
 
 
 class TestFractionAndQuantile:
     def test_fraction(self):
-        assert estimate_fraction([1, 2, 3, 4], lambda v: v % 2 == 0) == 0.5
-
-    def test_quantile_nearest_rank(self):
-        sample = list(range(1, 11))
-        assert estimate_quantile(sample, 0.0) == 1
-        assert estimate_quantile(sample, 0.5) == 5
-        assert estimate_quantile(sample, 1.0) == 10
-
-    def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            estimate_quantile([1], 1.5)
-        with pytest.raises(ValueError):
-            estimate_quantile([], 0.5)
-
-    def test_median_estimate_converges(self):
-        sample, _ = build_reservoir(range(10_000), 400, RandomSource(seed=2))
-        assert estimate_quantile(sample, 0.5) == pytest.approx(5000, rel=0.15)
-
-
-class TestCountDistinct:
-    def test_gee_exact_when_sample_is_population(self):
-        sample = [1, 1, 2, 3, 3, 3]
-        # N = n: sqrt(1) * f1 + rest = observed distinct count.
-        assert estimate_count_distinct_gee(sample, len(sample)) == 3
-
-    def test_gee_scales_singletons(self):
-        sample = [1, 2, 3, 4]  # all singletons
-        assert estimate_count_distinct_gee(sample, 400) == pytest.approx(
-            (400 / 4) ** 0.5 * 4
-        )
-
-    def test_gee_improves_with_sample_size(self):
-        # The paper's Sec. 1 point: distinct-count estimators need large
-        # samples. Population: 500 distinct values, 20 copies each.
-        population = [v for v in range(500) for _ in range(20)]
-        errors = []
-        for m in (50, 2000):
-            sample, _ = build_reservoir(population, m, RandomSource(seed=3))
-            estimate = estimate_count_distinct_gee(sample, len(population))
-            errors.append(abs(estimate - 500))
-        assert errors[1] < errors[0]
-
-    def test_chao_lower_bound_behaviour(self):
-        assert estimate_count_distinct_chao([1, 2, 2, 3, 3]) == 3 + 1 / 4
-        assert estimate_count_distinct_chao([1, 1, 1]) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_count_distinct_gee([], 10)
-        with pytest.raises(ValueError):
-            estimate_count_distinct_gee([1], 0)
-        with pytest.raises(ValueError):
-            estimate_count_distinct_chao([])
+        query = SampleQuery([1, 2, 3, 4], dataset_size=4)
+        assert query.where(lambda v: v % 2 == 0).fraction().value == 0.5

@@ -29,9 +29,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SampleQuery([], dataset_size=100)
 
-    def test_with_confidence_widens_interval(self, query):
-        narrow = query.with_confidence(0.80).avg()
-        wide = query.with_confidence(0.99).avg()
+    def test_with_confidence_widens_interval(self, sample):
+        narrow = SampleQuery(sample, len(POPULATION), confidence=0.80).avg()
+        wide = SampleQuery(sample, len(POPULATION), confidence=0.99).avg()
         assert wide.interval.half_width > narrow.interval.half_width
 
 
@@ -55,6 +55,9 @@ class TestCount:
 
 
 class TestSum:
+    def test_sum_scales_by_population(self):
+        assert SampleQuery([1, 2, 3], dataset_size=300).sum().value == 600.0
+
     def test_unfiltered_sum(self, query):
         estimate = query.sum()
         truth = sum(POPULATION)
@@ -84,6 +87,9 @@ class TestSum:
 
 
 class TestAvgAndFraction:
+    def test_avg_of_small_sample(self):
+        assert SampleQuery([1, 2, 3, 4], dataset_size=100).avg().value == 2.5
+
     def test_avg(self, query):
         estimate = query.where(lambda v: v >= 5_000).avg()
         assert estimate.value == pytest.approx(7_500, rel=0.05)

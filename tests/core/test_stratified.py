@@ -3,6 +3,7 @@
 import pytest
 from scipy import stats
 
+from repro.analysis.query import SampleQuery
 from repro.core.policies import PeriodicPolicy
 from repro.core.stratified import StratifiedSampleManager
 from repro.rng.random_source import RandomSource
@@ -18,6 +19,11 @@ def make(per_group=20, groups=5, seed=1, **kwargs):
         rng=RandomSource(seed=seed),
         **kwargs,
     )
+
+
+def group_query(manager, key):
+    group = manager.group(key)
+    return SampleQuery(group.contents(), group.dataset_size)
 
 
 class TestRouting:
@@ -101,16 +107,16 @@ class TestEstimation:
         truth = {}
         for v in elements:
             truth[v] = truth.get(v, 0) + 1
-        # value_of = 1 per element -> group sums estimate group counts.
-        estimates = manager.estimate_group_sums(lambda v: 1.0)
+        # Each sampled element counts once -> group counts estimate sizes.
         for key, true_count in truth.items():
-            assert estimates[key] == pytest.approx(true_count, rel=1e-9), key
+            estimate = group_query(manager, key).count()
+            assert estimate.value == pytest.approx(true_count, rel=1e-9), key
 
     def test_group_means(self):
         manager = make(per_group=30, groups=2, seed=6)
         manager.insert_many(range(1000))
         manager.refresh_all()
-        means = manager.estimate_group_means(lambda v: float(v))
+        means = {key: group_query(manager, key).avg().value for key in (0, 1)}
         # Group 0 holds evens (~mean 499), group 1 odds (~mean 500).
         assert means[0] == pytest.approx(499, abs=120)
         assert means[1] == pytest.approx(500, abs=120)
@@ -125,8 +131,7 @@ class TestEstimation:
             StackRefresh(), None,
         )
         with pytest.raises(ValueError):
-            empty.estimate_mean(float)
-        assert empty.estimate_sum(float) == 0.0
+            SampleQuery(empty.contents(), empty.dataset_size)
 
 
 class TestUniformityPerGroup:

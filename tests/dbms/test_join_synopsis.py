@@ -3,6 +3,7 @@
 import pytest
 from scipy import stats
 
+from repro.analysis.query import SampleQuery
 from repro.core.policies import PeriodicPolicy
 from repro.core.refresh.stack import StackRefresh
 from repro.dbms.join_synopsis import JoinedRow, JoinedRowCodec, JoinSynopsis
@@ -133,15 +134,20 @@ class TestDimensionUpdates:
 
 
 class TestEstimation:
+    @staticmethod
+    def dim_query(synopsis):
+        dim_values = [row.dim_value for row in synopsis.rows()]
+        return SampleQuery(dim_values, synopsis.fact_table_size)
+
     def test_join_sum_estimate(self):
         fact, _, synopsis = make(fact_rows=2000, sample_size=400, seed=3)
-        estimate = synopsis.estimate_join_sum(lambda r: r.dim_value)
+        estimate = self.dim_query(synopsis).sum().value
         truth = sum((k % DIMS) * 100 for k in range(2000))
         assert estimate == pytest.approx(truth, rel=0.15)
 
     def test_join_mean_estimate(self):
         _, _, synopsis = make(fact_rows=2000, sample_size=400, seed=4)
-        estimate = synopsis.estimate_join_mean(lambda r: r.dim_value)
+        estimate = self.dim_query(synopsis).avg().value
         truth = sum((k % DIMS) * 100 for k in range(2000)) / 2000
         assert estimate == pytest.approx(truth, rel=0.15)
 

@@ -2,7 +2,7 @@
 
 from scipy import stats
 
-from repro.analysis.estimators import estimate_mean, estimate_sum
+from repro.analysis.query import SampleQuery
 from repro.core.maintenance import SampleMaintainer
 from repro.core.policies import PeriodicPolicy
 from repro.core.refresh.array import ArrayRefresh
@@ -92,7 +92,8 @@ class TestStreamScenario:
                 operator.refresh()
         operator.refresh()
         population = warmup + stream
-        estimate = estimate_mean(sample.peek_all())
+        query = SampleQuery(sample.peek_all(), maintainer.dataset_size)
+        estimate = query.avg().value
         truth = sum(population) / len(population)
         # Sample of 400: the mean estimate lands within a few standard errors.
         sd = (sum((v - truth) ** 2 for v in population) / len(population)) ** 0.5
@@ -176,6 +177,6 @@ class TestDbmsScenario:
             algorithm=StackRefresh(), cost_model=CostModel(),
         )
         values = [r.value for r in view.rows()]
-        estimate = estimate_sum(values, population_size=len(table))
+        estimate = SampleQuery(values, dataset_size=len(table)).sum().value
         truth = sum(r.value for r in table.rows())
         assert abs(estimate - truth) / truth < 0.25
