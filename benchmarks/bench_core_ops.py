@@ -89,6 +89,22 @@ def test_nomem_precompute(benchmark):
     assert span >= 9_999
 
 
+@pytest.mark.parametrize("algorithm", ["stack", "nomem"])
+def test_refresh_precompute(benchmark, algorithm):
+    """One pass of M - 1 = 2,047 geometric skips, at perfbench ``ingest``'s
+    sample size: Stack over a log long enough that it never stops early,
+    Nomem's pass 1.  Ungated; ``gaps_per_sec`` is the rate of skips."""
+    m = 2048
+    rng = RandomSource(seed=8)
+    if algorithm == "stack":
+        result = benchmark(lambda: len(select_final_indexes(rng, m, 10**9)))
+        assert result == m
+    else:
+        result = benchmark(lambda: span_of_gaps(rng, m))
+        assert result >= m - 1
+    benchmark.extra_info["gaps_per_sec"] = (m - 1) / benchmark.stats.stats.mean
+
+
 def test_write_phase_selection(benchmark):
     """Method S over the sample: which 1,000 of 10,000 positions a refresh
     displaces, drawn a window of uniforms at a time."""

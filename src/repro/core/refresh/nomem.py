@@ -22,14 +22,16 @@ displacement draws must not perturb the replayed skip sequence.
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
+from repro.rng.distributions import geometric_variates
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
@@ -38,20 +40,22 @@ from repro.storage.memory import MemoryReport
 __all__ = ["NomemRefresh", "span_of_gaps", "survivor_indexes"]
 
 
-def _gaps(geom_rng: RandomSource, size: int) -> Iterator[int]:
-    """The gaps ``X_k + 1`` for ``k = M-1 .. 1``, drawn a window at a time.
+def _gap_windows(geom_rng: RandomSource, size: int) -> Iterator[np.ndarray]:
+    """The gaps ``X_k + 1`` for ``k = M-1 .. 1``, one window at a time.
 
-    ``X_k`` is geometric with ``p_k = (M-k)/M``, by the same inverse CDF
-    as :meth:`RandomSource.geometric`; ``math`` does the logs, because a
-    vectorised log differs from libm in the last bit often enough to move
-    survivors.  A window never holds more uniforms than gaps are left, so
-    a drained iterator leaves ``geom_rng`` where scalar draws would.
+    ``X_k`` is geometric with ``p_k = (M-k)/M``, bit-identical to
+    :meth:`RandomSource.geometric` (see
+    :func:`~repro.rng.distributions.geometric_variates`).  A window never
+    holds more uniforms than gaps are left, so drained windows leave
+    ``geom_rng`` where scalar draws would.
     """
     k = size - 1
     while k >= 1:
-        for u in geom_rng.random_window(k):
-            yield int(math.log(1.0 - u) / math.log1p(-((size - k) / size))) + 1
-            k -= 1
+        window = geom_rng.random_array(k)
+        # p_k = (M - k) / M for this window's k, k - 1, ...
+        free = np.arange(size - k, size - k + len(window))
+        yield geometric_variates(window, free, size) + 1
+        k -= len(window)
 
 
 def span_of_gaps(geom_rng: RandomSource, size: int) -> int:
@@ -60,7 +64,7 @@ def span_of_gaps(geom_rng: RandomSource, size: int) -> int:
     Exposed separately so the Fig. 13 CPU experiment can time Nomem's
     dominant cost (its ``2(M-1)`` geometric draws) in isolation.
     """
-    return sum(_gaps(geom_rng, size))
+    return sum(int(gaps.sum()) for gaps in _gap_windows(geom_rng, size))
 
 
 def survivor_indexes(
@@ -71,21 +75,35 @@ def survivor_indexes(
     Pass 1 sums the gaps from a saved state to place the smallest
     survivor index at ``|C| - X``.  Pass 2 restores the state and replays
     the same gaps: those that land before the log's start are skipped
-    now, and the rest are drawn lazily, one per index the returned
-    iterator yields in ascending order.  Nothing but the PRNG state and
-    its current block is held.
+    now, and the rest are drawn lazily, a window per run of indexes the
+    returned iterator yields in ascending order.  Nothing but the PRNG
+    state, its current block and one window of gaps is held.
     """
     state = geom_rng.snapshot()
     span = span_of_gaps(geom_rng, size)
     geom_rng.restore(state)
-    gaps = _gaps(geom_rng, size)
+    windows = _gap_windows(geom_rng, size)
     index = total - span
-    k = size - 1
+    left = size - 1
+    gaps = np.empty(0, dtype=np.int64)
     # Skip survivor indexes that fall before the log's start.
-    while index < 1 and k >= 1:
-        index += next(gaps)
-        k -= 1
-    return k + 1, accumulate(gaps, initial=index)
+    while index < 1:
+        gaps = next(windows)
+        running = index + gaps.cumsum()
+        # running only rises: skip up to its first value >= 1, if any.
+        skipped = min(int(np.count_nonzero(running < 1)) + 1, len(gaps))
+        index = int(running[skipped - 1])
+        left -= skipped
+        gaps = gaps[skipped:]
+    return left + 1, _replay(index, chain((gaps,), windows))
+
+
+def _replay(index: int, windows: Iterable[np.ndarray]) -> Iterator[int]:
+    """``index``, then its running sums over the gap windows."""
+    yield index
+    for gaps in windows:
+        for index in (index + gaps.cumsum()).tolist():
+            yield index
 
 
 class NomemRefresh(RefreshAlgorithm):

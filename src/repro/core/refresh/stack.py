@@ -21,12 +21,13 @@ Cost: identical disk I/O to Array Refresh; memory is only ``Psi`` indexes
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
+from repro.rng.distributions import geometric_variates
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
@@ -43,11 +44,11 @@ def select_final_indexes(
     Returns the 1-based indexes of the final candidates in *descending*
     order (the order they are pushed; popping yields ascending order).
 
-    The geometric skips are drawn from windows of uniforms by the same
-    inverse CDF as :meth:`RandomSource.geometric`, with ``math`` doing
-    the logs: a vectorised log differs from libm in the last bit often
-    enough to move survivors.  Uniforms left over when the log runs out
-    are given back, so ``rng`` ends where scalar draws would leave it.
+    The geometric skips of a window of uniforms come from
+    :func:`~repro.rng.distributions.geometric_variates`, bit-identical to
+    :meth:`RandomSource.geometric`'s; their running sum walks the index
+    down.  The uniforms left over when it drops below 1 are given back,
+    so ``rng`` ends where scalar draws would leave it.
     """
     if candidates <= 0:
         return []
@@ -55,15 +56,18 @@ def select_final_indexes(
     index = candidates
     k = 1
     while k < sample_size:
-        window = rng.random_window(sample_size - k)
-        for used, u in enumerate(window, 1):
-            p_k = (sample_size - k) / sample_size
-            index -= int(math.log(1.0 - u) / math.log1p(-p_k)) + 1
-            if index < 1:
-                rng.give_back(len(window) - used)
-                return selected
-            selected.append(index)
-            k += 1
+        # Every gap is at least 1, so ``index`` draws always suffice.
+        window = rng.random_array(min(sample_size - k, index))
+        # p_k = (M - k) / M for this window's k, k + 1, ...
+        free = np.arange(sample_size - k, sample_size - k - len(window), -1)
+        running = index - (geometric_variates(window, free, sample_size) + 1).cumsum()
+        kept = int(np.count_nonzero(running >= 1))  # running only falls
+        selected.extend(running[:kept].tolist())
+        if kept < len(window):
+            rng.give_back(len(window) - kept - 1)
+            return selected
+        index = int(running[-1])
+        k += kept
     return selected
 
 

@@ -25,9 +25,12 @@ from __future__ import annotations
 import math
 from typing import Protocol
 
+import numpy as np
+
 __all__ = [
     "UniformSource",
     "geometric_variate",
+    "geometric_variates",
     "reservoir_skip",
     "reservoir_skip_x",
     "reservoir_skip_z",
@@ -56,12 +59,48 @@ def geometric_variate(rng: UniformSource, p: float) -> int:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"geometric success probability must be in (0, 1], got {p}")
-    u = 1.0 - rng.random()  # u in (0, 1], avoids log(0)
+    return _inverse_cdf(rng.random(), p)
+
+
+def _inverse_cdf(u: float, p: float) -> int:
+    """``floor(ln(1-u) / ln(1-p))`` for ``u`` in [0, 1), with libm logs."""
     # Exact boundary, not rounding-sensitive math: p == 1.0 is the one
-    # value (already range-checked above) where log1p(-p) would be -inf.
+    # value where log1p(-p) would be -inf.
     if p == 1.0:  # repro-lint: disable=FLT001
         return 0
-    return int(math.log(u) / math.log1p(-p))
+    return int(math.log(1.0 - u) / math.log1p(-p))  # 1-u in (0, 1]
+
+
+#: Relative half-width of the band around an integer inside which a
+#: numpy quotient is recomputed with libm: numpy's ``log``/``log1p`` stay
+#: within a few ULPs (~1e-16 relative) of libm's, so outside the band
+#: both quotients floor alike.
+_LIBM_BAND = 1e-9
+
+
+def geometric_variates(uniforms: np.ndarray, numerators: np.ndarray, size: int) -> np.ndarray:
+    """:func:`geometric_variate` over a window, bit-identical to the scalar.
+
+    Returns one int64 skip per uniform in [0, 1), with success
+    probability ``p_i = numerators[i] / size`` in (0, 1) -- the refresh's
+    ``p_k = (M - k) / M`` -- so a replayed stream selects the same
+    survivors.  numpy divides ``numerators`` by ``size`` with the same
+    correctly rounded IEEE division as the scalar caller, and computes
+    the quotients ``q = ln(1-u) / ln(1-p)`` for the whole window.  Its
+    logs may differ from libm's in the last bit, which can move
+    ``floor(q)`` only where ``q`` lies within a few ULPs of a positive
+    integer (``q >= 0`` exactly in both).  The elements within a relative
+    ``1e-9`` of one are recomputed with ``math``; elsewhere the floors
+    agree, and as the outputs are integers they equal the scalar loop's.
+    """
+    q = np.log(1.0 - uniforms) / np.log1p(numerators / -size)
+    skips = q.astype(np.int64)
+    upper = (q * (1.0 + _LIBM_BAND)).astype(np.int64)
+    near = upper != (q * (1.0 - _LIBM_BAND)).astype(np.int64)
+    if np.count_nonzero(near):
+        for i in np.flatnonzero(near).tolist():
+            skips[i] = _inverse_cdf(float(uniforms[i]), int(numerators[i]) / size)
+    return skips
 
 
 # Vitter recommends switching from Algorithm X to Algorithm Z once the

@@ -71,13 +71,22 @@ class MT19937:
     True
     """
 
-    # ``_block`` holds the tempered outputs of the state words ``_key``,
-    # as a list for word-at-a-time reads and as the array ``_raw`` for
-    # windows; ``_bitgen`` sits at the end of that block, so its next raw
-    # draw twists.  ``_key`` is read from numpy lazily, once per block.
-    # ``_doubles`` are the block's doubles on word pairs that start at an
-    # index of parity ``_parity`` (-1: not computed for this block).
-    __slots__ = ("_bitgen", "_block", "_doubles", "_index", "_key", "_parity", "_raw")
+    # ``_raw`` holds the tempered outputs of the state words ``_key``;
+    # ``_bitgen`` sits at the end of that block, so its next raw draw
+    # twists.  ``_key`` is read from numpy lazily, once per block.  Word
+    # reads come from the list ``_block`` of the same outputs.  It is
+    # ``None`` until a stream's first word read and built with every block
+    # from then on, so a stream read only in windows (Nomem's skips) never
+    # converts a block to Python ints.
+    # ``_doubles`` is the read-only array of the block's doubles on word
+    # pairs that start at an index of parity ``_parity`` (-1: not computed
+    # for this block), and ``_doubles_list`` the same doubles as a list
+    # once a list window needs them.  The latest window starts at word
+    # ``_window_start`` (past the block: none to give back to).
+    __slots__ = (
+        "_bitgen", "_block", "_doubles", "_doubles_list", "_index", "_key",
+        "_parity", "_raw", "_window_start",
+    )
 
     def __init__(self, seed: int = 5489) -> None:
         # numpy seeds its own way on construction; ``seed`` overrides it.
@@ -93,12 +102,14 @@ class MT19937:
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self._bitgen._legacy_seeding(seed & _MASK32)
-        self._block: list[int] = []
+        self._block: list[int] | None = None
         self._raw = np.empty(0, dtype=np.uint64)
-        self._doubles: list[float] = []
+        self._doubles = np.empty(0)
+        self._doubles_list: list[float] | None = None
         self._parity = -1
         self._index = _N
         self._key: tuple[int, ...] | None = None
+        self._window_start = _N + 1
 
     # -- state management (the Nomem Refresh prerequisite) ----------------
 
@@ -125,8 +136,10 @@ class MT19937:
 
     def _load_block(self) -> None:
         self._raw = self._bitgen.random_raw(_N)
-        self._block = self._raw.tolist()
+        if self._block is not None:
+            self._block = self._raw.tolist()
         self._parity = -1
+        self._window_start = _N + 1
 
     def _next_block(self) -> None:
         self._load_block()
@@ -140,7 +153,11 @@ class MT19937:
             self._next_block()
             index = 0
         self._index = index + 1
-        return self._block[index]
+        try:
+            return self._block[index]  # type: ignore[index]
+        except TypeError:  # None: the stream's first word read
+            self._block = self._raw.tolist()
+            return self._block[index]
 
     def random(self) -> float:
         """Return a uniform float in [0, 1) with 53-bit resolution.
@@ -152,20 +169,12 @@ class MT19937:
         b = self.next_uint32() >> 6  # 26 bits
         return (a * 67108864.0 + b) * _INV_2_53
 
-    def random_window(self, count: int) -> list[float]:
-        """Return the next doubles, exactly as successive :meth:`random` calls.
+    def _take(self, count: int) -> tuple[int, int]:
+        """Move past the next window of at most ``count`` doubles.
 
-        Returns at most ``count`` doubles and at least one (for
-        ``count >= 1``), all from the current 624-word block: the window
-        ends early where the block does.  The one double that straddles
-        two blocks comes back alone.  numpy computes ``genrand_res53``
-        over the block's words once per block; every step is exact in
-        double precision, so the values are bit-identical to
-        :meth:`random`'s.
-
-        >>> a, b = MT19937(seed=7), MT19937(seed=7)
-        >>> a.random_window(3) == [b.random() for _ in range(3)]
-        True
+        Returns the window's bounds in ``_doubles``, or ``(-1, -1)`` for
+        the one double that straddles two blocks, which the caller then
+        draws with :meth:`random`.
         """
         if count < 1:
             raise ValueError("a window holds at least one double")
@@ -174,29 +183,78 @@ class MT19937:
             self._next_block()
             index = 0
         elif index == _N - 1:
-            return [self.random()]
+            self._window_start = _N + 1  # the straddling double stays drawn
+            return -1, -1
         parity = index & 1
         if self._parity != parity:
             # The doubles of word pairs (parity, parity+1), (parity+2, ...).
             words = self._raw[parity : _N - parity]
             high, low = words[0::2] >> 5, words[1::2] >> 6
-            self._doubles = ((high * 67108864.0 + low) * _INV_2_53).tolist()
+            self._doubles = (high * 67108864.0 + low) * _INV_2_53
+            self._doubles.flags.writeable = False
+            self._doubles_list = None
             self._parity = parity
         start = index >> 1
-        window = self._doubles[start : start + count]
-        self._index = index + 2 * len(window)
-        return window
+        stop = start + count
+        if stop > (_N - parity) >> 1:  # the block's last pair of this parity
+            stop = (_N - parity) >> 1
+        self._window_start = index
+        self._index = 2 * stop + parity
+        return start, stop
+
+    def random_array(self, count: int) -> np.ndarray:
+        """Return the next doubles, exactly as successive :meth:`random` calls.
+
+        Returns a read-only array of at most ``count`` doubles and at
+        least one (for ``count >= 1``), all from the current 624-word
+        block: the window ends early where the block does.  The one double
+        that straddles two blocks comes back alone.  numpy computes
+        ``genrand_res53`` over the block's words once per block; every
+        step is exact in double precision, so the values are
+        bit-identical to :meth:`random`'s.
+
+        >>> a, b = MT19937(seed=7), MT19937(seed=7)
+        >>> a.random_array(3).tolist() == [b.random() for _ in range(3)]
+        True
+        """
+        start, stop = self._take(count)
+        if start < 0:
+            return np.array([self.random()])
+        return self._doubles[start:stop]
+
+    def random_window(self, count: int) -> list[float]:
+        """:meth:`random_array`'s window as a list, for Python loops.
+
+        The block's doubles are converted to a list once, on the first
+        such window, so a caller that takes many short windows and gives
+        most of each back pays one slice per window.
+
+        >>> a, b = MT19937(seed=7), MT19937(seed=7)
+        >>> a.random_window(3) == [b.random() for _ in range(3)]
+        True
+        """
+        start, stop = self._take(count)
+        if start < 0:
+            return [self.random()]
+        if self._doubles_list is None:
+            self._doubles_list = self._doubles.tolist()
+        return self._doubles_list[start:stop]
 
     def give_back(self, count: int) -> None:
         """Return the last ``count`` doubles of the latest window, unused.
 
         The stream then continues as if they had never been drawn.  Only
-        doubles of the latest :meth:`random_window` may be given back, and
-        never the whole of a window that straddled two blocks.
+        doubles of the latest :meth:`random_array` or :meth:`random_window`
+        window may be given back, never the double of a window that
+        straddled two blocks, and nothing may be drawn in between.
         """
         index = self._index - 2 * count
-        if count < 0 or index < 0:
-            raise ValueError(f"cannot give back {count} doubles at word {self._index}")
+        if not self._window_start <= index <= self._index and count:
+            left = max(0, self._index - self._window_start) // 2
+            raise ValueError(
+                f"cannot give back {count} doubles: the latest window has "
+                f"{left} left to give back"
+            )
         self._index = index
 
     def randrange(self, n: int) -> int:

@@ -18,6 +18,8 @@ Two design points matter:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.rng.distributions import geometric_variate, reservoir_skip
 from repro.rng.mt19937 import MT19937, MTState
 
@@ -90,13 +92,17 @@ class RandomSource:
         """Uniform float in [0, 1)."""
         return self._gen.random()
 
-    def random_window(self, count: int) -> list[float]:
+    def random_array(self, count: int) -> np.ndarray:
         """The next 1 to ``count`` uniforms, as many :meth:`random` calls.
 
         A window never reaches past the generator's current 624-word
         block, so it may be shorter than asked; see
-        :meth:`MT19937.random_window <repro.rng.mt19937.MT19937.random_window>`.
+        :meth:`MT19937.random_array <repro.rng.mt19937.MT19937.random_array>`.
         """
+        return self._gen.random_array(count)
+
+    def random_window(self, count: int) -> list[float]:
+        """:meth:`random_array` as a list."""
         return self._gen.random_window(count)
 
     def give_back(self, count: int) -> None:

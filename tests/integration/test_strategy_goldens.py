@@ -8,7 +8,11 @@ once more by hand, inserts a tail and checkpoints.  It then hashes the
 sample device, the log device, the checkpoint bytes and the online and
 offline :class:`AccessStats`.  The digests were recorded before the
 strategies moved behind one logger protocol, and a refactor that claims
-to change no behaviour must reproduce every one of them.
+to change no behaviour must reproduce every one of them.  The
+``candidate-stack`` and ``candidate-nomem`` runs pin the refresh path the
+``ingest`` benchmark drives; they were recorded with the scalar
+per-skip loops, before Stack and Nomem drew their skips a window at a
+time in numpy.
 
 If a change alters these bytes on purpose, print ``_digests(name)`` for
 each run, paste the new values here, and say in the change description
@@ -48,6 +52,8 @@ RUNS = {
     "full-nomem": ("full", NomemRefresh, 103),
     "full-naive": ("full", _naive_full, 104),
     "candidate-naive": ("candidate", NaiveCandidateRefresh, 105),
+    "candidate-stack": ("candidate", StackRefresh, 106),
+    "candidate-nomem": ("candidate", NomemRefresh, 107),
 }
 
 #: ``name -> {artefact: sha256}``
@@ -81,6 +87,18 @@ GOLDEN = {
         "log": "ade936feb6af26fcac3c2d89fe1e3b10b72c834ec29e39a87f4478b9ff894b91",
         "checkpoint": "6c9010dc0603520dd0acad6bdf88094448183a54182f1ca95dc45cfea708764a",
         "stats": "51d0ab2ce9f500e50e1ba562ae1c7393144f0a3c637360abc13067ce6fee732a",
+    },
+    "candidate-stack": {
+        "sample": "4aaa5ea1743693e9f6b4d8a24cd7d39665415cf1535ff1ff73c884d52ccacc7d",
+        "log": "543b29c8bee8be140c00a6c41c57a64def55f56d5dd08bd11145c7471b76a72c",
+        "checkpoint": "cdc848c3352549ecc50725c15ab02fade718724966a2daa8ce4a564bd35170e7",
+        "stats": "f5a6fdd2ac54bae8af34c97e353a9f4cc3e75bce8aabba15f211562b8b50cc6f",
+    },
+    "candidate-nomem": {
+        "sample": "103ff5d5ec54bb438b3591094a8d88fcd4524c546a08c3deb796f6be9efe7323",
+        "log": "11df7df6277fa79ac6a509cfc571b6635f7d4ec3c956205d0f6d55d13b255f27",
+        "checkpoint": "c22cc18ced4cd746eaddbba8f6ddb34c19fe4a7f2011d76ac878d15277bcbff8",
+        "stats": "836c967c1b4ed663ccc1a1744c68f34094f96db80056b6e77d30146333ab85fb",
     },
 }
 

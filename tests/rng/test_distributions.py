@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
 from repro.rng.distributions import (
     ALGORITHM_Z_THRESHOLD,
     geometric_variate,
+    geometric_variates,
     reservoir_skip,
     reservoir_skip_x,
     reservoir_skip_z,
@@ -71,6 +73,57 @@ def _skip_acceptance_reference(rng: RandomSource, n: int, t: int) -> int:
         if rng.random() * position < n:
             return skip
         skip += 1
+
+
+def boundary_window(m, k, width=4):
+    """Uniforms a few ULPs either side of the inverse-CDF boundaries
+    ``1 - u = (1 - p_k)^j`` of ``p_k = (M - k)/M``, where the quotient
+    ``ln(1-u) / ln(1-p_k)`` lies within a hair of the integer ``j``."""
+    p = (m - k) / m
+    js = [j for j in range(1, 200) if j * -math.log1p(-p) <= 12][:25]
+    u0 = np.array([-math.expm1(j * math.log1p(-p)) for j in js])
+    # Step by the coarser of the ULPs of u and 1 - u, so that 1 - u moves.
+    step = np.maximum(np.spacing(u0), np.spacing(1.0 - u0))
+    u = (u0[:, None] + np.arange(-width, width + 1) * step[:, None]).ravel()
+    return u[(u >= 0) & (u < 1)], js
+
+
+class TestGeometricVariates:
+    """The window helper against the scalar inverse CDF with libm logs."""
+
+    @staticmethod
+    def libm_loop(uniforms, numerators, size):
+        return [
+            int(math.log(1.0 - u) / math.log1p(-(n / size)))
+            for u, n in zip(uniforms.tolist(), numerators.tolist())
+        ]
+
+    def test_matches_libm_on_random_windows(self):
+        rng = RandomSource(seed=6)
+        for m in (7, 100, 2048):
+            free = np.arange(1, m)
+            u = np.array([rng.random() for _ in free])
+            assert geometric_variates(u, free, m).tolist() == self.libm_loop(u, free, m)
+
+    @pytest.mark.parametrize("m", [7, 100, 1024, 2048, 4096])
+    def test_matches_libm_at_integer_boundaries(self, m):
+        # Random windows almost never land near an integer quotient, where
+        # numpy's last-bit log differences can move the floor; these do.
+        # On numpy builds whose logs differ from libm (x86-64 SIMD), some
+        # of these floors differ unless the helper recomputes them.
+        for k in sorted(set(np.linspace(1, m - 1, 25).astype(int).tolist())):
+            u, js = boundary_window(m, k)
+            free = np.full(len(u), m - k)
+            expected = self.libm_loop(u, free, m)
+            # The sweep straddles each boundary: both j - 1 and j occur.
+            assert {j - 1 for j in js} | set(js) <= set(expected)
+            assert geometric_variates(u, free, m).tolist() == expected, (m, k)
+
+    def test_zero_uniform_and_extreme_probabilities(self):
+        u = np.array([0.0, 0.0, 0.5, 0.999, 1 - 2**-53])
+        free = np.array([1, 4095, 4095, 1, 1])
+        expected = self.libm_loop(u, free, 4096)
+        assert geometric_variates(u, free, 4096).tolist() == expected
 
 
 class TestAlgorithmX:

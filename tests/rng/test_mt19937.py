@@ -140,6 +140,52 @@ class TestIntegerGeneration:
             MT19937().jump_discard(-1)
 
 
+class TestWindows:
+    def test_give_back_only_from_the_latest_window(self):
+        gen = MT19937(seed=3)
+        gen.random_window(10)
+        gen.random_window(3)
+        with pytest.raises(ValueError, match="3 left"):
+            gen.give_back(8)
+        gen.give_back(2)
+        with pytest.raises(ValueError, match="1 left"):
+            gen.give_back(2)
+
+    def test_give_back_after_a_new_block_is_rejected(self):
+        gen = MT19937(seed=3)
+        gen.random_window(5)
+        gen.setstate(gen.getstate())
+        with pytest.raises(ValueError):
+            gen.give_back(1)
+        gen.give_back(0)
+
+    def test_give_back_rejects_negative_counts(self):
+        gen = MT19937(seed=3)
+        gen.random_window(5)
+        with pytest.raises(ValueError):
+            gen.give_back(-1)
+
+    def test_given_back_doubles_come_again(self):
+        gen, twin = MT19937(seed=4), MT19937(seed=4)
+        window = gen.random_array(6)
+        gen.give_back(4)
+        assert gen.random_window(4) == window[2:].tolist()
+        assert window.tolist() == [twin.random() for _ in range(6)]
+        assert gen.getstate() == twin.getstate()
+
+    def test_window_is_read_only(self):
+        window = MT19937(seed=5).random_array(4)
+        with pytest.raises(ValueError):
+            window[0] = 0.5
+
+    def test_straddling_double_cannot_be_given_back(self):
+        gen = MT19937(seed=6)
+        gen.jump_discard(623)
+        assert len(gen.random_array(5)) == 1
+        with pytest.raises(ValueError):
+            gen.give_back(1)
+
+
 class TestDoubleQuality:
     def test_doubles_in_unit_interval(self):
         gen = MT19937(seed=11)
