@@ -68,7 +68,6 @@ __all__ = [
     "KindCandidateLogger",
     "KINDS",
     "DEFAULT_WEIGHT_MOD",
-    "parse_kind_spec",
     "make_kind",
     "restore_kind",
     "eager_oracle",
@@ -669,11 +668,6 @@ class WindowKind:
 #: The fields each kind's spec takes after its name.
 _KIND_FORMS = dict.fromkeys(KINDS, ())
 _KIND_FORMS["weighted"] = (specs.OPTIONAL, int)
-
-
-def parse_kind_spec(spec: str) -> tuple[str, int | None]:
-    """Split ``"name"`` / ``"name:param"`` into ``(name, param)``."""
-    return specs.parse("sample kind", spec, _KIND_FORMS, lambda name, p=None: (name, p))
 
 
 def make_kind(spec: str, capacity: int) -> SampleKind:

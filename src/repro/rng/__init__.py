@@ -12,9 +12,9 @@ can be generated twice without buffering it.  This subpackage provides:
   variates, reservoir skips, and windows of uniforms read a block at a
   time).
 * :mod:`~repro.rng.distributions` -- the variate generators themselves.
-* :mod:`~repro.rng.sequential` -- Vitter's 1984 sequential sampling
-  (Methods S, A and D, [3] in the paper).  The refresh write phase runs
-  Method S, selection sampling, over windows of uniforms.
+* :mod:`~repro.rng.sequential` -- selection sampling (Method S) from
+  Vitter's 1984 sequential sampling ([3] in the paper), which the
+  refresh write phase runs over windows of uniforms.
 """
 
 from repro.rng.mt19937 import MT19937
@@ -25,7 +25,7 @@ from repro.rng.distributions import (
     reservoir_skip,
     reservoir_skip_z,
 )
-from repro.rng.sequential import SequentialSampler, sequential_sample
+from repro.rng.sequential import SequentialSampler
 
 __all__ = [
     "MT19937",
@@ -35,5 +35,4 @@ __all__ = [
     "reservoir_skip",
     "reservoir_skip_z",
     "SequentialSampler",
-    "sequential_sample",
 ]

@@ -102,13 +102,29 @@ class MaintenanceCheckpoint:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.kind_name not in _KINDS:
             raise ValueError(f"unknown sample kind {self.kind_name!r}")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be positive")
         for name in (
-            "sample_size", "dataset_size", "dataset_size_at_refresh",
+            "dataset_size", "dataset_size_at_refresh",
             "log_count", "inserts", "refreshes", "rng_spawn_count",
             "ops_since_refresh",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # Only what a kind's checkpoint_fields() can write: uniform has no
+        # fields, weighted a positive modulus and a threshold in [0, inf]
+        # (a NaN would refuse every candidate), window its capacity.
+        param, threshold = self.kind_param, self.kind_threshold
+        if self.kind_name == "weighted":
+            valid = param >= 1 and threshold >= 0.0
+        else:
+            capacity = self.sample_size if self.kind_name == "window" else 0
+            valid = param == capacity and threshold == 0.0
+        if not valid:
+            raise ValueError(
+                f"impossible {self.kind_name} kind fields: "
+                f"param {param}, threshold {threshold!r}"
+            )
 
     # -- serialisation ------------------------------------------------------
 

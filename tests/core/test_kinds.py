@@ -21,7 +21,6 @@ from repro.core.kinds import (
     WindowKind,
     eager_oracle,
     make_kind,
-    parse_kind_spec,
 )
 from repro.core.logs import CandidateLogger
 from repro.core.reservoir import sample_is_plausible
@@ -33,21 +32,18 @@ from repro.storage.files import LogFile
 
 
 class TestRegistry:
-    def test_parse_specs(self):
-        assert parse_kind_spec("uniform") == ("uniform", None)
-        assert parse_kind_spec("weighted") == ("weighted", None)
-        assert parse_kind_spec("weighted:5") == ("weighted", 5)
-        assert parse_kind_spec("window") == ("window", None)
-
     def test_parse_rejects_unknown_and_bad_params(self):
         with pytest.raises(ValueError, match="unknown sample kind"):
-            parse_kind_spec("mystery")
+            make_kind("mystery", 16)
         with pytest.raises(ValueError, match="unknown sample kind 'stratified'"):
-            parse_kind_spec("stratified")
+            make_kind("stratified", 16)
         with pytest.raises(ValueError, match="takes no parameter"):
-            parse_kind_spec("window:8")
+            make_kind("window:8", 16)
         with pytest.raises(ValueError, match="takes no parameter"):
-            parse_kind_spec("uniform:1")
+            make_kind("uniform:1", 16)
+        for spec in ("weighted:0", "weighted:-1"):
+            with pytest.raises(ValueError, match=f"bad sample kind spec '{spec}'"):
+                make_kind(spec, 16)
 
     def test_make_kind_builds_and_canonicalises(self):
         assert isinstance(make_kind("uniform", 16), UniformKind)
@@ -300,7 +296,7 @@ class TestManifestRoundTrip:
             ("uniform", 0, 0.0),
             ("weighted", 16, 0.0312519),
             ("weighted", 5, math.inf),
-            ("window", 64, 0.0),
+            ("window", 8, 0.0),
         ):
             checkpoint = _checkpoint(
                 kind_name=kind_name, kind_param=param, kind_threshold=threshold

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.stack import select_final_indexes
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler, sequential_sample
+from repro.rng.sequential import SequentialSampler
 
 
 @st.composite
@@ -16,12 +16,12 @@ def n_total(draw):
 
 
 class TestSequentialSampleProperties:
-    @given(args=n_total(), seed=st.integers(0, 2**32), method=st.sampled_from("sad"))
+    @given(args=n_total(), seed=st.integers(0, 2**32))
     @settings(max_examples=200)
-    def test_valid_sample_for_any_arguments(self, args, seed, method):
+    def test_valid_sample_for_any_arguments(self, args, seed):
         n, total = args
         rng = RandomSource(seed=seed)
-        positions = sequential_sample(rng, n, total, method=method)
+        positions = list(SequentialSampler(rng, n=n, total=total))
         assert len(positions) == n
         assert len(set(positions)) == n
         assert positions == sorted(positions)
@@ -33,7 +33,6 @@ class TestSequentialSampleProperties:
         n, total = args
         sampler = SequentialSampler(RandomSource(seed=seed), n=n, total=total)
         assert len(list(sampler)) == n
-        assert sampler.remaining == 0
 
 
 class TestFinalIndexSelectionProperties:

@@ -1,96 +1,43 @@
-"""Sequential sampling: Methods S, A, D and the incremental sampler."""
+"""Selection sampling (Method S): the write phase's sequential sampler."""
+
+import itertools
+import math
 
 import pytest
 from scipy import stats
 
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import (
-    SequentialSampler,
-    selection_skips_a,
-    selection_skips_d,
-    selection_skips_s,
-    sequential_sample,
-)
+from repro.rng.sequential import SequentialSampler
 
-METHODS = ("s", "a", "d")
+
+# Method S serves every regime: "s" mixed sizes, "a" dense (n close to
+# total, where Method A used to take over) and "d" sparse (n far below
+# total, Method D's regime).
+REGIMES = {
+    "s": ((0, 10), (1, 1), (5, 100), (50, 60), (100, 100)),
+    "a": ((9, 10), (90, 100), (199, 200)),
+    "d": ((1, 1_000), (3, 10_000), (20, 50_000)),
+}
+# Select-all totals per regime; at q = 1 no uniform may be drawn.
+SELECT_ALL = {"s": 25, "a": 1, "d": 10_000}
 
 
 class TestSequentialSample:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_returns_sorted_distinct_in_range(self, method):
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_returns_sorted_distinct_in_range(self, regime):
         rng = RandomSource(seed=1)
-        for n, total in ((0, 10), (1, 1), (5, 100), (50, 60), (100, 100)):
-            positions = sequential_sample(rng, n, total, method=method)
+        for n, total in REGIMES[regime]:
+            positions = list(SequentialSampler(rng, n=n, total=total))
             assert len(positions) == n
             assert positions == sorted(set(positions))
             assert all(0 <= p < total for p in positions)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_select_all_is_identity(self, method):
+    @pytest.mark.parametrize("regime", SELECT_ALL)
+    def test_select_all_is_identity(self, regime):
+        total = SELECT_ALL[regime]
         rng = RandomSource(seed=2)
-        assert sequential_sample(rng, 25, 25, method=method) == list(range(25))
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_inclusion_is_uniform(self, method):
-        # Every position must be selected with probability n/total.
-        rng = RandomSource(seed=3)
-        n, total, trials = 10, 40, 6_000
-        counts = [0] * total
-        for _ in range(trials):
-            for p in sequential_sample(rng, n, total, method=method):
-                counts[p] += 1
-        expected = trials * n / total
-        chi2 = sum((c - expected) ** 2 / expected for c in counts)
-        assert stats.chi2.sf(chi2, df=total - 1) > 1e-4, method
-
-    def test_methods_agree_on_first_skip_distribution(self):
-        n, total, trials = 5, 200, 8_000
-        first = {}
-        for method in METHODS:
-            rng = RandomSource(seed=4)
-            first[method] = sorted(
-                sequential_sample(rng, n, total, method=method)[0]
-                for _ in range(trials)
-            )
-        assert stats.ks_2samp(first["s"], first["a"]).pvalue > 1e-4
-        assert stats.ks_2samp(first["s"], first["d"]).pvalue > 1e-4
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            sequential_sample(RandomSource(seed=5), 1, 10, method="x")
-
-    def test_rejects_invalid_counts(self):
-        rng = RandomSource(seed=6)
-        for gen in (selection_skips_s, selection_skips_a, selection_skips_d):
-            with pytest.raises(ValueError):
-                list(gen(rng, 5, 3))
-            with pytest.raises(ValueError):
-                list(gen(rng, -1, 3))
-
-
-class TestMethodD:
-    def test_dense_regime_delegates_to_a(self):
-        # n close to total forces the Method-A branch.
-        rng = RandomSource(seed=7)
-        positions = sequential_sample(rng, 90, 100, method="d")
-        assert len(positions) == 90
-
-    def test_large_sparse_draw(self):
-        rng = RandomSource(seed=8)
-        positions = sequential_sample(rng, 100, 1_000_000, method="d")
-        assert len(positions) == 100
-        assert positions[-1] < 1_000_000
-
-    def test_single_selection_uniform(self):
-        rng = RandomSource(seed=9)
-        trials = 20_000
-        counts = [0] * 10
-        for _ in range(trials):
-            (p,) = sequential_sample(rng, 1, 10, method="d")
-            counts[p] += 1
-        expected = trials / 10
-        chi2 = sum((c - expected) ** 2 / expected for c in counts)
-        assert stats.chi2.sf(chi2, df=9) > 1e-4
+        assert list(SequentialSampler(rng, n=total, total=total)) == list(range(total))
+        assert rng.random() == RandomSource(seed=2).random()
 
 
 class TestSequentialSampler:
@@ -100,14 +47,6 @@ class TestSequentialSampler:
             sampler = SequentialSampler(rng, n=n, total=total)
             selected = len(list(sampler))
             assert selected == n
-
-    def test_remaining_counts_down(self):
-        rng = RandomSource(seed=11)
-        sampler = SequentialSampler(rng, n=4, total=4)
-        for position, expected_remaining in enumerate((4, 3, 2, 1)):
-            assert sampler.remaining == expected_remaining
-            assert next(sampler) == position
-        assert sampler.remaining == 0
 
     def test_raises_past_last_record(self):
         rng = RandomSource(seed=12)
@@ -134,3 +73,35 @@ class TestSequentialSampler:
         expected = trials * n / total
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert stats.chi2.sf(chi2, df=total - 1) > 1e-4
+
+
+class TestSelectionLaw:
+    """Oracles from combinatorics alone: a uniform ``n``-subset of
+    ``range(total)``, whatever order the sampler scans in."""
+
+    def test_every_subset_is_equally_likely(self):
+        n, total, trials = 2, 6, 6_000
+        subsets = list(itertools.combinations(range(total), n))
+        counts = dict.fromkeys(subsets, 0)
+        rng = RandomSource(seed=15)
+        for _ in range(trials):
+            counts[tuple(SequentialSampler(rng, n=n, total=total))] += 1
+        expected = trials / len(subsets)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert stats.chi2.sf(chi2, df=len(subsets) - 1) > 1e-4
+
+    def test_first_position_follows_exact_law(self):
+        # P(first = j) = C(total-1-j, n-1) / C(total, n): the other n-1
+        # selections all lie past j.
+        n, total, trials = 3, 12, 10_000
+        law = [math.comb(total - 1 - j, n - 1) / math.comb(total, n) for j in range(total)]
+        assert math.isclose(sum(law), 1.0)
+        counts = [0] * total
+        rng = RandomSource(seed=16)
+        for _ in range(trials):
+            counts[next(SequentialSampler(rng, n=n, total=total))] += 1
+        support = total - n + 1
+        assert not any(counts[support:])
+        expected = [trials * p for p in law[:support]]
+        chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+        assert stats.chi2.sf(chi2, df=support - 1) > 1e-4

@@ -17,7 +17,10 @@ from repro.storage.superblock import (
 )
 
 #: header field positions, in ``_HEADER`` order
-FIELD = {"sample_size": 4, "refreshes": 9, "position": 15}
+FIELD = {
+    "sample_size": 4, "refreshes": 9, "position": 15,
+    "kind": 16, "kind_param": 17, "kind_threshold": 18,
+}
 _BODY = _HEADER.size + _MT_WORDS.size
 
 

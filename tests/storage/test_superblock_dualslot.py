@@ -8,6 +8,8 @@ alternates slots, so the previous checkpoint always survives, and so it
 does when a CRC-valid slot carries an out-of-range field.
 """
 
+import math
+
 import pytest
 
 from repro.storage.block_device import SimulatedBlockDevice
@@ -19,6 +21,9 @@ from repro.storage.superblock import (
     MaintenanceCheckpoint,
 )
 from tests.storage.test_superblock import make_checkpoint, reseal
+
+#: manifest kind indexes (``superblock._KINDS``) for resealed slots
+WEIGHTED, WINDOW = 1, 2
 
 
 def make_device():
@@ -177,9 +182,21 @@ class TestOutOfRangeFieldRecovery:
             {"refreshes": -1},
             {"position": 9999},
             {"position": -7},
+            {"sample_size": 0},
+            {"kind_param": 3},
+            {"kind_threshold": 0.5},
+            {"kind": WEIGHTED, "kind_param": 0},
+            {"kind": WEIGHTED, "kind_param": -4},
+            {"kind": WEIGHTED, "kind_param": 16, "kind_threshold": math.nan},
+            {"kind": WEIGHTED, "kind_param": 16, "kind_threshold": -1.0},
+            {"kind": WINDOW, "kind_param": 999},
+            {"kind": WINDOW, "kind_param": 1000, "kind_threshold": 1.0},
         ],
         ids=["negative-count", "negative-refreshes", "mt-position-high",
-             "mt-position-negative"],
+             "mt-position-negative", "empty-sample", "uniform-param",
+             "uniform-threshold", "weighted-mod-zero", "weighted-mod-negative",
+             "weighted-threshold-nan", "weighted-threshold-negative",
+             "window-not-capacity", "window-threshold"],
     )
     def test_bad_field_falls_back_to_older_slot(self, field):
         device = make_device()
