@@ -114,6 +114,15 @@ def test_write_phase_selection(benchmark):
     assert len(positions) == 1_000
 
 
+def test_stream_spawn(benchmark):
+    """One child stream, as every Nomem refresh spawns for its geometric
+    skips.  Ungated; ``spawns_per_sec`` is the rate of spawns."""
+    rng = RandomSource(seed=9)
+    child = benchmark(lambda: rng.spawn("nomem-geometric"))
+    benchmark.extra_info["spawns_per_sec"] = 1 / benchmark.stats.stats.mean
+    assert 0.0 <= child.random() < 1.0
+
+
 # -- online insert path: scalar vs. skip-based batch -------------------------
 #
 # The paper's setting: the dataset is much larger than the sample, so the

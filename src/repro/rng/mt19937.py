@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["MT19937", "MTState"]
 
@@ -35,6 +36,16 @@ _MASK32 = 0xFFFFFFFF
 
 # 1 / 2**53, for 53-bit doubles in [0, 1).
 _INV_2_53 = 1.0 / 9007199254740992.0
+
+
+class _ConstantKey(ISeedSequence):
+    """A seed sequence that hands numpy an all-zero key without hashing."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_CONSTANT_KEY = _ConstantKey()
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,11 @@ class MT19937:
     # ``_raw`` holds the tempered outputs of the state words ``_key``;
     # ``_bitgen`` sits at the end of that block, so its next raw draw
     # twists.  ``_key`` is read from numpy lazily, once per block.  Word
-    # reads come from the list ``_block`` of the same outputs.  It is
-    # ``None`` until a stream's first word read and built with every block
-    # from then on, so a stream read only in windows (Nomem's skips) never
-    # converts a block to Python ints.
+    # reads come from the list ``_block`` of the same outputs.  Every new
+    # block starts it as ``None``, and the block's first word read builds
+    # it from that word on (the words before it stay 0 and are never
+    # read), so a block read only in windows is never converted to Python
+    # ints.
     # ``_doubles`` is the read-only array of the block's doubles on word
     # pairs that start at an index of parity ``_parity`` (-1: not computed
     # for this block), and ``_doubles_list`` the same doubles as a list
@@ -89,8 +101,10 @@ class MT19937:
     )
 
     def __init__(self, seed: int = 5489) -> None:
-        # numpy seeds its own way on construction; ``seed`` overrides it.
-        self._bitgen = np.random.MT19937(0)
+        # ``seed`` overwrites whatever key the bit generator is built with,
+        # so it is built from a constant one rather than numpy's hashed
+        # SeedSequence seeding.
+        self._bitgen = np.random.MT19937(_CONSTANT_KEY)
         self.seed(seed)
 
     def seed(self, seed: int) -> None:
@@ -136,8 +150,7 @@ class MT19937:
 
     def _load_block(self) -> None:
         self._raw = self._bitgen.random_raw(_N)
-        if self._block is not None:
-            self._block = self._raw.tolist()
+        self._block = None
         self._parity = -1
         self._window_start = _N + 1
 
@@ -155,8 +168,12 @@ class MT19937:
         self._index = index + 1
         try:
             return self._block[index]  # type: ignore[index]
-        except TypeError:  # None: the stream's first word read
-            self._block = self._raw.tolist()
+        except TypeError:  # None: the block's first word read
+            # Reads only move forward from here, so the words before it are
+            # never converted; the latest window cannot be given back past
+            # them either.
+            self._block = [0] * index + self._raw[index:].tolist()
+            self._window_start = _N + 1
             return self._block[index]
 
     def random(self) -> float:
@@ -174,7 +191,7 @@ class MT19937:
 
         Returns the window's bounds in ``_doubles``, or ``(-1, -1)`` for
         the one double that straddles two blocks, which the caller then
-        draws with :meth:`random`.
+        draws with :meth:`_straddling_double`.
         """
         if count < 1:
             raise ValueError("a window holds at least one double")
@@ -202,6 +219,14 @@ class MT19937:
         self._index = 2 * stop + parity
         return start, stop
 
+    def _straddling_double(self) -> float:
+        """:meth:`random` on the block's last word and the next block's
+        first, read from numpy so that neither block's words are converted."""
+        high = int(self._raw[_N - 1]) >> 5
+        self._next_block()
+        self._index = 1
+        return (high * 67108864.0 + (int(self._raw[0]) >> 6)) * _INV_2_53
+
     def random_array(self, count: int) -> np.ndarray:
         """Return the next doubles, exactly as successive :meth:`random` calls.
 
@@ -219,7 +244,7 @@ class MT19937:
         """
         start, stop = self._take(count)
         if start < 0:
-            return np.array([self.random()])
+            return np.array([self._straddling_double()])
         return self._doubles[start:stop]
 
     def random_window(self, count: int) -> list[float]:
@@ -235,7 +260,7 @@ class MT19937:
         """
         start, stop = self._take(count)
         if start < 0:
-            return [self.random()]
+            return [self._straddling_double()]
         if self._doubles_list is None:
             self._doubles_list = self._doubles.tolist()
         return self._doubles_list[start:stop]

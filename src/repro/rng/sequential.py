@@ -8,6 +8,11 @@ back.  The paper does this with the per-position displacement probability
 of positions equally likely.  :class:`SequentialSampler` runs it over
 windows of uniforms and is what Stack and Nomem Refresh use.
 
+The O(M) tests cost one numpy pass per window, not one Python comparison
+per position: ``k`` only falls within a window, so every position whose
+product ``u * (M - j)`` reaches the window's first ``k`` is a sure
+rejection, and only the few others are walked in Python.
+
 Footnote 4 notes that the skip-based scheme of [3] (Method D) could find
 the same positions with O(k) uniforms instead of O(M).  It is not used:
 it consumes the stream differently, so it would change every Stack and
@@ -16,7 +21,9 @@ Nomem PRNG state, sample byte and cost-model figure.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Iterator, Protocol
+
+import numpy as np
 
 __all__ = ["SequentialSampler"]
 
@@ -24,7 +31,7 @@ __all__ = ["SequentialSampler"]
 class UniformWindows(Protocol):
     """A uniform source read a window at a time (see :class:`RandomSource`)."""
 
-    def random_window(self, count: int) -> list[float]:  # pragma: no cover
+    def random_array(self, count: int) -> np.ndarray:  # pragma: no cover
         ...
 
     def give_back(self, count: int) -> None:  # pragma: no cover
@@ -40,17 +47,26 @@ class SequentialSampler:
     ``u`` satisfies ``u * (M - j) < k``.  Once every remaining position
     must be selected (``q = 1``) no more uniforms are drawn.
 
-    Uniforms are read a window at a time and the unused tail of a window
-    is given back before a position is yielded, so at every yield the
-    stream stands exactly where one ``random()`` per scanned position
-    would have left it.
+    Uniforms are read a window at a time.  numpy forms the window's
+    products ``u * (M - j)`` at once (the same IEEE products as Python's,
+    since ``M < 2**53``), and only those below the window's first ``k``
+    are tested one by one.  The unused tail of a window is given back
+    before a position is yielded, so at every yield the stream stands
+    exactly where one ``random()`` per scanned position would have left
+    it; the next position re-takes that tail and goes on testing its
+    remembered candidates.  Nothing else may draw from the stream between
+    two positions: a re-taken tail that is not the one given back raises
+    :class:`ValueError`.
 
     >>> rng = _FixedSource([0.0, 0.9, 0.0])
     >>> list(SequentialSampler(rng, n=2, total=3))
     [0, 2]
     """
 
-    __slots__ = ("_rng", "_remaining_selected", "_remaining_records", "_total")
+    __slots__ = (
+        "_head", "_hits", "_rng", "_remaining_selected", "_remaining_records",
+        "_start", "_stop", "_total",
+    )
 
     def __init__(self, rng: UniformWindows, n: int, total: int) -> None:
         _check_args(n, total)
@@ -58,6 +74,13 @@ class SequentialSampler:
         self._remaining_selected = n
         self._remaining_records = total
         self._total = total
+        # The given-back tail of the latest window: it ends where
+        # ``_stop`` records are left and starts with the double ``_head``.
+        # ``_hits`` yields its candidates as (offset, product) pairs, the
+        # offset counted from the window's start at ``_start`` records.
+        self._hits: Iterator[tuple[int, float]] | None = None
+        self._head = 0.0
+        self._start = self._stop = 0
 
     def __iter__(self) -> "SequentialSampler":
         return self
@@ -76,19 +99,40 @@ class SequentialSampler:
     def _scan(self, selected: int, records: int) -> int:
         """Draw until a position is selected; return the records left there.
 
-        A window is cut to ``records - selected`` uniforms, the most that
-        can be rejected before every remaining position must be selected.
-        About ``2 * records / selected`` covers the expected run of
-        rejections with room to spare.
+        A fresh window is cut to ``records - selected`` uniforms, the most
+        that can be rejected before every remaining position must be
+        selected; the block's end usually cuts it shorter.
         """
         rng = self._rng
+        hits = self._hits
+        if hits is not None:
+            start, stop = self._start, self._stop
+            window = rng.random_array(records - stop)
+            if len(window) != records - stop or window[0] != self._head:
+                raise ValueError(
+                    "the uniform stream moved between two selected positions: "
+                    "nothing may draw from it while the sampler is in use"
+                )
         while True:
-            window = rng.random_window(min(2 * records // selected + 8, records - selected))
-            for used, u in enumerate(window, 1):
-                if u * records < selected:
-                    rng.give_back(len(window) - used)
+            if hits is None:
+                window = rng.random_array(records - selected)
+                products = window * np.arange(records, records - len(window), -1)
+                offsets = np.flatnonzero(products < selected)
+                hits = zip(offsets.tolist(), products[offsets].tolist())
+                start, stop = records, records - len(window)
+            for offset, product in hits:
+                if product < selected:
+                    records = start - offset
+                    tail = records - 1 - stop
+                    if tail:
+                        rng.give_back(tail)
+                        self._head = float(window[-tail])
+                        self._hits, self._start, self._stop = hits, start, stop
+                    else:
+                        self._hits = None
                     return records
-                records -= 1
+            self._hits = hits = None
+            records = stop
             if records == selected:
                 return records
 
@@ -100,10 +144,10 @@ class _FixedSource:
         self._values = list(values)
         self._window: list[float] = []
 
-    def random_window(self, count: int) -> list[float]:
+    def random_array(self, count: int) -> np.ndarray:
         self._window = self._values[:count]
         del self._values[:count]
-        return self._window
+        return np.array(self._window)
 
     def give_back(self, count: int) -> None:
         if count:

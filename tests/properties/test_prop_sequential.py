@@ -1,5 +1,6 @@
 """Property-based tests: sequential sampling and final-index selection."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.refresh.array import ArrayRefresh
@@ -30,9 +31,16 @@ class TestSequentialSampleProperties:
     @given(args=n_total(), seed=st.integers(0, 2**32))
     @settings(max_examples=100)
     def test_sampler_selects_exactly_n(self, args, seed):
+        # The last position may leave a window given back; once exhausted,
+        # the sampler neither yields nor draws again.
         n, total = args
-        sampler = SequentialSampler(RandomSource(seed=seed), n=n, total=total)
+        rng = RandomSource(seed=seed)
+        sampler = SequentialSampler(rng, n=n, total=total)
         assert len(list(sampler)) == n
+        state = rng.snapshot()
+        with pytest.raises(StopIteration):
+            next(sampler)
+        assert rng.snapshot() == state
 
 
 class TestFinalIndexSelectionProperties:

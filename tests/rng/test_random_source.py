@@ -1,5 +1,6 @@
 """RandomSource facade: snapshots, substreams, helper variates."""
 
+import numpy as np
 import pytest
 
 from repro.rng.random_source import RandomSource
@@ -66,6 +67,15 @@ class TestSpawn:
         a = RandomSource(seed=7).spawn("alpha")
         b = RandomSource(seed=7).spawn("beta")
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+
+    def test_child_matches_numpy_legacy_seeding(self):
+        # A child is seeded like RandomState on its seed's low 32 bits,
+        # whatever key its bit generator was built with.
+        parent = RandomSource(seed=7)
+        parent.spawn("warm-up")
+        child = parent.spawn("nomem-geometric")
+        oracle = np.random.RandomState(child.seed & 0xFFFFFFFF).random_sample(2000)
+        assert [child.random() for _ in range(2000)] == oracle.tolist()
 
 
 class TestHelpers:

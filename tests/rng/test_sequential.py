@@ -55,6 +55,16 @@ class TestSequentialSampler:
         with pytest.raises(StopIteration):
             next(sampler)
 
+    def test_stream_moved_between_positions_is_an_error(self):
+        # The first position leaves most of its window given back; a word
+        # read before the next position moves the stream under it.
+        rng = RandomSource(seed=11)
+        sampler = SequentialSampler(rng, n=100, total=200)
+        next(sampler)
+        rng.randrange(2)  # one 32-bit word
+        with pytest.raises(ValueError, match="stream moved"):
+            next(sampler)
+
     def test_rejects_invalid_arguments(self):
         rng = RandomSource(seed=13)
         with pytest.raises(ValueError):
