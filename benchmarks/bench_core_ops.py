@@ -194,12 +194,14 @@ def test_insert_scalar_throughput(benchmark, scale):
 # the kind logger's hot loop fails CI.
 
 
-def _fresh_weighted_maintainer(sample_size: int, initial_dataset: int, seed: int):
+def _fresh_kind_maintainer(
+    sample_size: int, initial_dataset: int, seed: int, kind: str = "weighted"
+):
     from repro.core.kinds import make_kind
 
     cost = CostModel()
     rng = RandomSource(seed=seed)
-    kind = make_kind("weighted", sample_size)
+    kind = make_kind(kind, sample_size)
     codec = kind.codec(16)
     rows = kind.build_initial(list(range(initial_dataset)), rng)
     sample = SampleFile(SimulatedBlockDevice(cost, "sample"), codec, sample_size)
@@ -227,7 +229,7 @@ def test_weighted_insert_throughput(benchmark, scale):
 
     def setup():
         return (
-            (_fresh_weighted_maintainer(sample_size, initial_dataset, seed=19),),
+            (_fresh_kind_maintainer(sample_size, initial_dataset, seed=19),),
             {},
         )
 
@@ -515,19 +517,22 @@ def test_query_throughput(benchmark, aggregate):
 
 # -- replay refresh: the refresh of a kinded sample ---------------------------
 #
-# A weighted Array refresh scans the sample, replays every logged row
-# against the live threshold (reading the log a block at a time) and
-# writes the displaced slots back a block at a time.  ``rows_per_sec`` is
-# logged rows replayed per second.  Not in the committed baseline, so not
-# gated.
+# A weighted or window Array refresh scans the sample as one record array,
+# replays the logged rows (the window: its unexpired tail) read as one
+# record array, and splices the final record of each displaced slot back
+# a block at a time.  ``rows_per_sec`` is logged rows per second.  Not in
+# the committed baseline, so not gated.
 
 
-def test_replay_refresh(benchmark):
-    """Weighted Array refresh of a 1,024-row sample over a full log."""
+@pytest.mark.parametrize("kind", ["weighted", "window"])
+def test_replay_refresh(benchmark, kind):
+    """Kinded Array refresh of a 1,024-row sample over a full log."""
     sample_size = 1024
 
     def setup():
-        maintainer = _fresh_weighted_maintainer(sample_size, 4 * sample_size, seed=23)
+        maintainer = _fresh_kind_maintainer(
+            sample_size, 4 * sample_size, seed=23, kind=kind
+        )
         maintainer.insert_many(range(4 * sample_size, 20 * sample_size))
         return (maintainer,), {}
 

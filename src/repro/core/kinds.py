@@ -45,6 +45,8 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Protocol, Sequence
 
+import numpy as np
+
 from repro import specs
 from repro.core.logs import CandidateLogger
 from repro.core.reservoir import ReservoirSampler, build_reservoir
@@ -140,11 +142,17 @@ class SampleKind(Protocol):
     ) -> tuple[int, list]:  # pragma: no cover - protocol
         ...
 
+    # The replay, for kinds whose victims depend on the sample's contents
+    # (``draws_slots`` False): the refresh reads the log from
+    # ``replay_start``, scans the sample into ``open_replay``, and hands
+    # those records to the replay's ``apply`` in one array, which returns
+    # the slot each displaced (-1: none).
+
     def replay_start(self, total: int) -> int:  # pragma: no cover - protocol
         ...
 
-    def open_replay(self, sample: SampleFile, rng: RandomSource):
-        ...  # pragma: no cover - protocol
+    def open_replay(self, sample: SampleFile):  # pragma: no cover - protocol
+        ...
 
     def commit_replay(self, replay) -> None:  # pragma: no cover - protocol
         ...
@@ -162,23 +170,6 @@ class SampleKind(Protocol):
 # ---------------------------------------------------------------------------
 # Uniform reservoir (the paper's scheme)
 # ---------------------------------------------------------------------------
-
-
-class _SlotDraws:
-    """Uniform victims: every candidate replaces a uniformly drawn slot.
-
-    Reads no rows -- the draw ignores the sample's contents, which is
-    what lets Array/Stack/Nomem precompute final slots without a scan.
-    """
-
-    __slots__ = ("_rng", "_size")
-
-    def __init__(self, rng: RandomSource, size: int) -> None:
-        self._rng = rng
-        self._size = size
-
-    def step(self, record) -> int:
-        return self._rng.randrange(self._size)
 
 
 class UniformKind:
@@ -263,15 +254,6 @@ class UniformKind:
         consumed, accepted = self.sampler(rng).test_many(len(elements), max_accepts)
         return consumed, [elements[i] for i in accepted]
 
-    def replay_start(self, total: int) -> int:
-        return 0
-
-    def open_replay(self, sample: SampleFile, rng: RandomSource) -> _SlotDraws:
-        return _SlotDraws(rng, sample.size)
-
-    def commit_replay(self, replay: _SlotDraws) -> None:
-        return None
-
     def checkpoint_fields(self) -> tuple[int, float]:
         return 0, 0.0
 
@@ -293,59 +275,61 @@ def _offer_each(kind, element, rng: RandomSource):
     return record if kind.accept(record) else None
 
 
-def _scan_replay(kind, sample: SampleFile, rng: RandomSource):
-    """Content-chosen victims: replay over the sample's current rows."""
-    return kind.begin_replay(list(sample.scan()))
-
-
 # ---------------------------------------------------------------------------
 # Weighted reservoir (A-ES exponential keys)
 # ---------------------------------------------------------------------------
 
 
 class _WeightedReplay:
-    """Evolving-threshold application of weighted records to sample rows.
+    """Evolving-threshold application of weighted records to a sample.
 
     This is the *eager* maintenance rule -- keep the ``M`` smallest keys,
     evict the arg-max -- applied in memory.  The deferred refresh runs it
-    over the candidate log; the immediate oracle runs it per arrival.
-    The max-key lookup is a lazy-invalidation heap: stale entries (slots
-    whose key has since shrunk) are popped on sight, ties break on the
-    lower slot, so the victim choice is deterministic.
+    over the candidate log's key column (:meth:`apply`); the initial
+    build and the immediate oracle run it per record over in-memory rows
+    (:meth:`step`).  The max-key lookup is a heap of ``(-key, slot)``
+    entries, at most one per slot: an admitted key replaces the top
+    entry, so ties break on the lower slot.  The entries are totally
+    ordered, so the victims do not depend on how the heap was built.
     """
 
-    __slots__ = ("rows", "_keys", "_heap")
+    __slots__ = ("rows", "_heap")
 
-    def __init__(self, rows: list) -> None:
+    def __init__(self, keys: np.ndarray, rows: list | None = None) -> None:
         self.rows = rows
-        self._keys = [row[1] for row in rows]
-        self._heap = [(-key, slot) for slot, key in enumerate(self._keys)]
-        heapq.heapify(self._heap)
-
-    def _peek_max(self) -> tuple[float, int]:
-        heap = self._heap
-        keys = self._keys
-        while True:
-            neg_key, slot = heap[0]
-            if keys[slot] == -neg_key:
-                return -neg_key, slot
-            heapq.heappop(heap)
+        neg = -keys
+        order = np.argsort(neg, kind="stable")
+        # Sorted by (-key, slot), the entry list is a heap as it stands.
+        self._heap = list(zip(neg[order].tolist(), order.tolist()))
 
     @property
     def max_key(self) -> float:
         """The live threshold: the largest key currently in the sample."""
-        return self._peek_max()[0]
+        return -self._heap[0][0]
 
     def step(self, record) -> int | None:
-        """Apply one record; returns the displaced slot, or None."""
-        key = record[1]
-        max_key, slot = self._peek_max()
-        if key < max_key:
+        """Apply one record to :attr:`rows`; the displaced slot, or None."""
+        neg_max, slot = self._heap[0]
+        if record[1] < -neg_max:
+            heapq.heapreplace(self._heap, (-record[1], slot))
             self.rows[slot] = record
-            self._keys[slot] = key
-            heapq.heapreplace(self._heap, (-key, slot))
             return slot
         return None
+
+    def apply(self, records: np.ndarray) -> np.ndarray:
+        """Apply log records in order (:meth:`step`'s rule on the key
+        column): the slot each displaced, or -1."""
+        heap = self._heap
+        replace = heapq.heapreplace
+        steps = []
+        for key in records["f1"].tolist():
+            neg_max, slot = heap[0]
+            if key < -neg_max:
+                replace(heap, (-key, slot))
+                steps.append(slot)
+            else:
+                steps.append(-1)
+        return np.array(steps, dtype=np.int64)
 
 
 class WeightedKind:
@@ -473,10 +457,13 @@ class WeightedKind:
     def replay_start(self, total: int) -> int:
         return 0
 
-    open_replay = _scan_replay
+    def open_replay(self, sample: SampleFile) -> _WeightedReplay:
+        """The replay over the on-disk sample: one scan, keys only."""
+        return _WeightedReplay(sample.scan_records()["f1"])
 
     def begin_replay(self, rows: list) -> _WeightedReplay:
-        return _WeightedReplay(rows)
+        """The replay over in-memory rows, for :meth:`_WeightedReplay.step`."""
+        return _WeightedReplay(np.array([row[1] for row in rows], dtype=np.float64), rows)
 
     def commit_replay(self, replay: _WeightedReplay) -> None:
         self._threshold = replay.max_key
@@ -523,12 +510,20 @@ class WeightedKind:
 
 
 class _WindowReplay:
-    """Apply window records to their fixed slots, newest sequence wins."""
+    """Apply window records to their fixed slots, newest sequence wins.
 
-    __slots__ = ("rows", "_capacity")
+    :meth:`step` applies one record to in-memory rows (the initial build
+    and the immediate oracle); :meth:`apply` applies the unexpired log
+    tail to the sequence column of the on-disk sample.
+    """
 
-    def __init__(self, rows: list, capacity: int) -> None:
+    __slots__ = ("rows", "_seqs", "_capacity")
+
+    def __init__(
+        self, capacity: int, rows: list | None = None, seqs: np.ndarray | None = None
+    ) -> None:
         self.rows = rows
+        self._seqs = seqs
         self._capacity = capacity
 
     def step(self, record) -> int | None:
@@ -538,6 +533,24 @@ class _WindowReplay:
             self.rows[slot] = record
             return slot
         return None
+
+    def apply(self, records: np.ndarray) -> np.ndarray:
+        """Apply the log tail at once: the slot each record displaced, or -1.
+
+        Record ``seq`` displaces slot ``seq mod W`` when the sample holds
+        an older sequence there -- :meth:`step`'s rule, so a refresh re-run
+        after a crash does not rewrite the rows it already wrote.  Within
+        one slot a later record is newer only while sequences strictly
+        increase, which :meth:`WindowKind.draw` guarantees; a tail that
+        breaks that order is refused before anything is written.
+        """
+        seqs = records["f1"]
+        if (seqs[1:] <= seqs[:-1]).any():
+            raise ValueError(
+                "window log tail: sequence numbers must strictly increase"
+            )
+        slots = seqs % self._capacity
+        return np.where(self._seqs[slots] < seqs, slots, -1)
 
 
 class WindowKind:
@@ -621,10 +634,13 @@ class WindowKind:
         """Logged rows older than the window are expired unread."""
         return max(0, total - self._capacity)
 
-    open_replay = _scan_replay
+    def open_replay(self, sample: SampleFile) -> _WindowReplay:
+        """The replay over the on-disk sample: one scan, sequences only."""
+        return _WindowReplay(self._capacity, seqs=sample.scan_records()["f1"])
 
     def begin_replay(self, rows: list) -> _WindowReplay:
-        return _WindowReplay(rows, self._capacity)
+        """The replay over in-memory rows, for :meth:`_WindowReplay.step`."""
+        return _WindowReplay(self._capacity, rows)
 
     def commit_replay(self, replay: _WindowReplay) -> None:
         return None

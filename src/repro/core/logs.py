@@ -33,7 +33,7 @@ their input.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, Sequence, TypeVar
+from typing import Protocol, Sequence, TypeVar
 
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile, SampleFile
@@ -41,7 +41,6 @@ from repro.storage.files import LogFile, SampleFile
 __all__ = [
     "CandidateSource",
     "CandidateReader",
-    "ReadEachRun",
     "InsertLogger",
     "ImmediateLogger",
     "CandidateLogger",
@@ -56,29 +55,10 @@ T = TypeVar("T")
 
 
 class CandidateReader(Protocol):
-    """Reads candidates by ascending 1-based ordinal.
-
-    ``read_run(first, last)`` reads the consecutive ordinals
-    ``first..last`` in order and yields them as lists of values (a log
-    block's worth at a time where the candidates are log blocks); it
-    charges what a ``read`` of each ordinal charges.
-    """
+    """Reads candidates by ascending 1-based ordinal."""
 
     def read(self, ordinal: int) -> T:  # pragma: no cover - protocol
         ...
-
-    def read_run(self, first: int, last: int) -> Iterator[list[T]]:  # pragma: no cover
-        ...
-
-
-class ReadEachRun:
-    """``read_run`` as one ``read`` per ordinal, for readers whose
-    candidates are scattered through a log rather than stored in it."""
-
-    __slots__ = ()
-
-    def read_run(self, first: int, last: int) -> Iterator[list[T]]:
-        yield [self.read(ordinal) for ordinal in range(first, last + 1)]
 
 
 class CandidateSource(Protocol):
@@ -363,9 +343,6 @@ class _CandidateLogReader:
     def read(self, ordinal: int) -> T:
         return self._reader.read(ordinal - 1)
 
-    def read_run(self, first: int, last: int) -> Iterator[list[T]]:
-        return self._reader.read_run(first - 1, last - 1)
-
 
 class SkipReplay:
     """Vitter skips over a window of arrivals, replayed from a saved state.
@@ -476,7 +453,7 @@ class FullLogSource:
         return [ordinal - 1 for ordinal in self._skips.ordinals()]
 
 
-class _FullLogCandidateReader(ReadEachRun):
+class _FullLogCandidateReader:
     """Maps candidate ordinals to full-log positions by replaying skips."""
 
     __slots__ = ("_reader", "_ordinals", "_next_ordinal")

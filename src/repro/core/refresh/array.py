@@ -19,9 +19,11 @@ for large logs in Fig. 13.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshAlgorithm, RefreshResult
+from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, replay_log
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -61,7 +63,7 @@ class ArrayRefresh(RefreshAlgorithm):
         """Algorithm 1 when the kind's victims are RNG slot draws (uniform);
         otherwise the kind's replay with Algorithm 1's write discipline."""
         if not kind.draws_slots:
-            return self._refresh_replay(sample, source, rng, kind)
+            return self._refresh_replay(sample, source, kind)
         obs = self.instrumentation
         total = source.count()
         size = sample.size
@@ -136,46 +138,38 @@ class ArrayRefresh(RefreshAlgorithm):
         return RefreshResult(candidates=total, displaced=displaced, memory=memory)
 
     def _refresh_replay(
-        self,
-        sample: SampleFile,
-        source: CandidateSource,
-        rng: RandomSource,
-        kind: SampleKind,
+        self, sample: SampleFile, source: CandidateSource, kind: SampleKind
     ) -> RefreshResult:
         """Algorithm 1's write discipline for content-chosen victims.
 
         The uniform precomputation throws candidate *indexes* at RNG-drawn
         slots; a kind's victims depend on sample *contents*, so the merge
-        phase here is: scan the current rows once (sequential reads), run
-        the kind's replay over the unexpired log tail (sequential reads),
-        then write only the final record of each displaced slot -- one
-        sequential ascending pass, exactly ``Psi <= min(M, |C|)`` writes.
-        The replay consumes no randomness, so naive and array refreshes
-        leave identical sample bytes *and* identical PRNG state.
+        phase here is :func:`~repro.core.refresh.base.replay_log`: scan
+        the sample once (sequential reads) and replay the unexpired log
+        tail over it (sequential reads), both as record arrays.  Then
+        only the final record of each displaced slot is written -- one
+        sequential ascending pass, exactly ``Psi <= min(M, |C|)`` writes
+        of the log's records.  The replay consumes no randomness, so
+        naive and array refreshes leave identical sample bytes *and*
+        identical PRNG state.
         """
         obs = self.instrumentation
         total = source.count()
-        size = sample.size
         memory = MemoryReport()
-        memory.account_indexes(size)  # the replay's per-slot key/seq state
+        memory.account_indexes(sample.size)  # the replay's per-slot key/seq state
         if total == 0:
             return RefreshResult(candidates=0, displaced=0, memory=memory)
-        start = kind.replay_start(total)
         with maybe_span(
             obs, "refresh.write", algorithm=self.name, candidates=total
         ) as span:
-            replay = kind.open_replay(sample, rng)
-            step = replay.step
-            touched: set[int | None] = set()
-            for records in source.open_reader().read_run(start + 1, total):
-                touched.update(map(step, records))
-            touched -= {None}  # the steps that displaced nothing
-            kind.commit_replay(replay)
-            rows = replay.rows
-            sample.write_sequential([(slot, rows[slot]) for slot in sorted(touched)])
+            records, steps = replay_log(sample, source, kind)
+            # The final record of each displaced slot: its last step.
+            hits = np.flatnonzero(steps >= 0)[::-1]
+            slots, last = np.unique(steps[hits], return_index=True)
+            sample.write_records(slots, records[hits[last]])
             if span is not None:
-                span.set("displaced", len(touched))
-        return RefreshResult(candidates=total, displaced=len(touched), memory=memory)
+                span.set("displaced", len(slots))
+        return RefreshResult(candidates=total, displaced=len(slots), memory=memory)
 
     def _write_unsorted(
         self,

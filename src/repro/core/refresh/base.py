@@ -5,13 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.core.kinds import SampleKind
-from repro.core.logs import CandidateSource
+from repro.core.logs import CandidateLogSource, CandidateSource
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
-__all__ = ["RefreshAlgorithm", "RefreshResult", "require_slot_draws"]
+__all__ = ["RefreshAlgorithm", "RefreshResult", "replay_log", "require_slot_draws"]
 
 
 @dataclass
@@ -69,3 +71,27 @@ def require_slot_draws(algorithm: str, kind: SampleKind) -> None:
             f"{algorithm} refresh draws uniform victim slots; kind "
             f"{kind.name!r} chooses victims by content (use naive or array)"
         )
+
+
+def replay_log(
+    sample: SampleFile, source: CandidateSource, kind: SampleKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a content-chosen kind's replay over this round's candidate log.
+
+    Scans the sample into the kind's replay (sequential reads), reads
+    the unexpired log tail as one record array (sequential reads),
+    applies it and commits the kind's replay state.  Returns the records
+    and the slot each displaced (-1 where it displaced none); writing
+    them is the caller's.  Consumes no randomness.
+    """
+    if not isinstance(source, CandidateLogSource):
+        raise TypeError(
+            f"kind {kind.name!r} replays a candidate log; got {type(source).__name__}"
+        )
+    total = source.count()
+    start = kind.replay_start(total)
+    replay = kind.open_replay(sample)
+    records = source.log.open_sequential_reader().read_records(start, total - 1)
+    steps = replay.apply(records)
+    kind.commit_replay(replay)
+    return records, steps

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource, FullLogSource
-from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
+from repro.core.refresh.base import (
+    RefreshAlgorithm,
+    RefreshResult,
+    replay_log,
+    require_slot_draws,
+)
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -41,39 +46,47 @@ class NaiveCandidateRefresh(RefreshAlgorithm):
         rng: RandomSource,
         kind: SampleKind,
     ) -> RefreshResult:
-        """Replay the log through the kind's victim rule, writing each step.
+        """Apply the log through the kind's victim rule, writing each step.
 
-        The kind's replay decides whether the current rows are read
-        first: uniform victims are RNG slot draws (``randrange(M)`` per
-        candidate, no read), while weighted and window victims depend on
-        the rows, so those kinds scan the sample once before the replay
-        (and consume no randomness at all).  Each step that displaces a
-        slot is written immediately, non-final writes included: that is
-        the naive baseline's signature cost.
+        Uniform victims are RNG slot draws (``randrange(M)`` per
+        candidate, read in log order); weighted and window victims depend
+        on the rows, so those kinds first compute every step up front
+        through the shared replay
+        (:func:`~repro.core.refresh.base.replay_log`: one sample scan,
+        the whole log tail, no randomness) and this then walks the steps.
+        Each step that displaces a slot is written at random, non-final
+        writes included: that is the naive baseline's signature cost.
         """
         total = source.count()
         if total == 0:
             return RefreshResult(candidates=0, displaced=0)
-        start = kind.replay_start(total)
-        # No precomputation phase: the strawman goes straight to disk.
+        # Uniform interleaves each log read with its write; content-chosen
+        # kinds read the whole tail before the first write.
         with maybe_span(
             self.instrumentation,
             "refresh.write",
             algorithm=self.name,
             candidates=total,
         ) as span:
-            replay = kind.open_replay(sample, rng)
+            if kind.draws_slots:
+                reader = source.open_reader()
+                writes = (
+                    (rng.randrange(sample.size), reader.read(ordinal))
+                    for ordinal in range(1, total + 1)
+                )
+            else:
+                records, steps = replay_log(sample, source, kind)
+                values = records.tolist()
+                writes = (
+                    (slot, values[i]) for i, slot in enumerate(steps.tolist()) if slot >= 0
+                )
             touched: set[int] = set()
-            for records in source.open_reader().read_run(start + 1, total):
-                for record in records:
-                    slot = replay.step(record)
-                    if slot is not None:
-                        # The naive strawman *is* random-write I/O -- that
-                        # inefficiency is the point of the Sec. 3 baselines,
-                        # not a violation of the Alg. 1-3 sequential-only claim.
-                        sample.write_random(slot, record)  # repro-lint: disable=IO001
-                        touched.add(slot)
-            kind.commit_replay(replay)
+            for slot, value in writes:
+                # The naive strawman *is* random-write I/O -- that
+                # inefficiency is the point of the Sec. 3 baselines,
+                # not a violation of the Alg. 1-3 sequential-only claim.
+                sample.write_random(slot, value)  # repro-lint: disable=IO001
+                touched.add(slot)
             if span is not None:
                 span.set("displaced", len(touched))
         return RefreshResult(

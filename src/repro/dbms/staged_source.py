@@ -28,7 +28,7 @@ applies them after the refresh).
 
 from __future__ import annotations
 
-from repro.core.logs import ReadEachRun, SkipReplay
+from repro.core.logs import SkipReplay
 from repro.dbms.staging import ChangeKind, StagingTable
 from repro.dbms.table import Row
 from repro.rng.random_source import RandomSource
@@ -70,7 +70,7 @@ class StagingLogSource:
         )
 
 
-class _StagingCandidateReader(ReadEachRun):
+class _StagingCandidateReader:
     """Walks the mixed change log forward, resolving candidate ordinals.
 
     Candidate ordinal -> n-th *insert* change record -> its row payload.

@@ -12,7 +12,8 @@ Charging rules (matching Sec. 6.1 of the paper):
   written after the log is truncated/reused charges a **random write**
   instead -- the "one random I/O ... to move from the current position to
   the beginning of the log file" of Sec. 6.2;
-* scans (``scan``, ``scan_values``) charge one **sequential read** per block;
+* scans (``scan``, ``scan_records``, ``scan_values``) charge one **sequential
+  read** per block;
 * indexed forward reads (refresh algorithms touching only the blocks that
   contain final candidates) charge one sequential read per *distinct*
   block;
@@ -78,6 +79,12 @@ class _BlockStore:
         file's first ``total``, in one codec call."""
         count = min(self._per_block, total - block * self._per_block)
         return self._codec.decode_block(data, count)
+
+    def _join_records(self, chunks: list, count: int) -> np.ndarray:
+        """The first ``count`` records of the joined byte chunks, as one
+        array of the codec's ``dtype``: byte for byte, nothing decoded.
+        Records fill a block exactly, so whole blocks join seamlessly."""
+        return np.frombuffer(bytearray().join(chunks), self._codec.dtype, count)
 
 
 class SampleFile(_BlockStore):
@@ -179,7 +186,7 @@ class SampleFile(_BlockStore):
             previous = index
             if index >= block_end:
                 if slots:
-                    self._write_slots(block, slots, values)
+                    self._write_slots(block, slots, self._codec.encode_block(values))
                     blocks_written += 1
                     slots = []
                     values = []
@@ -188,9 +195,47 @@ class SampleFile(_BlockStore):
             slots.append(index - block * per_block)
             values.append(value)
         if slots:
-            self._write_slots(block, slots, values)
+            self._write_slots(block, slots, self._codec.encode_block(values))
             blocks_written += 1
         return blocks_written
+
+    def write_records(self, slots: np.ndarray, records: np.ndarray) -> int:
+        """Write ``records[i]`` to slot ``slots[i]``, slots strictly increasing.
+
+        The columnar form of :meth:`write_sequential`, for an array of the
+        codec's ``dtype`` (a struct-backed codec): the device bytes and
+        charges are those ``write_sequential`` of the decoded records
+        leaves -- one sequential write per touched block, each block's
+        records spliced into its image.  Only the fields are written; a
+        record's padding is zero, as ``encode`` leaves it.  Returns the
+        number of blocks written.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        if records.dtype != self._codec.dtype or len(records) != len(slots):
+            raise ValueError(
+                f"write_records() needs one {self._codec.dtype} record per slot"
+            )
+        if not len(slots):
+            return 0
+        self._check_index(int(slots[0]))
+        self._check_index(int(slots[-1]))
+        if (slots[1:] <= slots[:-1]).any():
+            raise ValueError("write_records() slots must be strictly increasing")
+        packed = np.zeros(len(records), records.dtype)
+        for name in records.dtype.names:
+            packed[name] = records[name]
+        data = memoryview(packed.tobytes())
+        size = self._codec.record_size
+        per_block = self.elements_per_block
+        blocks = slots // per_block
+        offsets = (slots - blocks * per_block).tolist()
+        starts = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist()]
+        ends = starts[1:] + [len(slots)]
+        for start, end in zip(starts, ends):
+            self._write_slots(
+                int(blocks[start]), offsets[start:end], data[start * size : end * size]
+            )
+        return len(starts)
 
     def scan(self) -> Iterator[T]:
         """Yield every element front to back: one sequential read per block."""
@@ -199,24 +244,26 @@ class SampleFile(_BlockStore):
             data = self._device.read_block(block, sequential=True)
             yield from self._decode_block(data, block, self._size)
 
+    def scan_records(self) -> np.ndarray:
+        """Every record front to back, as one array of the codec's ``dtype``.
+
+        Charges what :meth:`scan` charges -- the scan declaration, then
+        one sequential read per block -- but decodes no record: the
+        blocks' bytes are joined once and viewed through the ``dtype``.
+        Needs a struct-backed codec.
+        """
+        declare_scan(self._device, 0, self.block_count)
+        read = self._device.read_block
+        blocks = [read(block, sequential=True) for block in range(self.block_count)]
+        return self._join_records(blocks, self._size)
+
     def scan_values(self) -> np.ndarray:
         """Every element's value (field 0) front to back, as one array.
 
-        Charges what :meth:`scan` charges -- the scan declaration, then
-        one sequential read per block -- but decodes no record: each
-        block's bytes are viewed through the codec's ``dtype`` (one
-        ``np.frombuffer`` per block) and the value columns are joined
-        once.  Needs a struct-backed codec.
+        Field 0 of :meth:`scan_records`, copied into a contiguous column;
+        same charges.
         """
-        dtype = self._codec.dtype
-        per_block = self.elements_per_block
-        declare_scan(self._device, 0, self.block_count)
-        columns = []
-        for block in range(self.block_count):
-            data = self._device.read_block(block, sequential=True)
-            count = min(per_block, self._size - block * per_block)
-            columns.append(np.frombuffer(data, dtype, count)["f0"])
-        return np.concatenate(columns)
+        return self.scan_records()["f0"].copy()
 
     def resize(self, new_size: int) -> None:
         """Shrink the logical sample size (Sec. 5 deletion handling).
@@ -252,14 +299,15 @@ class SampleFile(_BlockStore):
         if not 0 <= index < self._size:
             raise IndexError(f"sample index {index} out of range [0, {self._size})")
 
-    def _write_slots(self, block: int, slots: list[int], values: list[T]) -> None:
-        """Splice ``values`` into ``block`` at ``slots``: one sequential write.
+    def _write_slots(self, block: int, slots: list[int], packed: bytes) -> None:
+        """Splice the packed records into ``block`` at ``slots``: one
+        sequential write.
 
         Slots that form one consecutive run (a window's rows, a dense
         block) take one slice; scattered slots one slice each.
         """
         size = self._codec.record_size
-        packed = memoryview(self._codec.encode_block(values))
+        packed = memoryview(packed)
         image = bytearray(self._device.peek_block(block))
         if slots[-1] - slots[0] == len(slots) - 1:
             image[slots[0] * size : (slots[-1] + 1) * size] = packed
@@ -453,18 +501,21 @@ class SequentialLogReader:
     """Forward-only element reader over a :class:`LogFile`.
 
     Indexes must be strictly increasing across calls; each *new* block
-    touched charges one sequential read and is decoded whole, once, with
-    one ``decode_block`` call; later indexes in it are served from that
-    decode.
+    touched charges one sequential read.  :meth:`read` and
+    :meth:`read_run` decode that block whole, once, with one
+    ``decode_block`` call, and serve later indexes in it from that
+    decode; :meth:`read_records` views its bytes without decoding.
     """
 
-    __slots__ = ("_log", "_per_block", "_current_block", "_values", "_previous")
+    __slots__ = ("_log", "_per_block", "_current_block", "_data", "_values",
+                 "_previous")
 
     def __init__(self, log: LogFile) -> None:
         self._log = log
         self._per_block = log.elements_per_block
         self._current_block = -1
-        self._values: list = []
+        self._data = b""
+        self._values: list | None = None
         self._previous = -1
 
     def read(self, index: int) -> T:
@@ -479,6 +530,26 @@ class SequentialLogReader:
         Charges exactly what a :meth:`read` of each index charges; an
         empty run (``last < first``) reads nothing.
         """
+        for block, slot, end in self._run_blocks(first, last):
+            yield self._block_values(block)[slot:end]
+
+    def read_records(self, first: int, last: int) -> np.ndarray:
+        """Indexes ``first..last`` as one array of the codec's ``dtype``.
+
+        Charges exactly what :meth:`read_run` charges; the records are
+        the log's bytes, viewed and joined without decoding.  Needs a
+        struct-backed codec.
+        """
+        size = self._log._codec.record_size
+        chunks = [
+            memoryview(self._block_data(block))[slot * size : end * size]
+            for block, slot, end in self._run_blocks(first, last)
+        ]
+        return self._log._join_records(chunks, max(0, last - first + 1))
+
+    def _run_blocks(self, first: int, last: int) -> Iterator[tuple[int, int, int]]:
+        """``(block, first slot, end slot)`` of each block the run touches;
+        the reader stands past each block's part as it is handed out."""
         if last < first:
             return
         self._check(first)
@@ -489,9 +560,8 @@ class SequentialLogReader:
         while index <= last:
             block, slot = divmod(index, per_block)
             end = min(last + 1, (block + 1) * per_block)
-            values = self._block_values(block)
             self._previous = end - 1
-            yield values[slot : slot + end - index]
+            yield block, slot, slot + end - index
             index = end
 
     def _check(self, index: int) -> None:
@@ -503,10 +573,15 @@ class SequentialLogReader:
                 f"({index} after {self._previous})"
             )
 
-    def _block_values(self, block: int) -> list:
+    def _block_data(self, block: int) -> bytes:
         if block != self._current_block:
-            log = self._log
-            data = log.device.read_block(block, sequential=True)
-            self._values = log._decode_block(data, block, len(log))
+            self._data = self._log.device.read_block(block, sequential=True)
+            self._values = None
             self._current_block = block
+        return self._data
+
+    def _block_values(self, block: int) -> list:
+        if block != self._current_block or self._values is None:
+            log = self._log
+            self._values = log._decode_block(self._block_data(block), block, len(log))
         return self._values

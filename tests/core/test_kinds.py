@@ -9,7 +9,9 @@ manifest round-trip.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import kinds
 from repro.core.kinds import (
@@ -23,12 +25,16 @@ from repro.core.kinds import (
     make_kind,
 )
 from repro.core.logs import CandidateLogger
+from repro.core.maintenance import SampleMaintainer
+from repro.core.policies import ManualPolicy
+from repro.core.refresh.array import ArrayRefresh
+from repro.core.refresh.naive import NaiveCandidateRefresh
 from repro.core.reservoir import sample_is_plausible
 from repro.rng.random_source import RandomSource
 from repro.storage import superblock
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
-from repro.storage.files import LogFile
+from repro.storage.files import LogFile, SampleFile
 
 
 class TestRegistry:
@@ -120,6 +126,28 @@ class TestWeightedKind:
         assert replay.step((8, 1.0)) is None
         assert replay.max_key == 1.0
 
+    @given(
+        keys=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=20),
+        log=st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_columnar_replay_matches_steps_under_ties(self, keys, log):
+        # The replay over the on-disk sample builds its heap from the key
+        # column; with many tied keys its victims and threshold must
+        # still be the scalar steps'.
+        kind = WeightedKind(len(keys))
+        codec = kind.codec(32)
+        rows = [(slot, key) for slot, key in enumerate(keys)]
+        sample = SampleFile(SimulatedBlockDevice(CostModel(), "sample"), codec, len(rows))
+        sample.initialize(rows)
+        records = np.array([(100 + i, key) for i, key in enumerate(log)], dtype=codec.dtype)
+        columnar = kind.open_replay(sample)
+        steps = columnar.apply(records).tolist()
+        scalar = kind.begin_replay(list(rows))
+        expected = [scalar.step(record) for record in records.tolist()]
+        assert steps == [-1 if slot is None else slot for slot in expected]
+        assert columnar.max_key == scalar.max_key
+
     def test_restore_state_rejects_mod_mismatch(self):
         checkpoint = _checkpoint(kind_name="weighted", kind_param=7, kind_threshold=0.5)
         with pytest.raises(ValueError, match="weight_mod"):
@@ -162,6 +190,34 @@ class TestWindowKind:
         kind = WindowKind(4)
         kind.build_initial(list(range(10)), RandomSource(seed=1))
         assert kind.population() == 4
+
+    @pytest.mark.parametrize("algorithm", [ArrayRefresh, NaiveCandidateRefresh])
+    def test_refresh_refuses_log_tail_out_of_sequence(self, algorithm):
+        # The columnar replay relies on the tail's sequence numbers rising
+        # strictly; a log block with a repeated one is refused with a
+        # typed error before any sample write.
+        cost = CostModel()
+        rng = RandomSource(seed=3)
+        kind = WindowKind(8)
+        codec = kind.codec(32)
+        sample = SampleFile(SimulatedBlockDevice(cost, "sample"), codec, 8)
+        sample.initialize(kind.build_initial(list(range(8)), rng))
+        log = LogFile(SimulatedBlockDevice(cost, "log"), codec)
+        maintainer = SampleMaintainer(
+            sample, rng, strategy="candidate", initial_dataset_size=kind.seen,
+            log=log, algorithm=algorithm(), policy=ManualPolicy(),
+            cost_model=cost, kind=kind,
+        )
+        maintainer.insert_many(range(100, 106))  # sequences 8..13
+        log.flush()
+        image = bytearray(log.device.peek_block(0))
+        size, seq = codec.record_size, codec.dtype.fields["f1"][1]
+        image[3 * size + seq : 3 * size + seq + 8] = image[2 * size + seq : 2 * size + seq + 8]
+        log.device.poke_block(0, bytes(image))
+        before = [sample.device.peek_block(b) for b in range(sample.block_count)]
+        with pytest.raises(ValueError, match="sequence numbers must strictly increase"):
+            maintainer.refresh()
+        assert [sample.device.peek_block(b) for b in range(sample.block_count)] == before
 
     def test_restore_state_rejects_capacity_mismatch(self):
         checkpoint = _checkpoint(kind_name="window", kind_param=8)

@@ -117,6 +117,7 @@ def test_bounded_queries_never_exceed_bound_for_any_kind(
 def test_read_path_enforces_bound_directly(seed, pending, bound):
     """Unit-level form of the same property: a single bounded query
     against a catalog with a known backlog."""
+    from repro.core.kinds import restore_kind
     from repro.serve.catalog import SampleCatalog
     from repro.serve.session import QuerySession
 
@@ -124,10 +125,20 @@ def test_read_path_enforces_bound_directly(seed, pending, bound):
     catalog.create("t", sample_size=32, seed=seed)
     maintainer = catalog.get("t")
     value = maintainer.dataset_size
-    while maintainer.pending_log_elements < pending:
-        maintainer.insert(value)
-        value += 1
+    if pending:
+        # Backlogs of hundreds of candidates need millions of arrivals at
+        # M = 32.  A throwaway copy of the acceptance state (kind and
+        # PRNG, restored from the manifest) finds how many arrivals yield
+        # exactly ``pending`` candidates; the batch path consumes the same
+        # draws as scalar inserts, so the maintainer lands on it too.
+        checkpoint = maintainer.checkpoint_state()
+        probe = restore_kind(checkpoint)
+        arrivals, _ = probe.offer_many(
+            range(value, value + 2**40), checkpoint.restore_rng(), pending
+        )
+        maintainer.insert_many(range(value, value + arrivals))
     backlog = maintainer.pending_log_elements
+    assert backlog == pending
     answer = QuerySession(catalog).execute("t", Freshness.bounded(bound))
     assert answer.staleness <= bound
     assert answer.refreshed == (backlog > bound)

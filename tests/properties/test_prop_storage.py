@@ -505,6 +505,151 @@ class TestScanPathModel:
         assert sample.peek_all() == model[:new_size]
 
 
+def _decoded(records, kind):
+    """A record array's rows as the codec decodes them."""
+    rows = records.tolist()
+    return [row[0] for row in rows] if kind == "uniform" else rows
+
+
+class TestRecordPrimitives:
+    """The columnar file primitives against their decoding twins: the
+    record scan against ``scan``, ``read_records`` against ``read_run``,
+    ``write_records`` against ``write_sequential`` -- same rows, same
+    device bytes, same :class:`AccessStats`."""
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=60),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_record_scan_matches_scan(self, kind, data, size, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=size, max_size=size))
+        new_size = data.draw(st.integers(min_value=1, max_value=size))
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            sample = SampleFile(_device(cost, pooled), make(), size)
+            sample.initialize(model)
+            sample.resize(new_size)
+            runs.append((cost, sample))
+        (cost, sample), (ref_cost, ref_sample) = runs
+
+        records = sample.scan_records()
+        assert list(ref_sample.scan()) == model[:new_size]
+        assert cost.stats == ref_cost.stats
+        assert records.dtype == make().dtype
+        assert _decoded(records, kind) == model[:new_size]
+        # The records are the device's bytes, padding included.
+        raw = b"".join(sample.device.peek_block(b) for b in range(sample.block_count))
+        assert records.tobytes() == raw[: new_size * make().record_size]
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        count=st.integers(min_value=0, max_value=60),
+        flushed=st.booleans(),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_read_records_matches_read_run(self, kind, data, count, flushed, pooled):
+        make, values = KIND_CODECS[kind]
+        model = data.draw(st.lists(values, min_size=count, max_size=count))
+        runs = data.draw(ascending_runs(count))
+        # A single read into the first run's block, when there is room
+        # before it, checks that the reader's current block is shared.
+        lead = runs[0][0] - 1 if runs and runs[0][0] > 0 else None
+
+        def twin():
+            cost = CostModel(disk=SMALL_DISK)
+            log = LogFile(_device(cost, pooled), make())
+            log.append_many(model)
+            if flushed:
+                log.flush()
+            reader = log.open_sequential_reader()
+            if lead is not None:
+                assert reader.read(lead) == model[lead]
+            return cost, reader
+
+        (cost, reader), (ref_cost, ref_reader) = twin(), twin()
+        for first, last in runs:
+            records = reader.read_records(first, last)
+            assert records.dtype == make().dtype
+            expected = [row for chunk in ref_reader.read_run(first, last) for row in chunk]
+            assert _decoded(records, kind) == expected == model[first : last + 1]
+            assert cost.stats == ref_cost.stats
+        assert len(reader.read_records(3, 2)) == 0
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CODECS))
+    @given(
+        data=st.data(),
+        size=st.integers(min_value=1, max_value=60),
+        consecutive=st.booleans(),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_write_records_matches_write_sequential(
+        self, kind, data, size, consecutive, pooled
+    ):
+        make, values = KIND_CODECS[kind]
+        codec = make()
+        model = data.draw(st.lists(values, min_size=size, max_size=size))
+        new_size = data.draw(st.integers(min_value=1, max_value=size))
+        if consecutive:
+            first = data.draw(st.integers(0, new_size - 1))
+            last = data.draw(st.integers(first, new_size - 1))
+            slots = list(range(first, last + 1))
+        else:
+            slots = sorted(data.draw(st.sets(st.integers(0, new_size - 1))))
+        written = data.draw(st.lists(values, min_size=len(slots), max_size=len(slots)))
+        packed = np.frombuffer(codec.encode_block(written), codec.dtype)
+        # Fancy indexing leaves a structured copy's padding undefined:
+        # only the fields may reach the device.
+        records = packed[np.arange(len(packed))]
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            device = _device(cost, pooled)
+            sample = SampleFile(device, make(), size)
+            sample.initialize(model)
+            sample.resize(new_size)
+            runs.append((cost, device, sample))
+        (cost, device, sample), (ref_cost, ref_device, ref_sample) = runs
+
+        blocks = sample.write_records(np.array(slots, dtype=np.int64), records)
+        ref_blocks = ref_sample.write_sequential(
+            zip(slots, codec.decode_block(packed.tobytes(), len(slots)))
+        )
+        assert blocks == ref_blocks
+        every = range(-(-size // sample.elements_per_block))
+        assert [device.peek_block(b) for b in every] == [ref_device.peek_block(b) for b in every]
+        assert cost.stats == ref_cost.stats
+        flush_barrier(device)
+        flush_barrier(ref_device)
+        assert cost.stats == ref_cost.stats
+
+    def test_write_records_refuses_bad_input(self):
+        codec = TimestampedRecordCodec()
+        sample = SampleFile(SimulatedBlockDevice(CostModel(disk=SMALL_DISK)), codec, 20)
+        sample.initialize([(i, i) for i in range(20)])
+        records = np.zeros(2, codec.dtype)
+        before = sample.peek_all()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sample.write_records([5, 5], records)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sample.write_records([6, 5], records)
+        with pytest.raises(IndexError):
+            sample.write_records([5, 20], records)
+        with pytest.raises(ValueError, match="one .* record per slot"):
+            sample.write_records([5], records)
+        with pytest.raises(ValueError, match="one .* record per slot"):
+            sample.write_records([5, 6], np.zeros(2, WeightedRecordCodec().dtype))
+        assert sample.peek_all() == before
+        assert sample.write_records([], records[:0]) == 0
+
+
 class TestMathProperties:
     @given(
         m=st.integers(min_value=1, max_value=10_000),
