@@ -460,6 +460,38 @@ def test_replicated_refresh_cycle_throughput(benchmark, scale):
     assert link.applier.applied_seq == link.batches_shipped
 
 
+def test_manifest_save_throughput(benchmark):
+    """Manifest saves through a replicated, pooled 3-sample catalog.
+
+    Each save is the serve commit path end to end: the dual-slot store
+    picks its target slot, writes the superblock, and the sample's group
+    commit seals a batch whose digest covers the whole catalog image;
+    the round then ships the outbox to the replica.  ``saves_per_sec``
+    is manifest saves per second (ungated: not in the committed
+    baseline).
+    """
+    from repro.replication.link import ReplicationLink
+    from repro.serve.catalog import SampleCatalog
+
+    link = ReplicationLink(lag_budget=0.0)
+    catalog = SampleCatalog(pool_capacity=16, replication=link)
+    for index in range(3):
+        catalog.create(f"s{index}", sample_size=1024, seed=index)
+    rounds = 20
+
+    def run():
+        for _ in range(rounds):
+            catalog.checkpoint_all()
+        return link.ship_all()
+
+    benchmark(run)
+    saves = rounds * len(catalog)
+    benchmark.extra_info["saves"] = saves
+    benchmark.extra_info["saves_per_sec"] = saves / benchmark.stats.stats.mean
+    assert link.applier.applied_seq == link.batches_sealed > 0
+    assert link.applier.digest() == link.history[-1].digest
+
+
 # -- sample scan: the read path of every query --------------------------------
 #
 # A query scans the whole sample: one sequential read and one block decode

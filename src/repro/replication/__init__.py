@@ -23,7 +23,7 @@ failover rebuilds a bit-identical catalog.
 See ``docs/replication.md`` for the design and its invariants.
 """
 
-from repro.replication.applier import ReplicaApplier
+from repro.replication.applier import ReplicaApplier, ReplicationError
 from repro.replication.drill import DrillConfig, run_drill
 from repro.replication.link import CommitBatch, ReplicationLink
 from repro.replication.recovery import RecoveryResult, recover_from_replica
@@ -32,6 +32,7 @@ __all__ = [
     "CommitBatch",
     "ReplicationLink",
     "ReplicaApplier",
+    "ReplicationError",
     "RecoveryResult",
     "recover_from_replica",
     "DrillConfig",

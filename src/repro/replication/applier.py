@@ -29,7 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.api import Instrumentation
     from repro.replication.link import CommitBatch
 
-__all__ = ["ReplicaApplier"]
+__all__ = ["ReplicaApplier", "ReplicationError"]
+
+
+class ReplicationError(ValueError):
+    """A commit batch the replica refuses: out of order, repeated, or
+    skipping a sequence number.  Raised before anything is written."""
 
 
 class ReplicaApplier:
@@ -79,10 +84,12 @@ class ReplicaApplier:
 
         Batches must arrive in sequence order -- the link ships its
         outbox FIFO, which guarantees it -- so replica state is always
-        the primary's checkpoint-boundary prefix ``1..applied_seq``.
+        the primary's checkpoint-boundary prefix ``1..applied_seq``.  A
+        batch that is out of order, repeated or skips a sequence number
+        raises :class:`ReplicationError` before any write.
         """
         if batch.seq != self.applied_seq + 1:
-            raise ValueError(
+            raise ReplicationError(
                 f"commit batch {batch.seq} out of order "
                 f"(replica has applied up to {self.applied_seq})"
             )

@@ -25,14 +25,21 @@ next opportunity (the serve scheduler offers one after every event).
 The per-batch **digest** is the disaster-recovery witness.  The link
 maintains a shadow image per device -- a plain ``block -> bytes`` map
 replayed from the sealed records, never read back from any device -- and
-hashes all shadows at each seal.  After a primary crash, a catalog
-rebuilt from the replica must reproduce the digest of the last *shipped*
-batch byte-for-byte; sealed-but-unshipped batches are the (bounded,
-budgeted) replication loss.
+hashes the shadows' canonical image at each seal, with the values of
+:func:`~repro.storage.replicated.image_digest`.  A seal costs its batch,
+not the catalog: the link caches each device's serialised piece and the
+SHA-256 state after every prefix of the name-ordered pieces, so it
+re-packs only the devices it drained and re-hashes from the first of
+them onward.  After a primary crash, a catalog rebuilt from the replica
+must reproduce the digest of the last *shipped* batch byte-for-byte;
+sealed-but-unshipped batches are the (bounded, budgeted) replication
+loss.
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,7 +51,7 @@ from repro.storage.replicated import (
     BlockRecord,
     ReplicatedDevice,
     apply_to_image,
-    image_digest,
+    device_piece,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,8 +98,14 @@ class ReplicationLink:
             if applier is not None
             else ReplicaApplier(instrumentation=instrumentation)
         )
-        self._devices: dict[str, ReplicatedDevice] = {}
         self._shadow: dict[str, dict[int, bytes]] = {}
+        #: attached names in canonical (sorted) order, and each device's
+        #: cached ``device_piece`` of its shadow
+        self._names: list[str] = []
+        self._pieces: dict[str, bytes] = {}
+        #: ``_prefix[i]`` is the SHA-256 state over the pieces of
+        #: ``_names[:i]``; states past the first changed piece are dropped
+        self._prefix = [hashlib.sha256()]
         self._cost_model: CostModel | None = None
         #: every sealed batch, in order (the drill's primary-side witness)
         self.history: list[CommitBatch] = []
@@ -122,7 +135,7 @@ class ReplicationLink:
 
     @property
     def device_names(self) -> list[str]:
-        return sorted(self._devices)
+        return list(self._names)
 
     @property
     def backlog(self) -> int:
@@ -134,10 +147,13 @@ class ReplicationLink:
     def attach(self, device: BlockDevice, name: str = "") -> ReplicatedDevice:
         """Wrap a primary device for capture and register its replica twin."""
         wrapped = ReplicatedDevice(device, name=name)
-        if wrapped.name in self._devices:
+        if wrapped.name in self._shadow:
             raise ValueError(f"device {wrapped.name!r} already attached")
-        self._devices[wrapped.name] = wrapped
         self._shadow[wrapped.name] = {}
+        position = bisect.bisect_left(self._names, wrapped.name)
+        self._names.insert(position, wrapped.name)
+        self._pieces[wrapped.name] = b""
+        del self._prefix[position + 1:]
         self._applier.register(wrapped.name)
         if self._cost_model is None:
             self._cost_model = device.cost_model
@@ -154,12 +170,17 @@ class ReplicationLink:
         batch (a refresh that moved no blocks ships nothing).
         """
         records: list[tuple[str, BlockRecord]] = []
+        first = len(self._names)
         for device in devices:
             drained = device.drain_pending()
             if not drained:
                 continue
-            apply_to_image(self._shadow[device.name], drained)
-            records.extend((device.name, record) for record in drained)
+            name = device.name
+            shadow = self._shadow[name]
+            apply_to_image(shadow, drained)
+            self._pieces[name] = device_piece(name, shadow)
+            first = min(first, bisect.bisect_left(self._names, name))
+            records.extend((name, record) for record in drained)
         if not records:
             return None
         now = self._cost_model.cost_seconds() if self._cost_model is not None else 0.0
@@ -167,7 +188,7 @@ class ReplicationLink:
             seq=self.batches_sealed + 1,
             seal_time=now,
             records=tuple(records),
-            digest=image_digest(self._shadow),
+            digest=self._digest(first),
         )
         self.batches_sealed += 1
         self.history.append(batch)
@@ -175,6 +196,16 @@ class ReplicationLink:
         if self._instr is not None:
             self._g_backlog.set(len(self._outbox))
         return batch
+
+    def _digest(self, first: int) -> str:
+        """SHA-256 of the canonical image; pieces before ``first`` unchanged."""
+        prefix = self._prefix
+        del prefix[first + 1:]
+        for name in self._names[len(prefix) - 1:]:
+            state = prefix[-1].copy()
+            state.update(self._pieces[name])
+            prefix.append(state)
+        return prefix[-1].hexdigest()
 
     # -- shipping ------------------------------------------------------------
 
@@ -229,7 +260,7 @@ class ReplicationLink:
         return {
             "enabled": True,
             "lag_budget": self._lag_budget,
-            "devices": len(self._devices),
+            "devices": len(self._names),
             "batches_sealed": self.batches_sealed,
             "batches_shipped": self.batches_shipped,
             "records_shipped": self.records_shipped,
@@ -246,7 +277,7 @@ class ReplicationLink:
 
     def __repr__(self) -> str:
         return (
-            f"ReplicationLink(devices={len(self._devices)} "
+            f"ReplicationLink(devices={len(self._names)} "
             f"sealed={self.batches_sealed} shipped={self.batches_shipped} "
             f"backlog={len(self._outbox)})"
         )

@@ -62,6 +62,7 @@ from repro.storage.replicated import (
     canonical_image,
     clone_image,
     device_image,
+    device_piece,
     image_digest,
     replicated_in,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "canonical_image",
     "clone_image",
     "device_image",
+    "device_piece",
     "image_digest",
     "replicated_in",
 ]

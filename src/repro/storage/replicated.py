@@ -49,6 +49,7 @@ __all__ = [
     "canonical_image",
     "clone_image",
     "device_image",
+    "device_piece",
     "image_digest",
     "replicated_in",
 ]
@@ -254,32 +255,39 @@ def clone_image(device: BlockDevice, image: dict[int, bytes]) -> None:
         device.poke_block(index, image[index])
 
 
-def canonical_image(images: dict[str, dict[int, bytes]]) -> bytes:
-    """Serialise a multi-device image deterministically (for cmp/digest).
+def device_piece(name: str, blocks: dict[int, bytes]) -> bytes:
+    """One device's share of :func:`canonical_image` (``b""`` when empty).
 
-    Format per device, names sorted lexicographically::
+    Format::
 
         name_len(u32) name block_count(u32) { index(u64) data_len(u32) data }*
 
-    Blocks are sorted by index and devices holding *no* blocks are
-    skipped -- a never-written device is indistinguishable from an absent
-    one, so two sites that attached devices at different moments still
+    with blocks sorted by index.  The replication link caches one piece
+    per device and re-packs only the devices a seal touched.
+    """
+    if not blocks:
+        return b""
+    encoded = name.encode("utf-8")
+    parts = [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", len(blocks))]
+    for index in sorted(blocks):
+        data = blocks[index]
+        parts.append(struct.pack("<QI", index, len(data)))
+        parts.append(data)
+    return b"".join(parts)
+
+
+def canonical_image(images: dict[str, dict[int, bytes]]) -> bytes:
+    """Serialise a multi-device image deterministically (for cmp/digest).
+
+    The join of every device's :func:`device_piece`, names sorted
+    lexicographically.  Devices holding *no* blocks contribute nothing
+    -- a never-written device is indistinguishable from an absent one,
+    so two sites that attached devices at different moments still
     serialise identical durable state to identical bytes.  That property
     is what the DR drill's ``cmp`` check and the commit-batch digests
     rest on.
     """
-    out = bytearray()
-    for name in sorted(images):
-        blocks = images[name]
-        if not blocks:
-            continue
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded)) + encoded
-        out += struct.pack("<I", len(blocks))
-        for index in sorted(blocks):
-            data = blocks[index]
-            out += struct.pack("<QI", index, len(data)) + data
-    return bytes(out)
+    return b"".join(device_piece(name, images[name]) for name in sorted(images))
 
 
 def image_digest(images: dict[str, dict[int, bytes]]) -> str:

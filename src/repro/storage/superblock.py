@@ -251,7 +251,12 @@ class DualSlotCheckpointStore:
     :class:`CheckpointError`.
 
     Costs: one random write per save, and one random read per slot per
-    load.  ``save`` and ``exists`` pick the newest slot uncharged.
+    load.  ``save`` and ``exists`` pick the newest slot uncharged, from a
+    ``peek_block`` of each slot.  The store remembers, per slot, the bytes
+    it last validated there and the result, and decodes a slot again only
+    when its bytes differ.  In the steady state a save decodes nothing,
+    yet the choice stays a function of the slots' current bytes: a torn
+    write or an out-of-band poke changes them and forces a fresh decode.
     """
 
     def __init__(
@@ -268,26 +273,38 @@ class DualSlotCheckpointStore:
         self._device = device
         self._slots = (first, second)
         self._barrier = commit_barrier
+        #: slot -> (bytes last validated there, checkpoint or None if invalid)
+        self._seen: dict[int, tuple[bytes, MaintenanceCheckpoint | None]] = {}
 
     def _newest(
-        self, read: Callable[[int], bytes]
+        self, read: Callable[[int], "MaintenanceCheckpoint | None"]
     ) -> "tuple[int, MaintenanceCheckpoint] | None":
         """(slot block index, checkpoint) of the newest valid slot, if any.
 
-        ``read`` fetches one slot's block: ``peek_block`` to choose a save
-        target uncharged, a charged random read on the recovery path.
+        ``read`` returns one slot's checkpoint, or None when the slot does
+        not validate: :meth:`_peek` to choose a save target uncharged, a
+        charged random read and decode on the recovery path.
         """
         best: tuple[int, MaintenanceCheckpoint] | None = None
         for slot in self._slots:
-            try:
-                checkpoint = MaintenanceCheckpoint.from_bytes(read(slot))
-            except CheckpointError:
+            checkpoint = read(slot)
+            if checkpoint is None:
                 continue
             if best is None or (checkpoint.inserts, checkpoint.refreshes) > (
                 best[1].inserts, best[1].refreshes
             ):
                 best = (slot, checkpoint)
         return best
+
+    def _peek(self, slot: int) -> "MaintenanceCheckpoint | None":
+        """A slot's checkpoint from an uncharged peek, decoded only if its
+        bytes differ from the ones last validated there."""
+        data = self._device.peek_block(slot)
+        seen = self._seen.get(slot)
+        if seen is None or seen[0] != data:
+            seen = (data, _decode(data))
+            self._seen[slot] = seen
+        return seen[1]
 
     def save(self, checkpoint: MaintenanceCheckpoint) -> None:
         """Write into the slot NOT holding the newest valid checkpoint.
@@ -296,7 +313,7 @@ class DualSlotCheckpointStore:
         crash mid-write degrades to "the previous checkpoint", never to
         "no checkpoint".
         """
-        newest = self._newest(self._device.peek_block)
+        newest = self._newest(self._peek)
         target = (
             self._slots[0]
             if newest is None or newest[0] != self._slots[0]
@@ -304,6 +321,7 @@ class DualSlotCheckpointStore:
         )
         data = checkpoint.to_bytes(self._device.block_size)
         self._device.write_block(target, data, sequential=False)
+        self._seen[target] = (data, checkpoint)
         if self._barrier is not None:
             self._barrier.commit()
         else:
@@ -316,7 +334,7 @@ class DualSlotCheckpointStore:
         Raises :class:`CheckpointError` when neither slot validates.
         """
         best = self._newest(
-            lambda slot: self._device.read_block(slot, sequential=False)
+            lambda slot: _decode(self._device.read_block(slot, sequential=False))
         )
         if best is None:
             raise CheckpointError(
@@ -327,4 +345,12 @@ class DualSlotCheckpointStore:
 
     def exists(self) -> bool:
         """True when at least one slot holds a valid checkpoint."""
-        return self._newest(self._device.peek_block) is not None
+        return self._newest(self._peek) is not None
+
+
+def _decode(data: bytes) -> "MaintenanceCheckpoint | None":
+    """The checkpoint a slot's bytes hold, or None when they do not validate."""
+    try:
+        return MaintenanceCheckpoint.from_bytes(data)
+    except CheckpointError:
+        return None
