@@ -8,13 +8,13 @@ the aggregate refresh-memory bill of Array vs. Stack vs. Nomem Refresh.
 """
 
 from repro.core.maintenance import SampleMaintainer
-from repro.core.multi import MultiSampleManager
 from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.nomem import NomemRefresh
 from repro.core.refresh.stack import StackRefresh
 from repro.core.reservoir import build_reservoir
 from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
+from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import IntRecordCodec
 
@@ -23,34 +23,34 @@ FLEETS = (1, 4, 16)
 
 
 def build_fleet(algorithm_factory, count, seed=3):
-    manager = MultiSampleManager()
+    """``count`` candidate-logged maintainers over one shared cost model."""
+    cost = CostModel()
+    fleet = []
     root = RandomSource(seed=seed)
     for idx in range(count):
         rng = root.spawn(f"s{idx}")
         codec = IntRecordCodec()
         sample = SampleFile(
-            SimulatedBlockDevice(manager.cost_model, f"sample-{idx}"),
-            codec, SAMPLE_SIZE,
+            SimulatedBlockDevice(cost, f"sample-{idx}"), codec, SAMPLE_SIZE
         )
         initial, seen = build_reservoir(range(SAMPLE_SIZE * 2), SAMPLE_SIZE, rng)
         sample.initialize(initial)
-        manager.add(
-            f"s{idx}",
+        fleet.append(
             SampleMaintainer(
                 sample, rng, strategy="candidate", initial_dataset_size=seen,
-                log=LogFile(
-                    SimulatedBlockDevice(manager.cost_model, f"log-{idx}"), codec
-                ),
-                algorithm=algorithm_factory(), cost_model=manager.cost_model,
-            ),
+                log=LogFile(SimulatedBlockDevice(cost, f"log-{idx}"), codec),
+                algorithm=algorithm_factory(), cost_model=cost,
+            )
         )
-    return manager
+    return fleet
 
 
 def run_fleet(algorithm_factory, count):
-    manager = build_fleet(algorithm_factory, count)
-    manager.insert_many(range(10_000, 14_000))
-    return manager.refresh_all().peak_refresh_memory_bytes
+    """Aggregate refresh memory: the sum of the per-sample peaks."""
+    fleet = build_fleet(algorithm_factory, count)
+    for maintainer in fleet:
+        maintainer.insert_many(range(10_000, 14_000))
+    return sum(maintainer.refresh().memory.peak_bytes for maintainer in fleet)
 
 
 def test_fleet_memory_scaling(benchmark):

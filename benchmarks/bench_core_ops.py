@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.logs import CandidateLogSource
 from repro.core.maintenance import SampleMaintainer
-from repro.core.multi import MultiSampleManager
 from repro.core.policies import ManualPolicy, PeriodicPolicy
 from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.nomem import NomemRefresh, span_of_gaps
@@ -248,31 +247,30 @@ def test_insert_batch_throughput(benchmark, scale):
     _bench_inserts(benchmark, scale, scalar=False)
 
 
-# -- fleet ingest: MultiSampleManager broadcast, scalar vs. batch ------------
+# -- fleet ingest: a list of maintainers, scalar vs. batch ------------------
 #
-# MultiSampleManager.insert_many broadcasts a batch by delegating it whole
-# to each maintainer's skip-based path (the serving catalog's
-# SampleCatalog.ingest calls SampleMaintainer.insert_many directly, one
-# sample per batch).  The scalar variant is the pre-delegation element-major
-# loop (one Python-level insert per element per sample) -- the fleet-sized
-# version of the same gap.
+# A fleet is a plain list of maintainers over one shared cost model.  The
+# batch variant hands the whole stream to each maintainer's skip-based
+# insert_many (maintainer-major; the serving catalog's SampleCatalog.ingest
+# does the same, one sample per batch).  The scalar variant is the
+# element-major loop (one Python-level insert per element per sample) --
+# the fleet-sized version of the same gap.
 
 FLEET_SIZE = 4
 
 
 def _fresh_fleet(sample_size: int, initial_dataset: int, seed: int):
     cost = CostModel()
-    manager = MultiSampleManager(cost)
     codec = IntRecordCodec()
     root = RandomSource(seed=seed)
+    fleet = []
     for index in range(FLEET_SIZE):
         rng = root.spawn(f"sample-{index}")
         sample = SampleFile(
             SimulatedBlockDevice(cost, f"s{index}.sample"), codec, sample_size
         )
         sample.initialize(list(range(sample_size)))
-        manager.add(
-            f"s{index}",
+        fleet.append(
             SampleMaintainer(
                 sample,
                 rng,
@@ -282,9 +280,9 @@ def _fresh_fleet(sample_size: int, initial_dataset: int, seed: int):
                 algorithm=StackRefresh(),
                 policy=ManualPolicy(),
                 cost_model=cost,
-            ),
+            )
         )
-    return manager
+    return fleet
 
 
 def _bench_fleet_ingest(benchmark, scale, scalar: bool):
@@ -295,16 +293,16 @@ def _bench_fleet_ingest(benchmark, scale, scalar: bool):
     def setup():
         return (_fresh_fleet(sample_size, initial_dataset, seed=13),), {}
 
-    def run_batch(manager):
-        manager.insert_many(stream)
-        return sum(manager.get(n).stats.candidates_logged for n in manager.names())
+    def run_batch(fleet):
+        for maintainer in fleet:
+            maintainer.insert_many(stream)
+        return sum(m.stats.candidates_logged for m in fleet)
 
-    def run_scalar(manager):
-        # The element-major broadcast loop insert_many used before it
-        # delegated to the skip-based batch path.
+    def run_scalar(fleet):
         for element in stream:
-            manager.insert(element)
-        return sum(manager.get(n).stats.candidates_logged for n in manager.names())
+            for maintainer in fleet:
+                maintainer.insert(element)
+        return sum(m.stats.candidates_logged for m in fleet)
 
     accepted = benchmark.pedantic(
         run_scalar if scalar else run_batch, setup=setup, rounds=5, warmup_rounds=1

@@ -14,7 +14,6 @@ Layout mirrors the paper:
 """
 
 from repro.core.acceptance import BiasedAcceptance
-from repro.core.multi import FleetReport, MultiSampleManager
 from repro.core.stratified import GroupSample, StratifiedSampleManager
 from repro.core.reservoir import ReservoirSampler, build_reservoir
 from repro.core.logs import (
@@ -44,8 +43,6 @@ __all__ = [
     "ReservoirSampler",
     "build_reservoir",
     "BiasedAcceptance",
-    "MultiSampleManager",
-    "FleetReport",
     "StratifiedSampleManager",
     "GroupSample",
     "CandidateLogger",

@@ -138,10 +138,6 @@ class FunctionInfo:
     #: (global-RNG qualname, line, col) for each module-global RNG read
     rng_global_uses: list[tuple[str, int, int]] = field(default_factory=list)
 
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
-
 
 @dataclass
 class ClassInfo:

@@ -45,7 +45,6 @@ class FunctionCFG:
     def __init__(self, func: ast.AST) -> None:
         self.func = func
         self.nodes: list[CFGNode] = []
-        self._by_stmt: dict[int, int] = {}
         self._exit_targets: list[int] = []
         builder = _Builder(self)
         entries = builder.block(getattr(func, "body", []), loop=None)
@@ -57,7 +56,6 @@ class FunctionCFG:
     def _add(self, stmt: ast.stmt) -> int:
         node = CFGNode(index=len(self.nodes), stmt=stmt)
         self.nodes.append(node)
-        self._by_stmt[id(stmt)] = node.index
         return node.index
 
     def _edge(self, src: int, dst: int) -> None:
@@ -65,10 +63,6 @@ class FunctionCFG:
         self.nodes[dst].pred.add(src)
 
     # -- queries -------------------------------------------------------------
-
-    def node_of(self, stmt: ast.stmt) -> CFGNode | None:
-        index = self._by_stmt.get(id(stmt))
-        return self.nodes[index] if index is not None else None
 
     def containing(self, inner: ast.AST) -> CFGNode | None:
         """The CFG node whose statement contains *inner* (by position)."""

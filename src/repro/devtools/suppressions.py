@@ -76,24 +76,6 @@ class SuppressionIndex:
             directive.used.add(rule_id)
         return bool(hits)
 
-    # Backwards-compatible views of the pre-directive representation.
-
-    @property
-    def file_wide(self) -> set[str]:
-        rules: set[str] = set()
-        for directive in self.directives:
-            if directive.kind == "disable-file":
-                rules |= directive.rules
-        return rules
-
-    @property
-    def by_line(self) -> dict[int, set[str]]:
-        lines: dict[int, set[str]] = {}
-        for directive in self.directives:
-            if directive.kind == "disable":
-                lines.setdefault(directive.line, set()).update(directive.rules)
-        return lines
-
 
 def parse_suppressions(source: str) -> SuppressionIndex:
     """Scan *source* line by line for ``repro-lint`` directives."""

@@ -353,8 +353,7 @@ def simulate_strategy(
     ``refresh_period`` of ``None`` means log-only (the Fig. 6/8 setting,
     no intermediate refresh).  With ``instrumentation``, the run's
     realised candidate/refresh counts and cost split are recorded under
-    the ``engine.*`` instruments (labelled by strategy) so experiment
-    reports can attach a metrics snapshot per run.
+    the ``engine.*`` instruments (labelled by strategy).
     """
     cost = _simulate(
         strategy,

@@ -12,30 +12,13 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.figures import SeriesResult
-    from repro.obs.api import Instrumentation
 
 __all__ = [
-    "attach_metrics",
     "format_series_table",
     "format_series_csv",
     "format_series_json",
     "format_value",
 ]
-
-
-def attach_metrics(
-    result: "SeriesResult", instrumentation: "Instrumentation | None"
-) -> "SeriesResult":
-    """Store the run's metrics snapshot on the result (``extra["metrics"]``).
-
-    No-op when ``instrumentation`` is None, so experiment drivers can pass
-    their optional facade straight through.  The snapshot rides along in
-    :func:`format_series_json` and is summarised by
-    :func:`format_series_table`'s footer.
-    """
-    if instrumentation is not None:
-        result.extra["metrics"] = instrumentation.snapshot()
-    return result
 
 
 def format_value(value: float) -> str:
@@ -76,11 +59,6 @@ def format_series_table(result: "SeriesResult") -> str:
     for row in rows[1:]:
         lines.append("  " + " | ".join(v.rjust(w) for v, w in zip(row, widths)))
     lines.append(f"  (y: {result.y_label})")
-    metrics = result.extra.get("metrics")
-    if metrics:
-        lines.append(
-            f"  (metrics snapshot attached: {len(metrics['instruments'])} instruments)"
-        )
     return "\n".join(lines)
 
 
@@ -112,10 +90,6 @@ def format_series_json(result: "SeriesResult") -> str:
             for name, values in result.series.items()
         },
     }
-    # `extra` may hold arbitrary objects (e.g. calibration results); only
-    # the metrics snapshot is guaranteed JSON-ready, so only it rides along.
-    if "metrics" in result.extra:
-        payload["metrics"] = result.extra["metrics"]
     return json.dumps(payload, indent=2) + "\n"
 
 

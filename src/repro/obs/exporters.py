@@ -8,7 +8,7 @@ Three views of the same telemetry:
   Prometheus text exposition format (dots become underscores);
 * :func:`snapshot` / :func:`snapshot_json` -- a single JSON document
   with every instrument and (optionally) every retained span, which is
-  what ``repro stats`` prints and experiment reports attach.
+  what ``repro stats`` prints.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.obs.events import Event
 from repro.obs.instruments import Histogram
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.obs.tracefile import SpanSinkJsonl
 
 __all__ = [
     "JsonlEventSink",
@@ -46,11 +47,10 @@ class JsonlEventSink:
 
 def write_spans_jsonl(tracer: Tracer, stream: IO[str]) -> int:
     """Append every retained span as one JSON line; returns the count."""
-    spans = tracer.finished
-    for span in spans:
-        json.dump(span.to_dict(), stream, sort_keys=True)
-        stream.write("\n")
-    return len(spans)
+    sink = SpanSinkJsonl(stream)
+    for span in tracer.finished:
+        sink(span)
+    return sink.count
 
 
 def _prom_name(name: str) -> str:

@@ -106,6 +106,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
     try:
         with open(args.spans, "r", encoding="utf-8") as handle:
             spans = read_spans_jsonl(handle)
+        roots = build_forest(spans)
     except (OSError, ValueError) as exc:
         print(f"repro trace: {args.spans}: {exc}", file=sys.stderr)
         return 2
@@ -123,7 +124,6 @@ def run_trace_command(args: argparse.Namespace) -> int:
             print(payload)
         return 0
 
-    roots = build_forest(spans)
     if args.query is not None:
         selected = [r for r in roots if r.trace_id == args.query]
         if not selected:

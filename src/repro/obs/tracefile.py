@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable
 
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span
 
 __all__ = [
     "SpanNode",
@@ -34,8 +34,6 @@ __all__ = [
     "critical_path",
     "read_spans_jsonl",
     "self_times",
-    "span_dicts_from_tracer",
-    "write_spans_jsonl_stream",
 ]
 
 
@@ -54,20 +52,6 @@ class SpanSinkJsonl:
     def __call__(self, span: Span) -> None:
         self._stream.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
         self.count += 1
-
-
-def span_dicts_from_tracer(tracer: Tracer) -> list[dict[str, Any]]:
-    """The tracer's retained spans as plain dicts (oldest first)."""
-    return [span.to_dict() for span in tracer.finished]
-
-
-def write_spans_jsonl_stream(spans: Iterable[dict[str, Any]], stream: IO[str]) -> int:
-    """Write span dicts as sorted-key JSONL; returns the line count."""
-    count = 0
-    for record in spans:
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-        count += 1
-    return count
 
 
 def read_spans_jsonl(stream: IO[str]) -> list[dict[str, Any]]:
@@ -131,9 +115,18 @@ def build_forest(spans: list[dict[str, Any]]) -> list[SpanNode]:
 
     A span whose ``parent_id`` is missing from the file (e.g. the parent
     fell outside a truncated export) becomes a root rather than being
-    dropped, so partial traces still render.
+    dropped, so partial traces still render.  A ``span_id`` that appears
+    twice, or a span no root reaches (its parent chain loops), raises
+    :class:`ValueError`: either would silently drop spans from every
+    total computed over the forest.
     """
-    nodes = {int(s["span_id"]): SpanNode(record=s) for s in spans if "span_id" in s}
+    nodes: dict[int, SpanNode] = {}
+    for span in spans:
+        if "span_id" in span:
+            span_id = int(span["span_id"])
+            if span_id in nodes:
+                raise ValueError(f"duplicate span_id {span_id}")
+            nodes[span_id] = SpanNode(record=span)
     roots: list[SpanNode] = []
     for span in spans:
         if "span_id" not in span:
@@ -146,6 +139,13 @@ def build_forest(spans: list[dict[str, Any]]) -> list[SpanNode]:
             roots.append(node)
         else:
             parent.children.append(node)
+    reached = {id(node) for node in _walk(roots)}
+    unreached = sorted(i for i, node in nodes.items() if id(node) not in reached)
+    if unreached:
+        raise ValueError(
+            f"span_id {unreached[0]} is not reachable from any root "
+            "(its parent chain loops)"
+        )
     for node in nodes.values():
         node.children.sort(key=lambda c: (c.start, c.span_id))
     roots.sort(key=lambda r: (r.start, r.span_id))

@@ -1,10 +1,8 @@
-"""RefreshResult and FleetReport value objects."""
+"""The RefreshResult value object."""
 
 import pytest
 
-from repro.core.multi import FleetReport
 from repro.core.refresh.base import RefreshResult
-from repro.storage.memory import MemoryReport
 
 
 class TestRefreshResult:
@@ -25,30 +23,3 @@ class TestRefreshResult:
         with pytest.raises(ValueError):
             RefreshResult(candidates=1, displaced=-1)
 
-
-class TestFleetReport:
-    def _report(self):
-        report = FleetReport()
-        memory_a = MemoryReport()
-        memory_a.account_indexes(100)
-        memory_b = MemoryReport()
-        memory_b.account_indexes(50)
-        report.results["a"] = RefreshResult(10, 5, memory_a)
-        report.results["b"] = RefreshResult(20, 8, memory_b)
-        return report
-
-    def test_totals(self):
-        report = self._report()
-        assert report.total_candidates == 30
-        assert report.total_displaced == 13
-        assert report.peak_refresh_memory_bytes == 150 * 4
-
-    def test_memory_by_sample(self):
-        by_sample = self._report().memory_by_sample()
-        assert set(by_sample) == {"a", "b"}
-        assert by_sample["a"].index_bytes == 400
-
-    def test_empty_report(self):
-        report = FleetReport()
-        assert report.total_candidates == 0
-        assert report.peak_refresh_memory_bytes == 0

@@ -152,9 +152,9 @@ class TestCliGate:
         assert batch >= 5 * scalar
 
     def test_committed_baseline_fleet_margin(self):
-        """Fleet ingest through MultiSampleManager keeps the same >=5x
-        batch-over-scalar margin: per-maintainer delegation to the
-        skip-based path beats the element-major broadcast loop."""
+        """Fleet ingest over a list of maintainers keeps the same >=5x
+        batch-over-scalar margin: each maintainer's skip-based insert_many
+        beats the element-major loop over the fleet."""
         from pathlib import Path
 
         from repro.devtools.bench_compare import DEFAULT_BASELINE

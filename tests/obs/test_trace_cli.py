@@ -70,6 +70,42 @@ def test_missing_parent_becomes_root(spans):
     assert sorted(r.name for r in roots) == ["child_a", "child_b"]
 
 
+
+def _write_spans(path, spans):
+    path.write_text(
+        "".join(json.dumps(s, sort_keys=True) + "\n" for s in spans),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_parent_cycle_is_rejected(tmp_path, capsys):
+    # Spans 1 and 2 are each other's parent: no root reaches them, so a
+    # forest over this file would drop both from every total.
+    cyclic = [
+        _span(1, 2, "a", 0.0, 1.0),
+        _span(2, 1, "b", 0.0, 1.0),
+        _span(3, None, "c", 0.0, 1.0),
+    ]
+    with pytest.raises(ValueError, match="span_id 1 "):
+        build_forest(cyclic)
+    assert main(["trace", _write_spans(tmp_path / "cycle.jsonl", cyclic)]) == 2
+    assert "span_id 1 " in capsys.readouterr().err
+
+
+def test_duplicate_span_id_is_rejected(tmp_path, capsys):
+    # Two spans share id 1: the child would be counted under one of them
+    # and the other span would vanish from the forest.
+    duplicated = [
+        _span(1, None, "first", 0.0, 2.0),
+        _span(1, None, "second", 0.0, 1.0),
+        _span(2, 1, "child", 0.0, 0.5),
+    ]
+    with pytest.raises(ValueError, match="duplicate span_id 1"):
+        build_forest(duplicated)
+    assert main(["trace", _write_spans(tmp_path / "dup.jsonl", duplicated)]) == 2
+    assert "duplicate span_id 1" in capsys.readouterr().err
+
 def test_self_times_subtract_children(spans):
     totals = self_times(build_forest(spans))
     assert totals["root"]["self_seconds"] == pytest.approx(3.0)  # 10 - 4 - 3
