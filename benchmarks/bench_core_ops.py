@@ -183,14 +183,17 @@ def test_insert_scalar_throughput(benchmark, scale):
     _bench_inserts(benchmark, scale, scalar=True)
 
 
-# -- weighted-kind insert path: one draw + one key per record ----------------
+# -- kinded insert paths: weighted (one draw per record) and window ---------
 #
-# The A-ES weighted kind pays one uniform draw, one log and one float
-# compare per arriving record (the exponential jump is deliberately traded
-# away for deferred/eager bit-identity -- docs/sample_kinds.md), so its
-# online path is inherently O(n) like the scalar uniform path.  Gated by
-# ``repro bench-compare`` (select matches ``weighted``) so a regression in
-# the kind logger's hot loop fails CI.
+# The A-ES weighted kind draws one uniform per arriving record (the
+# exponential jump is deliberately traded away for deferred/eager
+# bit-identity -- docs/sample_kinds.md), so its online path is O(n) draws
+# like the scalar uniform path; numpy screens a window's keys, and only
+# rows near or below the stale threshold get a Python-level libm key.
+# Gated by ``repro bench-compare`` (select matches ``weighted``) so a
+# regression in the kind logger's hot loop fails CI.  The window kind
+# accepts and logs every row, so its rate is that of the columnar log
+# append; its row is not in the committed baseline, so not gated.
 
 
 def _fresh_kind_maintainer(
@@ -218,8 +221,7 @@ def _fresh_kind_maintainer(
     )
 
 
-def test_weighted_insert_throughput(benchmark, scale):
-    """Weighted-kind batched inserts: draw, threshold test, bulk append."""
+def _bench_kind_inserts(benchmark, scale, kind: str):
     sample_size, initial_dataset, inserts = _insert_workload(scale)
     # The initial A-ES build draws once per dataset element; keep the
     # dataset bench-sized so setup stays proportionate to the run.
@@ -228,7 +230,7 @@ def test_weighted_insert_throughput(benchmark, scale):
 
     def setup():
         return (
-            (_fresh_kind_maintainer(sample_size, initial_dataset, seed=19),),
+            (_fresh_kind_maintainer(sample_size, initial_dataset, seed=19, kind=kind),),
             {},
         )
 
@@ -240,6 +242,16 @@ def test_weighted_insert_throughput(benchmark, scale):
     benchmark.extra_info["elements"] = inserts
     benchmark.extra_info["elements_per_sec"] = inserts / benchmark.stats.stats.mean
     assert 0 < accepted <= inserts
+
+
+def test_weighted_insert_throughput(benchmark, scale):
+    """Weighted-kind batched inserts: draw, threshold test, bulk append."""
+    _bench_kind_inserts(benchmark, scale, "weighted")
+
+
+def test_window_insert_throughput(benchmark, scale):
+    """Window-kind batched inserts: every row logged as records (ungated)."""
+    _bench_kind_inserts(benchmark, scale, "window")
 
 
 def test_insert_batch_throughput(benchmark, scale):

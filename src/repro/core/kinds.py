@@ -82,6 +82,17 @@ KINDS = ("uniform", "weighted", "window")
 
 DEFAULT_WEIGHT_MOD = 16
 
+#: Relative margin above the stale threshold within which a batched
+#: weighted offer recomputes a numpy-screened key with libm: numpy's log
+#: stays within a few ULPs (~1e-16 relative) of libm's, so a row screened
+#: out beyond it has a libm key above the threshold too.
+_KEY_BAND = 1e-12
+
+#: The record arrays batched offers return: field ``f<i>`` is field
+#: ``f<i>`` of the kind's codec.
+_WEIGHTED_ROW = np.dtype([("f0", "<i8"), ("f1", "<f8")])
+_WINDOW_ROW = np.dtype([("f0", "<i8"), ("f1", "<i8")])
+
 #: The candidate logger used to be kind-specific; the name stays as an
 #: alias because the host-time benchmark (``perfbench/layers.py``)
 #: imports and hooks it.
@@ -139,7 +150,13 @@ class SampleKind(Protocol):
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
-    ) -> tuple[int, list]:  # pragma: no cover - protocol
+    ) -> tuple[int, "list | np.ndarray"]:  # pragma: no cover - protocol
+        """``(consumed, accepted)``: the same draws and records as
+        ``consumed`` :meth:`offer` calls.  Uniform returns the accepted
+        values as a list; the other kinds return one record array, field
+        ``f<i>`` of each accepted row in field ``f<i>`` of the codec's
+        layout, which the candidate log writes without decoding.
+        """
         ...
 
     # The replay, for kinds whose victims depend on the sample's contents
@@ -275,6 +292,39 @@ def _offer_each(kind, element, rng: RandomSource):
     return record if kind.accept(record) else None
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_column(elements) -> np.ndarray:
+    """A batch of values as one int64 column -- the records' value field.
+
+    Anything but integers in ``[-2**63, 2**63)`` raises
+    :class:`ValueError`, before a batched offer draws or counts a row, so
+    a refused batch leaves the kind, the stream and the log as they were.
+    """
+    if isinstance(elements, range):
+        if elements and not (
+            _INT64.min <= min(elements[0], elements[-1])
+            and max(elements[0], elements[-1]) <= _INT64.max
+        ):
+            raise ValueError(f"sample values out of the int64 range: {elements!r}")
+        return np.arange(elements.start, elements.stop, elements.step, dtype=np.int64)
+    if not isinstance(elements, (list, tuple, np.ndarray)):
+        elements = list(elements)
+    column = np.asarray(elements)
+    if column.dtype == np.int64 or not len(elements):
+        return column.astype(np.int64, copy=False)
+    # Python ints past the int64 range come out as uint64, float64 or
+    # object, depending on their sign and the numpy version.
+    if column.ndim == 1 and column.dtype.kind in "biu":
+        if column.dtype.kind != "u" or column.max() <= _INT64.max:
+            return column.astype(np.int64)
+    raise ValueError(
+        "sample values must be integers in the int64 range; "
+        f"this batch holds {column.dtype} values"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Weighted reservoir (A-ES exponential keys)
 # ---------------------------------------------------------------------------
@@ -356,6 +406,9 @@ class WeightedKind:
             raise ValueError("sample capacity must be positive")
         if weight_mod <= 0:
             raise ValueError("weight_mod must be positive")
+        if weight_mod > _INT64.max:
+            # The manifest and the batched weights hold it as an int64.
+            raise ValueError("weight_mod must be below 2**63")
         self._capacity = capacity
         self._mod = weight_mod
         self._seen = 0
@@ -420,38 +473,57 @@ class WeightedKind:
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
-    ) -> tuple[int, list]:
+    ) -> tuple[int, np.ndarray]:
         """Batched :meth:`offer`: ``(consumed, accepted records)``.
 
-        The uniforms come a window at a time; each key is still one
-        ``math.log`` (libm bits) over one uniform, exactly as :meth:`draw`
-        computes it.  ``consumed`` falls short of the batch only when
+        The uniforms come a window at a time (``random_array``), and numpy
+        screens the window's keys.  ``1 - u`` and the division by the
+        weight are exact IEEE operations in numpy as in :meth:`draw`; only
+        numpy's log may differ from libm's, by a few ULPs.  So a row is
+        rejected on the screen only when its numpy key lies above the
+        stale threshold by more than :data:`_KEY_BAND`; every other row's
+        key is recomputed with ``math.log``, exactly as :meth:`draw` does,
+        and that key decides acceptance and is the one logged.  The
+        accepted rows come back as one record array (``f0`` the values,
+        ``f1`` the keys).  ``consumed`` falls short of the batch only when
         ``max_accepts`` was reached, right after the accepting element;
-        the rest of that window is given back, so the stream stands
-        where ``consumed`` scalar offers leave it.
+        the rest of that window is given back, so the stream stands where
+        ``consumed`` scalar offers leave it.
         """
-        if not isinstance(elements, (list, tuple, range)):
-            elements = list(elements)
+        values = _int64_column(elements)
+        weights = 1 + values % self._mod
         quota = math.inf if max_accepts is None else max_accepts
         threshold = self._threshold
-        mod = self._mod
+        screen = threshold * (1.0 + _KEY_BAND)
         log = math.log
-        records: list = []
+        rows: list[int] = []
+        keys: list[float] = []
         consumed = 0
-        while consumed < len(elements):
-            window = rng.random_window(len(elements) - consumed)
-            batch = elements[consumed : consumed + len(window)]
-            for used, (element, u) in enumerate(zip(batch, window), 1):
-                key = -log(1.0 - u) / (1 + element % mod)
+        while consumed < len(values):
+            window = rng.random_array(len(values) - consumed)
+            weight = weights[consumed : consumed + len(window)]
+            near = np.flatnonzero(-np.log(1.0 - window) / weight <= screen)
+            for row, u, w in zip(
+                near.tolist(), window[near].tolist(), weight[near].tolist()
+            ):
+                key = -log(1.0 - u) / w
                 if key < threshold:
-                    records.append((element, key))
-                    if len(records) >= quota:
-                        rng.give_back(len(window) - used)
-                        consumed += used
-                        self._seen += consumed
-                        return consumed, records
+                    rows.append(consumed + row)
+                    keys.append(key)
+                    if len(keys) >= quota:
+                        rng.give_back(len(window) - row - 1)
+                        return self._accepted(values, consumed + row + 1, rows, keys)
             consumed += len(window)
+        return self._accepted(values, consumed, rows, keys)
+
+    def _accepted(
+        self, values: np.ndarray, consumed: int, rows: list, keys: list
+    ) -> tuple[int, np.ndarray]:
+        """Count ``consumed`` arrivals; the record array of the rows kept."""
         self._seen += consumed
+        records = np.empty(len(keys), _WEIGHTED_ROW)
+        records["f0"] = values[rows]
+        records["f1"] = keys
         return consumed, records
 
     def replay_start(self, total: int) -> int:
@@ -618,17 +690,20 @@ class WindowKind:
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
-    ) -> tuple[int, list]:
+    ) -> tuple[int, np.ndarray]:
         """Batched :meth:`offer`: every row is accepted, so the batch is
-        cut right after the ``max_accepts``-th (at least one) row."""
-        if not isinstance(elements, (list, tuple, range)):
-            elements = list(elements)
-        take = len(elements)
+        cut right after the ``max_accepts``-th (at least one) row.  The
+        accepted rows come back as one record array: ``f0`` the values,
+        ``f1`` their arrival sequences."""
+        values = _int64_column(elements)
+        take = len(values)
         if max_accepts is not None:
             take = min(take, max(max_accepts, 1))
-        first = self._seen
+        records = np.empty(take, _WINDOW_ROW)
+        records["f0"] = values[:take]
+        records["f1"] = np.arange(self._seen, self._seen + take)
         self._seen += take
-        return take, list(zip(elements[:take], range(first, first + take)))
+        return take, records
 
     def replay_start(self, total: int) -> int:
         """Logged rows older than the window are expired unread."""

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence, TypeVar
 
+import numpy as np
+
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile, SampleFile
 
@@ -205,7 +207,9 @@ class CandidateLogger(InsertLogger):
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
     ) -> tuple[int, int]:
-        """Batched log phase: acceptance over the batch, one bulk append.
+        """Batched log phase: acceptance over the batch, one bulk append
+        (a kind's record array is written as records, a value list as
+        values).
 
         Returns ``(consumed, accepted)``.  ``consumed < len(elements)``
         only when ``max_accepts`` acceptances were reached (then the call
@@ -215,7 +219,9 @@ class CandidateLogger(InsertLogger):
         ``consumed`` scalar :meth:`insert` calls.
         """
         consumed, records = self._kind.offer_many(elements, self._rng, max_accepts)
-        if records:
+        if isinstance(records, np.ndarray):
+            self._log.append_records(records)
+        elif records:
             self._log.append_many(records)
         return consumed, len(records)
 

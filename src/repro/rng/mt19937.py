@@ -68,6 +68,15 @@ class MTState:
         if not 0 <= self.position <= _N:
             raise ValueError(f"state position out of range: {self.position}")
 
+    @classmethod
+    def _of_generator(cls, key: tuple[int, ...], position: int) -> "MTState":
+        """A snapshot of the words a generator holds, built unchecked:
+        they came from numpy's 32-bit state or from a checked snapshot."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "key", key)
+        object.__setattr__(state, "position", position)
+        return state
+
 
 class MT19937:
     """32-bit Mersenne Twister with explicit state snapshot/restore.
@@ -92,12 +101,11 @@ class MT19937:
     # ints.
     # ``_doubles`` is the read-only array of the block's doubles on word
     # pairs that start at an index of parity ``_parity`` (-1: not computed
-    # for this block), and ``_doubles_list`` the same doubles as a list
-    # once a list window needs them.  The latest window starts at word
-    # ``_window_start`` (past the block: none to give back to).
+    # for this block).  The latest window starts at word ``_window_start``
+    # (past the block: none to give back to).
     __slots__ = (
-        "_bitgen", "_block", "_doubles", "_doubles_list", "_index", "_key",
-        "_parity", "_raw", "_window_start",
+        "_bitgen", "_block", "_doubles", "_index", "_key", "_parity", "_raw",
+        "_window_start",
     )
 
     def __init__(self, seed: int = 5489) -> None:
@@ -119,7 +127,6 @@ class MT19937:
         self._block: list[int] | None = None
         self._raw = np.empty(0, dtype=np.uint64)
         self._doubles = np.empty(0)
-        self._doubles_list: list[float] | None = None
         self._parity = -1
         self._index = _N
         self._key: tuple[int, ...] | None = None
@@ -131,7 +138,7 @@ class MT19937:
         """Capture the full generator state as an immutable snapshot."""
         if self._key is None:
             self._key = tuple(self._bitgen.state["state"]["key"].tolist())
-        return MTState(key=self._key, position=self._index)
+        return MTState._of_generator(self._key, self._index)
 
     def setstate(self, state: MTState) -> None:
         """Restore a snapshot captured by :meth:`getstate`."""
@@ -186,39 +193,6 @@ class MT19937:
         b = self.next_uint32() >> 6  # 26 bits
         return (a * 67108864.0 + b) * _INV_2_53
 
-    def _take(self, count: int) -> tuple[int, int]:
-        """Move past the next window of at most ``count`` doubles.
-
-        Returns the window's bounds in ``_doubles``, or ``(-1, -1)`` for
-        the one double that straddles two blocks, which the caller then
-        draws with :meth:`_straddling_double`.
-        """
-        if count < 1:
-            raise ValueError("a window holds at least one double")
-        index = self._index
-        if index >= _N:
-            self._next_block()
-            index = 0
-        elif index == _N - 1:
-            self._window_start = _N + 1  # the straddling double stays drawn
-            return -1, -1
-        parity = index & 1
-        if self._parity != parity:
-            # The doubles of word pairs (parity, parity+1), (parity+2, ...).
-            words = self._raw[parity : _N - parity]
-            high, low = words[0::2] >> 5, words[1::2] >> 6
-            self._doubles = (high * 67108864.0 + low) * _INV_2_53
-            self._doubles.flags.writeable = False
-            self._doubles_list = None
-            self._parity = parity
-        start = index >> 1
-        stop = start + count
-        if stop > (_N - parity) >> 1:  # the block's last pair of this parity
-            stop = (_N - parity) >> 1
-        self._window_start = index
-        self._index = 2 * stop + parity
-        return start, stop
-
     def _straddling_double(self) -> float:
         """:meth:`random` on the block's last word and the next block's
         first, read from numpy so that neither block's words are converted."""
@@ -242,36 +216,38 @@ class MT19937:
         >>> a.random_array(3).tolist() == [b.random() for _ in range(3)]
         True
         """
-        start, stop = self._take(count)
-        if start < 0:
+        if count < 1:
+            raise ValueError("a window holds at least one double")
+        index = self._index
+        if index >= _N:
+            self._next_block()
+            index = 0
+        elif index == _N - 1:
+            self._window_start = _N + 1  # the straddling double stays drawn
             return np.array([self._straddling_double()])
+        parity = index & 1
+        if self._parity != parity:
+            # The doubles of word pairs (parity, parity+1), (parity+2, ...).
+            words = self._raw[parity : _N - parity]
+            high, low = words[0::2] >> 5, words[1::2] >> 6
+            self._doubles = (high * 67108864.0 + low) * _INV_2_53
+            self._doubles.flags.writeable = False
+            self._parity = parity
+        start = index >> 1
+        stop = start + count
+        if stop > (_N - parity) >> 1:  # the block's last pair of this parity
+            stop = (_N - parity) >> 1
+        self._window_start = index
+        self._index = 2 * stop + parity
         return self._doubles[start:stop]
-
-    def random_window(self, count: int) -> list[float]:
-        """:meth:`random_array`'s window as a list, for Python loops.
-
-        The block's doubles are converted to a list once, on the first
-        such window, so a caller that takes many short windows and gives
-        most of each back pays one slice per window.
-
-        >>> a, b = MT19937(seed=7), MT19937(seed=7)
-        >>> a.random_window(3) == [b.random() for _ in range(3)]
-        True
-        """
-        start, stop = self._take(count)
-        if start < 0:
-            return [self._straddling_double()]
-        if self._doubles_list is None:
-            self._doubles_list = self._doubles.tolist()
-        return self._doubles_list[start:stop]
 
     def give_back(self, count: int) -> None:
         """Return the last ``count`` doubles of the latest window, unused.
 
         The stream then continues as if they had never been drawn.  Only
-        doubles of the latest :meth:`random_array` or :meth:`random_window`
-        window may be given back, never the double of a window that
-        straddled two blocks, and nothing may be drawn in between.
+        doubles of the latest :meth:`random_array` window may be given
+        back, never the double of a window that straddled two blocks, and
+        nothing may be drawn in between.
         """
         index = self._index - 2 * count
         if not self._window_start <= index <= self._index and count:

@@ -101,10 +101,6 @@ class RandomSource:
         """
         return self._gen.random_array(count)
 
-    def random_window(self, count: int) -> list[float]:
-        """:meth:`random_array` as a list."""
-        return self._gen.random_window(count)
-
     def give_back(self, count: int) -> None:
         """Undraw the last ``count`` uniforms of the latest window."""
         self._gen.give_back(count)

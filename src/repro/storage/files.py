@@ -384,6 +384,49 @@ class LogFile(_BlockStore):
                 self._next_block += 1
         self._buffer = buffer
 
+    def append_records(self, records: np.ndarray) -> None:
+        """Append an array of records, whole blocks without coding a value.
+
+        The columnar form of :meth:`append_many`, for a struct-backed codec
+        whose values are tuples of its fields (a pair codec): field
+        ``f<i>`` of each record is field ``f<i>`` of the layout, so a
+        record's ``tolist()`` row is its value.  The open tail block is
+        filled through :meth:`append_many`; every whole block after it is
+        written straight from a zero-padded array of the codec's ``dtype``
+        (the splice :meth:`SampleFile.write_records` makes); the rest goes
+        to :meth:`append_many` as the partial tail.  Device bytes, charges
+        and write order are those of ``append_many(records.tolist())``.
+        """
+        dtype = getattr(self._codec, "dtype", None)
+        names = records.dtype.names
+        if (
+            dtype is None
+            or len(dtype.names) < 2
+            or names != dtype.names
+            or any(records.dtype[name] != dtype[name] for name in names)
+        ):
+            raise ValueError(
+                f"append_records() needs records with the fields of {dtype}, "
+                f"got {records.dtype}"
+            )
+        per_block = self.elements_per_block
+        head = min(len(records), -len(self._buffer) % per_block)
+        if head:
+            self.append_many(records[:head].tolist())
+        whole = (len(records) - head) // per_block * per_block
+        if whole:
+            packed = np.zeros(whole, dtype)
+            for name in names:
+                packed[name] = records[name][head : head + whole]
+            data = packed.tobytes()
+            self._count += whole
+            size = self._device.block_size
+            for start in range(0, len(data), size):
+                self._write_next_block(data[start : start + size])
+                self._next_block += 1
+        if head + whole < len(records):
+            self.append_many(records[head + whole :].tolist())
+
     def flush(self) -> None:
         """Force the partial tail block to disk (at most one block write).
 
@@ -491,7 +534,11 @@ class LogFile(_BlockStore):
     def _write_tail_block(self, values: Sequence[T]) -> None:
         """Write the tail block; a partial tail is rewritten as it fills."""
         data = self._codec.encode_block(values)
-        data = data.ljust(self._device.block_size, b"\x00")
+        self._write_next_block(data.ljust(self._device.block_size, b"\x00"))
+
+    def _write_next_block(self, data: bytes) -> None:
+        """Write block ``_next_block``: the first write after a rewind
+        seeks (one random write), every other one is sequential."""
         sequential = not self._repositioned
         self._device.write_block(self._next_block, data, sequential)
         self._repositioned = False

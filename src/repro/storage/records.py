@@ -15,7 +15,8 @@ its layout cannot hold or a buffer too short for its records.
 from __future__ import annotations
 
 import struct
-from typing import ClassVar, Generic, Protocol, Sequence, TypeVar
+from itertools import chain
+from typing import ClassVar, Generic, Iterable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class StructRecordCodec(Generic[T]):
             packer = self._structs[count] = struct.Struct("<" + self._layout * count)
         return packer
 
-    def _flatten(self, values: Sequence[T]) -> Sequence[object]:
+    def _flatten(self, values: Sequence[T]) -> Iterable[object]:
         """The fields of ``values``, record after record."""
         raise NotImplementedError
 
@@ -159,8 +160,8 @@ class IntRecordCodec(StructRecordCodec[int]):
 class _PairRecordCodec(StructRecordCodec[tuple]):
     """A row that is a 2-tuple of fields, decoded back to a 2-tuple."""
 
-    def _flatten(self, values: Sequence[tuple]) -> list:
-        return [field for first, second in values for field in (first, second)]
+    def _flatten(self, values: Sequence[tuple]) -> Iterable:
+        return chain.from_iterable(values)
 
     def _values(self, fields: tuple) -> list[tuple]:
         return list(zip(fields[0::2], fields[1::2]))

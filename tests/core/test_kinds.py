@@ -47,7 +47,7 @@ class TestRegistry:
             make_kind("window:8", 16)
         with pytest.raises(ValueError, match="takes no parameter"):
             make_kind("uniform:1", 16)
-        for spec in ("weighted:0", "weighted:-1"):
+        for spec in ("weighted:0", "weighted:-1", f"weighted:{2**63}"):
             with pytest.raises(ValueError, match=f"bad sample kind spec '{spec}'"):
                 make_kind(spec, 16)
 
@@ -156,6 +156,97 @@ class TestWeightedKind:
         restored.restore_state(checkpoint)
         assert restored.seen == checkpoint.dataset_size
         assert restored.threshold == 0.5
+
+
+class ListUniforms:
+    """The uniforms a kind draws, served from a list: ``random`` one at a
+    time, ``random_array`` in windows of at most ``window``, and
+    ``give_back`` -- the random-source surface of an offer."""
+
+    def __init__(self, uniforms, window=5):
+        self._uniforms = list(uniforms)
+        self._window = window
+        self.at = 0
+
+    def random(self):
+        self.at += 1
+        return self._uniforms[self.at - 1]
+
+    def random_array(self, count):
+        start = self.at
+        self.at += min(count, self._window)
+        return np.array(self._uniforms[start : self.at])
+
+    def give_back(self, count):
+        self.at -= count
+
+
+def libm_keys(u, w):
+    """The keys :meth:`WeightedKind.draw` computes, one ``math.log`` each."""
+    return np.array([-math.log(1.0 - x) / w for x in u.tolist()])
+
+
+def ulp_sweep(u0, width):
+    """Uniforms ``width`` steps either side of ``u0``, stepping by the
+    coarser of the ULPs of ``u`` and ``1 - u`` so that ``1 - u`` moves."""
+    step = max(np.spacing(u0), np.spacing(1.0 - u0))
+    u = u0 + np.arange(-width, width + 1) * step
+    return u[(u >= 0) & (u < 1)]
+
+
+def key_boundary_sweep(mod, width=6, per_weight=3):
+    """``(weight, threshold, uniforms)`` cases a few ULPs around a key.
+
+    First the crafted cases: uniforms where numpy's key ``-log(1-u)/w``
+    exceeds libm's by more than one ULP (numpy's log differs from libm's
+    in the last bit on some builds, mostly for small ``u``), with the
+    threshold strictly between the two -- libm accepts the row, and only
+    the screen's band keeps numpy from rejecting it.  Then a grid: the
+    uniform whose key is ``t``, with ``t`` as the threshold.
+    """
+    probe = np.random.default_rng(0).random(20_000) * 0.2
+    for w in range(1, mod + 1):
+        exact = libm_keys(probe, w)
+        between = np.nextafter(exact, np.inf)
+        crafted = np.flatnonzero(between < -np.log(1.0 - probe) / w)
+        for index in crafted[:per_weight].tolist():
+            yield w, float(between[index]), ulp_sweep(float(probe[index]), width)
+    for t in np.geomspace(1e-6, 8.0, 40).tolist():
+        for w in range(1, mod + 1):
+            yield w, t, ulp_sweep(-math.expm1(-t * w), width)
+
+
+class TestWeightedKeyScreen:
+    """Batched weighted offers screen keys with numpy logs and recompute
+    the rows near the threshold with libm: the same records as scalar
+    offers, even where numpy's log differs in its last bits."""
+
+    @pytest.mark.parametrize("quota", [None, 1, 3])
+    def test_batch_offers_equal_scalar_offers_at_the_threshold(self, quota):
+        mod = 16
+        straddled = 0
+        for w, threshold, uniforms in key_boundary_sweep(mod):
+            uniforms = uniforms.tolist()
+            batch = [w - 1 + mod * i for i in range(len(uniforms))]  # weight w
+            state = _checkpoint(kind_name="weighted", kind_param=mod, kind_threshold=threshold)
+            kind, scalar_kind = WeightedKind(8, mod), WeightedKind(8, mod)
+            kind.restore_state(state)
+            scalar_kind.restore_state(state)
+            stream, scalar_stream = ListUniforms(uniforms), ListUniforms(uniforms)
+            expected = []
+            for element in batch:
+                record = scalar_kind.offer(element, scalar_stream)
+                if record is not None:
+                    expected.append(record)
+                    if quota is not None and len(expected) >= quota:
+                        break
+            consumed, records = kind.offer_many(batch, stream, quota)
+            assert records.tolist() == expected, (w, threshold)
+            assert consumed == stream.at == scalar_stream.at
+            assert kind.seen == scalar_kind.seen
+            straddled += 0 < len(expected) < len(batch)
+        # The sweeps cross the threshold: rows land on both sides of it.
+        assert straddled > 0
 
 
 class TestWindowKind:

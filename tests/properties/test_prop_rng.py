@@ -10,7 +10,6 @@ from repro.rng.random_source import RandomSource
 # chosen block position, which is how a stream reaches positions 0 and
 # 622-624.
 _STEPS = st.one_of(
-    st.tuples(st.just("window"), st.integers(1, 400), st.floats(0.0, 1.0)),
     st.tuples(st.just("array"), st.integers(1, 400), st.floats(0.0, 1.0)),
     st.tuples(st.just("random")),
     st.tuples(st.just("word")),
@@ -55,17 +54,7 @@ class TestMT19937Properties:
         snapshot = gen.getstate()
         for step in steps:
             kind = step[0]
-            if kind == "window":
-                window = gen.random_window(step[1])
-                assert 1 <= len(window) <= step[1]
-                returned = int(step[2] * (len(window) - 1))
-                gen.give_back(returned)
-                kept = len(window) - returned
-                assert window[:kept] == [twin.random() for _ in range(kept)]
-                mark = twin.getstate()
-                assert window[kept:] == [twin.random() for _ in range(returned)]
-                twin.setstate(mark)
-            elif kind == "array":
+            if kind == "array":
                 window = gen.random_array(step[1]).tolist()
                 assert 1 <= len(window) <= step[1]
                 returned = int(step[2] * (len(window) - 1))

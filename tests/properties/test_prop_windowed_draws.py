@@ -180,7 +180,8 @@ def assert_same_offers(
     kind, oracle_kind = kind_twins(name, capacity, initial, seed)
     expected = offer_many_oracle(oracle_kind, elements, scalar, max_accepts)
     batch = iter(elements) if as_iterator else elements
-    assert kind.offer_many(batch, windowed, max_accepts) == expected
+    consumed, records = kind.offer_many(batch, windowed, max_accepts)
+    assert (consumed, records.tolist()) == expected
     assert kind.seen == oracle_kind.seen
     assert getattr(kind, "threshold", None) == getattr(oracle_kind, "threshold", None)
     assert windowed.snapshot() == scalar.snapshot()

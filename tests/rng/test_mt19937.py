@@ -143,8 +143,8 @@ class TestIntegerGeneration:
 class TestWindows:
     def test_give_back_only_from_the_latest_window(self):
         gen = MT19937(seed=3)
-        gen.random_window(10)
-        gen.random_window(3)
+        gen.random_array(10)
+        gen.random_array(3)
         with pytest.raises(ValueError, match="3 left"):
             gen.give_back(8)
         gen.give_back(2)
@@ -153,7 +153,7 @@ class TestWindows:
 
     def test_give_back_after_a_new_block_is_rejected(self):
         gen = MT19937(seed=3)
-        gen.random_window(5)
+        gen.random_array(5)
         gen.setstate(gen.getstate())
         with pytest.raises(ValueError):
             gen.give_back(1)
@@ -161,7 +161,7 @@ class TestWindows:
 
     def test_give_back_rejects_negative_counts(self):
         gen = MT19937(seed=3)
-        gen.random_window(5)
+        gen.random_array(5)
         with pytest.raises(ValueError):
             gen.give_back(-1)
 
@@ -169,7 +169,7 @@ class TestWindows:
         gen, twin = MT19937(seed=4), MT19937(seed=4)
         window = gen.random_array(6)
         gen.give_back(4)
-        assert gen.random_window(4) == window[2:].tolist()
+        assert gen.random_array(4).tolist() == window[2:].tolist()
         assert window.tolist() == [twin.random() for _ in range(6)]
         assert gen.getstate() == twin.getstate()
 

@@ -59,6 +59,33 @@ class TestLifecycle:
         assert catalog.pending()["s0"] == 0
 
 
+class TestOutOfRangeValues:
+    """A batch with a value the record's int64 field cannot hold is refused
+    whole, before the sample counts, draws or logs any of it; before, the
+    rows were counted and every later refresh failed on encoding them."""
+
+    @pytest.mark.parametrize("kind", ["weighted", "window"])
+    @pytest.mark.parametrize(
+        "bad", [2**63, -(2**63) - 1, 2.5], ids=["too-big", "too-small", "float"]
+    )
+    def test_batch_refused_and_sample_still_served(self, kind, bad):
+        catalogs = [SampleCatalog(), SampleCatalog()]
+        for catalog in catalogs:
+            catalog.create("s", sample_size=16, algorithm="array", kind=kind)
+        refused, twin = (catalog.get("s") for catalog in catalogs)
+        before = refused.dataset_size
+        with pytest.raises(ValueError):
+            catalogs[0].ingest("s", [5] * 50 + [bad] * 200 + [7])
+        assert refused.dataset_size == before
+        assert refused.pending_log_elements == 0
+        for catalog in catalogs:
+            catalog.ingest("s", list(range(300)))
+            catalog.refresh("s")
+        # Same stream, log and sample as a twin that never saw the batch.
+        assert refused.dataset_size == twin.dataset_size == before + 300
+        assert refused.sample.peek_all() == twin.sample.peek_all()
+
+
 class TestManifestRecovery:
     def test_recoverable_from_birth(self):
         """create() persists a manifest before returning."""
