@@ -11,12 +11,17 @@ any other acceptance test").  This module owns that generalisation: a
   sequence) and which codec serialises it -- the value is always field
   0 of the record, the column a query scans;
 * the **acceptance test** run at insert time against *stale* state (state
-  as of the last refresh), which decides what enters the candidate log;
+  as of the last refresh), which decides what enters the candidate log --
+  one batched ``offer_many`` per kind, a scalar ``offer`` being a batch
+  of one row for the weighted and window kinds;
 * the **replay** run at refresh time, which folds logged candidates into
-  the on-disk sample and picks victim slots.
+  the on-disk sample and picks victim slots -- one ``begin_replay`` over
+  the sample's record array and one ``apply`` over the log's, which the
+  initial build reuses.
 
 Deferred-maintenance proof obligations (checked bit-exactly by
-``tests/properties/test_prop_kinds.py``; see ``docs/sample_kinds.md``):
+``tests/properties/test_prop_kinds.py`` against an eager oracle written
+apart from this module; see ``docs/sample_kinds.md``):
 
 * **uniform** (:class:`UniformKind`) -- the classic scheme; acceptance
   via Vitter skips, victim slots drawn uniformly at refresh.  Its victims
@@ -31,7 +36,7 @@ Deferred-maintenance proof obligations (checked bit-exactly by
   replay -- which re-filters against the evolving threshold -- lands on
   exactly the eager sample.  The victim slot is the arg-max key, so no
   refresh-time randomness is needed and the PRNG stream (one draw per
-  record) is identical between the eager and deferred paths.
+  record) is identical between eager and deferred maintenance.
 * **window** (:class:`WindowKind`) -- the last ``W`` rows; fully
   deterministic (no RNG draws at all).  Every arriving row is accepted
   and logged with its arrival sequence; expiry happens at refresh time
@@ -51,7 +56,6 @@ from repro import specs
 from repro.core.logs import CandidateLogger
 from repro.core.reservoir import ReservoirSampler, build_reservoir
 from repro.rng.random_source import RandomSource
-from repro.storage.files import SampleFile
 from repro.storage.records import (
     IntRecordCodec,
     RecordCodec,
@@ -72,7 +76,6 @@ __all__ = [
     "DEFAULT_WEIGHT_MOD",
     "make_kind",
     "restore_kind",
-    "eager_oracle",
 ]
 
 #: Registered single-file kinds, in manifest index order.  The position
@@ -161,14 +164,14 @@ class SampleKind(Protocol):
 
     # The replay, for kinds whose victims depend on the sample's contents
     # (``draws_slots`` False): the refresh reads the log from
-    # ``replay_start``, scans the sample into ``open_replay``, and hands
-    # those records to the replay's ``apply`` in one array, which returns
-    # the slot each displaced (-1: none).
+    # ``replay_start``, hands the sample's record array to
+    # ``begin_replay``, and the log's records to the replay's ``apply`` in
+    # one array, which returns the slot each displaced (-1: none).
 
     def replay_start(self, total: int) -> int:  # pragma: no cover - protocol
         ...
 
-    def open_replay(self, sample: SampleFile):  # pragma: no cover - protocol
+    def begin_replay(self, records: np.ndarray):  # pragma: no cover - protocol
         ...
 
     def commit_replay(self, replay) -> None:  # pragma: no cover - protocol
@@ -282,14 +285,14 @@ class UniformKind:
 
 
 # ---------------------------------------------------------------------------
-# Kinds that draw and accept element by element (weighted, window)
+# Kinds that offer record arrays (weighted, window)
 # ---------------------------------------------------------------------------
 
 
-def _offer_each(kind, element, rng: RandomSource):
-    """One draw, one test against stale state: the record, or None."""
-    record = kind.draw(element, rng)
-    return record if kind.accept(record) else None
+def _offer_one(kind, element, rng: RandomSource):
+    """One arrival as a batch of one row: its record, or None."""
+    _, records = kind.offer_many((element,), rng)
+    return records[0].item() if len(records) else None
 
 
 _INT64 = np.iinfo(np.int64)
@@ -334,19 +337,18 @@ class _WeightedReplay:
     """Evolving-threshold application of weighted records to a sample.
 
     This is the *eager* maintenance rule -- keep the ``M`` smallest keys,
-    evict the arg-max -- applied in memory.  The deferred refresh runs it
-    over the candidate log's key column (:meth:`apply`); the initial
-    build and the immediate oracle run it per record over in-memory rows
-    (:meth:`step`).  The max-key lookup is a heap of ``(-key, slot)``
-    entries, at most one per slot: an admitted key replaces the top
-    entry, so ties break on the lower slot.  The entries are totally
-    ordered, so the victims do not depend on how the heap was built.
+    evict the arg-max -- applied to the sample's key column.  The
+    deferred refresh runs it over the candidate log's records, the
+    initial build over the rows past the first ``M``.  The max-key lookup
+    is a heap of ``(-key, slot)`` entries, one per slot: an admitted key
+    replaces the top entry, so ties break on the lower slot.  The entries
+    are totally ordered, so the victims do not depend on how the heap was
+    built.
     """
 
-    __slots__ = ("rows", "_heap")
+    __slots__ = ("_heap",)
 
-    def __init__(self, keys: np.ndarray, rows: list | None = None) -> None:
-        self.rows = rows
+    def __init__(self, keys: np.ndarray) -> None:
         neg = -keys
         order = np.argsort(neg, kind="stable")
         # Sorted by (-key, slot), the entry list is a heap as it stands.
@@ -357,18 +359,10 @@ class _WeightedReplay:
         """The live threshold: the largest key currently in the sample."""
         return -self._heap[0][0]
 
-    def step(self, record) -> int | None:
-        """Apply one record to :attr:`rows`; the displaced slot, or None."""
-        neg_max, slot = self._heap[0]
-        if record[1] < -neg_max:
-            heapq.heapreplace(self._heap, (-record[1], slot))
-            self.rows[slot] = record
-            return slot
-        return None
-
     def apply(self, records: np.ndarray) -> np.ndarray:
-        """Apply log records in order (:meth:`step`'s rule on the key
-        column): the slot each displaced, or -1."""
+        """Apply records in order: the slot each displaced, or -1.  A
+        record displaces the arg-max slot when its key is below the
+        largest key."""
         heap = self._heap
         replace = heapq.heapreplace
         steps = []
@@ -393,8 +387,8 @@ class WeightedKind:
     depends on the live threshold, which deferred maintenance does not
     know between refreshes.  This implementation deliberately trades the
     jump for one draw per record, which buys the property everything
-    here is built on: the eager path, the deferred path, the scalar path
-    and the batch path all consume the identical PRNG stream.
+    here is built on: eager and deferred maintenance, scalar and batched
+    inserts all consume the identical PRNG stream.
     """
 
     name = "weighted"
@@ -454,41 +448,32 @@ class WeightedKind:
     def weight(self, value: int) -> int:
         return 1 + (value % self._mod)
 
-    def draw(self, element: int, rng: RandomSource):
-        """One record, one uniform: ``(value, -ln(1-u)/w)``."""
-        u = rng.random()
-        self._seen += 1
-        return (element, -math.log(1.0 - u) / self.weight(element))
-
-    def accept(self, record) -> bool:
-        """Insert-time test against the *stale* threshold.
-
-        Thresholds only shrink, so everything the eager rule would ever
-        accept passes this test -- the log is a superset, re-filtered at
-        refresh by the replay.
-        """
-        return record[1] < self._threshold
-
-    offer = _offer_each
+    offer = _offer_one
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
     ) -> tuple[int, np.ndarray]:
-        """Batched :meth:`offer`: ``(consumed, accepted records)``.
+        """The acceptance test over a batch: ``(consumed, accepted records)``.
+
+        Each row draws one uniform ``u`` and gets the key
+        ``-ln(1-u)/w``, computed with libm's ``math.log``; it is accepted
+        when the key is below the *stale* threshold.  Thresholds only
+        shrink, so everything the eager rule would ever accept passes --
+        the log is a superset, re-filtered at refresh by the replay.
 
         The uniforms come a window at a time (``random_array``), and numpy
         screens the window's keys.  ``1 - u`` and the division by the
-        weight are exact IEEE operations in numpy as in :meth:`draw`; only
+        weight are exact IEEE operations in numpy as in Python; only
         numpy's log may differ from libm's, by a few ULPs.  So a row is
         rejected on the screen only when its numpy key lies above the
         stale threshold by more than :data:`_KEY_BAND`; every other row's
-        key is recomputed with ``math.log``, exactly as :meth:`draw` does,
-        and that key decides acceptance and is the one logged.  The
+        key is recomputed with ``math.log``, and that key decides
+        acceptance and is the one logged.  The
         accepted rows come back as one record array (``f0`` the values,
         ``f1`` the keys).  ``consumed`` falls short of the batch only when
         ``max_accepts`` was reached, right after the accepting element;
-        the rest of that window is given back, so the stream stands where
-        ``consumed`` scalar offers leave it.
+        the rest of that window is given back, so the stream stands one
+        draw past each consumed row.
         """
         values = _int64_column(elements)
         weights = 1 + values % self._mod
@@ -529,30 +514,36 @@ class WeightedKind:
     def replay_start(self, total: int) -> int:
         return 0
 
-    def open_replay(self, sample: SampleFile) -> _WeightedReplay:
-        """The replay over the on-disk sample: one scan, keys only."""
-        return _WeightedReplay(sample.scan_records()["f1"])
-
-    def begin_replay(self, rows: list) -> _WeightedReplay:
-        """The replay over in-memory rows, for :meth:`_WeightedReplay.step`."""
-        return _WeightedReplay(np.array([row[1] for row in rows], dtype=np.float64), rows)
+    def begin_replay(self, records: np.ndarray) -> _WeightedReplay:
+        """The replay over a sample's record array: its keys only."""
+        return _WeightedReplay(records["f1"])
 
     def commit_replay(self, replay: _WeightedReplay) -> None:
         self._threshold = replay.max_key
 
     def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
-        """Eager A-ES over the initial dataset; returns the sample rows."""
+        """Eager A-ES over the initial dataset; returns the sample rows.
+
+        Every row is offered at the +inf threshold, so each draws its one
+        uniform and is kept; the first ``M`` become the rows and the
+        replay applies the rest to them.
+        """
         if len(dataset) < self._capacity:
             raise ValueError(
                 f"initial dataset ({len(dataset)}) smaller than the "
                 f"sample ({self._capacity})"
             )
-        rows = [self.draw(value, rng) for value in dataset[: self._capacity]]
+        self._threshold = math.inf
+        _, records = self.offer_many(dataset, rng)
+        rows, rest = records[: self._capacity], records[self._capacity :]
         replay = self.begin_replay(rows)
-        for value in dataset[self._capacity :]:
-            replay.step(self.draw(value, rng))
+        steps = replay.apply(rest)
+        # The final record of each displaced slot: its last step.
+        hits = np.flatnonzero(steps >= 0)[::-1]
+        slots, last = np.unique(steps[hits], return_index=True)
+        rows[slots] = rest[hits[last]]
         self.commit_replay(replay)
-        return rows
+        return rows.tolist()
 
     def checkpoint_fields(self) -> tuple[int, float]:
         return self._mod, self._threshold
@@ -582,39 +573,23 @@ class WeightedKind:
 
 
 class _WindowReplay:
-    """Apply window records to their fixed slots, newest sequence wins.
+    """Apply window records to their fixed slots, newest sequence wins."""
 
-    :meth:`step` applies one record to in-memory rows (the initial build
-    and the immediate oracle); :meth:`apply` applies the unexpired log
-    tail to the sequence column of the on-disk sample.
-    """
+    __slots__ = ("_seqs", "_capacity")
 
-    __slots__ = ("rows", "_seqs", "_capacity")
-
-    def __init__(
-        self, capacity: int, rows: list | None = None, seqs: np.ndarray | None = None
-    ) -> None:
-        self.rows = rows
+    def __init__(self, capacity: int, seqs: np.ndarray) -> None:
         self._seqs = seqs
         self._capacity = capacity
-
-    def step(self, record) -> int | None:
-        slot = record[1] % self._capacity
-        current = self.rows[slot]
-        if current is None or current[1] < record[1]:
-            self.rows[slot] = record
-            return slot
-        return None
 
     def apply(self, records: np.ndarray) -> np.ndarray:
         """Apply the log tail at once: the slot each record displaced, or -1.
 
         Record ``seq`` displaces slot ``seq mod W`` when the sample holds
-        an older sequence there -- :meth:`step`'s rule, so a refresh re-run
-        after a crash does not rewrite the rows it already wrote.  Within
-        one slot a later record is newer only while sequences strictly
-        increase, which :meth:`WindowKind.draw` guarantees; a tail that
-        breaks that order is refused before anything is written.
+        an older sequence there, so a refresh re-run after a crash does
+        not rewrite the rows it already wrote.  Within one slot a later
+        record is newer only while sequences strictly increase, which
+        :meth:`WindowKind.offer_many` guarantees; a tail that breaks that
+        order is refused before anything is written.
         """
         seqs = records["f1"]
         if (seqs[1:] <= seqs[:-1]).any():
@@ -678,23 +653,15 @@ class WindowKind:
         """The window fraction the pending log has already expired."""
         return self.effective_staleness(pending) / self._capacity
 
-    def draw(self, element: int, rng: RandomSource):
-        record = (element, self._seen)
-        self._seen += 1
-        return record
-
-    def accept(self, record) -> bool:
-        return True
-
-    offer = _offer_each
+    offer = _offer_one
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
     ) -> tuple[int, np.ndarray]:
-        """Batched :meth:`offer`: every row is accepted, so the batch is
-        cut right after the ``max_accepts``-th (at least one) row.  The
-        accepted rows come back as one record array: ``f0`` the values,
-        ``f1`` their arrival sequences."""
+        """The acceptance test over a batch: no draws, and every row is
+        accepted, so the batch is cut right after the ``max_accepts``-th
+        (at least one) row.  The accepted rows come back as one record
+        array: ``f0`` the values, ``f1`` their arrival sequences."""
         values = _int64_column(elements)
         take = len(values)
         if max_accepts is not None:
@@ -709,13 +676,9 @@ class WindowKind:
         """Logged rows older than the window are expired unread."""
         return max(0, total - self._capacity)
 
-    def open_replay(self, sample: SampleFile) -> _WindowReplay:
-        """The replay over the on-disk sample: one scan, sequences only."""
-        return _WindowReplay(self._capacity, seqs=sample.scan_records()["f1"])
-
-    def begin_replay(self, rows: list) -> _WindowReplay:
-        """The replay over in-memory rows, for :meth:`_WindowReplay.step`."""
-        return _WindowReplay(self._capacity, rows)
+    def begin_replay(self, records: np.ndarray) -> _WindowReplay:
+        """The replay over a sample's record array: its sequences only."""
+        return _WindowReplay(self._capacity, records["f1"])
 
     def commit_replay(self, replay: _WindowReplay) -> None:
         return None
@@ -726,11 +689,13 @@ class WindowKind:
                 f"initial dataset ({len(dataset)}) smaller than the "
                 f"window ({self._capacity})"
             )
-        rows: list = [None] * self._capacity
-        replay = self.begin_replay(rows)
-        for value in dataset:
-            replay.step(self.draw(value, rng))
-        return rows
+        _, records = self.offer_many(dataset, rng)
+        # Sequences are consecutive, so the newest record of each slot
+        # ``seq mod W`` is one of the last W.
+        tail = records[-self._capacity :]
+        rows = np.empty_like(tail)
+        rows[tail["f1"] % self._capacity] = tail
+        return rows.tolist()
 
     def checkpoint_fields(self) -> tuple[int, float]:
         return self._capacity, 0.0
@@ -789,31 +754,3 @@ def restore_kind(checkpoint: "MaintenanceCheckpoint") -> SampleKind:
     kind = make_kind(spec, checkpoint.sample_size)
     kind.restore_state(checkpoint)
     return kind
-
-
-# ---------------------------------------------------------------------------
-# The immediate-maintenance oracle (property-test reference)
-# ---------------------------------------------------------------------------
-
-
-def eager_oracle(
-    kind: SampleKind, dataset: Sequence[int], elements: Sequence[int], rng: RandomSource
-) -> list:
-    """Immediate maintenance in memory: apply each arrival on the spot.
-
-    This is the reference the deferred path is proven against: same
-    initial build, then one ``draw`` plus one eager replay step per
-    arriving element.  It covers the kinds that draw element-wise
-    (weighted, window), whose PRNG stream here is identical to the
-    deferred path's -- uniform deferral moves the victim draws to
-    refresh time, so it matches immediate maintenance in law, not in
-    bits.  The
-    bit-identity property (``tests/properties/test_prop_kinds.py``)
-    checks rows *and* PRNG state after the deferred run's final refresh.
-    """
-    rows = kind.build_initial(dataset, rng)
-    replay = kind.begin_replay(rows)
-    for element in elements:
-        replay.step(kind.draw(element, rng))
-    kind.commit_replay(replay)
-    return rows

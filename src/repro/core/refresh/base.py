@@ -90,7 +90,7 @@ def replay_log(
         )
     total = source.count()
     start = kind.replay_start(total)
-    replay = kind.open_replay(sample)
+    replay = kind.begin_replay(sample.scan_records())
     records = source.log.open_sequential_reader().read_records(start, total - 1)
     steps = replay.apply(records)
     kind.commit_replay(replay)

@@ -161,6 +161,13 @@ class _PairRecordCodec(StructRecordCodec[tuple]):
     """A row that is a 2-tuple of fields, decoded back to a 2-tuple."""
 
     def _flatten(self, values: Sequence[tuple]) -> Iterable:
+        try:
+            pairs = set(map(len, values)) <= {2}
+        except TypeError:  # a value without a length
+            pairs = False
+        if not pairs:
+            misfit = next(v for v in values if not hasattr(v, "__len__") or len(v) != 2)
+            raise ValueError(f"cannot encode {misfit!r}: not a pair")
         return chain.from_iterable(values)
 
     def _values(self, fields: tuple) -> list[tuple]:

@@ -15,11 +15,7 @@ from repro.stream.source import (
     uniform_stream,
     zipf_stream,
     bursty_stream,
-    batched,
-    counter_batches,
     uniform_batches,
-    zipf_batches,
-    bursty_batches,
 )
 from repro.stream.operator import StreamSampleOperator
 
@@ -29,10 +25,6 @@ __all__ = [
     "uniform_stream",
     "zipf_stream",
     "bursty_stream",
-    "batched",
-    "counter_batches",
     "uniform_batches",
-    "zipf_batches",
-    "bursty_batches",
     "StreamSampleOperator",
 ]

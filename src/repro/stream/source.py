@@ -18,11 +18,7 @@ __all__ = [
     "uniform_stream",
     "zipf_stream",
     "bursty_stream",
-    "batched",
-    "counter_batches",
     "uniform_batches",
-    "zipf_batches",
-    "bursty_batches",
 ]
 
 
@@ -107,48 +103,15 @@ def bursty_stream(
 
 
 # ---------------------------------------------------------------------------
-# Batched variants: lists of elements, for the skip-based ingestion path
+# Batched variant: lists of elements, for the skip-based ingestion path
 # ---------------------------------------------------------------------------
 #
 # ``StreamSampleOperator.process_many`` / ``SampleMaintainer.insert_many``
 # do O(accepted) work per batch, so per-element generator overhead on the
-# *producer* side would dominate.  Each batched source yields lists and
+# *producer* side would dominate.  The batched source yields lists and
 # draws exactly the same variates in the same order as its scalar
 # counterpart: ``list(chain(*batches))`` equals the scalar stream for the
 # same seed.
-
-
-def batched(stream: "StreamSource | Iterator[int]", batch_size: int) -> Iterator[list]:
-    """Chunk any stream source into lists of at most ``batch_size``."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    batch: list = []
-    for element in stream:
-        batch.append(element)
-        if len(batch) == batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def counter_batches(
-    batch_size: int, start: int = 0, count: int | None = None
-) -> Iterator[range]:
-    """Batched :func:`counter_stream`: consecutive ``range`` objects.
-
-    Ranges support ``len``/slicing without materialising elements, so the
-    batch insert path can consume them with zero per-element cost.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    value = start
-    emitted = 0
-    while count is None or emitted < count:
-        n = batch_size if count is None else min(batch_size, count - emitted)
-        yield range(value, value + n)
-        value += n
-        emitted += n
 
 
 def uniform_batches(
@@ -163,54 +126,6 @@ def uniform_batches(
     for start in range(0, count, batch_size):
         n = min(batch_size, count - start)
         yield [randint(low, high) for _ in range(n)]
-
-
-def zipf_batches(
-    rng: RandomSource,
-    universe: int,
-    count: int,
-    batch_size: int,
-    exponent: float = 1.2,
-) -> Iterator[list[int]]:
-    """Batched :func:`zipf_stream`: same values, one list per batch."""
-    if universe <= 0:
-        raise ValueError("universe must be positive")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    weights = [1.0 / math.pow(rank + 1, exponent) for rank in range(universe)]
-    total = sum(weights)
-    cumulative = []
-    running = 0.0
-    for weight in weights:
-        running += weight / total
-        cumulative.append(running)
-    random = rng.random
-    for start in range(0, count, batch_size):
-        n = min(batch_size, count - start)
-        yield [_bisect(cumulative, random()) for _ in range(n)]
-
-
-def bursty_batches(
-    rng: RandomSource,
-    count: int,
-    batch_size: int,
-    burst_length: int = 100,
-    quiet_length: int = 900,
-    value_start: int = 0,
-) -> Iterator[list[tuple[int, int]]]:
-    """Batched :func:`bursty_stream`: same ``(timestamp, value)`` pairs."""
-    return batched(
-        bursty_stream(
-            rng,
-            count,
-            burst_length=burst_length,
-            quiet_length=quiet_length,
-            value_start=value_start,
-        ),
-        batch_size,
-    )
 
 
 def _bisect(cumulative: list[float], u: float) -> int:

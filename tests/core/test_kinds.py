@@ -4,10 +4,13 @@ The end-to-end deferred-vs-eager bit-identity lives in
 ``tests/properties/test_prop_kinds.py``; this module pins the unit-level
 contracts every kind must honour -- spec parsing, the one-draw-per-record
 discipline, per-kind plausibility (including the negative cases), the
-manifest round-trip.
+manifest round-trip -- and checks the eager oracle that property test
+uses (``tests/properties/kind_oracle.py``).
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from repro.core.kinds import (
     UniformKind,
     WeightedKind,
     WindowKind,
-    eager_oracle,
     make_kind,
 )
 from repro.core.logs import CandidateLogger
@@ -35,6 +37,7 @@ from repro.storage import superblock
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
+from tests.properties import kind_oracle
 
 
 class TestRegistry:
@@ -82,7 +85,8 @@ class TestWeightedKind:
         kind = WeightedKind(4, weight_mod=5)
         rng = RandomSource(seed=3)
         mirror = RandomSource(seed=3)
-        value, key = kind.draw(42, rng)
+        # Before the initial build the threshold is +inf: the record logs.
+        value, key = kind.offer(42, rng)
         u = mirror.random()
         assert value == 42
         assert key == -math.log(1.0 - u) / kind.weight(42)
@@ -106,47 +110,62 @@ class TestWeightedKind:
             WeightedKind(8).build_initial(list(range(7)), RandomSource(seed=1))
 
     def test_accept_compares_against_stale_threshold(self):
-        kind = WeightedKind(4)
+        kind = WeightedKind(4, weight_mod=1)  # every weight is 1
+        uniforms = [0.1, 0.5, 0.9, 0.5]
+        keys = [-math.log(1.0 - u) for u in uniforms]
         # Before any refresh the threshold is +inf: everything logs.
-        assert kind.accept((1, 1e12))
-        kind.build_initial(list(range(16)), RandomSource(seed=2))
-        assert kind.accept((1, kind.threshold / 2))
-        assert not kind.accept((1, kind.threshold))
-        assert not kind.accept((1, kind.threshold * 2))
+        consumed, records = kind.offer_many([1, 2, 3, 4], ListUniforms(uniforms))
+        assert consumed == 4
+        assert records.tolist() == list(zip([1, 2, 3, 4], keys))
+        # Only keys strictly below the stale threshold log.
+        kind.restore_state(
+            _checkpoint(kind_name="weighted", kind_param=1, kind_threshold=keys[1])
+        )
+        consumed, records = kind.offer_many([1, 2, 3, 4], ListUniforms(uniforms))
+        assert consumed == 4
+        assert records.tolist() == [(1, keys[0])]
+        assert kind.seen == 40 + 4
 
     def test_victim_is_argmax_with_deterministic_ties(self):
         kind = WeightedKind(3)
-        rows = [(0, 0.5), (1, 2.0), (2, 1.0)]
-        replay = kind.begin_replay(rows)
+        dtype = kind.codec(16).dtype
+        replay = kind.begin_replay(np.array([(0, 0.5), (1, 2.0), (2, 1.0)], dtype))
         assert replay.max_key == 2.0
         # A smaller key displaces the arg-max slot; an equal or larger
         # key is rejected without touching the sample.
-        assert replay.step((9, 0.25)) == 1
-        assert rows[1] == (9, 0.25)
-        assert replay.step((8, 1.0)) is None
+        log = np.array([(9, 0.25), (8, 1.0), (7, 3.0)], dtype)
+        assert replay.apply(log).tolist() == [1, -1, -1]
         assert replay.max_key == 1.0
+        # Tied largest keys: the lower slot goes first.
+        replay = kind.begin_replay(np.array([(0, 2.0), (1, 1.0), (2, 2.0)], dtype))
+        log = np.array([(9, 0.5), (8, 0.5), (7, 0.5)], dtype)
+        assert replay.apply(log).tolist() == [0, 2, 1]
+        assert replay.max_key == 0.5
 
     @given(
         keys=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=20),
         log=st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]), max_size=30),
     )
     @settings(max_examples=200, deadline=None)
-    def test_columnar_replay_matches_steps_under_ties(self, keys, log):
+    def test_replay_matches_oracle_rule_under_ties(self, keys, log):
         # The replay over the on-disk sample builds its heap from the key
         # column; with many tied keys its victims and threshold must
-        # still be the scalar steps'.
+        # still follow the oracle's rule: the largest key, lowest slot.
         kind = WeightedKind(len(keys))
         codec = kind.codec(32)
-        rows = [(slot, key) for slot, key in enumerate(keys)]
-        sample = SampleFile(SimulatedBlockDevice(CostModel(), "sample"), codec, len(rows))
-        sample.initialize(rows)
+        sample = SampleFile(SimulatedBlockDevice(CostModel(), "sample"), codec, len(keys))
+        sample.initialize(list(enumerate(keys)))
         records = np.array([(100 + i, key) for i, key in enumerate(log)], dtype=codec.dtype)
-        columnar = kind.open_replay(sample)
-        steps = columnar.apply(records).tolist()
-        scalar = kind.begin_replay(list(rows))
-        expected = [scalar.step(record) for record in records.tolist()]
-        assert steps == [-1 if slot is None else slot for slot in expected]
-        assert columnar.max_key == scalar.max_key
+        replay = kind.begin_replay(sample.scan_records())
+        steps = replay.apply(records).tolist()
+        live, expected = list(keys), []
+        for key in log:
+            slot = kind_oracle.victim(live, key)
+            if slot is not None:
+                live[slot] = key
+            expected.append(-1 if slot is None else slot)
+        assert steps == expected
+        assert replay.max_key == max(live)
 
     def test_restore_state_rejects_mod_mismatch(self):
         checkpoint = _checkpoint(kind_name="weighted", kind_param=7, kind_threshold=0.5)
@@ -182,7 +201,7 @@ class ListUniforms:
 
 
 def libm_keys(u, w):
-    """The keys :meth:`WeightedKind.draw` computes, one ``math.log`` each."""
+    """The A-ES keys of uniforms ``u`` at weight ``w``, one ``math.log`` each."""
     return np.array([-math.log(1.0 - x) / w for x in u.tolist()])
 
 
@@ -218,32 +237,31 @@ def key_boundary_sweep(mod, width=6, per_weight=3):
 
 class TestWeightedKeyScreen:
     """Batched weighted offers screen keys with numpy logs and recompute
-    the rows near the threshold with libm: the same records as scalar
-    offers, even where numpy's log differs in its last bits."""
+    the rows near the threshold with libm: the same records as keys taken
+    one ``math.log`` at a time, even where numpy's log differs in its
+    last bits."""
 
     @pytest.mark.parametrize("quota", [None, 1, 3])
     def test_batch_offers_equal_scalar_offers_at_the_threshold(self, quota):
         mod = 16
         straddled = 0
         for w, threshold, uniforms in key_boundary_sweep(mod):
-            uniforms = uniforms.tolist()
             batch = [w - 1 + mod * i for i in range(len(uniforms))]  # weight w
             state = _checkpoint(kind_name="weighted", kind_param=mod, kind_threshold=threshold)
-            kind, scalar_kind = WeightedKind(8, mod), WeightedKind(8, mod)
+            kind = WeightedKind(8, mod)
             kind.restore_state(state)
-            scalar_kind.restore_state(state)
-            stream, scalar_stream = ListUniforms(uniforms), ListUniforms(uniforms)
-            expected = []
-            for element in batch:
-                record = scalar_kind.offer(element, scalar_stream)
-                if record is not None:
-                    expected.append(record)
+            stream = ListUniforms(uniforms.tolist())
+            expected, drawn = [], 0
+            for element, key in zip(batch, libm_keys(uniforms, w).tolist()):
+                drawn += 1
+                if key < threshold:
+                    expected.append((element, key))
                     if quota is not None and len(expected) >= quota:
                         break
             consumed, records = kind.offer_many(batch, stream, quota)
             assert records.tolist() == expected, (w, threshold)
-            assert consumed == stream.at == scalar_stream.at
-            assert kind.seen == scalar_kind.seen
+            assert consumed == stream.at == drawn
+            assert kind.seen == state.dataset_size + drawn
             straddled += 0 < len(expected) < len(batch)
         # The sweeps cross the threshold: rows land on both sides of it.
         assert straddled > 0
@@ -254,7 +272,7 @@ class TestWindowKind:
         kind = WindowKind(4)
         rng = RandomSource(seed=5)
         before = rng.snapshot()
-        assert [kind.draw(v, rng) for v in (7, 8, 9)] == [(7, 0), (8, 1), (9, 2)]
+        assert [kind.offer(v, rng) for v in (7, 8, 9)] == [(7, 0), (8, 1), (9, 2)]
         assert rng.snapshot() == before
         assert kind.seen == 3
 
@@ -287,18 +305,8 @@ class TestWindowKind:
         # The columnar replay relies on the tail's sequence numbers rising
         # strictly; a log block with a repeated one is refused with a
         # typed error before any sample write.
-        cost = CostModel()
-        rng = RandomSource(seed=3)
-        kind = WindowKind(8)
-        codec = kind.codec(32)
-        sample = SampleFile(SimulatedBlockDevice(cost, "sample"), codec, 8)
-        sample.initialize(kind.build_initial(list(range(8)), rng))
-        log = LogFile(SimulatedBlockDevice(cost, "log"), codec)
-        maintainer = SampleMaintainer(
-            sample, rng, strategy="candidate", initial_dataset_size=kind.seen,
-            log=log, algorithm=algorithm(), policy=ManualPolicy(),
-            cost_model=cost, kind=kind,
-        )
+        maintainer = _maintainer(WindowKind(8), 8, RandomSource(seed=3), algorithm())
+        sample, log, codec = maintainer.sample, maintainer.log, maintainer.kind.codec(32)
         maintainer.insert_many(range(100, 106))  # sequences 8..13
         log.flush()
         image = bytearray(log.device.peek_block(0))
@@ -458,15 +466,67 @@ class TestManifestRoundTrip:
             _checkpoint(kind_name="mystery")
 
 
-class TestEagerOracle:
-    def test_oracle_matches_pure_eager_window(self):
-        """The oracle on a window stream is just 'last W values'."""
-        kind = WindowKind(4)
-        rows = eager_oracle(
-            kind, list(range(8)), list(range(100, 107)), RandomSource(seed=6)
+class TestScalarOutOfRange:
+    """A scalar insert is a one-row batch, so it refuses what a batch
+    refuses -- before the kind counts, draws or logs it."""
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2.5])
+    @pytest.mark.parametrize("spec", ["weighted", "window"])
+    def test_insert_refused_and_sample_still_refreshes(self, spec, value):
+        rng = RandomSource(seed=5)
+        maintainer = _maintainer(make_kind(spec, 8), 64, rng, ArrayRefresh())
+        maintainer.insert(7)
+        kind = maintainer.kind
+
+        def state():
+            return kind.seen, maintainer.pending_log_elements, rng.snapshot()
+
+        before = state()
+        with pytest.raises(ValueError, match="int64"):
+            maintainer.insert(value)
+        assert state() == before
+        maintainer.refresh()
+        assert maintainer.pending_log_elements == 0
+
+
+class TestKindOracle:
+    """The eager oracle of ``test_prop_kinds.py``, checked by hand."""
+
+    def test_window_keeps_last_values_in_their_slots(self):
+        rows, seen, threshold = kind_oracle.eager(
+            "window", 4, list(range(8)) + list(range(100, 107)), None
         )
         assert rows == [(104, 12), (105, 13), (106, 14), (103, 11)]
-        assert kind.seen == 15
+        assert (seen, threshold) == (15, None)
+
+    def test_weighted_evicts_largest_key_lowest_slot(self):
+        uniforms = [0.5, 0.5, 0.25, 0.75]
+        keys = [-math.log(1.0 - u) for u in uniforms]
+        rng = ListUniforms(uniforms)
+        rows, seen, threshold = kind_oracle.eager("weighted:1", 2, [1, 2, 3, 4], rng)
+        # Keys 1 and 2 tie; 3's smaller key evicts the lower slot, and
+        # 4's larger key is rejected.
+        assert rows == [(3, keys[2]), (2, keys[1])]
+        assert (seen, threshold, rng.at) == (4, keys[1], 4)
+
+    def test_weighted_key_divides_by_the_weight(self):
+        rng = ListUniforms([0.5, 0.5])
+        rows, _, _ = kind_oracle.eager("weighted", 2, [3, 16 + 3], rng)
+        assert rows == [(3, -math.log(0.5) / 4), (19, -math.log(0.5) / 4)]
+
+    def test_imports_only_math(self):
+        """The oracle must not share code with what it checks: its only
+        import is ``math``."""
+        tree = ast.parse(Path(kind_oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Name) and node.id == "__import__":
+                imported.add(node.id)
+        assert imported == {"math"}
 
 
 def _row(kind, index):
@@ -475,6 +535,19 @@ def _row(kind, index):
     if kind.name == "weighted":
         return (index, 0.1 * (index + 1))
     return (index, index)
+
+
+def _maintainer(kind, initial, rng, algorithm):
+    """A kind's sample of ``initial`` rows under candidate maintenance."""
+    cost = CostModel()
+    codec = kind.codec(32)
+    sample = SampleFile(SimulatedBlockDevice(cost, "sample"), codec, kind.capacity)
+    sample.initialize(kind.build_initial(list(range(initial)), rng))
+    return SampleMaintainer(
+        sample, rng, strategy="candidate", initial_dataset_size=kind.seen,
+        log=LogFile(SimulatedBlockDevice(cost, "log"), codec), algorithm=algorithm,
+        policy=ManualPolicy(), cost_model=cost, kind=kind,
+    )
 
 
 def _checkpoint(**kind_fields):

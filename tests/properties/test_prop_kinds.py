@@ -7,16 +7,16 @@ same kind state, same PRNG state -- no matter which kind-capable refresh
 algorithm runs the replay, where refreshes land in the stream, or whether
 inserts arrive scalar or batched.
 
-The reference is :func:`repro.core.kinds.eager_oracle`: in-memory
+The reference is :mod:`tests.properties.kind_oracle`: in-memory
 immediate maintenance that draws once per arriving element, exactly like
-the deferred log phase.  Every example builds the same initial sample
-from the same seed, feeds the same element stream, and compares the end
-state field by field.
+the deferred log phase, written without any of the kinds' code.  Every
+example builds the same initial sample from the same seed, feeds the
+same element stream, and compares the end state field by field.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kinds import eager_oracle, make_kind
+from repro.core.kinds import make_kind
 from repro.core.maintenance import SampleMaintainer
 from repro.core.policies import ManualPolicy, PeriodicPolicy
 from repro.core.refresh.array import ArrayRefresh
@@ -25,6 +25,7 @@ from repro.rng.random_source import RandomSource
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
+from tests.properties import kind_oracle
 
 KIND_SPECS = ("weighted", "weighted:5", "window")
 #: Uniform defers its victim draws to refresh time, so it is bit-exact
@@ -75,9 +76,9 @@ class DeferredKindRun:
 def eager_state(kind_spec, sample_size, dataset_size, elements, seed):
     """The immediate-maintenance oracle's end state for the same stream."""
     rng = RandomSource(seed=seed)
-    kind = make_kind(kind_spec, sample_size)
-    rows = eager_oracle(kind, list(range(dataset_size)), elements, rng)
-    return (rows, kind.seen, getattr(kind, "threshold", None), rng.snapshot())
+    stream = list(range(dataset_size)) + list(elements)
+    rows, seen, threshold = kind_oracle.eager(kind_spec, sample_size, stream, rng)
+    return (rows, seen, threshold, rng.snapshot())
 
 
 @given(

@@ -94,3 +94,19 @@ def test_out_of_range_encode_raises_value_error(name):
         codec.encode(bad)
     with pytest.raises(ValueError, match=named):
         codec.encode_block([good, bad, good])
+
+
+@pytest.mark.parametrize("make", [WeightedRecordCodec, TimestampedRecordCodec])
+def test_pair_codecs_refuse_rows_that_are_not_pairs(make):
+    # Rows of the wrong arity must not be packed into each other's fields
+    # (``[(1, 2.0, 3), (4,)]`` would otherwise pack as two pairs).
+    codec = make()
+    for rows, misfit in (
+        ([(1, 2, 3), (4,)], (1, 2, 3)),
+        ([(1, 2), (3,), (4, 5, 6)], (3,)),
+        ([(1, 2), 5], 5),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(misfit))):
+            codec.encode_block(rows)
+        with pytest.raises(ValueError, match=re.escape(repr(misfit))):
+            codec.encode(misfit)

@@ -4,14 +4,10 @@ import pytest
 
 from repro.rng.random_source import RandomSource
 from repro.stream.source import (
-    batched,
-    bursty_batches,
     bursty_stream,
-    counter_batches,
     counter_stream,
     uniform_batches,
     uniform_stream,
-    zipf_batches,
     zipf_stream,
 )
 
@@ -90,21 +86,7 @@ class TestBurstyStream:
 
 
 class TestBatchedSources:
-    """Each batched source flattens to its scalar counterpart, same seed."""
-
-    def test_batched_chunks_any_stream(self):
-        chunks = list(batched(iter(range(10)), 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_batched_rejects_bad_size(self):
-        with pytest.raises(ValueError):
-            list(batched(iter(range(3)), 0))
-
-    def test_counter_batches_flatten_to_counter_stream(self):
-        batches = list(counter_batches(7, start=5, count=23))
-        assert all(isinstance(b, range) for b in batches)
-        assert [v for b in batches for v in b] == list(counter_stream(5, count=23))
-        assert [len(b) for b in batches] == [7, 7, 7, 2]
+    """The batched source flattens to its scalar counterpart, same seed."""
 
     def test_uniform_batches_flatten_to_uniform_stream(self):
         flat = [
@@ -114,35 +96,9 @@ class TestBatchedSources:
         ]
         assert flat == list(uniform_stream(RandomSource(seed=21), 0, 999, 100))
 
-    def test_zipf_batches_flatten_to_zipf_stream(self):
-        flat = [
-            v
-            for b in zipf_batches(RandomSource(seed=22), 50, 100, 9)
-            for v in b
-        ]
-        assert flat == list(zipf_stream(RandomSource(seed=22), 50, 100))
-
-    def test_bursty_batches_flatten_to_bursty_stream(self):
-        flat = [
-            e
-            for b in bursty_batches(
-                RandomSource(seed=23), 120, 16, burst_length=30, quiet_length=70
-            )
-            for e in b
-        ]
-        assert flat == list(
-            bursty_stream(
-                RandomSource(seed=23), 120, burst_length=30, quiet_length=70
-            )
-        )
-
     def test_validation_matches_scalar_sources(self):
         rng = RandomSource(seed=24)
         with pytest.raises(ValueError):
             list(uniform_batches(rng, 5, 4, 10, 2))
         with pytest.raises(ValueError):
             list(uniform_batches(rng, 0, 9, 10, 0))
-        with pytest.raises(ValueError):
-            list(zipf_batches(rng, 0, 10, 2))
-        with pytest.raises(ValueError):
-            list(counter_batches(0, count=5))
