@@ -113,6 +113,15 @@ def test_write_phase_selection(benchmark):
     assert len(positions) == 1_000
 
 
+def test_write_phase_selection_dense(benchmark):
+    """Method S where about half the positions are displaced: 2,000 of
+    4,096, so nearly every position costs a give-back and a re-take."""
+    rng = RandomSource(seed=7)
+    positions = benchmark(lambda: list(SequentialSampler(rng, n=2_000, total=4_096)))
+    benchmark.extra_info["positions_per_sec"] = 4_096 / benchmark.stats.stats.mean
+    assert len(positions) == 2_000
+
+
 def test_stream_spawn(benchmark):
     """One child stream, as every Nomem refresh spawns for its geometric
     skips.  Ungated; ``spawns_per_sec`` is the rate of spawns."""

@@ -13,7 +13,10 @@ variates are regenerated one by one while walking the log forward.
 Only the PRNG state (~2.5 KiB for MT19937) is ever held, with at most
 one block of its uniforms -- the Fig. 12 zero line -- at the cost of
 generating twice as many geometric variates (2(M-1) of them, the Fig. 13
-flat-but-higher CPU line).
+flat-but-higher CPU line).  So the geometric stream asks for at most
+:data:`~repro.rng.mt19937.BLOCK_DOUBLES` (312) uniforms per window, while
+the write phase's Method S windows, like Stack's, go up to
+:data:`~repro.rng.mt19937.WINDOW`.
 
 A dedicated "geometric PRNG" stream is used for the skips, exactly as the
 paper says ("store the state of the geometric PRNG"): the write phase's
@@ -32,6 +35,7 @@ from repro.core.logs import CandidateSource
 from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
 from repro.obs.api import maybe_span
 from repro.rng.distributions import geometric_variates
+from repro.rng.mt19937 import BLOCK_DOUBLES
 from repro.rng.random_source import RandomSource
 from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
@@ -47,11 +51,11 @@ def _gap_windows(geom_rng: RandomSource, size: int) -> Iterator[np.ndarray]:
     :meth:`RandomSource.geometric` (see
     :func:`~repro.rng.distributions.geometric_variates`).  A window never
     holds more uniforms than gaps are left, so drained windows leave
-    ``geom_rng`` where scalar draws would.
+    ``geom_rng`` where scalar draws would, nor more than one block's worth.
     """
     k = size - 1
     while k >= 1:
-        window = geom_rng.random_array(k)
+        window = geom_rng.random_array(min(k, BLOCK_DOUBLES))
         # p_k = (M - k) / M for this window's k, k - 1, ...
         free = np.arange(size - k, size - k + len(window))
         yield geometric_variates(window, free, size) + 1
@@ -77,7 +81,8 @@ def survivor_indexes(
     the same gaps: those that land before the log's start are skipped
     now, and the rest are drawn lazily, a window per run of indexes the
     returned iterator yields in ascending order.  Nothing but the PRNG
-    state, its current block and one window of gaps is held.
+    state, the block or two its latest window of at most 312 uniforms
+    covers and one window of gaps is held.
     """
     state = geom_rng.snapshot()
     span = span_of_gaps(geom_rng, size)

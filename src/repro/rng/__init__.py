@@ -9,8 +9,8 @@ can be generated twice without buffering it.  This subpackage provides:
   snapshot/restore.
 * :class:`~repro.rng.random_source.RandomSource` -- the high-level facade
   used throughout the library (uniform variates, integers, geometric
-  variates, reservoir skips, and windows of uniforms read a block at a
-  time).
+  variates, reservoir skips, and windows of uniforms that span as many
+  generator blocks as they need).
 * :mod:`~repro.rng.distributions` -- the variate generators themselves.
 * :mod:`~repro.rng.sequential` -- selection sampling (Method S) from
   Vitter's 1984 sequential sampling ([3] in the paper), which the

@@ -12,11 +12,12 @@ numpy's :class:`numpy.random.MT19937` bit generator runs the algorithm
 itself: the twist, the tempering and the reference ``init_genrand``
 seeding.  This module keeps what the algorithms need on top of it: raw
 words served at Python speed from one 624-word block at a time, windows
-of doubles computed by numpy from that block, and snapshots as immutable
-:class:`MTState` values.  A snapshot is exactly
-numpy's ``{"key", "pos"}`` state -- the 624 untempered words plus the
-read position -- so the stream matches the reference C implementation
-word for word (see ``tests/rng/test_mt19937.py``).
+of up to :data:`WINDOW` doubles computed by numpy over as many blocks as
+they span, and snapshots as immutable :class:`MTState` values.  A
+snapshot is exactly numpy's ``{"key", "pos"}`` state -- the 624
+untempered words plus the read position -- so the stream matches the
+reference C implementation word for word (see
+``tests/rng/test_mt19937.py``).
 
 The state is 624 32-bit words plus an index -- about 2.5 KiB, which is the
 "negligible" memory footprint the paper attributes to Nomem Refresh.
@@ -24,18 +25,34 @@ The state is 624 32-bit words plus an index -- about 2.5 KiB, which is the
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["MT19937", "MTState"]
+__all__ = ["BLOCK_DOUBLES", "MT19937", "MTState", "WINDOW"]
 
 _N = 624
 _MASK32 = 0xFFFFFFFF
 
+#: The most doubles one :meth:`MT19937.random_array` window holds (32 KiB).
+WINDOW = 4096
+#: The doubles one 624-word block holds.
+BLOCK_DOUBLES = _N // 2
+
 # 1 / 2**53, for 53-bit doubles in [0, 1).
 _INV_2_53 = 1.0 / 9007199254740992.0
+
+# ``_window_start`` of a generator whose latest window is closed: no
+# position lies at or past it, so nothing can be given back or re-taken.
+_CLOSED = sys.maxsize
+
+# The words of a freshly seeded key's block, which are never computed:
+# the generator stands at that block's end, and a window or word read
+# starts with the next block.
+_UNREAD = np.zeros(_N, dtype=np.uint64)
+_UNREAD.flags.writeable = False
 
 
 class _ConstantKey(ISeedSequence):
@@ -46,6 +63,27 @@ class _ConstantKey(ISeedSequence):
 
 
 _CONSTANT_KEY = _ConstantKey()
+
+
+def _untemper(words: np.ndarray) -> np.ndarray:
+    """The state words whose tempered outputs are ``words``.
+
+    MT19937 tempers each output with four invertible xor-shift steps;
+    this undoes them in reverse order.  The shifts by 18 and 15 undo
+    themselves in one round.  The left shift by 7 is undone by repeating
+    ``x = y ^ ((x << 7) & mask)``, which fixes 7 more low bits per round,
+    and the right shift by 11 likewise from the top.
+    """
+    y = words.astype(np.uint32)
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
 
 
 @dataclass(frozen=True)
@@ -91,20 +129,22 @@ class MT19937:
     True
     """
 
-    # ``_raw`` holds the tempered outputs of the state words ``_key``;
-    # ``_bitgen`` sits at the end of that block, so its next raw draw
-    # twists.  ``_key`` is read from numpy lazily, once per block.  Word
-    # reads come from the list ``_block`` of the same outputs.  Every new
-    # block starts it as ``None``, and the block's first word read builds
-    # it from that word on (the words before it stay 0 and are never
-    # read), so a block read only in windows is never converted to Python
-    # ints.
-    # ``_doubles`` is the read-only array of the block's doubles on word
-    # pairs that start at an index of parity ``_parity`` (-1: not computed
-    # for this block).  The latest window starts at word ``_window_start``
-    # (past the block: none to give back to).
+    # ``_raw`` holds the tempered outputs of one or more consecutive
+    # blocks, and ``_bitgen`` sits at the end of the last, so its next raw
+    # draw twists.  The read position is word ``_index`` (0 to 624) of
+    # the block at ``_raw[_base:]``; a position on a block boundary
+    # belongs to the block it ends, as after word reads.  ``_key`` is the
+    # last block's state, read from numpy lazily; an earlier block's is
+    # untempered from its words.  Word reads come from the list ``_block``
+    # of the current block's outputs.  Every block starts it as ``None``,
+    # and the block's first word read builds it from that word on (the
+    # words before it stay 0 and are never read), so a block read only in
+    # windows is never converted to Python ints.
+    # The latest window covers the words ``_window_start`` to
+    # ``_window_end`` of ``_raw`` (``_window_start`` is ``_CLOSED`` once
+    # nothing may be given back to it).
     __slots__ = (
-        "_bitgen", "_block", "_doubles", "_index", "_key", "_parity", "_raw",
+        "_base", "_bitgen", "_block", "_index", "_key", "_raw", "_window_end",
         "_window_start",
     )
 
@@ -124,18 +164,18 @@ class MT19937:
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self._bitgen._legacy_seeding(seed & _MASK32)
-        self._block: list[int] | None = None
-        self._raw = np.empty(0, dtype=np.uint64)
-        self._doubles = np.empty(0)
-        self._parity = -1
+        self._set_raw(_UNREAD)
         self._index = _N
-        self._key: tuple[int, ...] | None = None
-        self._window_start = _N + 1
+        self._window_end = 0
 
     # -- state management (the Nomem Refresh prerequisite) ----------------
 
     def getstate(self) -> MTState:
         """Capture the full generator state as an immutable snapshot."""
+        base = self._base
+        if base + _N < len(self._raw):  # a block before numpy's current one
+            key = tuple(_untemper(self._raw[base : base + _N]).tolist())
+            return MTState._of_generator(key, self._index)
         if self._key is None:
             self._key = tuple(self._bitgen.state["state"]["key"].tolist())
         return MTState._of_generator(self._key, self._index)
@@ -149,22 +189,38 @@ class MT19937:
             "bit_generator": "MT19937",
             "state": {"key": state.key, "pos": 0},
         }
-        self._load_block()
+        self._set_raw(self._bitgen.random_raw(_N))
         self._index = state.position
         self._key = state.key
 
     # -- core generation ---------------------------------------------------
 
-    def _load_block(self) -> None:
-        self._raw = self._bitgen.random_raw(_N)
+    def _set_raw(self, raw: np.ndarray) -> None:
+        """Serve ``raw``, the blocks up to numpy's current one, from its
+        first; the latest window closes."""
+        self._raw = raw
+        self._base = 0
         self._block = None
-        self._parity = -1
-        self._window_start = _N + 1
+        self._key = None
+        self._window_start = _CLOSED
 
     def _next_block(self) -> None:
-        self._load_block()
+        base = self._base + _N
+        if base < len(self._raw):  # a later block of the latest window
+            self._base = base
+            self._block = None
+        else:
+            self._set_raw(self._bitgen.random_raw(_N))
         self._index = 0
-        self._key = None
+
+    def _move_to(self, position: int, start: int) -> None:
+        """Stand at word ``position`` of ``_raw``, which lies past word
+        ``start`` unless it is ``start`` itself."""
+        base = (position - 1 if position > start else position) // _N * _N
+        if base != self._base:
+            self._base = base
+            self._block = None
+        self._index = position - base
 
     def next_uint32(self) -> int:
         """Return the next raw 32-bit output word."""
@@ -179,8 +235,9 @@ class MT19937:
             # Reads only move forward from here, so the words before it are
             # never converted; the latest window cannot be given back past
             # them either.
-            self._block = [0] * index + self._raw[index:].tolist()
-            self._window_start = _N + 1
+            base = self._base
+            self._block = [0] * index + self._raw[base + index : base + _N].tolist()
+            self._window_start = _CLOSED
             return self._block[index]
 
     def random(self) -> float:
@@ -193,23 +250,13 @@ class MT19937:
         b = self.next_uint32() >> 6  # 26 bits
         return (a * 67108864.0 + b) * _INV_2_53
 
-    def _straddling_double(self) -> float:
-        """:meth:`random` on the block's last word and the next block's
-        first, read from numpy so that neither block's words are converted."""
-        high = int(self._raw[_N - 1]) >> 5
-        self._next_block()
-        self._index = 1
-        return (high * 67108864.0 + (int(self._raw[0]) >> 6)) * _INV_2_53
-
     def random_array(self, count: int) -> np.ndarray:
         """Return the next doubles, exactly as successive :meth:`random` calls.
 
-        Returns a read-only array of at most ``count`` doubles and at
-        least one (for ``count >= 1``), all from the current 624-word
-        block: the window ends early where the block does.  The one double
-        that straddles two blocks comes back alone.  numpy computes
-        ``genrand_res53`` over the block's words once per block; every
-        step is exact in double precision, so the values are
+        Returns a read-only array of ``min(count, WINDOW)`` doubles.  The
+        blocks the window reaches into come from numpy in one call, and
+        numpy computes ``genrand_res53`` over the window's words only;
+        every step is exact in double precision, so the values are
         bit-identical to :meth:`random`'s.
 
         >>> a, b = MT19937(seed=7), MT19937(seed=7)
@@ -218,45 +265,65 @@ class MT19937:
         """
         if count < 1:
             raise ValueError("a window holds at least one double")
-        index = self._index
-        if index >= _N:
-            self._next_block()
+        raw, base, index = self._raw, self._base, self._index
+        if index >= _N:  # the window starts with the next block
+            base += _N
             index = 0
-        elif index == _N - 1:
-            self._window_start = _N + 1  # the straddling double stays drawn
-            return np.array([self._straddling_double()])
-        parity = index & 1
-        if self._parity != parity:
-            # The doubles of word pairs (parity, parity+1), (parity+2, ...).
-            words = self._raw[parity : _N - parity]
-            high, low = words[0::2] >> 5, words[1::2] >> 6
-            self._doubles = (high * 67108864.0 + low) * _INV_2_53
-            self._doubles.flags.writeable = False
-            self._parity = parity
-        start = index >> 1
-        stop = start + count
-        if stop > (_N - parity) >> 1:  # the block's last pair of this parity
-            stop = (_N - parity) >> 1
-        self._window_start = index
-        self._index = 2 * stop + parity
-        return self._doubles[start:stop]
+        start = base + index
+        stop = start + 2 * min(count, WINDOW)
+        if stop > len(raw):
+            # Keep the current block whole: its state may be asked for
+            # after a give-back.
+            fresh = self._bitgen.random_raw(-(-(stop - len(raw)) // _N) * _N)
+            self._set_raw(np.concatenate((raw[base:], fresh)))
+            start -= base
+            stop -= base
+        words = self._raw[start:stop]
+        window = (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+        window *= _INV_2_53
+        window.flags.writeable = False
+        self._move_to(stop, start)
+        self._window_start = start
+        self._window_end = stop
+        return window
 
     def give_back(self, count: int) -> None:
         """Return the last ``count`` doubles of the latest window, unused.
 
         The stream then continues as if they had never been drawn.  Only
         doubles of the latest :meth:`random_array` window may be given
-        back, never the double of a window that straddled two blocks, and
-        nothing may be drawn in between.
+        back, and nothing may be drawn in between.
         """
-        index = self._index - 2 * count
-        if not self._window_start <= index <= self._index and count:
-            left = max(0, self._index - self._window_start) // 2
+        start = self._window_start
+        end = self._base + self._index
+        position = end - 2 * count
+        if not start <= position <= end:
+            if count:
+                left = max(0, end - start) // 2
+                raise ValueError(
+                    f"cannot give back {count} doubles: the latest window has "
+                    f"{left} left to give back"
+                )
+            return
+        self._move_to(position, start)
+
+    def retake(self, count: int) -> None:
+        """Draw again the ``count`` doubles just given back, unread.
+
+        The caller still holds them in the latest window, so this only
+        moves the read position forward to that window's end; nothing is
+        computed or returned.  Raises :class:`ValueError` if the stream
+        moved since the give-back: anything drawn in between would have
+        consumed those doubles.
+        """
+        end = self._window_end
+        position = self._base + self._index
+        if count < 0 or position != end - 2 * count or position < self._window_start:
             raise ValueError(
-                f"cannot give back {count} doubles: the latest window has "
-                f"{left} left to give back"
+                f"cannot retake {count} doubles: the stream moved since they "
+                "were given back"
             )
-        self._index = index
+        self._move_to(end, self._window_start)
 
     def randrange(self, n: int) -> int:
         """Return a uniform integer in ``[0, n)`` without modulo bias.
@@ -280,7 +347,6 @@ class MT19937:
             value = ((self.next_uint32() << 32) | self.next_uint32()) >> (64 - bits)
             if value < n:
                 return value
-
     def jump_discard(self, count: int) -> None:
         """Advance the stream by discarding ``count`` raw outputs."""
         if count < 0:
@@ -289,9 +355,13 @@ class MT19937:
         if position <= _N:
             self._index = position
             return
+        target = self._base + position
+        if target <= len(self._raw):  # a later block of the latest window
+            self._move_to(target, 0)
+            return
         # Whole blocks between here and the target are discarded by numpy
         # without being returned; the target's own block is served.
-        blocks, index = divmod(position - 1, _N)
+        blocks, index = divmod(target - (len(self._raw) - _N) - 1, _N)
         self._bitgen.random_raw(_N * (blocks - 1), output=False)
-        self._next_block()
+        self._set_raw(self._bitgen.random_raw(_N))
         self._index = index + 1

@@ -93,10 +93,10 @@ class RandomSource:
         return self._gen.random()
 
     def random_array(self, count: int) -> np.ndarray:
-        """The next 1 to ``count`` uniforms, as many :meth:`random` calls.
+        """The next ``min(count, WINDOW)`` uniforms, as many :meth:`random` calls.
 
-        A window never reaches past the generator's current 624-word
-        block, so it may be shorter than asked; see
+        A window spans as many of the generator's 624-word blocks as it
+        needs, up to :data:`~repro.rng.mt19937.WINDOW` doubles; see
         :meth:`MT19937.random_array <repro.rng.mt19937.MT19937.random_array>`.
         """
         return self._gen.random_array(count)
@@ -104,6 +104,11 @@ class RandomSource:
     def give_back(self, count: int) -> None:
         """Undraw the last ``count`` uniforms of the latest window."""
         self._gen.give_back(count)
+
+    def retake(self, count: int) -> None:
+        """Draw again the ``count`` uniforms just given back; see
+        :meth:`MT19937.retake <repro.rng.mt19937.MT19937.retake>`."""
+        self._gen.retake(count)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""

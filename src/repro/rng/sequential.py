@@ -11,7 +11,10 @@ windows of uniforms and is what Stack and Nomem Refresh use.
 The O(M) tests cost one numpy pass per window, not one Python comparison
 per position: ``k`` only falls within a window, so every position whose
 product ``u * (M - j)`` reaches the window's first ``k`` is a sure
-rejection, and only the few others are walked in Python.
+rejection, and only the few others are walked in Python.  A window
+spans up to :data:`~repro.rng.mt19937.WINDOW` uniforms, across MT19937
+blocks, and each selected position costs one give-back and one re-take,
+both moves of the generator's read position: nothing is drawn twice.
 
 Footnote 4 notes that the skip-based scheme of [3] (Method D) could find
 the same positions with O(k) uniforms instead of O(M).  It is not used:
@@ -37,6 +40,9 @@ class UniformWindows(Protocol):
     def give_back(self, count: int) -> None:  # pragma: no cover
         ...
 
+    def retake(self, count: int) -> None:  # pragma: no cover
+        ...
+
 
 class SequentialSampler:
     """Method-S iterator of selected positions for the refresh write phase.
@@ -53,10 +59,10 @@ class SequentialSampler:
     are tested one by one.  The unused tail of a window is given back
     before a position is yielded, so at every yield the stream stands
     exactly where one ``random()`` per scanned position would have left
-    it; the next position re-takes that tail and goes on testing its
-    remembered candidates.  Nothing else may draw from the stream between
-    two positions: a re-taken tail that is not the one given back raises
-    :class:`ValueError`.
+    it; the next position re-takes that tail by index (``retake``, no
+    new draw) and goes on testing its remembered candidates.  Nothing else
+    may draw from the stream between two positions: the re-take then
+    raises :class:`ValueError`.
 
     >>> rng = _FixedSource([0.0, 0.9, 0.0])
     >>> list(SequentialSampler(rng, n=2, total=3))
@@ -64,7 +70,7 @@ class SequentialSampler:
     """
 
     __slots__ = (
-        "_head", "_hits", "_rng", "_remaining_selected", "_remaining_records",
+        "_hits", "_rng", "_remaining_selected", "_remaining_records",
         "_start", "_stop", "_total",
     )
 
@@ -74,12 +80,11 @@ class SequentialSampler:
         self._remaining_selected = n
         self._remaining_records = total
         self._total = total
-        # The given-back tail of the latest window: it ends where
-        # ``_stop`` records are left and starts with the double ``_head``.
-        # ``_hits`` yields its candidates as (offset, product) pairs, the
-        # offset counted from the window's start at ``_start`` records.
+        # The given-back tail of the latest window ends where ``_stop``
+        # records are left.  ``_hits`` yields its candidates as (offset,
+        # product) pairs, the offset counted from the window's start at
+        # ``_start`` records.
         self._hits: Iterator[tuple[int, float]] | None = None
-        self._head = 0.0
         self._start = self._stop = 0
 
     def __iter__(self) -> "SequentialSampler":
@@ -101,18 +106,19 @@ class SequentialSampler:
 
         A fresh window is cut to ``records - selected`` uniforms, the most
         that can be rejected before every remaining position must be
-        selected; the block's end usually cuts it shorter.
+        selected, or to the generator's window size.
         """
         rng = self._rng
         hits = self._hits
+        start, stop = self._start, self._stop
         if hits is not None:
-            start, stop = self._start, self._stop
-            window = rng.random_array(records - stop)
-            if len(window) != records - stop or window[0] != self._head:
+            try:
+                rng.retake(records - stop)
+            except ValueError:
                 raise ValueError(
                     "the uniform stream moved between two selected positions: "
                     "nothing may draw from it while the sampler is in use"
-                )
+                ) from None
         while True:
             if hits is None:
                 window = rng.random_array(records - selected)
@@ -120,14 +126,14 @@ class SequentialSampler:
                 offsets = np.flatnonzero(products < selected)
                 hits = zip(offsets.tolist(), products[offsets].tolist())
                 start, stop = records, records - len(window)
+                self._start, self._stop = start, stop
             for offset, product in hits:
                 if product < selected:
                     records = start - offset
                     tail = records - 1 - stop
                     if tail:
                         rng.give_back(tail)
-                        self._head = float(window[-tail])
-                        self._hits, self._start, self._stop = hits, start, stop
+                        self._hits = hits
                     else:
                         self._hits = None
                     return records
@@ -152,6 +158,9 @@ class _FixedSource:
     def give_back(self, count: int) -> None:
         if count:
             self._values[:0] = self._window[-count:]
+
+    def retake(self, count: int) -> None:
+        del self._values[:count]
 
 
 def _check_args(n: int, total: int) -> None:

@@ -1,10 +1,12 @@
 """Nomem Refresh (Algorithm 3): PRNG replay instead of buffering."""
 
+import pytest
 from scipy import stats
 
 from repro.core.refresh.math import expected_displaced
 from repro.core.refresh.nomem import NomemRefresh, span_of_gaps
 from repro.core.refresh.stack import StackRefresh
+from repro.rng.mt19937 import BLOCK_DOUBLES, WINDOW
 from repro.rng.random_source import RandomSource
 from repro.storage.memory import MT19937_STATE_BYTES
 
@@ -25,6 +27,60 @@ class TestSpanOfGaps:
 
     def test_trivial_sample_size(self):
         assert span_of_gaps(RandomSource(seed=3), 1) == 0
+
+
+class _SpySource:
+    """A :class:`RandomSource` that logs the windows it hands out and the
+    snapshots taken of it, and spies on the streams it spawns."""
+
+    def __init__(self, source, log, label="main"):
+        self._source, self._log, self._label = source, log, label
+
+    def __getattr__(self, name):
+        return getattr(self._source, name)
+
+    def random_array(self, count):
+        window = self._source.random_array(count)
+        self._log.append((self._label, "window", len(window)))
+        return window
+
+    def snapshot(self):
+        self._log.append((self._label, "snapshot", 0))
+        return self._source.snapshot()
+
+    def spawn(self, label=""):
+        return _SpySource(self._source.spawn(label), self._log, label)
+
+
+class TestWindowBounds:
+    """Nomem holds one block of geometric uniforms (Fig. 12's zero line);
+    the write phase's Method S windows span blocks up to ``WINDOW``."""
+
+    @staticmethod
+    def _log_of(harness_factory, algorithm):
+        # More positions than a window holds, so the write phase's first
+        # window is cut at WINDOW.
+        harness = harness_factory(sample_size=WINDOW + 900, candidates=120)
+        log = []
+        harness.rng = _SpySource(harness.rng, log)
+        harness.run(algorithm)
+        return log
+
+    def test_nomem_geometric_windows_stay_within_one_block(self, harness_factory):
+        log = self._log_of(harness_factory, NomemRefresh())
+        geometric = [size for label, what, size in log
+                     if label == "nomem-geometric" and what == "window"]
+        assert geometric and max(geometric) <= BLOCK_DOUBLES
+        snapshots = [label for label, what, _ in log if what == "snapshot"]
+        assert snapshots == ["nomem-geometric"]
+
+    @pytest.mark.parametrize("algorithm", [NomemRefresh, StackRefresh])
+    def test_write_phase_windows_reach_but_never_exceed_window(
+        self, harness_factory, algorithm
+    ):
+        log = self._log_of(harness_factory, algorithm())
+        main = [size for label, what, size in log if label == "main" and what == "window"]
+        assert max(main) == WINDOW
 
 
 class TestRefresh:

@@ -1,15 +1,22 @@
 """Property-based tests: PRNG and variate generators."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rng.mt19937 import MT19937, MTState
+from repro.rng.mt19937 import MT19937, WINDOW, MTState
 from repro.rng.random_source import RandomSource
 
 # One step of a generator's life.  ``window`` and ``array`` give back a
 # fraction of what they drew; ``rewind`` restores the current key at a
 # chosen block position, which is how a stream reaches positions 0 and
-# 622-624.
+# 622-624.  ``long_array`` windows cross at least two block boundaries
+# and reach ``WINDOW``; ``retake`` gives back part of a window and takes
+# it again, or finds that a word read in between moved the stream.
 _STEPS = st.one_of(
+    st.tuples(st.just("long_array"), st.integers(1, 5000), st.floats(0.0, 1.0)),
+    st.tuples(
+        st.just("retake"), st.integers(1, 1000), st.floats(0.0, 1.0), st.booleans()
+    ),
     st.tuples(st.just("array"), st.integers(1, 400), st.floats(0.0, 1.0)),
     st.tuples(st.just("random")),
     st.tuples(st.just("word")),
@@ -45,7 +52,7 @@ class TestMT19937Properties:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         steps=st.lists(_STEPS, max_size=40),
     )
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_windows_match_a_scalar_twin(self, seed, steps):
         # Every double a window hands out, kept or given back, is the one
         # successive random() calls on a scalar twin return; whatever the
@@ -64,6 +71,31 @@ class TestMT19937Properties:
                 mark = twin.getstate()
                 assert window[kept:] == [twin.random() for _ in range(returned)]
                 twin.setstate(mark)
+            elif kind == "long_array":
+                window = gen.random_array(step[1]).tolist()
+                assert len(window) == min(step[1], WINDOW)
+                returned = int(step[2] * (len(window) - 1))
+                gen.give_back(returned)
+                kept = len(window) - returned
+                assert window[:kept] == [twin.random() for _ in range(kept)]
+                assert gen.getstate() == twin.getstate()
+                mark = twin.getstate()
+                assert window[kept:] == [twin.random() for _ in range(returned)]
+                twin.setstate(mark)
+            elif kind == "retake":
+                window = gen.random_array(step[1]).tolist()
+                returned = int(step[2] * len(window))
+                gen.give_back(returned)
+                kept = len(window) - returned
+                if step[3]:
+                    gen.next_uint32()
+                    with pytest.raises(ValueError):
+                        gen.retake(returned)
+                    assert window[:kept] == [twin.random() for _ in range(kept)]
+                    twin.next_uint32()
+                else:
+                    gen.retake(returned)
+                    assert window == [twin.random() for _ in range(len(window))]
             elif kind == "random":
                 assert gen.random() == twin.random()
             elif kind == "word":

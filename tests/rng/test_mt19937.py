@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.rng.mt19937 import MT19937, MTState
@@ -178,12 +179,36 @@ class TestWindows:
         with pytest.raises(ValueError):
             window[0] = 0.5
 
-    def test_straddling_double_cannot_be_given_back(self):
-        gen = MT19937(seed=6)
+    def test_window_crosses_a_block_boundary(self):
+        gen, twin = MT19937(seed=6), MT19937(seed=6)
         gen.jump_discard(623)
-        assert len(gen.random_array(5)) == 1
-        with pytest.raises(ValueError):
-            gen.give_back(1)
+        twin.jump_discard(623)
+        window = gen.random_array(5)
+        mark = twin.getstate()
+        assert window.tolist() == [twin.random() for _ in range(5)]
+        gen.give_back(4)  # back to just past the double that straddles it
+        twin.setstate(mark)
+        twin.random()
+        assert gen.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("blocks_before", [0, 1])
+    def test_state_in_an_earlier_block_matches_numpy(self, blocks_before):
+        # numpy's own bit generator, seeded as RandomState seeds, is the
+        # oracle for the key of each block the window spans.
+        gen = MT19937(seed=6)
+        gen.jump_discard(100)
+        gen.random_array(1_000)  # words 100 to 2,100: four blocks
+        position = 300 + blocks_before * 624
+        gen.give_back((2_100 - position) // 2)
+        oracle = np.random.MT19937()
+        oracle.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.random.RandomState(6).get_state()[1], "pos": 624},
+        }
+        oracle.random_raw(624 * (blocks_before + 1))
+        state = gen.getstate()
+        assert state.key == tuple(oracle.state["state"]["key"].tolist())
+        assert state.position == 300
 
 
 class TestDoubleQuality:
