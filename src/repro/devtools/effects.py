@@ -6,8 +6,9 @@ world, directly or through any chain of project calls:
 * ``draws_rng`` -- consumes pseudo-randomness (any call chain bottoming
   out in ``repro.rng``, or an unmanaged ``random``/``numpy.random`` use);
 * ``reads_device`` / ``writes_device`` / ``touches_device`` -- block-device
-  access (``read_block``/``peek_block`` vs ``write_block``/``poke_block``/
-  ``discard``/``discard_from``); ``touches_device`` is the union;
+  access (``read_block``/``read_blocks``/``peek_block`` vs
+  ``write_block``/``poke_block``/``discard``/``discard_from``);
+  ``touches_device`` is the union;
 * ``reads_wall_clock`` -- ``time.time``/``monotonic``/``perf_counter``/...;
 * ``emits_metric`` -- instrument traffic (``.inc``/``.observe``/``.emit``);
 * ``may_flush`` -- reaches a ``flush``/``flush_barrier`` call (the barrier
@@ -57,7 +58,7 @@ EFFECTS = (
     "may_raise",
 )
 
-DEVICE_READ_METHODS = frozenset({"read_block", "peek_block"})
+DEVICE_READ_METHODS = frozenset({"read_block", "read_blocks", "peek_block"})
 DEVICE_WRITE_METHODS = frozenset(
     {"write_block", "poke_block", "discard", "discard_from"}
 )

@@ -7,10 +7,10 @@ must do its I/O through :class:`~repro.storage.files.SampleFile` /
 :class:`~repro.storage.files.LogFile` (or through the pool's barrier
 helpers), because those are where the paper's charging rules live
 (Sec. 6.1 classification, coalescing, the truncate seek).  A raw
-``read_block``/``write_block`` call above the storage layer would charge
-unclassified I/O the cost figures never account for, and would bypass
-the buffer pool entirely, splitting the view of a block between pooled
-and unpooled readers.
+``read_block``/``read_blocks``/``write_block`` call above the storage
+layer would charge unclassified I/O the cost figures never account for,
+and would bypass the buffer pool entirely, splitting the view of a block
+between pooled and unpooled readers.
 
 ``peek_block``/``poke_block``/``discard``/``discard_from`` are banned at
 the same boundary: uncharged device access outside the storage layer is
@@ -31,6 +31,7 @@ __all__ = ["DeviceBoundaryRule", "DEVICE_METHODS"]
 DEVICE_METHODS = frozenset(
     {
         "read_block",
+        "read_blocks",
         "write_block",
         "peek_block",
         "poke_block",

@@ -65,6 +65,13 @@ class _ConstantKey(ISeedSequence):
 _CONSTANT_KEY = _ConstantKey()
 
 
+def _seeded_key(seed: int) -> tuple[int, ...]:
+    """The key ``init_genrand(seed)`` gives, read from a fresh numpy generator."""
+    bitgen = np.random.MT19937(_CONSTANT_KEY)
+    bitgen._legacy_seeding(seed)
+    return tuple(bitgen.state["state"]["key"].tolist())
+
+
 def _untemper(words: np.ndarray) -> np.ndarray:
     """The state words whose tempered outputs are ``words``.
 
@@ -135,7 +142,9 @@ class MT19937:
     # the block at ``_raw[_base:]``; a position on a block boundary
     # belongs to the block it ends, as after word reads.  ``_key`` is the
     # last block's state, read from numpy lazily; an earlier block's is
-    # untempered from its words.  Word reads come from the list ``_block``
+    # untempered from its words, except a freshly seeded key's unread
+    # block at the front of ``_raw``, whose key is derived again from
+    # ``_unread_seed``.  Word reads come from the list ``_block``
     # of the current block's outputs.  Every block starts it as ``None``,
     # and the block's first word read builds it from that word on (the
     # words before it stay 0 and are never read), so a block read only in
@@ -144,8 +153,8 @@ class MT19937:
     # ``_window_end`` of ``_raw`` (``_window_start`` is ``_CLOSED`` once
     # nothing may be given back to it).
     __slots__ = (
-        "_base", "_bitgen", "_block", "_index", "_key", "_raw", "_window_end",
-        "_window_start",
+        "_base", "_bitgen", "_block", "_index", "_key", "_raw", "_unread_seed",
+        "_window_end", "_window_start",
     )
 
     def __init__(self, seed: int = 5489) -> None:
@@ -165,6 +174,7 @@ class MT19937:
             raise ValueError("seed must be non-negative")
         self._bitgen._legacy_seeding(seed & _MASK32)
         self._set_raw(_UNREAD)
+        self._unread_seed = seed & _MASK32
         self._index = _N
         self._window_end = 0
 
@@ -174,7 +184,10 @@ class MT19937:
         """Capture the full generator state as an immutable snapshot."""
         base = self._base
         if base + _N < len(self._raw):  # a block before numpy's current one
-            key = tuple(_untemper(self._raw[base : base + _N]).tolist())
+            if base == 0 and self._unread_seed is not None:
+                key = _seeded_key(self._unread_seed)
+            else:
+                key = tuple(_untemper(self._raw[base : base + _N]).tolist())
             return MTState._of_generator(key, self._index)
         if self._key is None:
             self._key = tuple(self._bitgen.state["state"]["key"].tolist())
@@ -202,6 +215,7 @@ class MT19937:
         self._base = 0
         self._block = None
         self._key = None
+        self._unread_seed = None
         self._window_start = _CLOSED
 
     def _next_block(self) -> None:
@@ -213,10 +227,10 @@ class MT19937:
             self._set_raw(self._bitgen.random_raw(_N))
         self._index = 0
 
-    def _move_to(self, position: int, start: int) -> None:
-        """Stand at word ``position`` of ``_raw``, which lies past word
-        ``start`` unless it is ``start`` itself."""
-        base = (position - 1 if position > start else position) // _N * _N
+    def _move_to(self, position: int) -> None:
+        """Stand at word ``position`` of ``_raw``; a block boundary belongs
+        to the block it ends."""
+        base = (position - 1) // _N * _N if position else 0
         if base != self._base:
             self._base = base
             self._block = None
@@ -265,24 +279,23 @@ class MT19937:
         """
         if count < 1:
             raise ValueError("a window holds at least one double")
-        raw, base, index = self._raw, self._base, self._index
-        if index >= _N:  # the window starts with the next block
-            base += _N
-            index = 0
-        start = base + index
+        raw, base = self._raw, self._base
+        start = base + self._index
         stop = start + 2 * min(count, WINDOW)
         if stop > len(raw):
-            # Keep the current block whole: its state may be asked for
-            # after a give-back.
+            # Keep the current block whole, read to its end or not: its
+            # state may be asked for after a give-back.
+            unread_seed = self._unread_seed if base == 0 else None
             fresh = self._bitgen.random_raw(-(-(stop - len(raw)) // _N) * _N)
             self._set_raw(np.concatenate((raw[base:], fresh)))
+            self._unread_seed = unread_seed
             start -= base
             stop -= base
         words = self._raw[start:stop]
         window = (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
         window *= _INV_2_53
         window.flags.writeable = False
-        self._move_to(stop, start)
+        self._move_to(stop)
         self._window_start = start
         self._window_end = stop
         return window
@@ -305,7 +318,7 @@ class MT19937:
                     f"{left} left to give back"
                 )
             return
-        self._move_to(position, start)
+        self._move_to(position)
 
     def retake(self, count: int) -> None:
         """Draw again the ``count`` doubles just given back, unread.
@@ -323,7 +336,7 @@ class MT19937:
                 f"cannot retake {count} doubles: the stream moved since they "
                 "were given back"
             )
-        self._move_to(end, self._window_start)
+        self._move_to(end)
 
     def randrange(self, n: int) -> int:
         """Return a uniform integer in ``[0, n)`` without modulo bias.
@@ -357,7 +370,7 @@ class MT19937:
             return
         target = self._base + position
         if target <= len(self._raw):  # a later block of the latest window
-            self._move_to(target, 0)
+            self._move_to(target)
             return
         # Whole blocks between here and the target are discarded by numpy
         # without being returned; the target's own block is served.

@@ -35,10 +35,13 @@ class BlockDevice(Protocol):
 
     ``read_block``/``write_block`` are *charged* accesses (counted by the
     cost model with the caller-declared sequential/random classification,
-    Sec. 6.1).  ``peek_block``/``poke_block`` are uncharged bookkeeping
-    accesses -- cache hits the paper's accounting grants for free --
-    and ``discard``/``discard_from`` model logical truncation, which moves
-    no data.
+    Sec. 6.1).  ``read_blocks(start, count, sequential)`` is a run of
+    charged reads in one call: its bytes, charges, counters and (on a
+    pool) frames are exactly those of ``read_block`` on each block of
+    the run in turn.  ``peek_block``/``poke_block`` are uncharged
+    bookkeeping accesses -- cache hits the paper's accounting grants for
+    free -- and ``discard``/``discard_from`` model logical truncation,
+    which moves no data.
     """
 
     @property
@@ -50,6 +53,11 @@ class BlockDevice(Protocol):
         ...
 
     def read_block(self, index: int, sequential: bool) -> bytes:  # pragma: no cover
+        ...
+
+    def read_blocks(
+        self, start: int, count: int, sequential: bool
+    ) -> list[bytes]:  # pragma: no cover - protocol
         ...
 
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:  # pragma: no cover
@@ -83,6 +91,8 @@ class SimulatedBlockDevice:
     ) -> None:
         self._cost_model = cost_model
         self._blocks: dict[int, bytes] = {}
+        #: what an unwritten block reads as; one shared immutable copy
+        self._zero = bytes(cost_model.disk.block_size)
         self._name = name
         self._instr = instrumentation
 
@@ -136,7 +146,26 @@ class SimulatedBlockDevice:
             self._cost_model.charge("read", sequential)
             if self._instr is not None:
                 self._instr.record_device_access(self._name, "read", sequential)
-        return self._blocks.get(index, b"\x00" * self.block_size)
+        return self._blocks.get(index, self._zero)
+
+    def read_blocks(self, start: int, count: int, sequential: bool) -> list[bytes]:
+        """Blocks ``start .. start + count - 1``: one charge of ``count``
+        reads, the bytes and counters of a :meth:`read_block` of each.
+
+        With storage tracing on, it is that per-block loop, so every
+        read keeps its ``storage.device.read`` span.
+        """
+        if count <= 0:
+            return []
+        if self._instr is not None and self._instr.trace_storage:
+            return [self.read_block(i, sequential) for i in range(start, start + count)]
+        self._check_index(start)
+        self._cost_model.charge("read", sequential, count)
+        if self._instr is not None:
+            self._instr.record_device_access(self._name, "read", sequential, count)
+        get = self._blocks.get
+        zero = self._zero
+        return [get(i, zero) for i in range(start, start + count)]
 
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
         """Overwrite a block, charging one write access."""
@@ -163,7 +192,7 @@ class SimulatedBlockDevice:
     def peek_block(self, index: int) -> bytes:
         """Read block contents without charging any I/O (test/debug aid)."""
         self._check_index(index)
-        return self._blocks.get(index, b"\x00" * self.block_size)
+        return self._blocks.get(index, self._zero)
 
     def poke_block(self, index: int, data: bytes) -> None:
         """Overwrite a block without charging I/O (cache hit / bookkeeping)."""

@@ -38,6 +38,8 @@ would, and everything the pool still holds dirty is lost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.storage.block_device import BlockDevice
@@ -118,6 +120,9 @@ class _Frame:
         self.data = data
         self.dirty = False
         self.write_sequential = True
+
+
+_is_dirty = attrgetter("dirty")
 
 
 class BufferPool:
@@ -259,6 +264,88 @@ class BufferPool:
         if sequential and self._readahead:
             self._prefetch(index + 1)
         return data, False
+
+    def read_blocks(self, start: int, count: int, sequential: bool) -> list[bytes]:
+        """Blocks ``start .. start + count - 1``, exactly as a
+        :meth:`read_block` of each in turn: the same bytes, device
+        charges, :class:`PoolStats`, frames, LRU order and dirty bits.
+
+        A miss whose readahead run is wholly non-resident, fits the pool
+        and evicts only clean frames reads that run with one inner
+        ``read_blocks``: no victim writes back, so nothing interleaves
+        with the reads.  Every other miss takes the per-block path.  With
+        storage tracing on, the whole call is the per-block loop, so
+        every read keeps its ``storage.pool.read`` span.
+        """
+        if self._capacity == 0:
+            return self._inner.read_blocks(start, count, sequential)
+        if self._instr is not None and self._instr.trace_storage:
+            return [self.read_block(i, sequential) for i in range(start, start + count)]
+        frames = self._frames
+        capacity = self._capacity
+        readahead = self._readahead if sequential else 0
+        out: list[bytes] = []
+        hits = 0
+        index = start
+        end = start + count
+        try:
+            while index < end:
+                frame = frames.get(index)
+                if frame is not None:
+                    del frames[index]
+                    frames[index] = frame
+                    out.append(frame.data)
+                    hits += 1
+                    index += 1
+                    continue
+                run_end = max(index + 1, min(self._scan_end, index + 1 + readahead))
+                victims = len(frames) + run_end - index - capacity
+                if (
+                    run_end - index > capacity
+                    or not frames.keys().isdisjoint(range(index + 1, run_end))
+                    or victims > 0
+                    and any(map(_is_dirty, islice(frames.values(), victims)))
+                ):
+                    out.append(self._read_enabled(index, sequential)[0])
+                    index += 1
+                    continue
+                blocks = self._read_run(index, run_end, victims, sequential)
+                stop = min(end, run_end)
+                out += blocks[: stop - index]
+                hits += stop - index - 1
+                if stop < run_end:
+                    # The per-block loop touches the blocks it is handed,
+                    # moving them past the rest of the run.
+                    for handed in range(index + 1, stop):
+                        frames[handed] = frames.pop(handed)
+                index = stop
+        finally:
+            self.stats.hits += hits
+            if self._instr is not None:
+                self._c_hits.inc(hits)
+        return out
+
+    def _read_run(
+        self, index: int, run_end: int, victims: int, sequential: bool
+    ) -> list[bytes]:
+        """The miss at ``index`` and its readahead up to ``run_end``, read
+        in one inner call, after the ``victims`` (clean) LRU frames."""
+        self.stats.misses += 1
+        if self._instr is not None:
+            self._c_misses.inc()
+        blocks = self._inner.read_blocks(index, run_end - index, sequential)
+        frames = self._frames
+        if victims > 0:
+            for victim in list(islice(frames, victims)):
+                del frames[victim]
+            self.stats.evictions += victims
+        frames.update(zip(range(index, run_end), map(_Frame, blocks)))
+        self.stats.readahead_blocks += run_end - index - 1
+        if self._instr is not None:
+            self._c_readahead.inc(run_end - index - 1)
+            if victims > 0:
+                self._c_evictions.inc(victims)
+        return blocks
 
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
         """Buffer the write; the device is touched at eviction or barrier."""

@@ -155,6 +155,9 @@ class FaultInjectionDevice:
     def read_block(self, index: int, sequential: bool) -> bytes:
         return self._inner.read_block(index, sequential)
 
+    def read_blocks(self, start: int, count: int, sequential: bool) -> list[bytes]:
+        return self._inner.read_blocks(start, count, sequential)
+
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
         if self._budget.consume():
             self._crash(index, data)

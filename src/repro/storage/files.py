@@ -248,13 +248,12 @@ class SampleFile(_BlockStore):
         """Every record front to back, as one array of the codec's ``dtype``.
 
         Charges what :meth:`scan` charges -- the scan declaration, then
-        one sequential read per block -- but decodes no record: the
-        blocks' bytes are joined once and viewed through the ``dtype``.
-        Needs a struct-backed codec.
+        one sequential read per block, issued as one ``read_blocks`` run
+        -- but decodes no record: the blocks' bytes are joined once and
+        viewed through the ``dtype``.  Needs a struct-backed codec.
         """
         declare_scan(self._device, 0, self.block_count)
-        read = self._device.read_block
-        blocks = [read(block, sequential=True) for block in range(self.block_count)]
+        blocks = self._device.read_blocks(0, self.block_count, True)
         return self._join_records(blocks, self._size)
 
     def scan_values(self) -> np.ndarray:
@@ -583,15 +582,20 @@ class SequentialLogReader:
     def read_records(self, first: int, last: int) -> np.ndarray:
         """Indexes ``first..last`` as one array of the codec's ``dtype``.
 
-        Charges exactly what :meth:`read_run` charges; the records are
-        the log's bytes, viewed and joined without decoding.  Needs a
-        struct-backed codec.
+        Charges exactly what :meth:`read_run` charges, reading the blocks
+        the reader does not already hold as one ``read_blocks`` run; the
+        records are the log's bytes, viewed and joined without decoding.
+        Needs a struct-backed codec.
         """
         size = self._log._codec.record_size
-        chunks = [
-            memoryview(self._block_data(block))[slot * size : end * size]
-            for block, slot, end in self._run_blocks(first, last)
-        ]
+        spans = list(self._run_blocks(first, last))
+        chunks = []
+        if spans:
+            blocks = self._blocks_data(spans[0][0], spans[-1][0])
+            chunks = [
+                memoryview(data)[slot * size : end * size]
+                for data, (_, slot, end) in zip(blocks, spans)
+            ]
         return self._log._join_records(chunks, max(0, last - first + 1))
 
     def _run_blocks(self, first: int, last: int) -> Iterator[tuple[int, int, int]]:
@@ -626,6 +630,19 @@ class SequentialLogReader:
             self._values = None
             self._current_block = block
         return self._data
+
+    def _blocks_data(self, first: int, last: int) -> list[bytes]:
+        """Blocks ``first..last``: the held block kept, the rest read as one
+        sequential run, after which the reader holds block ``last``."""
+        held = [self._data] if first == self._current_block else []
+        start = first + len(held)
+        if start > last:
+            return held
+        read = self._log.device.read_blocks(start, last - start + 1, True)
+        self._data = read[-1]
+        self._values = None
+        self._current_block = last
+        return held + read
 
     def _block_values(self, block: int) -> list:
         if block != self._current_block or self._values is None:

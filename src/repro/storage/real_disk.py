@@ -72,6 +72,23 @@ class RealBlockDevice:
         data = os.pread(self._fd, self.block_size, index * self.block_size)
         return data.ljust(self.block_size, b"\x00")
 
+    def read_blocks(self, start: int, count: int, sequential: bool) -> list[bytes]:
+        """Blocks ``start .. start + count - 1`` with one ``pread``; each is
+        charged, counted and zero-padded past end of file as
+        :meth:`read_block` does."""
+        if count <= 0:
+            return []
+        self._check_index(start)
+        self._cost_model.charge("read", sequential, count)
+        if self._instr is not None:
+            self._instr.record_device_access(self._path, "read", sequential, count)
+        size = self.block_size
+        data = os.pread(self._fd, count * size, start * size)
+        return [
+            data[offset : offset + size].ljust(size, b"\x00")
+            for offset in range(0, count * size, size)
+        ]
+
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
         self._check_index(index)
         if len(data) != self.block_size:

@@ -139,6 +139,9 @@ class ReplicatedDevice:
     def read_block(self, index: int, sequential: bool) -> bytes:
         return self._inner.read_block(index, sequential)
 
+    def read_blocks(self, start: int, count: int, sequential: bool) -> list[bytes]:
+        return self._inner.read_blocks(start, count, sequential)
+
     def write_block(self, index: int, data: bytes, sequential: bool) -> None:
         self._inner.write_block(index, data, sequential)
         self._record(BlockRecord("write", index, bytes(data), sequential))

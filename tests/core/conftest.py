@@ -22,11 +22,14 @@ class RefreshHarness:
         self.sample = SampleFile(
             SimulatedBlockDevice(self.cost, "sample"), codec, sample_size
         )
-        # Sample holds 0..M-1; candidates are 1000, 1001, ... so provenance
-        # of every final element is unambiguous.
+        # Sample holds 0..M-1; candidates are numbered from max(1000, M)
+        # up, so provenance of every final element is unambiguous.
         self.sample.initialize(list(range(sample_size)))
+        self.first_candidate = max(1000, sample_size)
         self.log = LogFile(SimulatedBlockDevice(self.cost, "log"), codec)
-        self.log.append_many(range(1000, 1000 + candidates))
+        self.log.append_many(
+            range(self.first_candidate, self.first_candidate + candidates)
+        )
         self.source = CandidateLogSource(self.log)
         self.rng = RandomSource(seed=seed)
         self.sample_size = sample_size
@@ -47,15 +50,16 @@ class RefreshHarness:
         """Post-refresh invariants common to every algorithm."""
         values = self.final_sample()
         assert len(values) == self.sample_size
-        originals = [v for v in values if v < 1000]
-        candidates = [v for v in values if v >= 1000]
+        first = self.first_candidate
+        originals = [v for v in values if v < first]
+        candidates = [v for v in values if v >= first]
         # Displaced count matches what the algorithm reported.
         assert len(candidates) == result.displaced
         # No element duplicated: stable originals and final candidates are
         # distinct individuals.
         assert len(set(values)) == len(values)
         # Every candidate value really was in the log.
-        assert all(1000 <= v < 1000 + self.candidates for v in candidates)
+        assert all(first <= v < first + self.candidates for v in candidates)
         assert all(0 <= v < self.sample_size for v in originals)
 
 

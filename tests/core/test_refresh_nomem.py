@@ -63,7 +63,7 @@ class TestWindowBounds:
         harness = harness_factory(sample_size=WINDOW + 900, candidates=120)
         log = []
         harness.rng = _SpySource(harness.rng, log)
-        harness.run(algorithm)
+        harness.check_sample_integrity(harness.run(algorithm))
         return log
 
     def test_nomem_geometric_windows_stay_within_one_block(self, harness_factory):

@@ -208,6 +208,9 @@ def test_dump_graph_on_real_tree_has_issue_contract_edges(capsys):
     scan = graph["functions"]["storage/files.py::SampleFile.scan"]
     assert "writes_device" not in scan["effects"]
     assert "reads_device" in scan["effects"]
+    scan_records = graph["functions"]["storage/files.py::SampleFile.scan_records"]
+    assert "reads_device" in scan_records["effects"]
+    assert "writes_device" not in scan_records["effects"]
     # The traced wrapper delegates to _execute, which owns the refresh edge.
     execute = graph["functions"]["serve/session.py::QuerySession.execute"]
     assert "serve/session.py::QuerySession._execute" in execute["calls"]

@@ -172,6 +172,24 @@ def test_io002_flags_raw_device_calls_outside_storage(tmp_path):
     assert all(f.rule_id == "IO002" for f in findings)
 
 
+def test_io002_flags_block_run_reads_outside_storage(tmp_path):
+    make_tree(tmp_path, {
+        "analysis/scan.py": """\
+            def scan(device, blocks):
+                return device.read_blocks(0, blocks, True)
+        """,
+        "storage/files.py": """\
+            def scan(device, blocks):
+                return device.read_blocks(0, blocks, True)
+        """,
+    })
+    findings = lint(tmp_path, rules=["IO002"])
+    assert [(f.path, f.line, f.rule_id) for f in findings] == [
+        ("analysis/scan.py", 2, "IO002"),
+    ]
+    assert "'read_blocks'" in findings[0].message
+
+
 def test_io002_clean_inside_storage_and_for_file_layer_api(tmp_path):
     make_tree(tmp_path, {
         # The storage layer is where raw device access belongs.

@@ -31,6 +31,31 @@ RUNS = {
             "trace.jsonl": "6f6e0cd0f209a29ccb2461bba040a8fc940dec6e61b730dfb0eaa4316f02e3dd",
         },
     ),
+    # An 8-frame pool under 16-block samples: misses, dirty evictions
+    # and write-backs on the read path.  With a trace the pool and the
+    # device read block by block; without one, scans read runs.  Both
+    # must give the same report.
+    "serve-sim-pooled-misses": (
+        [
+            "serve-sim", "--seed", "7", "--events", "300", "--sample-size", "2048",
+            "--pool-capacity", "8", "--algorithm", "stack",
+            "--trace", "{out}/trace.jsonl", "--json", "{out}/serve.json",
+        ],
+        {
+            "serve.json": "f8f94cfd9d958f7a6ff36417d5c36d70d2040f9970de73e6f84ebecbd42f4391",
+            "trace.jsonl": "989a656f6a1e7654a4ac6dcdc94495cac68f5441d479ada523353d93fcbac0a9",
+        },
+    ),
+    "serve-sim-pooled-misses-untraced": (
+        [
+            "serve-sim", "--seed", "7", "--events", "300", "--sample-size", "2048",
+            "--pool-capacity", "8", "--algorithm", "stack",
+            "--json", "{out}/serve.json",
+        ],
+        {
+            "serve.json": "f8f94cfd9d958f7a6ff36417d5c36d70d2040f9970de73e6f84ebecbd42f4391",
+        },
+    ),
     "fleet-sim-one-shard": (
         [
             "fleet-sim", "--seed", "7", "--shards", "1", "--samples", "4",

@@ -191,6 +191,25 @@ class TestWindows:
         twin.random()
         assert gen.getstate() == twin.getstate()
 
+    @pytest.mark.parametrize("lead", [0, 624, 1_248])
+    def test_a_whole_window_given_back_stands_where_its_twin_does(self, lead):
+        """A window that starts on a block boundary, given back whole,
+        leaves the generator at the end of the block before, where the
+        twin's word reads leave it: freshly seeded, one block in, and with
+        the next block still held from a longer window."""
+        gen, twin = MT19937(seed=8), MT19937(seed=8)
+        if lead == 1_248:
+            gen.jump_discard(100)
+            gen.random_array(1_000)  # words 100 to 2,100
+            gen.give_back((2_100 - lead) // 2)
+        else:
+            gen.jump_discard(lead)
+        twin.jump_discard(lead)
+        gen.random_array(4)
+        gen.give_back(4)
+        assert gen.getstate() == twin.getstate()
+        assert gen.random_array(3).tolist() == [twin.random() for _ in range(3)]
+
     @pytest.mark.parametrize("blocks_before", [0, 1])
     def test_state_in_an_earlier_block_matches_numpy(self, blocks_before):
         # numpy's own bit generator, seeded as RandomState seeds, is the

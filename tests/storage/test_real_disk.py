@@ -41,6 +41,22 @@ class TestRealBlockDevice:
             assert device.peek_block(3) == b"\x00" * BLOCK
             assert device.peek_block(1) == b"\x01" * BLOCK
 
+    def test_read_blocks_pads_a_short_final_block(self, tmp_path):
+        path = tmp_path / "dev.bin"
+        head = bytes(range(256)) * 16
+        tail = b"\x07" * 100
+        path.write_bytes(head + tail)
+        run_model, loop_model = CostModel(), CostModel()
+        with RealBlockDevice(path, run_model) as device:
+            run = device.read_blocks(0, 4, sequential=True)
+        with RealBlockDevice(path, loop_model) as device:
+            loop = [device.read_block(i, sequential=True) for i in range(4)]
+        assert run == loop
+        assert run[1] == tail + b"\x00" * (BLOCK - len(tail))
+        assert run[2] == run[3] == b"\x00" * BLOCK
+        assert run_model.stats == loop_model.stats
+        assert run_model.stats.seq_reads == 4
+
     def test_write_validates_size(self, tmp_path):
         model = CostModel()
         with RealBlockDevice(tmp_path / "dev.bin", model) as device:
