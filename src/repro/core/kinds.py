@@ -12,8 +12,7 @@ any other acceptance test").  This module owns that generalisation: a
   0 of the record, the column a query scans;
 * the **acceptance test** run at insert time against *stale* state (state
   as of the last refresh), which decides what enters the candidate log --
-  one batched ``offer_many`` per kind, a scalar ``offer`` being a batch
-  of one row for the weighted and window kinds;
+  one batched ``offer_many`` per kind, one arrival being a batch of one;
 * the **replay** run at refresh time, which folds logged candidates into
   the on-disk sample and picks victim slots -- one ``begin_replay`` over
   the sample's record array and one ``apply`` over the log's, which the
@@ -148,14 +147,11 @@ class SampleKind(Protocol):
     def build_initial(self, dataset: Sequence[int], rng: RandomSource) -> list:
         ...  # pragma: no cover - protocol
 
-    def offer(self, element, rng: RandomSource):  # pragma: no cover
-        ...
-
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
     ) -> tuple[int, "list | np.ndarray"]:  # pragma: no cover - protocol
-        """``(consumed, accepted)``: the same draws and records as
-        ``consumed`` :meth:`offer` calls.  Uniform returns the accepted
+        """``(consumed, accepted)``: the same draws and records however
+        the stream is cut into batches.  Uniform returns the accepted
         values as a list; the other kinds return one record array, field
         ``f<i>`` of each accepted row in field ``f<i>`` of the codec's
         layout, which the candidate log writes without decoding.
@@ -254,20 +250,15 @@ class UniformKind:
         self._start(seen, None)
         return rows
 
-    def offer(self, element, rng: RandomSource):
-        """Acceptance test for one arrival: the element itself, or None."""
-        sampler = self._sampler
-        sampler.rng = rng
-        return element if sampler.test() else None
-
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
     ) -> tuple[int, list]:
         """Skip-jump acceptance over a batch: ``(consumed, accepted)``.
 
-        Same draws as ``consumed`` scalar :meth:`offer` calls; ``consumed``
-        falls short of the batch only when ``max_accepts`` was reached,
-        right after the accepting element.
+        ``consumed`` falls short of the batch only when ``max_accepts``
+        was reached, right after the accepting element.  Values are not
+        checked here -- the dbms views offer rows -- but by the logger
+        that stores them (:mod:`repro.core.logs`).
         """
         if not isinstance(elements, (list, tuple, range)):
             elements = list(elements)
@@ -287,12 +278,6 @@ class UniformKind:
 # ---------------------------------------------------------------------------
 # Kinds that offer record arrays (weighted, window)
 # ---------------------------------------------------------------------------
-
-
-def _offer_one(kind, element, rng: RandomSource):
-    """One arrival as a batch of one row: its record, or None."""
-    _, records = kind.offer_many((element,), rng)
-    return records[0].item() if len(records) else None
 
 
 _INT64 = np.iinfo(np.int64)
@@ -447,8 +432,6 @@ class WeightedKind:
 
     def weight(self, value: int) -> int:
         return 1 + (value % self._mod)
-
-    offer = _offer_one
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None
@@ -652,8 +635,6 @@ class WindowKind:
     def expired_fraction(self, pending: int) -> float:
         """The window fraction the pending log has already expired."""
         return self.effective_staleness(pending) / self._capacity
-
-    offer = _offer_one
 
     def offer_many(
         self, elements, rng: RandomSource, max_accepts: int | None = None

@@ -29,6 +29,13 @@ candidates this refresh round has) and ``open_reader()`` returning an
 ascending ordinal reader, so the refresh algorithms in
 :mod:`repro.core.refresh` are oblivious to which logging scheme produced
 their input.
+
+Every logger takes insertions in batches (``insert_many``); one insertion
+is a batch of one.  A logger over int64 records refuses a batch holding a
+value the record cannot hold, with :class:`ValueError`, before the batch
+changes the dataset size, the stream or the log (:func:`_refuse_unstorable`).
+Only values that would be stored are checked: a value a Vitter skip
+passes over is counted in the dataset size but never checked.
 """
 
 from __future__ import annotations
@@ -37,8 +44,10 @@ from typing import Protocol, Sequence, TypeVar
 
 import numpy as np
 
+from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile, SampleFile
+from repro.storage.records import IntRecordCodec
 
 __all__ = [
     "CandidateSource",
@@ -81,8 +90,9 @@ class CandidateSource(Protocol):
 class InsertLogger(Protocol):
     """One strategy's log phase: all the maintainer knows of a strategy.
 
-    ``insert_many`` returns ``(consumed, accepted)`` and stops right after
-    the ``max_accepts``-th log append.  ``log`` is None when nothing is
+    ``insert_many`` takes a batch of insertions (one insertion is a batch
+    of one), returns ``(consumed, accepted)`` and stops right after the
+    ``max_accepts``-th log append.  ``log`` is None when nothing is
     logged, and ``source()`` None when a refresh has nothing to apply.
     ``accepts_at_insert`` is False when the acceptance test waits for the
     refresh, so accepted elements are not candidates yet.  The loggers
@@ -94,8 +104,6 @@ class InsertLogger(Protocol):
     accepts_at_insert: bool
     #: the dataset size the pending log applies over
     dataset_size_at_last_refresh: int
-
-    def insert(self, element: T) -> bool: ...  # pragma: no cover - protocol
 
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
@@ -120,17 +128,11 @@ class ImmediateLogger(InsertLogger):
     def __init__(self, sample: SampleFile, kind, rng: RandomSource) -> None:
         self._sample = sample
         self._sampler = kind.sampler(rng)
+        self._checked = isinstance(sample.codec, IntRecordCodec)
 
     @property
     def dataset_size_at_last_refresh(self) -> int:
         return self._sampler.seen
-
-    def insert(self, element: T) -> bool:
-        slot = self._sampler.offer(element)
-        if slot is None:
-            return False
-        self._sample.write_random(slot, element)
-        return True
 
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
@@ -140,9 +142,14 @@ class ImmediateLogger(InsertLogger):
         Nothing is appended to a log, so a log-append quota never binds
         and ``max_accepts`` is ignored.
         """
-        consumed, placed = self._sampler.offer_many(len(elements))
-        for index, slot in placed:
-            self._sample.write_random(slot, elements[index])
+        sampler = self._sampler
+        mark = sampler.mark() if self._checked else None
+        consumed, placed = sampler.offer_many(len(elements))
+        values = [elements[index] for index, _ in placed]
+        if values and mark is not None:
+            _refuse_unstorable(self._sample.codec, values, sampler, mark)
+        for (_, slot), value in zip(placed, values):
+            self._sample.write_random(slot, value)
         return consumed, len(placed)
 
     def source(self) -> None:
@@ -177,6 +184,11 @@ class CandidateLogger(InsertLogger):
         self._log = log
         self._kind = kind
         self._rng = rng
+        # Over int64 records the kind (uniform) offers plain values, which
+        # are checked, its sampler rewound when one does not fit.
+        self._sampler = (
+            kind.sampler(rng) if isinstance(log.codec, IntRecordCodec) else None
+        )
 
     @property
     def log(self) -> LogFile:
@@ -197,12 +209,8 @@ class CandidateLogger(InsertLogger):
         return self._kind.pending_accept
 
     def insert(self, element: T) -> bool:
-        """Log phase for one insertion; True if it became a candidate."""
-        record = self._kind.offer(element, self._rng)
-        if record is None:
-            return False
-        self._log.append(record)
-        return True
+        """One insertion as a batch of one; True if it became a candidate."""
+        return self.insert_many((element,))[1] == 1
 
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
@@ -214,14 +222,18 @@ class CandidateLogger(InsertLogger):
         Returns ``(consumed, accepted)``.  ``consumed < len(elements)``
         only when ``max_accepts`` acceptances were reached (then the call
         stops right after the accepting element, so a refresh policy can
-        fire at exactly the element it would fire at under scalar
-        inserts).  Same PRNG draws, log records and block writes as
-        ``consumed`` scalar :meth:`insert` calls.
+        fire at exactly the element it would fire at had the batch come
+        one element at a time).  Same PRNG draws, log records and block
+        writes however the stream is cut into batches.
         """
+        sampler = self._sampler
+        mark = sampler.mark() if sampler is not None else None
         consumed, records = self._kind.offer_many(elements, self._rng, max_accepts)
         if isinstance(records, np.ndarray):
             self._log.append_records(records)
         elif records:
+            if mark is not None:
+                _refuse_unstorable(self._log.codec, records, sampler, mark)
             self._log.append_many(records)
         return consumed, len(records)
 
@@ -248,6 +260,7 @@ class FullLogger(InsertLogger):
         self._log = log
         self._sampler = kind.sampler(rng)
         self._rng = rng
+        self._checked = isinstance(log.codec, IntRecordCodec)
 
     @property
     def log(self) -> LogFile:
@@ -257,24 +270,21 @@ class FullLogger(InsertLogger):
     def dataset_size_at_last_refresh(self) -> int:
         return self._sampler.seen - len(self._log)
 
-    def insert(self, element: T) -> bool:
-        """Log phase for one insertion; always logged."""
-        self._log.append(element)
-        self._sampler.defer(1)
-        return True
-
     def insert_many(
         self, elements: Sequence[T], max_accepts: int | None = None
     ) -> tuple[int, int]:
         """Batched log phase: one bulk append, cut at ``max_accepts``.
 
         Every element is appended, so a log-append quota is an operation
-        quota: ``(consumed, accepted)`` are both the elements taken.
+        quota: ``(consumed, accepted)`` are both the elements taken, and
+        every one of them is checked.
         """
         take = len(elements)
         if max_accepts is not None and max_accepts < take:
             take = max_accepts
             elements = elements[:take]
+        if self._checked:
+            self._log.codec.check(elements)
         self._log.append_many(elements)
         self._sampler.defer(take)
         return take, take
@@ -288,6 +298,22 @@ class FullLogger(InsertLogger):
 
     def after_refresh(self) -> None:
         self._log.truncate()
+
+
+def _refuse_unstorable(
+    codec: IntRecordCodec, values: Sequence, sampler: ReservoirSampler, mark: tuple
+) -> None:
+    """Refuse a batch whose accepted ``values`` the int64 record cannot hold.
+
+    On refusal the sampler and its stream go back to ``mark``, taken
+    before the batch's acceptance test, and the :class:`ValueError`
+    propagates: the batch leaves no trace.
+    """
+    try:
+        codec.check(values)
+    except ValueError:
+        sampler.rewind(mark)
+        raise
 
 
 class UpdateLogger:

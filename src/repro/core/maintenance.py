@@ -88,7 +88,7 @@ class SampleMaintainer:
         the maintainer keeps the ``maintenance.*``/``refresh.*`` metrics
         and ``sample.pending_log_elements``/``log.*`` gauges current,
         opens trace spans around every refresh (and, with
-        ``trace_inserts``, every insert), and propagates itself to the
+        ``trace_inserts``, every insert batch), and propagates itself to the
         refresh algorithm so its phases are traced too.  ``None`` keeps
         every hot path at a single ``is None`` test.
     """
@@ -223,44 +223,29 @@ class SampleMaintainer:
     # -- the two phases --------------------------------------------------------
 
     def insert(self, element) -> None:
-        """Process one insertion into the dataset (the online phase)."""
-        checkpoint = self._checkpoint()
-        obs = self._instr
-        if obs is not None and obs.trace_inserts:
-            with obs.span("insert", strategy=self._strategy) as span:
-                accepted = self._logger.insert(element)
-                span.set("accepted", accepted)
-        else:
-            accepted = self._logger.insert(element)
-        self._charge_online(checkpoint)
-        self.stats.inserts += 1
-        self._ops_since_refresh += 1
-        if accepted and self._logger.accepts_at_insert:
-            self.stats.candidates_logged += 1
-        if obs is not None:
-            self._c_inserts.inc()
-            (self._c_accepted if accepted else self._c_rejected).inc()
-            if accepted and self._logger.log is not None:
-                self._c_log_appended.inc()
-            self._sync_gauges()
-        if self._policy.should_refresh(self._ops_since_refresh, self.pending_log_elements):
-            self.refresh()
+        """Process one insertion into the dataset: a batch of one."""
+        self.insert_many((element,))
 
     def insert_many(self, elements) -> int:
         """Process a batch of insertions; returns how many were processed.
 
-        This is the **skip-based batch path**: Vitter's skip variates jump
-        directly from one accepted candidate to the next, so the
-        Python-level work per batch is O(accepted), not O(batch).  The
-        path is bit-identical to element-wise :meth:`insert` -- same PRNG
-        draws in the same order, same sample contents, same log records,
-        same :class:`~repro.storage.cost_model.AccessStats`, same metric
-        counters -- because the skip stream is exactly the one the scalar
-        acceptance test consumes lazily.
+        This is the **skip-based path**, the only insert path: Vitter's
+        skip variates jump directly from one accepted candidate to the
+        next, so the Python-level work per batch is O(accepted), not
+        O(batch).  Skips are drawn lazily, one when an arrival finds none
+        pending, so however a stream is cut into batches (single
+        :meth:`insert` calls included) it makes the same PRNG draws in
+        the same order, sample contents, log records,
+        :class:`~repro.storage.cost_model.AccessStats` and metric
+        counters.
 
         Batches are split at refresh boundaries: the refresh policy's
         ``batch_quota`` bounds each chunk so an auto-refresh fires after
-        exactly the element it would fire after under scalar inserts.
+        exactly the element it would fire after one element at a time.
+        A chunk holding a value the int64 record cannot hold is refused
+        with :class:`ValueError` before it changes the dataset size, the
+        stream or the log (see :mod:`repro.core.logs`); chunks before it
+        stay applied.
         """
         if not isinstance(elements, (list, tuple, range)):
             elements = list(elements)

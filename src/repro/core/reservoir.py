@@ -1,20 +1,22 @@
-"""Reservoir sampling (Vitter's Algorithm R with skip-based acceleration).
+"""Reservoir sampling (Vitter's skip-based reservoir scheme).
 
 All maintenance strategies in the paper are built on the reservoir scheme
 (Sec. 2): the first ``M`` elements fill the sample; afterwards the ``t+1``-th
 element replaces a uniformly random sample slot with probability
 ``M / (t+1)``.  Two operational modes matter here:
 
-* :meth:`ReservoirSampler.offer` performs the full step -- acceptance test
-  *and* victim-slot choice -- and is what **immediate** maintenance uses;
-* :meth:`ReservoirSampler.test` performs the acceptance test only, which is
-  the **candidate logging** primitive (Sec. 3.2): the victim slot is chosen
-  later, during refresh.
+* :meth:`ReservoirSampler.offer_many` performs the full step -- acceptance
+  test *and* victim-slot choice -- and is what **immediate** maintenance
+  and the initial build use;
+* :meth:`ReservoirSampler.test_many` performs the acceptance test only,
+  which is the **candidate logging** primitive (Sec. 3.2): the victim slot
+  is chosen later, during refresh.
 
-Acceptance is computed via Vitter's skip variates (Algorithms X/Z, [4]),
-so long streams pay O(candidates), not O(elements); ``skip_method="r"``
-switches to the literal one-Bernoulli-per-element Algorithm R, which tests
-use to validate the skip-based path.
+Both run one lazy skip walk: acceptance is computed via Vitter's skip
+variates (Algorithms X/Z, [4]), so long streams pay O(candidates), not
+O(elements).  One arrival is a batch of one.  The literal
+one-Bernoulli-per-element Algorithm R lives in the tests
+(``tests/properties/kind_oracle.py``), which check this walk against it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class ReservoirSampler:
     """Stateful reservoir acceptance over a growing dataset.
 
     The sampler tracks how many elements it has seen (``|R|`` in the paper)
-    and decides, per arriving element, whether it becomes a candidate.  It
-    does **not** store the sample itself -- the sample lives on disk (a
+    and decides, per batch of arrivals, which become candidates.  It does
+    **not** store the sample itself -- the sample lives on disk (a
     :class:`~repro.storage.files.SampleFile`) or wherever the caller keeps
     it; the sampler reports slots/acceptances.
 
@@ -44,19 +46,11 @@ class ReservoirSampler:
     (:class:`~repro.core.kinds.UniformKind`) rebinds it.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        rng: RandomSource,
-        initial_size: int = 0,
-        skip_method: str = "auto",
-    ) -> None:
+    def __init__(self, capacity: int, rng: RandomSource, initial_size: int = 0) -> None:
         if capacity <= 0:
             raise ValueError("reservoir capacity must be positive")
         if initial_size < 0:
             raise ValueError("initial_size must be non-negative")
-        if skip_method not in ("auto", "x", "z", "r"):
-            raise ValueError(f"unknown skip method: {skip_method!r}")
         if 0 < initial_size < capacity:
             raise ValueError(
                 "initial_size must be 0 (empty) or >= capacity (full sample); "
@@ -65,7 +59,6 @@ class ReservoirSampler:
         self._capacity = capacity
         self.rng = rng
         self._seen = initial_size
-        self._skip_method = skip_method
         # Position (1-based count) of the next accepted element, or None if
         # it has not been determined yet.
         self._next_accept: int | None = None
@@ -79,11 +72,6 @@ class ReservoirSampler:
     def seen(self) -> int:
         """Dataset size ``|R|``: elements processed so far."""
         return self._seen
-
-    @property
-    def filling(self) -> bool:
-        """True while the first ``M`` elements are still being collected."""
-        return self._seen < self._capacity
 
     @property
     def pending_accept(self) -> int | None:
@@ -104,61 +92,22 @@ class ReservoirSampler:
             )
         self._next_accept = value
 
-    def offer(self, _element: T = None) -> int | None:
-        """Process one arriving element; return its sample slot or ``None``.
-
-        While filling, every element is accepted into the next free slot.
-        Afterwards the element is accepted with probability ``M/(|R|+1)``
-        into a uniformly random slot.  The element value itself is not
-        needed -- only the caller knows where the sample lives -- but may
-        be passed for readability.
-        """
-        if self._seen < self._capacity:
-            slot = self._seen
-            self._seen += 1
-            return slot
-        if self._accept_next():
-            return self.rng.randrange(self._capacity)
-        return None
-
     def defer(self, count: int) -> None:
         """Count ``count`` arrivals untested (full logging tests at refresh)."""
         if self._next_accept is not None:
             raise RuntimeError("cannot defer arrivals past a pending acceptance")
         self._seen += count
 
-    def test(self, _element: T = None) -> bool:
-        """Acceptance test only (the candidate-logging primitive).
+    def mark(self) -> tuple:
+        """What a batch refused after its acceptance test gives back: the
+        stream's position, ``seen`` and the pending accept."""
+        return self.rng.mark(), self._seen, self._next_accept
 
-        Raises while the sampler is still filling: candidate logging only
-        makes sense once an initial sample exists (Sec. 3 assumes "a
-        uniform random sample of size M has been computed already").
-        """
-        if self._seen < self._capacity:
-            raise RuntimeError(
-                "candidate test before the initial sample is complete; "
-                "build the sample first (e.g. with build_reservoir())"
-            )
-        return self._accept_next()
-
-    def _accept_next(self) -> bool:
-        """Advance ``seen`` by one; True if that element is a candidate."""
-        if self._skip_method == "r":
-            # Literal Algorithm R: one Bernoulli per element.
-            self._seen += 1
-            return self.rng.random() * self._seen < self._capacity
-        if self._next_accept is None:
-            skip = self.rng.reservoir_skip(
-                self._capacity, self._seen, method=self._skip_method
-            )
-            self._next_accept = self._seen + skip + 1
-        self._seen += 1
-        if self._seen == self._next_accept:
-            self._next_accept = None
-            return True
-        return False
-
-    # -- batched acceptance (the skip-jumping fast path) ---------------------
+    def rewind(self, mark: tuple) -> None:
+        """Go back to a :meth:`mark`, as if the arrivals since had never
+        come."""
+        position, self._seen, self._next_accept = mark
+        self.rng.rewind(position)
 
     def test_many(
         self, n: int, max_accepts: int | None = None
@@ -169,87 +118,33 @@ class ReservoirSampler:
         0-based indexes *within the consumed prefix* that became
         candidates.  ``consumed < n`` only when ``max_accepts`` was
         reached -- then the call stops right after the accepting element,
-        leaving the sampler in exactly the state ``consumed`` scalar
-        :meth:`test` calls would have left it in.
+        leaving the sampler as if the rest had never arrived.
 
-        The skip variates are drawn lazily in the same order as the
-        scalar path, so for a given PRNG state the accepted positions
-        (and the PRNG state afterwards) are bit-identical to per-element
-        :meth:`test` calls; Python work is O(accepted), not O(n).
+        Raises while the sampler is still filling: candidate logging only
+        makes sense once an initial sample exists (Sec. 3 assumes "a
+        uniform random sample of size M has been computed already").
         """
         if self._seen < self._capacity:
             raise RuntimeError(
                 "candidate test before the initial sample is complete; "
                 "build the sample first (e.g. with build_reservoir())"
             )
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        if max_accepts is not None and max_accepts <= 0:
-            raise ValueError("max_accepts must be positive (or None)")
-        if self._skip_method == "r":
-            return self._test_many_bernoulli(n, max_accepts)
-        start = self._seen
-        end = start + n
-        pos = start
-        accepted: list[int] = []
-        next_accept = self._next_accept
-        while True:
-            if next_accept is None:
-                if pos >= end:
-                    break
-                # Lazy draw, exactly as the scalar path: drawn at the
-                # arrival of element pos+1 with ``seen`` still == pos.
-                skip = self.rng.reservoir_skip(
-                    self._capacity, pos, method=self._skip_method
-                )
-                next_accept = pos + skip + 1
-            if next_accept <= end:
-                accepted.append(next_accept - start - 1)
-                pos = next_accept
-                next_accept = None
-                if max_accepts is not None and len(accepted) >= max_accepts:
-                    break
-            else:
-                pos = end
-                break
-        self._seen = pos
-        self._next_accept = next_accept
-        return pos - start, accepted
-
-    def _test_many_bernoulli(
-        self, n: int, max_accepts: int | None
-    ) -> tuple[int, list[int]]:
-        """Literal Algorithm R fallback: one draw per element, batched."""
-        accepted: list[int] = []
-        seen = self._seen
-        capacity = self._capacity
-        random = self.rng.random
-        consumed = 0
-        for i in range(n):
-            seen += 1
-            consumed += 1
-            if random() * seen < capacity:
-                accepted.append(i)
-                if max_accepts is not None and len(accepted) >= max_accepts:
-                    break
-        self._seen = seen
-        return consumed, accepted
+        _check_batch(n, max_accepts)
+        return self._walk(n, max_accepts, 0, None)
 
     def offer_many(
         self, n: int, max_accepts: int | None = None
     ) -> tuple[int, list[tuple[int, int]]]:
-        """Batched :meth:`offer`: returns ``(consumed, [(index, slot), ...])``.
+        """The full reservoir step over ``n`` arrivals:
+        ``(consumed, [(index, slot), ...])``.
 
         ``index`` is the 0-based position within the consumed prefix,
-        ``slot`` the sample slot the element replaces.  Victim-slot draws
-        are interleaved with the skip draws exactly as scalar
-        :meth:`offer` interleaves them, so the variate stream -- and thus
-        every later decision -- is bit-identical to the scalar path.
+        ``slot`` the sample slot the element replaces.  While filling,
+        each arrival takes the next free slot; afterwards the acceptance
+        walk of :meth:`test_many` runs, drawing each accepted element's
+        slot uniformly at its acceptance, before the next skip.
         """
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        if max_accepts is not None and max_accepts <= 0:
-            raise ValueError("max_accepts must be positive (or None)")
+        _check_batch(n, max_accepts)
         placed: list[tuple[int, int]] = []
         consumed = 0
         while self._seen < self._capacity and consumed < n:
@@ -258,65 +153,64 @@ class ReservoirSampler:
             consumed += 1
             if max_accepts is not None and len(placed) >= max_accepts:
                 return consumed, placed
-        if consumed >= n:
-            return consumed, placed
-        if self._skip_method == "r":
-            return self._offer_many_bernoulli(n, consumed, placed, max_accepts)
-        start = self._seen
-        end = start + (n - consumed)
-        pos = start
+        quota = None if max_accepts is None else max_accepts - len(placed)
+        slots: list[int] = []
+        walked, accepted = self._walk(n - consumed, quota, consumed, slots)
+        placed += zip(accepted, slots)
+        return consumed + walked, placed
+
+    def _walk(
+        self, n: int, max_accepts: int | None, first: int, slots: list[int] | None
+    ) -> tuple[int, list[int]]:
+        """The lazy skip walk over ``n`` arrivals of a full reservoir:
+        ``(walked, accepted)``, the accepted arrivals numbered from
+        ``first``.
+
+        A skip is drawn when an arrival finds none pending, with ``seen``
+        still counting the arrivals before it, so the draws do not depend
+        on how the stream is cut into batches; Python work is
+        O(accepted), not O(n).  With a ``slots`` list, each acceptance
+        also draws its victim slot into it, before the next skip.
+        """
+        capacity = self._capacity
+        rng = self.rng
+        start = pos = self._seen
+        end = start + n
+        # Arrival ``seen + 1`` is number ``first``.
+        origin = start + 1 - first
+        # At most n arrivals accept, so n is an open quota.
+        quota = n if max_accepts is None else max_accepts
+        accepted: list[int] = []
         next_accept = self._next_accept
         while True:
             if next_accept is None:
                 if pos >= end:
                     break
-                skip = self.rng.reservoir_skip(
-                    self._capacity, pos, method=self._skip_method
-                )
-                next_accept = pos + skip + 1
-            if next_accept <= end:
-                # Slot draw happens at acceptance time, before the next
-                # skip draw -- the scalar ordering.
-                slot = self.rng.randrange(self._capacity)
-                placed.append((consumed + next_accept - start - 1, slot))
-                pos = next_accept
-                next_accept = None
-                if max_accepts is not None and len(placed) >= max_accepts:
-                    break
-            else:
+                next_accept = pos + rng.reservoir_skip(capacity, pos) + 1
+            if next_accept > end:
                 pos = end
+                break
+            accepted.append(next_accept - origin)
+            if slots is not None:
+                slots.append(rng.randrange(capacity))
+            pos = next_accept
+            next_accept = None
+            if len(accepted) >= quota:
                 break
         self._seen = pos
         self._next_accept = next_accept
-        return consumed + pos - start, placed
+        return pos - start, accepted
 
-    def _offer_many_bernoulli(
-        self,
-        n: int,
-        consumed: int,
-        placed: list[tuple[int, int]],
-        max_accepts: int | None,
-    ) -> tuple[int, list[tuple[int, int]]]:
-        seen = self._seen
-        capacity = self._capacity
-        random = self.rng.random
-        for i in range(consumed, n):
-            seen += 1
-            consumed += 1
-            if random() * seen < capacity:
-                placed.append((i, self.rng.randrange(capacity)))
-                if max_accepts is not None and len(placed) >= max_accepts:
-                    self._seen = seen
-                    return consumed, placed
-        self._seen = seen
-        return consumed, placed
+
+def _check_batch(n: int, max_accepts: int | None) -> None:
+    if n < 0:
+        raise ValueError("batch size must be non-negative")
+    if max_accepts is not None and max_accepts <= 0:
+        raise ValueError("max_accepts must be positive (or None)")
 
 
 def build_reservoir(
-    items: Iterable[T],
-    capacity: int,
-    rng: RandomSource,
-    skip_method: str = "auto",
+    items: Iterable[T], capacity: int, rng: RandomSource
 ) -> tuple[list[T], int]:
     """Compute an initial reservoir sample of ``items`` in one pass.
 
@@ -324,16 +218,16 @@ def build_reservoir(
     computed already" precondition of Sec. 3; use it to initialise a
     :class:`~repro.storage.files.SampleFile` before starting maintenance.
     """
-    sampler = ReservoirSampler(capacity, rng, skip_method=skip_method)
+    if not isinstance(items, (list, tuple, range)):
+        items = list(items)
+    sampler = ReservoirSampler(capacity, rng)
+    _, placed = sampler.offer_many(len(items))
     sample: list[T] = []
-    for item in items:
-        slot = sampler.offer(item)
-        if slot is None:
-            continue
+    for index, slot in placed:
         if slot == len(sample):
-            sample.append(item)
+            sample.append(items[index])
         else:
-            sample[slot] = item
+            sample[slot] = items[index]
     return sample, sampler.seen
 
 

@@ -146,7 +146,7 @@ class JoinSynopsis:
 
     def _on_fact_change(self, kind: str, row: Row) -> None:
         if kind == "insert":
-            if self._kind.offer(row, self._rng) is not None:
+            if self._kind.offer_many((row,), self._rng)[1]:
                 self._log.append(self._join(row))
         elif kind == "delete":
             raise RuntimeError(

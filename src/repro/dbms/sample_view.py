@@ -159,7 +159,7 @@ class SampleView:
     def _on_insert(self, row: Row) -> None:
         self._window_inserted_keys.add(row.key)
         # Full logging keeps every insert; candidate logging the accepted.
-        if self._allow_deletes or self._kind.offer(row, self._rng) is not None:
+        if self._allow_deletes or self._kind.offer_many((row,), self._rng)[1]:
             self._insert_log.append(row)
         self._dataset_size += 1
 

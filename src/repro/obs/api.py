@@ -51,8 +51,9 @@ class Instrumentation:
         their cost-clock from.  Without it spans still nest and count,
         but report zero seconds and no block deltas.
     trace_inserts:
-        When True, every ``insert()`` opens an ``insert`` span (with
-        acceptance outcome and log-append attributes).  Off by default:
+        When True, every insert batch (a single ``insert()`` is a batch
+        of one) opens a ``batch_insert`` span (with consumed and accepted
+        counts).  Off by default:
         insert volume dwarfs refresh volume, and counters/gauges cover
         the online phase more cheaply.
     trace_storage:

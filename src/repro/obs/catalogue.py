@@ -49,8 +49,8 @@ INSTRUMENTS: dict[str, InstrumentSpec] = {
     ),
     "maintenance.inserts_skipped": InstrumentSpec(
         "counter",
-        "elements the skip-based batch path rejected without per-element "
-        "work (batch path only; scalar inserts leave it at zero)",
+        "elements the skip-based insert path rejected without per-element "
+        "work (every rejected insertion, single inserts included)",
     ),
     "maintenance.refreshes": InstrumentSpec(
         "counter", "deferred refresh cycles completed"
@@ -231,8 +231,8 @@ INSTRUMENTS: dict[str, InstrumentSpec] = {
 #: ``session.refresh_forced``).
 SPANS: dict[str, str] = {
     # -- maintenance core (repro.core.maintenance, baselines) ---------------
-    "insert": "one scalar insertion through the maintenance front door",
-    "batch_insert": "one skip-based batch insertion (attrs: offered)",
+    "batch_insert": "one insert batch chunk; one insertion is a batch of one "
+    "(attrs: n, consumed, accepted)",
     "refresh": "one deferred refresh cycle (attrs: candidates, displaced)",
     "refresh.log_flush": "log flush/truncate at the end of a refresh",
     "refresh.precompute": "offline precompute phase of a refresh",

@@ -57,7 +57,7 @@ def add_stats_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
     stats.add_argument("--seed", type=int, default=0, help="random seed")
     stats.add_argument(
         "--trace-inserts", action="store_true",
-        help="open a trace span per insert (verbose; off by default)",
+        help="open a trace span per insert batch (verbose; off by default)",
     )
     stats.add_argument(
         "--format", default="summary",

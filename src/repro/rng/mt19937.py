@@ -72,6 +72,13 @@ def _seeded_key(seed: int) -> tuple[int, ...]:
     return tuple(bitgen.state["state"]["key"].tolist())
 
 
+def _served_key(raw: np.ndarray, base: int, unread_seed: int | None) -> tuple[int, ...]:
+    """The key whose block ``raw[base : base + _N]`` serves."""
+    if base == 0 and unread_seed is not None:
+        return _seeded_key(unread_seed)
+    return tuple(_untemper(raw[base : base + _N]).tolist())
+
+
 def _untemper(words: np.ndarray) -> np.ndarray:
     """The state words whose tempered outputs are ``words``.
 
@@ -184,10 +191,7 @@ class MT19937:
         """Capture the full generator state as an immutable snapshot."""
         base = self._base
         if base + _N < len(self._raw):  # a block before numpy's current one
-            if base == 0 and self._unread_seed is not None:
-                key = _seeded_key(self._unread_seed)
-            else:
-                key = tuple(_untemper(self._raw[base : base + _N]).tolist())
+            key = _served_key(self._raw, base, self._unread_seed)
             return MTState._of_generator(key, self._index)
         if self._key is None:
             self._key = tuple(self._bitgen.state["state"]["key"].tolist())
@@ -205,6 +209,29 @@ class MT19937:
         self._set_raw(self._bitgen.random_raw(_N))
         self._index = state.position
         self._key = state.key
+
+    def mark(self) -> tuple:
+        """Where the stream stands, copying nothing: :meth:`rewind` goes back.
+
+        A :meth:`getstate` right after numpy served a new block reads the
+        key from numpy, which costs tens of microseconds; a mark only holds
+        on to the words served, and a rewind derives the key from them
+        when numpy has moved on since.
+        """
+        return self._raw, self._base, self._index, self._unread_seed
+
+    def rewind(self, mark: tuple) -> None:
+        """Go back to a :meth:`mark` of this generator, as a
+        :meth:`setstate` of the state :meth:`getstate` gave there would."""
+        raw, base, index, unread_seed = mark
+        if raw is not self._raw or unread_seed != self._unread_seed:
+            self.setstate(MTState._of_generator(_served_key(raw, base, unread_seed), index))
+            return
+        # numpy has served nothing since: stand at the marked word again.
+        self._base = base
+        self._index = index
+        self._block = None
+        self._window_start = _CLOSED
 
     # -- core generation ---------------------------------------------------
 

@@ -160,6 +160,19 @@ class RandomSource:
         self._gen.setstate(mt_state)
         self._w = w
 
+    def mark(self) -> tuple:
+        """Where the stream stands, cheaply: :meth:`rewind` goes back to it.
+
+        For undoing draws just made (a refused batch); unlike a
+        :meth:`snapshot` it copies no generator words.
+        """
+        return self._gen.mark(), self._w
+
+    def rewind(self, mark: tuple) -> None:
+        """Go back to a :meth:`mark` taken from this source."""
+        position, self._w = mark
+        self._gen.rewind(position)
+
     def spawn(self, label: str = "") -> "RandomSource":
         """Derive a deterministic, decorrelated child source.
 

@@ -59,6 +59,10 @@ class _BlockStore:
         return self._device
 
     @property
+    def codec(self) -> RecordCodec:
+        return self._codec
+
+    @property
     def elements_per_block(self) -> int:
         return self._per_block
 

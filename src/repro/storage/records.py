@@ -15,6 +15,7 @@ its layout cannot hold or a buffer too short for its records.
 from __future__ import annotations
 
 import struct
+from array import array
 from itertools import chain
 from typing import ClassVar, Generic, Iterable, Protocol, Sequence, TypeVar
 
@@ -149,6 +150,17 @@ class IntRecordCodec(StructRecordCodec[int]):
     """
 
     FIELDS = "q"
+
+    def check(self, values: Sequence) -> None:
+        """Raise :class:`ValueError` unless every value is an integer the
+        int64 field holds: what :meth:`encode_block` would refuse, checked
+        without building the bytes (or a packer per batch length)."""
+        try:
+            array("q", values)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"sample values must be integers in the int64 range: {exc}"
+            ) from None
 
     def _flatten(self, values: Sequence[int]) -> Sequence[int]:
         return values

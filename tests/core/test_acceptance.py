@@ -24,7 +24,7 @@ class TestUniformAcceptance:
         rng = RandomSource(seed=1)
         first = kind.capacity / (kind.seen + 1)
         for v in range(100):
-            kind.offer(v, rng)
+            kind.offer_many((v,), rng)
         assert kind.capacity / (kind.seen + 1) < first
         assert kind.seen == 200
 
@@ -34,7 +34,7 @@ class TestUniformAcceptance:
         hits = 0
         for _ in range(trials):
             kind = UniformKind(10, seen=99)
-            if kind.offer(0, rng) is not None:
+            if kind.offer_many((0,), rng)[1]:
                 hits += 1
         expected = trials * 10 / 100
         assert abs(hits - expected) < 5 * math.sqrt(expected)
@@ -43,7 +43,7 @@ class TestUniformAcceptance:
         with pytest.raises(ValueError):
             UniformKind(0)
         with pytest.raises(ValueError):
-            UniformKind(10, seen=5).offer(0, RandomSource(seed=3))
+            UniformKind(10, seen=5).offer_many((0,), RandomSource(seed=3))
 
 
 class TestBiasedAcceptance:

@@ -86,7 +86,8 @@ class TestWeightedKind:
         rng = RandomSource(seed=3)
         mirror = RandomSource(seed=3)
         # Before the initial build the threshold is +inf: the record logs.
-        value, key = kind.offer(42, rng)
+        _, records = kind.offer_many((42,), rng)
+        [(value, key)] = records.tolist()
         u = mirror.random()
         assert value == 42
         assert key == -math.log(1.0 - u) / kind.weight(42)
@@ -272,7 +273,8 @@ class TestWindowKind:
         kind = WindowKind(4)
         rng = RandomSource(seed=5)
         before = rng.snapshot()
-        assert [kind.offer(v, rng) for v in (7, 8, 9)] == [(7, 0), (8, 1), (9, 2)]
+        rows = [kind.offer_many((v,), rng)[1].tolist() for v in (7, 8, 9)]
+        assert rows == [[(7, 0)], [(8, 1)], [(9, 2)]]
         assert rng.snapshot() == before
         assert kind.seen == 3
 

@@ -96,15 +96,14 @@ class TestFullLogger:
         kind = UniformKind(10, seen=100)
         logger = FullLogger(log, kind, RandomSource(seed=1))
         for v in range(50):
-            assert logger.insert(v)
+            assert logger.insert_many((v,)) == (1, 1)
         assert len(log) == 50
         assert kind.seen == 150
 
     def test_after_refresh_advances_baseline(self):
         log, _ = make_log()
         logger = FullLogger(log, UniformKind(10, seen=100), RandomSource(seed=2))
-        for v in range(50):
-            logger.insert(v)
+        logger.insert_many(range(50))
         assert logger.dataset_size_at_last_refresh == 100
         logger.after_refresh()
         assert logger.dataset_size_at_last_refresh == 150
@@ -156,8 +155,7 @@ class TestFullLogSource:
     def _full_log(self, inserts, seed=9, r0=100):
         log, model = make_log()
         logger = FullLogger(log, UniformKind(10, seen=r0), RandomSource(seed=seed))
-        for v in range(inserts):
-            logger.insert(v)
+        logger.insert_many(range(inserts))
         return log, model
 
     def test_count_is_deterministic_across_calls(self):

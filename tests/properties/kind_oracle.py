@@ -1,12 +1,21 @@
-"""Eager maintenance of the weighted and window sample kinds, from scratch.
+"""Eager maintenance of the sample kinds, from scratch.
 
 The reference ``test_prop_kinds.py`` proves deferred maintenance
-against.  It is written apart from :mod:`repro.core.kinds` -- plain
-Python over lists, no ``heapq``, no numpy, no import but :mod:`math` (a
-test parses this file to keep it that way) -- so a fault in the kinds'
-key, acceptance or victim code cannot hide in the oracle as well.
+against, and the uniform reservoir's batched skip walk is checked
+against.  It is written apart from :mod:`repro.core.kinds` and
+:mod:`repro.core.reservoir` -- plain Python over lists, no ``heapq``, no
+numpy, no import but :mod:`math` (a test parses this file to keep it that
+way) -- so a fault in the kinds' key, acceptance or victim code cannot
+hide in the oracle as well.  ``rng`` is any object with the methods an
+oracle calls.
 
 Each arrival is applied on the spot, in stream order:
+
+* **uniform** (Algorithm R): the first ``M`` arrivals fill slots
+  ``0..M-1``; arrival ``t`` (1-based over the whole stream) is accepted
+  when ``rng.random() * t < M`` and displaces slot ``rng.randrange(M)``.
+  :func:`skip_walk` makes the same decisions from Vitter skips, one
+  arrival at a time, as the reservoir sampler draws them.
 
 * **weighted** (A-ES): the record of value ``v`` draws one uniform ``u``
   and gets the key ``-log(1 - u) / (1 + v % mod)``.  The first ``M``
@@ -21,6 +30,45 @@ import math
 
 #: The weight modulus of a ``weighted`` spec without one.
 DEFAULT_WEIGHT_MOD = 16
+
+
+def algorithm_r(capacity, seen, arrivals, rng):
+    """The ``(index, slot)`` of each of ``arrivals`` arrivals after ``seen``
+    that Algorithm R places, ``index`` counting from 0 within them."""
+    placed = []
+    for index in range(arrivals):
+        seen += 1
+        if seen <= capacity:
+            placed.append((index, seen - 1))
+        elif rng.random() * seen < capacity:
+            placed.append((index, rng.randrange(capacity)))
+    return placed
+
+
+def skip_walk(capacity, seen, pending, arrivals, rng, slots=True):
+    """``(placed, seen, pending)`` after ``arrivals`` arrivals, one at a time.
+
+    While ``seen < capacity`` an arrival fills the next slot.  Past that,
+    an arrival that finds no accept ``pending`` first draws a skip
+    ``rng.reservoir_skip(capacity, seen)``, ``seen`` counting the arrivals
+    before it: the arrival ``skip + 1`` places on is accepted.  Each
+    accepted arrival is placed as ``(index, slot)`` with its victim slot
+    ``rng.randrange(capacity)`` drawn at once, or, without ``slots``, as
+    its ``index`` alone.
+    """
+    placed = []
+    for index in range(arrivals):
+        if seen < capacity:
+            placed.append((index, seen) if slots else index)
+            seen += 1
+            continue
+        if pending is None:
+            pending = seen + rng.reservoir_skip(capacity, seen) + 1
+        seen += 1
+        if seen == pending:
+            pending = None
+            placed.append((index, rng.randrange(capacity)) if slots else index)
+    return placed, seen, pending
 
 
 def victim(keys, key):

@@ -1,12 +1,13 @@
-"""Property-based tests: the batch insert path is bit-identical to scalar.
+"""Property-based tests: how a stream is cut into batches changes nothing.
 
-The contract: ``SampleMaintainer.insert_many`` with the skip-based
-batch path must be indistinguishable from an element-wise ``insert()``
-loop under the same ``repro.rng`` seed -- same sample contents, same candidate-log
-records, same AccessStats, same obs counters, same final RNG state.  The
-batch path draws the *same* variates in the *same* order (skips lazily,
-victim slots at acceptance time), so equality here is exact, not
-statistical.
+The contract: ``SampleMaintainer.insert_many`` over batches of any size
+must be indistinguishable from an element-wise ``insert()`` loop (batches
+of one) under the same ``repro.rng`` seed -- same sample contents, same
+candidate-log records, same AccessStats, same obs counters, same final
+RNG state.  The skip walk draws the *same* variates in the *same* order
+(skips lazily, victim slots at acceptance time), so equality here is
+exact, not statistical.  The walk itself is checked against the eager,
+one-arrival-at-a-time reference in ``kind_oracle.py``.
 
 The strategies deliberately cross refresh-period boundaries: batch sizes
 {1, 7, 1000} against periods that split a batch mid-way exercise the
@@ -26,15 +27,10 @@ from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.cost_model import CostModel
 from repro.storage.files import LogFile, SampleFile
 from repro.storage.records import IntRecordCodec
+from tests.properties import kind_oracle
 
 SAMPLE_SIZE = 32
 INITIAL_DATASET = 120
-
-# The counter the batch path increments in bulk and the scalar path never
-# touches -- documented in obs/catalogue.py as batch-only, so it is the
-# one instrument excluded from the equivalence check.
-BATCH_ONLY_COUNTERS = {"maintenance.inserts_skipped"}
-
 
 def _build(strategy, policy, seed, *, algorithm=None, instrument=False):
     rng = RandomSource(seed=seed)
@@ -61,13 +57,13 @@ def _build(strategy, policy, seed, *, algorithm=None, instrument=False):
 
 
 def _counter_values(obs):
-    """name/labels -> value for every counter except the batch-only ones."""
+    """name/labels -> value for every counter."""
     if obs is None:
         return {}
     return {
         (inst["name"], tuple(sorted(inst["labels"].items()))): inst["value"]
         for inst in obs.registry.snapshot()["instruments"]
-        if inst["kind"] == "counter" and inst["name"] not in BATCH_ONLY_COUNTERS
+        if inst["kind"] == "counter"
     }
 
 
@@ -174,22 +170,20 @@ class TestBatchScalarEquivalence:
 
 
 class TestReservoirBatchPrimitives:
+    """The batched walk against ``kind_oracle.skip_walk``, which draws the
+    same skips and slots one arrival at a time."""
+
     @given(
         n=st.integers(min_value=0, max_value=400),
         chunk=st.sampled_from([1, 7, 1000]),
         seed=st.integers(0, 2**32),
-        method=st.sampled_from(["r", "x", "z", "auto"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_test_many_matches_test(self, n, chunk, seed, method):
-        scalar = ReservoirSampler(
-            16, RandomSource(seed=seed), initial_size=64, skip_method=method
-        )
-        batch = ReservoirSampler(
-            16, RandomSource(seed=seed), initial_size=64, skip_method=method
-        )
+    def test_test_many_matches_test(self, n, chunk, seed):
+        oracle_rng = RandomSource(seed=seed)
+        batch = ReservoirSampler(16, RandomSource(seed=seed), initial_size=64)
 
-        scalar_accepts = [i for i in range(n) if scalar.test(i)]
+        expected = kind_oracle.skip_walk(16, 64, None, n, oracle_rng, slots=False)
         batch_accepts = []
         done = 0
         while done < n:
@@ -199,9 +193,8 @@ class TestReservoirBatchPrimitives:
             batch_accepts.extend(done + i for i in accepted)
             done += consumed
 
-        assert batch_accepts == scalar_accepts
-        assert batch.rng.snapshot() == scalar.rng.snapshot()
-        assert batch._seen == scalar._seen
+        assert (batch_accepts, batch.seen, batch.pending_accept) == expected
+        assert batch.rng.snapshot() == oracle_rng.snapshot()
 
     @given(
         n=st.integers(min_value=0, max_value=400),
@@ -213,15 +206,10 @@ class TestReservoirBatchPrimitives:
     def test_offer_many_matches_offer(self, n, chunk, seed, initial):
         """offer_many places the same values in the same slots, even when
         the reservoir starts part-filled and fills mid-batch."""
-        scalar = ReservoirSampler(16, RandomSource(seed=seed), initial_size=initial)
+        oracle_rng = RandomSource(seed=seed)
         batch = ReservoirSampler(16, RandomSource(seed=seed), initial_size=initial)
 
-        scalar_placed = []
-        for i in range(n):
-            slot = scalar.offer(i)
-            if slot is not None:
-                scalar_placed.append((i, slot))
-
+        expected = kind_oracle.skip_walk(16, initial, None, n, oracle_rng)
         batch_placed = []
         done = 0
         while done < n:
@@ -231,25 +219,28 @@ class TestReservoirBatchPrimitives:
             batch_placed.extend((done + index, slot) for index, slot in placed)
             done += consumed
 
-        assert batch_placed == scalar_placed
-        assert batch.rng.snapshot() == scalar.rng.snapshot()
+        assert (batch_placed, batch.seen, batch.pending_accept) == expected
+        assert batch.rng.snapshot() == oracle_rng.snapshot()
 
     @given(
         seed=st.integers(0, 2**32),
         max_accepts=st.integers(min_value=1, max_value=4),
+        slots=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_max_accepts_stops_at_acceptance(self, seed, max_accepts):
+    def test_max_accepts_stops_at_acceptance(self, seed, max_accepts, slots):
         """Capped batches stop exactly at the accepting element, leaving the
         sampler state as if the remaining elements were never offered."""
         capped = ReservoirSampler(8, RandomSource(seed=seed), initial_size=512)
-        scalar = ReservoirSampler(8, RandomSource(seed=seed), initial_size=512)
+        oracle_rng = RandomSource(seed=seed)
 
-        consumed, accepted = capped.test_many(4000, max_accepts=max_accepts)
+        step = capped.offer_many if slots else capped.test_many
+        consumed, accepted = step(4000, max_accepts=max_accepts)
         assert len(accepted) <= max_accepts
-        scalar_hits = [i for i in range(consumed) if scalar.test(i)]
-        assert accepted == scalar_hits
+        expected = kind_oracle.skip_walk(8, 512, None, consumed, oracle_rng, slots)
+        assert (accepted, capped.seen, capped.pending_accept) == expected
         if len(accepted) == max_accepts:
             # Stopped exactly on the accepting element.
-            assert accepted[-1] == consumed - 1
-        assert capped._seen == scalar._seen
+            last = accepted[-1][0] if slots else accepted[-1]
+            assert last == consumed - 1
+        assert capped.rng.snapshot() == oracle_rng.snapshot()

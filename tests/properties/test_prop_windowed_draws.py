@@ -82,15 +82,15 @@ def survivor_indexes_oracle(geom_rng, size, total):
 
 
 def offer_many_oracle(kind, elements, rng, max_accepts):
-    """Batched offers as scalar :meth:`offer` calls, stopping right after
-    the acceptance that fills ``max_accepts``."""
+    """Batched offers as one-row batches, stopping right after the
+    acceptance that fills ``max_accepts``."""
     records = []
     consumed = 0
     for element in elements:
         consumed += 1
-        record = kind.offer(element, rng)
-        if record is not None:
-            records.append(record)
+        _, accepted = kind.offer_many((element,), rng)
+        if len(accepted):
+            records.append(accepted[0].item())
             if max_accepts is not None and len(records) >= max_accepts:
                 break
     return consumed, records

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rng.mt19937 import MT19937, MTState
 
@@ -228,6 +229,49 @@ class TestWindows:
         state = gen.getstate()
         assert state.key == tuple(oracle.state["state"]["key"].tolist())
         assert state.position == 300
+
+
+#: Ways to move a generator: word reads, windows (part given back) and
+#: discards, each of which may make numpy serve new blocks.
+MOVES = st.lists(
+    st.one_of(
+        st.tuples(st.just("words"), st.integers(0, 700)),
+        st.tuples(st.just("window"), st.integers(1, 1_500), st.integers(0, 1_500)),
+        st.tuples(st.just("jump"), st.integers(0, 2_000)),
+    ),
+    max_size=4,
+)
+
+
+def _move(gen, moves):
+    for move in moves:
+        if move[0] == "words":
+            for _ in range(move[1]):
+                gen.next_uint32()
+        elif move[0] == "window":
+            window = gen.random_array(move[1])
+            gen.give_back(min(move[2], len(window)))
+        else:
+            gen.jump_discard(move[1])
+
+
+class TestMarks:
+    @given(seed=st.integers(0, 2**32 - 1), before=MOVES, after=MOVES)
+    # Marked in an earlier block of a long window, then read into the next.
+    @example(seed=1, before=[("window", 1_500, 1_000)], after=[("words", 700)])
+    @settings(max_examples=80, deadline=None)
+    def test_rewind_stands_where_the_mark_was_taken(self, seed, before, after):
+        gen, twin = MT19937(seed=seed), MT19937(seed=seed)
+        _move(gen, before)
+        _move(twin, before)
+        mark = gen.mark()
+        _move(gen, after)
+        gen.rewind(mark)
+        assert gen.getstate() == twin.getstate()
+        assert [gen.next_uint32() for _ in range(700)] == [
+            twin.next_uint32() for _ in range(700)
+        ]
+        assert gen.random_array(700).tolist() == twin.random_array(700).tolist()
 
 
 class TestDoubleQuality:
