@@ -47,7 +47,6 @@ class BiasedAcceptance:
                 f"acceptance probability must be in (0, 1], got "
                 f"{acceptance_probability}"
             )
-        self._sample_size = sample_size
         self._p = acceptance_probability
 
     @classmethod
@@ -62,11 +61,6 @@ class BiasedAcceptance:
     @property
     def expected_rate(self) -> float:
         return self._p
-
-    @property
-    def mean_age(self) -> float:
-        """Expected age of a sampled element at steady state."""
-        return self._sample_size / self._p
 
     def accept(self, rng: RandomSource) -> bool:
         return rng.random() < self._p

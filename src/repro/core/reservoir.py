@@ -100,14 +100,14 @@ class ReservoirSampler:
 
     def mark(self) -> tuple:
         """What a batch refused after its acceptance test gives back: the
-        stream's position, ``seen`` and the pending accept."""
-        return self.rng.mark(), self._seen, self._next_accept
+        stream's snapshot, ``seen`` and the pending accept."""
+        return self.rng.snapshot(), self._seen, self._next_accept
 
     def rewind(self, mark: tuple) -> None:
         """Go back to a :meth:`mark`, as if the arrivals since had never
         come."""
-        position, self._seen, self._next_accept = mark
-        self.rng.rewind(position)
+        snapshot, self._seen, self._next_accept = mark
+        self.rng.restore(snapshot)
 
     def test_many(
         self, n: int, max_accepts: int | None = None

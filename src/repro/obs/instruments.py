@@ -121,9 +121,6 @@ class Gauge(Instrument):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram(Instrument):
     """Distribution with fixed bucket boundaries (phase costs, |C|, Psi).

@@ -14,10 +14,11 @@ seeding.  This module keeps what the algorithms need on top of it: raw
 words served at Python speed from one 624-word block at a time, windows
 of up to :data:`WINDOW` doubles computed by numpy over as many blocks as
 they span, and snapshots as immutable :class:`MTState` values.  A
-snapshot is exactly numpy's ``{"key", "pos"}`` state -- the 624
+snapshot stands for exactly numpy's ``{"key", "pos"}`` state -- the 624
 untempered words plus the read position -- so the stream matches the
 reference C implementation word for word (see
-``tests/rng/test_mt19937.py``).
+``tests/rng/test_mt19937.py``).  Taking one copies nothing: it holds the
+served words, and the key is untempered from them only when it is read.
 
 The state is 624 32-bit words plus an index -- about 2.5 KiB, which is the
 "negligible" memory footprint the paper attributes to Nomem Refresh.
@@ -26,7 +27,6 @@ The state is 624 32-bit words plus an index -- about 2.5 KiB, which is the
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -100,34 +100,57 @@ def _untemper(words: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
 class MTState:
     """Immutable snapshot of an :class:`MT19937` generator.
 
-    Snapshots are value objects: capturing one never aliases the live
-    generator, so a later :meth:`MT19937.setstate` restores exactly the
+    ``MTState(key=..., position=...)`` builds one from 624 state words and
+    a read position, checked.  :meth:`MT19937.getstate` builds one that
+    copies nothing: it holds the served words the generator stands in,
+    and ``key`` is derived from them the first time it is read (for
+    checkpoint bytes or ``==``), then kept.  Snapshots compare by key and
+    position, and a later :meth:`MT19937.setstate` restores exactly the
     captured position in the stream.
     """
 
-    key: tuple[int, ...]
-    position: int
+    # A generator's snapshot stands at word ``_position`` of the block at
+    # ``_raw[_base:]`` it served; one built from a key has no ``_raw``.
+    __slots__ = ("_base", "_key", "_position", "_raw", "_unread_seed")
 
-    def __post_init__(self) -> None:
-        if len(self.key) != _N:
-            raise ValueError(f"MT19937 state must have {_N} words, got {len(self.key)}")
-        if min(self.key) < 0 or max(self.key) > _MASK32:
+    def __init__(self, key: tuple[int, ...], position: int) -> None:
+        if len(key) != _N:
+            raise ValueError(f"MT19937 state must have {_N} words, got {len(key)}")
+        if min(key) < 0 or max(key) > _MASK32:
             raise ValueError("MT19937 state words must lie in [0, 2**32)")
-        if not 0 <= self.position <= _N:
-            raise ValueError(f"state position out of range: {self.position}")
+        if not 0 <= position <= _N:
+            raise ValueError(f"state position out of range: {position}")
+        self._key = tuple(key)
+        self._position = position
+        self._raw = None
+        self._base = 0
+        self._unread_seed = None
 
-    @classmethod
-    def _of_generator(cls, key: tuple[int, ...], position: int) -> "MTState":
-        """A snapshot of the words a generator holds, built unchecked:
-        they came from numpy's 32-bit state or from a checked snapshot."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "key", key)
-        object.__setattr__(state, "position", position)
-        return state
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The 624 untempered state words of the snapshot's block."""
+        if self._key is None:
+            self._key = _served_key(self._raw, self._base, self._unread_seed)
+        return self._key
+
+    @property
+    def position(self) -> int:
+        """The read position within the block, 0 to 624."""
+        return self._position
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MTState):
+            return NotImplemented
+        return self._position == other._position and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.key, self._position))
+
+    def __repr__(self) -> str:
+        return f"MTState(key={self.key!r}, position={self._position!r})"
 
 
 class MT19937:
@@ -147,11 +170,11 @@ class MT19937:
     # blocks, and ``_bitgen`` sits at the end of the last, so its next raw
     # draw twists.  The read position is word ``_index`` (0 to 624) of
     # the block at ``_raw[_base:]``; a position on a block boundary
-    # belongs to the block it ends, as after word reads.  ``_key`` is the
-    # last block's state, read from numpy lazily; an earlier block's is
-    # untempered from its words, except a freshly seeded key's unread
+    # belongs to the block it ends, as after word reads.  A block's state
+    # is untempered from its words, except a freshly seeded key's unread
     # block at the front of ``_raw``, whose key is derived again from
-    # ``_unread_seed``.  Word reads come from the list ``_block``
+    # ``_unread_seed``.  ``_raw`` is never written in place, so a
+    # snapshot may hold it.  Word reads come from the list ``_block``
     # of the current block's outputs.  Every block starts it as ``None``,
     # and the block's first word read builds it from that word on (the
     # words before it stay 0 and are never read), so a block read only in
@@ -160,7 +183,7 @@ class MT19937:
     # ``_window_end`` of ``_raw`` (``_window_start`` is ``_CLOSED`` once
     # nothing may be given back to it).
     __slots__ = (
-        "_base", "_bitgen", "_block", "_index", "_key", "_raw", "_unread_seed",
+        "_base", "_bitgen", "_block", "_index", "_raw", "_unread_seed",
         "_window_end", "_window_start",
     )
 
@@ -188,50 +211,38 @@ class MT19937:
     # -- state management (the Nomem Refresh prerequisite) ----------------
 
     def getstate(self) -> MTState:
-        """Capture the full generator state as an immutable snapshot."""
-        base = self._base
-        if base + _N < len(self._raw):  # a block before numpy's current one
-            key = _served_key(self._raw, base, self._unread_seed)
-            return MTState._of_generator(key, self._index)
-        if self._key is None:
-            self._key = tuple(self._bitgen.state["state"]["key"].tolist())
-        return MTState._of_generator(self._key, self._index)
+        """Capture the full generator state as an immutable snapshot.
+
+        Nothing is copied: the snapshot holds the words served, and
+        derives its key from them only when the key is read.
+        """
+        state = MTState.__new__(MTState)
+        state._key, state._position, state._raw = None, self._index, self._raw
+        state._base, state._unread_seed = self._base, self._unread_seed
+        return state
 
     def setstate(self, state: MTState) -> None:
-        """Restore a snapshot captured by :meth:`getstate`."""
+        """Restore a snapshot, from :meth:`getstate` of any generator or
+        built from its key."""
         if not isinstance(state, MTState):
             raise TypeError(f"expected MTState, got {type(state).__name__}")
-        # Serve the snapshot's whole block, then move to its position.
-        self._bitgen.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": state.key, "pos": 0},
-        }
-        self._set_raw(self._bitgen.random_raw(_N))
-        self._index = state.position
-        self._key = state.key
-
-    def mark(self) -> tuple:
-        """Where the stream stands, copying nothing: :meth:`rewind` goes back.
-
-        A :meth:`getstate` right after numpy served a new block reads the
-        key from numpy, which costs tens of microseconds; a mark only holds
-        on to the words served, and a rewind derives the key from them
-        when numpy has moved on since.
-        """
-        return self._raw, self._base, self._index, self._unread_seed
-
-    def rewind(self, mark: tuple) -> None:
-        """Go back to a :meth:`mark` of this generator, as a
-        :meth:`setstate` of the state :meth:`getstate` gave there would."""
-        raw, base, index, unread_seed = mark
-        if raw is not self._raw or unread_seed != self._unread_seed:
-            self.setstate(MTState._of_generator(_served_key(raw, base, unread_seed), index))
-            return
-        # numpy has served nothing since: stand at the marked word again.
-        self._base = base
-        self._index = index
-        self._block = None
-        self._window_start = _CLOSED
+        if state._raw is self._raw and state._unread_seed == self._unread_seed:
+            # numpy has served nothing since: stand at the word again.
+            self._base = state._base
+            self._block = None
+            self._window_start = _CLOSED
+        elif state._base == 0 and state._unread_seed is not None:
+            # A fresh seed's unread block: seeding again is cheaper than
+            # deriving its key.
+            self.seed(state._unread_seed)
+        else:
+            # Serve the snapshot's whole block, then move to its position.
+            self._bitgen.state = {
+                "bit_generator": "MT19937",
+                "state": {"key": state.key, "pos": 0},
+            }
+            self._set_raw(self._bitgen.random_raw(_N))
+        self._index = state._position
 
     # -- core generation ---------------------------------------------------
 
@@ -241,7 +252,6 @@ class MT19937:
         self._raw = raw
         self._base = 0
         self._block = None
-        self._key = None
         self._unread_seed = None
         self._window_start = _CLOSED
 

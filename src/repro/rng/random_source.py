@@ -8,6 +8,8 @@ Two design points matter:
   :meth:`RandomSource.restore`) is first-class, because Nomem Refresh
   (Sec. 4.3) and the full-log adapter (Sec. 5) work by replaying a variate
   sequence from a stored PRNG state instead of buffering it in memory.
+  It is the one way back in a stream: a snapshot copies no generator
+  words, so undoing the draws of a refused batch uses it too.
 * **Independent named streams** (:meth:`RandomSource.spawn`): the full-log
   adapter interleaves two replayed sequences (Vitter skips locating
   candidates in the full log, and the refresh algorithm's geometric skips).
@@ -151,7 +153,12 @@ class RandomSource:
     # -- state management ----------------------------------------------------
 
     def snapshot(self) -> tuple[MTState, float | None]:
-        """Capture the complete replayable state of this source."""
+        """Capture the complete replayable state of this source.
+
+        It copies no generator words (see
+        :meth:`MT19937.getstate <repro.rng.mt19937.MT19937.getstate>`), so
+        it is also the cheap way to undo draws just made.
+        """
         return self._gen.getstate(), self._w
 
     def restore(self, state: tuple[MTState, float | None]) -> None:
@@ -159,19 +166,6 @@ class RandomSource:
         mt_state, w = state
         self._gen.setstate(mt_state)
         self._w = w
-
-    def mark(self) -> tuple:
-        """Where the stream stands, cheaply: :meth:`rewind` goes back to it.
-
-        For undoing draws just made (a refused batch); unlike a
-        :meth:`snapshot` it copies no generator words.
-        """
-        return self._gen.mark(), self._w
-
-    def rewind(self, mark: tuple) -> None:
-        """Go back to a :meth:`mark` taken from this source."""
-        position, self._w = mark
-        self._gen.rewind(position)
 
     def spawn(self, label: str = "") -> "RandomSource":
         """Derive a deterministic, decorrelated child source.

@@ -437,10 +437,6 @@ class SampleCatalog:
             )
         return entry.maintainer
 
-    def reopen_all(self) -> None:
-        for name in self._entries:
-            self.reopen(name)
-
     def adopt(
         self,
         name: str,

@@ -38,10 +38,6 @@ class MemoryReport:
     def peak_bytes(self) -> int:
         return self.index_bytes + self.element_bytes + self.prng_state_bytes
 
-    @property
-    def peak_megabytes(self) -> float:
-        return self.peak_bytes / 1_000_000.0
-
     def account_indexes(self, count: int) -> None:
         """Track the high-water mark of live index entries."""
         if count < 0:

@@ -50,7 +50,8 @@ def test_gauge_moves_both_ways():
     g = Gauge("sample.pending_log_elements")
     g.set(10)
     g.inc(2.5)
-    g.dec()
+    assert g.value == pytest.approx(12.5)
+    g.inc(-1)
     assert g.value == pytest.approx(11.5)
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.rng.mt19937 import MT19937, MTState
+from repro.rng.random_source import RandomSource
+from repro.storage.superblock import MaintenanceCheckpoint
 
 
 def _from_cpython(reference: random.Random) -> MT19937:
@@ -231,47 +233,83 @@ class TestWindows:
         assert state.position == 300
 
 
-#: Ways to move a generator: word reads, windows (part given back) and
-#: discards, each of which may make numpy serve new blocks.
+#: Ways to move a stream: word reads, windows (part given back) and
+#: discards, each of which may make numpy serve new blocks, fresh seeds,
+#: and spawns, after which the child's stream moves on.
 MOVES = st.lists(
     st.one_of(
         st.tuples(st.just("words"), st.integers(0, 700)),
         st.tuples(st.just("window"), st.integers(1, 1_500), st.integers(0, 1_500)),
         st.tuples(st.just("jump"), st.integers(0, 2_000)),
+        st.tuples(st.just("seed"), st.just(5489) | st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("spawn"), st.text(max_size=2)),
     ),
     max_size=4,
 )
 
 
-def _move(gen, moves):
+def _move(source, moves):
+    """Move ``source``'s stream; returns the source moved last."""
     for move in moves:
+        gen = source._gen
         if move[0] == "words":
             for _ in range(move[1]):
                 gen.next_uint32()
         elif move[0] == "window":
             window = gen.random_array(move[1])
             gen.give_back(min(move[2], len(window)))
-        else:
+        elif move[0] == "jump":
             gen.jump_discard(move[1])
+        elif move[0] == "seed":
+            gen.seed(move[1])
+        else:
+            source = source.spawn(move[1])
+    return source
+
+
+def _next(gen):
+    return [gen.next_uint32() for _ in range(1_000)], gen.random_array(700).tolist()
+
+
+def _checkpointed(source):
+    """``source``'s generator as a checkpoint's bytes restore it."""
+    seed, spawn_count, state, w = MaintenanceCheckpoint.capture_rng(source)
+    checkpoint = MaintenanceCheckpoint(
+        strategy="candidate", sample_size=1, dataset_size=0,
+        dataset_size_at_refresh=0, log_count=0, inserts=0, refreshes=0,
+        pending_accept=None, ops_since_refresh=0, rng_seed=seed,
+        rng_spawn_count=spawn_count, rng_state=state, rng_w=w,
+    )
+    return MaintenanceCheckpoint.from_bytes(checkpoint.to_bytes()).restore_rng()._gen
 
 
 class TestMarks:
     @given(seed=st.integers(0, 2**32 - 1), before=MOVES, after=MOVES)
-    # Marked in an earlier block of a long window, then read into the next.
+    # Taken in an earlier block of a long window, then read into the next.
     @example(seed=1, before=[("window", 1_500, 1_000)], after=[("words", 700)])
+    # Taken at a fresh seed's unread block, which numpy then moves past.
+    @example(seed=1, before=[("spawn", "")], after=[("words", 1)])
     @settings(max_examples=80, deadline=None)
     def test_rewind_stands_where_the_mark_was_taken(self, seed, before, after):
-        gen, twin = MT19937(seed=seed), MT19937(seed=seed)
-        _move(gen, before)
-        _move(twin, before)
-        mark = gen.mark()
-        _move(gen, after)
-        gen.rewind(mark)
-        assert gen.getstate() == twin.getstate()
-        assert [gen.next_uint32() for _ in range(700)] == [
-            twin.next_uint32() for _ in range(700)
-        ]
-        assert gen.random_array(700).tolist() == twin.random_array(700).tolist()
+        """A snapshot gives the next words its twin does three ways: set
+        back into its generator after more draws, set into a fresh one, and
+        restored from a checkpoint's bytes."""
+        source = _move(RandomSource(seed), before)
+        gen = source._gen
+        state = gen.getstate()
+        if gen._base + 624 == len(gen._raw):  # numpy's current block
+            assert state.key == tuple(gen._bitgen.state["state"]["key"].tolist())
+        restored = _checkpointed(source)
+        twin = _move(RandomSource(seed), before)._gen
+        twin_state = twin.getstate()
+        expected = _next(twin)
+        fresh = MT19937()
+        fresh.setstate(state)
+        _move(source, after)
+        gen.setstate(state)
+        for route in (gen, fresh, restored):
+            assert route.getstate() == twin_state
+            assert _next(route) == expected
 
 
 class TestDoubleQuality:

@@ -43,17 +43,18 @@ class TestSnapshotRestore:
 
     @pytest.mark.parametrize("draws", [3, 400])
     def test_rewind_to_a_mark_restores_what_a_snapshot_does(self, draws):
-        # W included, and whether or not the draws since the mark made
-        # numpy serve a new block.
+        # Undoing draws just made, as a refused batch does: W included, and
+        # whether or not the draws since the snapshot made numpy serve a
+        # new block.
         rng, twin = RandomSource(seed=3), RandomSource(seed=3)
         for source in (rng, twin):
             for _ in range(5):
                 source.reservoir_skip(4, 500)
-        mark = rng.mark()
+        mark = rng.snapshot()
         for i in range(draws):
             rng.reservoir_skip(4, 500 + i)
             rng.randrange(7)
-        rng.rewind(mark)
+        rng.restore(mark)
         assert rng.snapshot() == twin.snapshot()
         assert [rng.reservoir_skip(4, 500 + i) for i in range(20)] == [
             twin.reservoir_skip(4, 500 + i) for i in range(20)

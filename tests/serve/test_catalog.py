@@ -131,7 +131,8 @@ class TestManifestRecovery:
             catalog.ingest(name, range(base, base + 200))
         catalog.checkpoint_all()
         pending_before = catalog.pending()
-        catalog.reopen_all()
+        for name in catalog.names():
+            catalog.reopen(name)
         assert catalog.pending() == pending_before
 
     def test_torn_manifest_write_falls_back(self):

@@ -31,7 +31,6 @@ class TestMemoryReport:
         report.account_elements(5, 32)
         report.account_prng_snapshots(1)
         assert report.peak_bytes == 10 * INDEX_BYTES + 160 + MT19937_STATE_BYTES
-        assert report.peak_megabytes == pytest.approx(report.peak_bytes / 1e6)
 
     def test_rejects_negative_counts(self):
         report = MemoryReport()
