@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -91,11 +90,13 @@ def mean_confidence_interval(
 ) -> ConfidenceInterval:
     """Normal-approximation CI for the population mean of a 1-D array.
 
-    Bit for bit the loop over its values as Python floats ``vs``:
-    ``mean = sum(vs) / n`` and ``sum((v - mean) ** 2 for v in vs)``.  The
-    squares come from libm ``pow``, which ``float ** 2`` calls (numpy's
-    ``d * d`` rounds some apart), and the builtin ``sum`` totals them in
-    order (``np.sum`` is pairwise; the builtin is compensated from 3.12).
+    Bit for bit the IEEE loop over its values as doubles ``vs``, left to
+    right from ``t = 0.0``: ``t += v`` for the mean ``t / n``, then
+    ``t += d * d`` over the deviations ``d = v - mean``.  The squares are
+    correctly rounded products (libm ``pow``, which ``float ** 2`` calls,
+    rounds some apart), and the running totals never depend on the
+    interpreter (builtin ``sum`` is compensated from 3.12) or on numpy's
+    pairwise ``np.sum``.
     """
     values = np.asarray(sample)
     if len(values) < 2:
@@ -112,27 +113,34 @@ def _padded_mean_interval(
     """:func:`mean_confidence_interval` of ``values`` padded with zeros to
     ``n >= 2`` rows, bit for bit, without building the padded array.
 
-    Every padded row deviates from the mean by ``-mean``, so its square is
-    one libm ``pow``, repeated after the matching rows' squares through
-    the same builtin ``sum`` in the same order.
+    Every padded row deviates from the mean by ``-mean``, so its square
+    is ``mean * mean``, added after the matching rows' squares.  One
+    numpy pass: the squares fill one array and ``np.add.accumulate``
+    totals it left to right, as the loop does.
     """
-    mean = _float_sum(values) / n if len(values) else 0.0
-    squares = map(math.pow, (values - mean).tolist(), repeat(2.0))
-    pads = repeat(math.pow(-mean, 2.0), n - len(values))
-    variance = sum(chain(squares, pads)) / (n - 1)
+    matches = len(values)
+    mean = _float_sum(values) / n if matches else 0.0
+    terms = np.empty(n)
+    squares = terms[:matches]
+    np.subtract(values, mean, out=squares)
+    np.multiply(squares, squares, out=squares)
+    terms[matches:] = mean * mean
+    variance = float(np.add.accumulate(terms, out=terms)[-1]) / (n - 1)
     stderr = math.sqrt(variance / n) * _fpc(n, population_size)
     margin = _z_score(confidence) * stderr
     return ConfidenceInterval(mean, mean - margin, mean + margin, confidence)
 
 
 def _float_sum(values: np.ndarray) -> float:
-    """``sum(map(float, values))`` to the last bit: integers whose
-    magnitudes sum below 2**53 add exactly, in int64 as in doubles."""
+    """The IEEE loop ``t = 0.0; t += v`` over ``values`` as doubles, left
+    to right: integers whose magnitudes sum below 2**53 add exactly, in
+    int64 as in doubles."""
     if values.dtype.kind == "i":
         largest = max(-int(values.min()), int(values.max()))
         if largest * len(values) < 2**53:
             return float(values.sum())
-    return sum(values.astype(float).tolist())
+    # ``+ 0.0`` is the loop's start: it turns an all ``-0.0`` total to 0.0.
+    return float(np.add.accumulate(values, dtype=float)[-1]) + 0.0
 
 
 def fraction_confidence_interval(

@@ -24,8 +24,9 @@ Statistics notes (all standard survey-sampling results):
 * ``avg()`` over a filtered query conditions on the matching subsample
   (a ratio estimator; its CI uses the subsample size).
 
-Answers are bit for bit a row-at-a-time loop's over the values as Python
-floats (see :func:`~repro.analysis.bounds.mean_confidence_interval`).
+Answers are bit for bit a row-at-a-time IEEE loop's over the values as
+doubles, left to right, with squares ``d * d``: one number on every
+interpreter (see :func:`~repro.analysis.bounds.mean_confidence_interval`).
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class SampleQuery:
         maps the value array to one boolean per row."""
         mask = np.asarray(predicate(self._values), dtype=bool)
         return SampleQuery(
-            self._values[mask],
+            self._values.compress(mask),
             self._dataset_size,
             self._confidence,
             _base_sample_size=self._base,

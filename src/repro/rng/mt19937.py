@@ -107,14 +107,18 @@ class MTState:
     a read position, checked.  :meth:`MT19937.getstate` builds one that
     copies nothing: it holds the served words the generator stands in,
     and ``key`` is derived from them the first time it is read (for
-    checkpoint bytes or ``==``), then kept.  Snapshots compare by key and
+    checkpoint bytes or ``==``), then kept where every snapshot of the
+    same served words finds it, so a block is untempered at most once
+    however many snapshots it is read from.  Snapshots compare by key and
     position, and a later :meth:`MT19937.setstate` restores exactly the
     captured position in the stream.
     """
 
     # A generator's snapshot stands at word ``_position`` of the block at
     # ``_raw[_base:]`` it served; one built from a key has no ``_raw``.
-    __slots__ = ("_base", "_key", "_position", "_raw", "_unread_seed")
+    # ``_keys`` maps a block's base to its key once one is derived; the
+    # generator and all its snapshots of the same served words share it.
+    __slots__ = ("_base", "_keys", "_position", "_raw", "_unread_seed")
 
     def __init__(self, key: tuple[int, ...], position: int) -> None:
         if len(key) != _N:
@@ -123,18 +127,20 @@ class MTState:
             raise ValueError("MT19937 state words must lie in [0, 2**32)")
         if not 0 <= position <= _N:
             raise ValueError(f"state position out of range: {position}")
-        self._key = tuple(key)
         self._position = position
         self._raw = None
         self._base = 0
+        self._keys = {0: tuple(key)}
         self._unread_seed = None
 
     @property
     def key(self) -> tuple[int, ...]:
         """The 624 untempered state words of the snapshot's block."""
-        if self._key is None:
-            self._key = _served_key(self._raw, self._base, self._unread_seed)
-        return self._key
+        key = self._keys.get(self._base)
+        if key is None:
+            key = _served_key(self._raw, self._base, self._unread_seed)
+            self._keys[self._base] = key
+        return key
 
     @property
     def position(self) -> int:
@@ -181,10 +187,11 @@ class MT19937:
     # windows is never converted to Python ints.
     # The latest window covers the words ``_window_start`` to
     # ``_window_end`` of ``_raw`` (``_window_start`` is ``_CLOSED`` once
-    # nothing may be given back to it).
+    # nothing may be given back to it).  ``_keys`` holds the keys derived
+    # for blocks of ``_raw``, by base; each ``_raw`` served gets a new one.
     __slots__ = (
-        "_base", "_bitgen", "_block", "_index", "_raw", "_unread_seed",
-        "_window_end", "_window_start",
+        "_base", "_bitgen", "_block", "_index", "_keys", "_raw",
+        "_unread_seed", "_window_end", "_window_start",
     )
 
     def __init__(self, seed: int = 5489) -> None:
@@ -214,10 +221,11 @@ class MT19937:
         """Capture the full generator state as an immutable snapshot.
 
         Nothing is copied: the snapshot holds the words served, and
-        derives its key from them only when the key is read.
+        derives its key from them only when the key is read, once per
+        block served.
         """
         state = MTState.__new__(MTState)
-        state._key, state._position, state._raw = None, self._index, self._raw
+        state._keys, state._position, state._raw = self._keys, self._index, self._raw
         state._base, state._unread_seed = self._base, self._unread_seed
         return state
 
@@ -252,6 +260,7 @@ class MT19937:
         self._raw = raw
         self._base = 0
         self._block = None
+        self._keys = {}
         self._unread_seed = None
         self._window_start = _CLOSED
 

@@ -1,5 +1,7 @@
 """Confidence intervals for sample-based estimates."""
 
+import math
+
 import pytest
 from scipy import stats
 
@@ -76,6 +78,12 @@ class TestMeanInterval:
             )
             covered += ci.contains(truth)
         assert covered > trials * 0.90  # generous: CLT + discrete population
+
+    def test_float_mean_is_the_loop_from_zero(self):
+        # ``t = 0.0; t += v`` over negative zeros ends at +0.0, and a
+        # left-to-right total is not pairwise: 1e16 + 1.0 rounds away.
+        assert math.copysign(1.0, mean_confidence_interval([-0.0, -0.0]).estimate) == 1.0
+        assert mean_confidence_interval([1e16] + [1.0] * 20 + [-1e16]).estimate == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

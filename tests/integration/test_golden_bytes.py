@@ -9,12 +9,24 @@ uniform behaviour must reproduce every one of them.
 If a change alters these bytes on purpose, run each command line with
 the ``repro`` CLI, take ``sha256sum`` of its outputs, paste the new
 values here, and say in the change description why the bytes moved.
+
+The bytes must not depend on the interpreter either.  Python 3.12 made
+the builtin ``sum`` over floats compensated, so every run is repeated
+with ``sum`` in each ``repro`` module replaced by a twin of 3.12's
+(:func:`compensated_sum`) and by a plain left-to-right twin of 3.11's
+(:func:`plain_sum`); both must give the recorded digests.
 """
 
 import hashlib
+import importlib
+import math
+import pkgutil
+import random
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 #: ``name -> (argv, {output file: sha256})``; ``-`` is standard output.
@@ -109,14 +121,96 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_uniform_outputs_match_golden_digests(name, tmp_path, capsys):
+def _digests(name, tmp_path, capsys):
     argv, expected = RUNS[name]
     capsys.readouterr()
     assert main([arg.format(out=tmp_path) for arg in argv]) == 0
     stdout = capsys.readouterr().out.encode()
-    actual = {
+    return {
         path: _sha256(stdout if path == "-" else (tmp_path / path).read_bytes())
         for path in expected
     }
-    assert actual == expected
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_uniform_outputs_match_golden_digests(name, tmp_path, capsys):
+    assert _digests(name, tmp_path, capsys) == RUNS[name][1]
+
+
+def plain_sum(iterable, /, start=0):
+    """The builtin ``sum`` up to Python 3.11: ``start + a + b + ...``,
+    each addition rounded."""
+    result = start
+    for item in iterable:
+        result = result + item
+    return result
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of Python 3.12 and later, step for step.
+
+    Exact ints add as ints.  Once the total is a ``float``, further
+    ``float`` items add with Neumaier's compensation and small ints
+    plainly; the compensation joins the total at the end, or at the
+    first other item, after which every item adds plainly.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(result) is not int:
+                break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                step = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - step) + item
+                else:
+                    compensation += (item - step) + total
+                total = step
+            elif isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_compensated_sum_is_the_312_builtin():
+    assert plain_sum([1e16, 1.0, -1e16]) == 0.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([0.1] * 10) == 1.0 != plain_sum([0.1] * 10)
+    assert math.copysign(1.0, compensated_sum([-0.0])) == 1.0
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, 2])) is int
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+    if sys.version_info >= (3, 12):
+        rng = random.Random(12)
+        for _ in range(200):
+            values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)
+                      for _ in range(rng.randint(0, 40))]
+            assert compensated_sum(values) == sum(values)
+
+
+@pytest.mark.parametrize("twin", [compensated_sum, plain_sum], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_digests_do_not_depend_on_the_builtin_sum(
+    name, twin, tmp_path, capsys, monkeypatch
+):
+    # Import every module first, so none loaded later keeps the builtin.
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "repro" or module_name.startswith("repro."):
+            monkeypatch.setattr(module, "sum", twin, raising=False)
+    assert _digests(name, tmp_path, capsys) == RUNS[name][1]

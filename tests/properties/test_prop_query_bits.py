@@ -2,13 +2,15 @@
 row-at-a-time loop.
 
 The oracle below is the plain-loop query layer: rows in a list, one
-predicate call per row, values turned into Python floats, and
-``sum``/``** 2`` generator sums.  It is copied here, arithmetic and all,
-so it shares no code with :mod:`repro.analysis` beyond the result
-containers.  Every ``count``, ``fraction``, ``sum`` and ``avg``
-:class:`Estimate` must compare ``==``, over int64 samples of 2 to 5,000
-values up to about 2**62 in magnitude, with and without exact int64
-sums, and for masks with no hit, one hit, all hits and some hits.
+predicate call per row, values turned into Python floats, and explicit
+``t += v`` and ``t += d * d`` loops, left to right, for the mean and the
+variance -- no builtin ``sum`` (compensated from Python 3.12) and no libm
+``pow``, so it is one number on every interpreter.  It is copied here,
+arithmetic and all, so it shares no code with :mod:`repro.analysis`
+beyond the result containers.  Every ``count``, ``fraction``, ``sum``
+and ``avg`` :class:`Estimate` must compare ``==``, over int64 samples of
+2 to 5,000 values up to about 2**62 in magnitude, with and without exact
+int64 sums, and for masks with no hit, one hit, all hits and some hits.
 """
 
 import math
@@ -45,8 +47,15 @@ def _oracle_fpc(sample_size, population_size):
 
 def _oracle_mean_ci(sample, confidence, population_size=None):
     n = len(sample)
-    mean = sum(sample) / n
-    variance = sum((v - mean) ** 2 for v in sample) / (n - 1)
+    total = 0.0
+    for v in sample:
+        total += v
+    mean = total / n
+    total = 0.0
+    for v in sample:
+        d = v - mean
+        total += d * d
+    variance = total / (n - 1)
     stderr = math.sqrt(variance / n) * _oracle_fpc(n, population_size)
     margin = _oracle_z_score(confidence) * stderr
     return ConfidenceInterval(mean, mean - margin, mean + margin, confidence)
@@ -190,8 +199,8 @@ class TestColumnarEstimatorBits:
     def test_square_that_pow_and_multiply_round_apart(self):
         # libm pow(d, 2) -- what ``float ** 2`` calls -- and the correctly
         # rounded d * d differ on one deviation of this sample, and the
-        # interval moves with it.  A squares-by-multiplication
-        # estimator (``d * d`` or ``np.cumsum(d * d)``) fails here.
+        # interval moves with it.  The estimator must follow d * d: one
+        # that squares with ``pow`` (or ``** 2``) fails here.
         values = np.array(
             [-225, 763, 557, 900, 251, 789, 589, -134, -865, -777, 205, 310,
              800, -957, 586, 929, -424, 824, 423, -184, 799, -810, 12, -492],

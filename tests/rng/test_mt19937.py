@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.rng import mt19937
 from repro.rng.mt19937 import MT19937, MTState
 from repro.rng.random_source import RandomSource
 from repro.storage.superblock import MaintenanceCheckpoint
@@ -310,6 +311,74 @@ class TestMarks:
         for route in (gen, fresh, restored):
             assert route.getstate() == twin_state
             assert _next(route) == expected
+
+
+class TestSharedKeys:
+    def test_snapshots_of_one_block_untemper_once(self, monkeypatch):
+        untempered = []
+        untemper = mt19937._untemper
+        monkeypatch.setattr(
+            mt19937, "_untemper", lambda words: untempered.append(1) or untemper(words)
+        )
+        gen = MT19937(seed=3)
+        gen.jump_discard(700)  # into a served block
+        states = []
+        for _ in range(5):
+            states.append(gen.getstate())
+            states.append(gen.getstate())
+            gen.next_uint32()
+        assert states[0] == states[1] and hash(states[0]) == hash(states[1])
+        assert len({state.key for state in states}) == 1
+        assert len(untempered) == 1
+        # The next block has a key of its own.
+        gen.jump_discard(624)
+        assert gen.getstate().key != states[0].key
+        assert len(untempered) == 2
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(
+            st.one_of(
+                st.tuples(st.just("words"), st.integers(0, 700)),
+                st.tuples(st.just("window"), st.integers(1, 1_500), st.integers(0, 1_500)),
+                st.tuples(st.just("jump"), st.integers(0, 2_000)),
+                st.tuples(st.just("seed"), st.integers(0, 2**32 - 1)),
+                st.tuples(st.just("restore"), st.integers(0, 20)),
+            ),
+            max_size=8,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_snapshot_reads_its_own_blocks_key(self, seed, moves, order):
+        """However snapshots share keys, each reads the key of the block it
+        was taken in, whichever of them is read first."""
+        gen = MT19937(seed)
+        states = [gen.getstate()]
+        for move in moves:
+            if move[0] == "words":
+                for _ in range(move[1]):
+                    gen.next_uint32()
+            elif move[0] == "window":
+                window = gen.random_array(move[1])
+                gen.give_back(min(move[2], len(window)))
+            elif move[0] == "jump":
+                gen.jump_discard(move[1])
+            elif move[0] == "seed":
+                gen.seed(move[1])
+            else:
+                gen.setstate(states[move[1] % len(states)])
+            states.append(gen.getstate())
+        order.shuffle(states)
+        for state in states:
+            twin = MT19937()
+            twin.setstate(MTState(key=state.key, position=state.position))
+            restored = MT19937()
+            restored.setstate(state)
+            assert _next(twin) == _next(restored)
+            assert state.key == mt19937._served_key(
+                state._raw, state._base, state._unread_seed
+            )
 
 
 class TestDoubleQuality:
