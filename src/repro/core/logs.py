@@ -40,14 +40,14 @@ passes over is counted in the dataset size but never checked.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, TypeVar
+from typing import Iterator, Protocol, Sequence, TypeVar
 
 import numpy as np
 
 from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
 from repro.storage.files import LogFile, SampleFile
-from repro.storage.records import IntRecordCodec
+from repro.storage.records import IntRecordCodec, StructRecordCodec
 
 __all__ = [
     "CandidateSource",
@@ -66,9 +66,24 @@ T = TypeVar("T")
 
 
 class CandidateReader(Protocol):
-    """Reads candidates by ascending 1-based ordinal."""
+    """Reads candidates by ascending 1-based ordinal.
+
+    ``read`` takes one ordinal.  ``read_records`` takes a strictly
+    increasing int64 array of them and yields their records, as arrays of
+    ``codec.dtype`` (the sample's struct-backed codec), one run of
+    ordinals after another.  Each array's device reads happen when it is
+    asked for, and they are the reads of its first ordinal: a later
+    ordinal of the same array is served from a block read for it, so a
+    caller may write between arrays in the order a ``read`` per ordinal
+    would allow.  The charges are those of a ``read`` per ordinal.
+    """
 
     def read(self, ordinal: int) -> T:  # pragma: no cover - protocol
+        ...
+
+    def read_records(
+        self, ordinals: np.ndarray, codec: StructRecordCodec
+    ) -> Iterator[np.ndarray]:  # pragma: no cover - protocol
         ...
 
 
@@ -367,13 +382,30 @@ class CandidateLogSource:
 
 
 class _CandidateLogReader:
-    __slots__ = ("_reader",)
+    __slots__ = ("_log", "_reader")
 
     def __init__(self, log: LogFile) -> None:
+        self._log = log
         self._reader = log.open_sequential_reader()
 
     def read(self, ordinal: int) -> T:
         return self._reader.read(ordinal - 1)
+
+    def read_records(
+        self, ordinals: np.ndarray, codec: StructRecordCodec
+    ) -> Iterator[np.ndarray]:
+        """The log's own records at positions ``ordinals - 1``, gathered a
+        block at a time."""
+        _check_log_dtype(self._log, codec)
+        return self._reader.gather(ordinals - 1)
+
+
+def _check_log_dtype(log: LogFile, codec: StructRecordCodec) -> None:
+    if getattr(log.codec, "dtype", None) != codec.dtype:
+        raise ValueError(
+            f"log records are not {codec.dtype} records: the log's codec is "
+            f"{type(log.codec).__name__}"
+        )
 
 
 class SkipReplay:
@@ -472,9 +504,7 @@ class FullLogSource:
         return self._skips.count()
 
     def open_reader(self) -> "_FullLogCandidateReader":
-        return _FullLogCandidateReader(
-            self._log.open_sequential_reader(), self._skips.ordinals()
-        )
+        return _FullLogCandidateReader(self._log, self._skips.ordinals())
 
     def scan_all(self) -> list[T]:
         """Every logged insertion in order (naive full refresh)."""
@@ -488,14 +518,28 @@ class FullLogSource:
 class _FullLogCandidateReader:
     """Maps candidate ordinals to full-log positions by replaying skips."""
 
-    __slots__ = ("_reader", "_ordinals", "_next_ordinal")
+    __slots__ = ("_log", "_reader", "_ordinals", "_next_ordinal")
 
-    def __init__(self, reader, ordinals) -> None:
-        self._reader = reader
+    def __init__(self, log: LogFile, ordinals) -> None:
+        self._log = log
+        self._reader = log.open_sequential_reader()
         self._ordinals = ordinals
         self._next_ordinal = 1
 
     def read(self, ordinal: int) -> T:
+        return self._reader.read(self._position(ordinal))
+
+    def read_records(
+        self, ordinals: np.ndarray, codec: StructRecordCodec
+    ) -> Iterator[np.ndarray]:
+        """The log records of ``ordinals``, gathered a block at a time; the
+        skips are replayed up to the last ordinal first."""
+        _check_log_dtype(self._log, codec)
+        positions = np.fromiter(map(self._position, ordinals.tolist()), np.int64)
+        return self._reader.gather(positions)
+
+    def _position(self, ordinal: int) -> int:
+        """The log position of candidate ``ordinal``, replaying skips to it."""
         if ordinal < self._next_ordinal:
             raise ValueError(
                 f"full-log candidate reader is forward-only "
@@ -505,4 +549,4 @@ class _FullLogCandidateReader:
         while self._next_ordinal <= ordinal:
             log_ordinal = next(self._ordinals)
             self._next_ordinal += 1
-        return self._reader.read(log_ordinal - 1)
+        return log_ordinal - 1

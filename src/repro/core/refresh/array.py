@@ -19,11 +19,18 @@ for large logs in Fig. 13.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateLogSource, CandidateSource
-from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, replay_log
+from repro.core.refresh.base import (
+    RefreshAlgorithm,
+    RefreshResult,
+    replay_log,
+    write_candidates,
+)
 from repro.obs.api import maybe_span
 from repro.rng.random_source import RandomSource
 from repro.storage.files import SampleFile
@@ -79,19 +86,21 @@ class ArrayRefresh(RefreshAlgorithm):
         ):
             array = self.assign_slots(rng, size, total)
             if self._sort:
-                self._sort_non_empty(array)
+                slots, ordinals = self.final_candidates(array)
 
         # Write phase: log scan (sequential reads) interleaved with the
         # sample rewrite (sequential writes); the span's block delta
         # separates the two by access category.
         with maybe_span(obs, "refresh.write", algorithm=self.name) as span:
             if self._sort:
-                result = self._write_sorted(sample, source, array, total, memory)
+                displaced = len(slots)
+                reader = source.open_reader()
+                write_candidates(sample, reader, [(slots, ordinals)], displaced)
             else:
-                result = self._write_unsorted(sample, source, array, total, memory)
+                displaced = self._write_unsorted(sample, source, array)
             if span is not None:
-                span.set("displaced", result.displaced)
-        return result
+                span.set("displaced", displaced)
+        return RefreshResult(candidates=total, displaced=displaced, memory=memory)
 
     @staticmethod
     def assign_slots(rng: RandomSource, size: int, total: int) -> list[int | None]:
@@ -106,36 +115,22 @@ class ArrayRefresh(RefreshAlgorithm):
         return array
 
     @staticmethod
-    def _sort_non_empty(array: list[int | None]) -> None:
-        """Sort the values among non-empty slots, leaving empties in place.
+    def final_candidates(array: list[int | None]) -> tuple[np.ndarray, np.ndarray]:
+        """The sort of Sec. 4.1: ``A``'s occupied slots, ascending, and the
+        indexes they hold, sorted, as two int64 arrays.
 
-        Empty slots are "linked with stable elements which in turn should
-        be distributed randomly" (Sec. 4.1) -- moving them would bias which
-        positions stay stable.
+        Sorting only the values among occupied slots leaves the empty
+        slots in place: they are "linked with stable elements which in
+        turn should be distributed randomly" (Sec. 4.1), and moving them
+        would bias which positions stay stable.  Indexes are at least 1,
+        so the occupied entries are the true ones, and both passes over
+        ``A`` run in C.  Exposed, like :meth:`assign_slots`, for the Fig. 13
+        CPU experiment.
         """
-        occupied = [j for j, value in enumerate(array) if value is not None]
-        values = sorted(array[j] for j in occupied)
-        for slot, value in zip(occupied, values):
-            array[slot] = value
-
-    def _write_sorted(
-        self,
-        sample: SampleFile,
-        source: CandidateSource,
-        array: list[int | None],
-        total: int,
-        memory: MemoryReport,
-    ) -> RefreshResult:
-        reader = source.open_reader()
-
-        def displaced_items():
-            for slot, index in enumerate(array):
-                if index is not None:
-                    yield slot, reader.read(index)
-
-        displaced = sum(1 for value in array if value is not None)
-        sample.write_sequential(displaced_items())
-        return RefreshResult(candidates=total, displaced=displaced, memory=memory)
+        slots = np.fromiter(compress(range(len(array)), array), np.int64)
+        ordinals = np.fromiter(filter(None, array), np.int64, len(slots))
+        ordinals.sort()
+        return slots, ordinals
 
     def _refresh_replay(
         self, sample: SampleFile, source: CandidateSource, kind: SampleKind
@@ -172,13 +167,10 @@ class ArrayRefresh(RefreshAlgorithm):
         return RefreshResult(candidates=total, displaced=len(slots), memory=memory)
 
     def _write_unsorted(
-        self,
-        sample: SampleFile,
-        source: CandidateSource,
-        array: list[int | None],
-        total: int,
-        memory: MemoryReport,
-    ) -> RefreshResult:
+        self, sample: SampleFile, source: CandidateSource, array: list[int | None]
+    ) -> int:
+        """Write each slot's final candidate, read by random access; returns
+        the number displaced."""
         # Log access order follows slot order, which is random in index
         # space: each read is a random block access on the log device.
         # Only a candidate log maps ordinal i to log position i-1; the
@@ -195,6 +187,5 @@ class ArrayRefresh(RefreshAlgorithm):
                 if index is not None:
                     yield slot, log.read_one_random(index - 1)
 
-        displaced = sum(1 for value in array if value is not None)
         sample.write_sequential(displaced_items())
-        return RefreshResult(candidates=total, displaced=displaced, memory=memory)
+        return len(array) - array.count(None)

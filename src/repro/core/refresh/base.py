@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.kinds import SampleKind
-from repro.core.logs import CandidateLogSource, CandidateSource
+from repro.core.logs import CandidateLogSource, CandidateReader, CandidateSource
 from repro.rng.random_source import RandomSource
+from repro.rng.sequential import selection_windows
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
+from repro.storage.records import StructRecordCodec
 
-__all__ = ["RefreshAlgorithm", "RefreshResult", "replay_log", "require_slot_draws"]
+__all__ = [
+    "RefreshAlgorithm",
+    "RefreshResult",
+    "final_windows",
+    "replay_log",
+    "require_slot_draws",
+    "write_candidates",
+]
 
 
 @dataclass
@@ -95,3 +104,65 @@ def replay_log(
     steps = replay.apply(records)
     kind.commit_replay(replay)
     return records, steps
+
+
+def final_windows(
+    rng: RandomSource, ordinals: Iterator[int], count: int, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stack's and Nomem's write-phase pairs: Method S picks ``count`` of
+    the ``size`` slots a window at a time, and each window's slots take
+    the next ordinals, ascending, as an int64 array of the same length."""
+    for slots in selection_windows(rng, count, size):
+        yield slots, np.fromiter(ordinals, np.int64, len(slots))
+
+
+def write_candidates(
+    sample: SampleFile,
+    reader: CandidateReader,
+    windows: Iterable[tuple[np.ndarray, np.ndarray]],
+    count: int,
+) -> None:
+    """The uniform write phase: each final candidate to its slot, in one
+    ascending pass through :meth:`SampleFile.write_records`.
+
+    ``windows`` yields ``(slots, ordinals)`` int64 array pairs, slots and
+    ordinals strictly increasing across all of them, ``count`` pairs in
+    all.  The sample's codec must be struct-backed (:class:`TypeError`
+    otherwise).  The device accesses come in the order a per-pair
+    ``write_sequential`` of ``(slot, reader.read(ordinal))`` leaves: a
+    sample block is written once the candidate of the first slot past it
+    has been read, and before anything after that candidate is read.  So
+    each array ``read_records`` yields is written up to its last block,
+    which is held, with its records, until the next array (of this window
+    or the next) reaches past it; the last array of all is written whole.
+    """
+    codec = sample.codec
+    if not isinstance(codec, StructRecordCodec):
+        raise TypeError(
+            f"the uniform write phase writes record arrays; the sample's "
+            f"{type(codec).__name__} is not a struct-backed codec"
+        )
+    per_block = sample.elements_per_block
+    held_slots = np.empty(0, np.int64)
+    held = np.empty(0, codec.dtype)
+    for slots, ordinals in windows:
+        count -= len(slots)
+        start = 0
+        for records in reader.read_records(ordinals, codec):
+            end = start + len(records)
+            block_slots = slots[start:end]
+            if len(held):
+                block_slots = np.concatenate((held_slots, block_slots))
+                records = np.concatenate((held, records), dtype=held.dtype)
+            start = end
+            cut = len(block_slots)
+            if count or end < len(slots):
+                last = int(block_slots[-1])
+                cut = int(np.searchsorted(block_slots, last - last % per_block))
+            if cut:
+                sample.write_records(block_slots[:cut], records[:cut])
+            held_slots, held = block_slots[cut:], records[cut:]
+    if count or len(held_slots):
+        raise AssertionError(
+            f"write phase finished with {count + len(held_slots)} candidates unwritten"
+        )

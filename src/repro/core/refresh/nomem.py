@@ -32,12 +32,17 @@ import numpy as np
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
+from repro.core.refresh.base import (
+    RefreshAlgorithm,
+    RefreshResult,
+    final_windows,
+    require_slot_draws,
+    write_candidates,
+)
 from repro.obs.api import maybe_span
 from repro.rng.distributions import geometric_variates
 from repro.rng.mt19937 import BLOCK_DOUBLES
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
@@ -150,9 +155,6 @@ class NomemRefresh(RefreshAlgorithm):
             obs, "refresh.write", algorithm=self.name, displaced=displaced
         ):
             reader = source.open_reader()
-            positions = SequentialSampler(rng, n=displaced, total=size)
-            sample.write_sequential(
-                (position, reader.read(index))
-                for position, index in zip(positions, indexes)
-            )
+            windows = final_windows(rng, indexes, displaced, size)
+            write_candidates(sample, reader, windows, displaced)
         return RefreshResult(candidates=total, displaced=displaced, memory=memory)

@@ -25,11 +25,16 @@ import numpy as np
 
 from repro.core.kinds import SampleKind
 from repro.core.logs import CandidateSource
-from repro.core.refresh.base import RefreshAlgorithm, RefreshResult, require_slot_draws
+from repro.core.refresh.base import (
+    RefreshAlgorithm,
+    RefreshResult,
+    final_windows,
+    require_slot_draws,
+    write_candidates,
+)
 from repro.obs.api import maybe_span
 from repro.rng.distributions import geometric_variates
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler
 from repro.storage.files import SampleFile
 from repro.storage.memory import MemoryReport
 
@@ -110,12 +115,6 @@ class StackRefresh(RefreshAlgorithm):
             obs, "refresh.write", algorithm=self.name, displaced=displaced
         ):
             reader = source.open_reader()
-            positions = SequentialSampler(rng, n=displaced, total=sample.size)
-            sample.write_sequential(
-                (position, reader.read(stack.pop())) for position in positions
-            )
-        if stack:
-            raise AssertionError(
-                f"write phase finished with {len(stack)} candidates unwritten"
-            )
+            windows = final_windows(rng, reversed(stack), displaced, sample.size)
+            write_candidates(sample, reader, windows, displaced)
         return RefreshResult(candidates=total, displaced=displaced, memory=memory)

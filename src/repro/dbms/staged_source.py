@@ -28,10 +28,16 @@ applies them after the refresh).
 
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
+
 from repro.core.logs import SkipReplay
 from repro.dbms.staging import ChangeKind, StagingTable
 from repro.dbms.table import Row
 from repro.rng.random_source import RandomSource
+from repro.storage.files import LogFile
+from repro.storage.records import StructRecordCodec
 
 __all__ = ["StagingLogSource"]
 
@@ -65,7 +71,7 @@ class StagingLogSource:
     def open_reader(self) -> "_StagingCandidateReader":
         return _StagingCandidateReader(
             self._staging.log.open_sequential_reader(),
-            len(self._staging.log),
+            self._staging.log,
             self._skips.ordinals(),
         )
 
@@ -76,18 +82,47 @@ class _StagingCandidateReader:
     Candidate ordinal -> n-th *insert* change record -> its row payload.
     """
 
-    __slots__ = ("_reader", "_log_length", "_ordinals", "_next_ordinal",
-                 "_position", "_inserts_passed")
+    __slots__ = ("_reader", "_log_length", "_per_block", "_ordinals",
+                 "_next_ordinal", "_position", "_inserts_passed")
 
-    def __init__(self, reader, log_length: int, ordinals) -> None:
+    def __init__(self, reader, log: LogFile, ordinals) -> None:
         self._reader = reader
-        self._log_length = log_length
+        self._log_length = len(log)
+        self._per_block = log.elements_per_block
         self._ordinals = ordinals
         self._next_ordinal = 1
         self._position = 0       # next log position to examine
         self._inserts_passed = 0  # insert records consumed so far
 
     def read(self, ordinal: int) -> Row:
+        return self._resolve(self._target(ordinal), self._log_length)
+
+    def read_records(
+        self, ordinals: np.ndarray, codec: StructRecordCodec
+    ) -> Iterator[np.ndarray]:
+        """The rows of ``ordinals``, encoded with ``codec``, one array per
+        run of rows resolved before the walk enters an unread block.
+
+        Every log position is read in turn, so a block is entered (and
+        read) exactly at its first position.
+        """
+        per_block = self._per_block
+        rows: list[Row] = []
+        for ordinal in ordinals.tolist():
+            target = self._target(ordinal)
+            held_end = -(-self._position // per_block) * per_block
+            row = self._resolve(target, min(held_end, self._log_length))
+            if row is None:
+                if rows:
+                    yield np.frombuffer(codec.encode_block(rows), codec.dtype)
+                    rows = []
+                row = self._resolve(target, self._log_length)
+            rows.append(row)
+        if rows:
+            yield np.frombuffer(codec.encode_block(rows), codec.dtype)
+
+    def _target(self, ordinal: int) -> int:
+        """The insert number of candidate ``ordinal``, replaying skips to it."""
         if ordinal < self._next_ordinal:
             raise ValueError(
                 f"staging candidate reader is forward-only "
@@ -97,13 +132,20 @@ class _StagingCandidateReader:
         while self._next_ordinal <= ordinal:
             target_insert = next(self._ordinals)
             self._next_ordinal += 1
-        while self._position < self._log_length:
+        return target_insert
+
+    def _resolve(self, target_insert: int, stop: int) -> Row | None:
+        """Read forward to insert #``target_insert`` and return its row, or
+        None if the walk reaches log position ``stop`` first."""
+        while self._position < stop:
             change = self._reader.read(self._position)
             self._position += 1
             if change.kind is ChangeKind.INSERT:
                 self._inserts_passed += 1
                 if self._inserts_passed == target_insert:
                     return change.row
+        if self._position < self._log_length:
+            return None
         raise RuntimeError(
             f"staging log ended before insert #{target_insert}; the staging "
             "table's insert counter disagrees with the log contents"

@@ -392,8 +392,7 @@ def fig13(scale: "str | Scale" = "default", seed: int = 0) -> SeriesResult:
     for idx, c in enumerate(xs):
         rng = RandomSource(seed=seed + idx)
         start = time.perf_counter()
-        array = ArrayRefresh.assign_slots(rng, m, c)
-        ArrayRefresh._sort_non_empty(array)
+        ArrayRefresh.final_candidates(ArrayRefresh.assign_slots(rng, m, c))
         array_s.append(time.perf_counter() - start)
 
         rng = RandomSource(seed=seed + idx)

@@ -31,7 +31,20 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["TimeSeriesStore", "quantile_nearest_rank"]
+__all__ = ["TimeSeriesStore", "left_to_right_sum", "quantile_nearest_rank"]
+
+
+def left_to_right_sum(values: list[float]) -> float:
+    """The IEEE loop ``t = 0.0; t += v`` over ``values``, in order.
+
+    Builtin ``sum`` over floats is compensated from Python 3.12, so a
+    summary mean built on it would depend on the interpreter; this one
+    is the same double everywhere (3.11's builtin ``sum`` over floats).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def quantile_nearest_rank(sorted_values: list[float], q: float) -> float:
@@ -103,7 +116,7 @@ class TimeSeriesStore:
                         "window": index,
                         "start": round(index * self.interval, 9),
                         "count": len(values),
-                        "mean": round(sum(values) / len(values), 9),
+                        "mean": round(left_to_right_sum(values) / len(values), 9),
                         "min": round(values[0], 9),
                         "max": round(values[-1], 9),
                         "p50": round(quantile_nearest_rank(values, 0.50), 9),

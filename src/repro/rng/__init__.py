@@ -25,7 +25,7 @@ from repro.rng.distributions import (
     reservoir_skip,
     reservoir_skip_z,
 )
-from repro.rng.sequential import SequentialSampler
+from repro.rng.sequential import selection_windows
 
 __all__ = [
     "MT19937",
@@ -34,5 +34,5 @@ __all__ = [
     "geometric_variate",
     "reservoir_skip",
     "reservoir_skip_z",
-    "SequentialSampler",
+    "selection_windows",
 ]

@@ -45,7 +45,7 @@ BLOCK_DOUBLES = _N // 2
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 # ``_window_start`` of a generator whose latest window is closed: no
-# position lies at or past it, so nothing can be given back or re-taken.
+# position lies at or past it, so nothing can be given back.
 _CLOSED = sys.maxsize
 
 # The words of a freshly seeded key's block, which are never computed:
@@ -185,13 +185,13 @@ class MT19937:
     # and the block's first word read builds it from that word on (the
     # words before it stay 0 and are never read), so a block read only in
     # windows is never converted to Python ints.
-    # The latest window covers the words ``_window_start`` to
-    # ``_window_end`` of ``_raw`` (``_window_start`` is ``_CLOSED`` once
-    # nothing may be given back to it).  ``_keys`` holds the keys derived
-    # for blocks of ``_raw``, by base; each ``_raw`` served gets a new one.
+    # The latest window starts at word ``_window_start`` of ``_raw``
+    # (``_CLOSED`` once nothing may be given back to it).  ``_keys`` holds
+    # the keys derived for blocks of ``_raw``, by base; each ``_raw``
+    # served gets a new one.
     __slots__ = (
         "_base", "_bitgen", "_block", "_index", "_keys", "_raw",
-        "_unread_seed", "_window_end", "_window_start",
+        "_unread_seed", "_window_start",
     )
 
     def __init__(self, seed: int = 5489) -> None:
@@ -213,7 +213,6 @@ class MT19937:
         self._set_raw(_UNREAD)
         self._unread_seed = seed & _MASK32
         self._index = _N
-        self._window_end = 0
 
     # -- state management (the Nomem Refresh prerequisite) ----------------
 
@@ -343,7 +342,6 @@ class MT19937:
         window.flags.writeable = False
         self._move_to(stop)
         self._window_start = start
-        self._window_end = stop
         return window
 
     def give_back(self, count: int) -> None:
@@ -365,24 +363,6 @@ class MT19937:
                 )
             return
         self._move_to(position)
-
-    def retake(self, count: int) -> None:
-        """Draw again the ``count`` doubles just given back, unread.
-
-        The caller still holds them in the latest window, so this only
-        moves the read position forward to that window's end; nothing is
-        computed or returned.  Raises :class:`ValueError` if the stream
-        moved since the give-back: anything drawn in between would have
-        consumed those doubles.
-        """
-        end = self._window_end
-        position = self._base + self._index
-        if count < 0 or position != end - 2 * count or position < self._window_start:
-            raise ValueError(
-                f"cannot retake {count} doubles: the stream moved since they "
-                "were given back"
-            )
-        self._move_to(end)
 
     def randrange(self, n: int) -> int:
         """Return a uniform integer in ``[0, n)`` without modulo bias.

@@ -107,11 +107,6 @@ class RandomSource:
         """Undraw the last ``count`` uniforms of the latest window."""
         self._gen.give_back(count)
 
-    def retake(self, count: int) -> None:
-        """Draw again the ``count`` uniforms just given back; see
-        :meth:`MT19937.retake <repro.rng.mt19937.MT19937.retake>`."""
-        self._gen.retake(count)
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
         return self._gen.randrange(n)

@@ -5,16 +5,22 @@ sample positions get displaced while scanning the sample once, front to
 back.  The paper does this with the per-position displacement probability
 ``q_{j,k} = k / (M - j + 1)``, which is exactly *selection sampling*
 (Method S): one uniform per scanned position, O(M), and every ``k``-subset
-of positions equally likely.  :class:`SequentialSampler` runs it over
-windows of uniforms and is what Stack and Nomem Refresh use.
+of positions equally likely.  :func:`selection_windows` runs it a window
+of uniforms at a time and is what Stack and Nomem Refresh use.
 
-The O(M) tests cost one numpy pass per window, not one Python comparison
-per position: ``k`` only falls within a window, so every position whose
+Each window hands its selected positions out as one int64 array, so the
+write phase reads their candidates and writes them in columns.  The O(M)
+tests cost one numpy pass per window, not one Python comparison per
+position: ``k`` only falls within a window, so every position whose
 product ``u * (M - j)`` reaches the window's first ``k`` is a sure
 rejection, and only the few others are walked in Python.  A window
 spans up to :data:`~repro.rng.mt19937.WINDOW` uniforms, across MT19937
-blocks, and each selected position costs one give-back and one re-take,
-both moves of the generator's read position: nothing is drawn twice.
+blocks, and every one of them is a scanned position's uniform: a window
+is never longer than the rejections left before every remaining position
+must be selected.  Only the last window can end early, at the ``n``-th
+selection, and its unused tail is given back.  So the stream ends where
+one ``random()`` per scanned position would leave it, and nothing is
+given back or drawn again between windows.
 
 Footnote 4 notes that the skip-based scheme of [3] (Method D) could find
 the same positions with O(k) uniforms instead of O(M).  It is not used:
@@ -28,7 +34,9 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-__all__ = ["SequentialSampler"]
+from repro.rng.mt19937 import WINDOW
+
+__all__ = ["selection_windows"]
 
 
 class UniformWindows(Protocol):
@@ -40,107 +48,59 @@ class UniformWindows(Protocol):
     def give_back(self, count: int) -> None:  # pragma: no cover
         ...
 
-    def retake(self, count: int) -> None:  # pragma: no cover
-        ...
 
+def selection_windows(
+    rng: UniformWindows, n: int, total: int
+) -> Iterator[np.ndarray]:
+    """Method S's ``n`` selected positions of ``0 .. total-1``, ascending,
+    as one int64 array per window of uniforms.
 
-class SequentialSampler:
-    """Method-S iterator of selected positions for the refresh write phase.
-
-    Scans positions ``0 .. total-1`` and yields, in ascending order, the
-    ``n`` selected ones, using the paper's ``q_{j,k} = k / (M - j + 1)``
-    displacement probability: position ``j`` is selected when its uniform
-    ``u`` satisfies ``u * (M - j) < k``.  Once every remaining position
-    must be selected (``q = 1``) no more uniforms are drawn.
-
-    Uniforms are read a window at a time.  numpy forms the window's
-    products ``u * (M - j)`` at once (the same IEEE products as Python's,
-    since ``M < 2**53``), and only those below the window's first ``k``
-    are tested one by one.  The unused tail of a window is given back
-    before a position is yielded, so at every yield the stream stands
-    exactly where one ``random()`` per scanned position would have left
-    it; the next position re-takes that tail by index (``retake``, no
-    new draw) and goes on testing its remembered candidates.  Nothing else
-    may draw from the stream between two positions: the re-take then
-    raises :class:`ValueError`.
+    Position ``j`` is selected when its uniform ``u`` satisfies
+    ``u * (M - j) < k`` (the paper's ``q_{j,k} = k / (M - j + 1)``, with
+    ``k`` selections left).  numpy forms a window's products at once (the
+    same IEEE products as Python's, since ``M < 2**53``), and only those
+    below the window's first ``k`` are tested one by one.  Once every
+    remaining position must be selected (``q = 1``) no more uniforms are
+    drawn, and the rest come out ``WINDOW`` positions at a time.  A window
+    that selects nothing yields nothing, so no array is empty or longer
+    than :data:`~repro.rng.mt19937.WINDOW`.  Arguments are checked at the
+    call; drawing starts with the first window asked for.
 
     >>> rng = _FixedSource([0.0, 0.9, 0.0])
-    >>> list(SequentialSampler(rng, n=2, total=3))
+    >>> np.concatenate(list(selection_windows(rng, n=2, total=3))).tolist()
     [0, 2]
     """
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    if not 0 <= n <= total:
+        raise ValueError(f"cannot select {n} records from {total}")
+    return _windows(rng, n, total)
 
-    __slots__ = (
-        "_hits", "_rng", "_remaining_selected", "_remaining_records",
-        "_start", "_stop", "_total",
-    )
 
-    def __init__(self, rng: UniformWindows, n: int, total: int) -> None:
-        _check_args(n, total)
-        self._rng = rng
-        self._remaining_selected = n
-        self._remaining_records = total
-        self._total = total
-        # The given-back tail of the latest window ends where ``_stop``
-        # records are left.  ``_hits`` yields its candidates as (offset,
-        # product) pairs, the offset counted from the window's start at
-        # ``_start`` records.
-        self._hits: Iterator[tuple[int, float]] | None = None
-        self._start = self._stop = 0
-
-    def __iter__(self) -> "SequentialSampler":
-        return self
-
-    def __next__(self) -> int:
-        selected = self._remaining_selected
-        if selected == 0:
-            raise StopIteration
-        records = self._remaining_records
-        if selected < records:
-            records = self._scan(selected, records)
-        self._remaining_selected = selected - 1
-        self._remaining_records = records - 1
-        return self._total - records
-
-    def _scan(self, selected: int, records: int) -> int:
-        """Draw until a position is selected; return the records left there.
-
-        A fresh window is cut to ``records - selected`` uniforms, the most
-        that can be rejected before every remaining position must be
-        selected, or to the generator's window size.
-        """
-        rng = self._rng
-        hits = self._hits
-        start, stop = self._start, self._stop
-        if hits is not None:
-            try:
-                rng.retake(records - stop)
-            except ValueError:
-                raise ValueError(
-                    "the uniform stream moved between two selected positions: "
-                    "nothing may draw from it while the sampler is in use"
-                ) from None
-        while True:
-            if hits is None:
-                window = rng.random_array(records - selected)
-                products = window * np.arange(records, records - len(window), -1)
-                offsets = np.flatnonzero(products < selected)
-                hits = zip(offsets.tolist(), products[offsets].tolist())
-                start, stop = records, records - len(window)
-                self._start, self._stop = start, stop
-            for offset, product in hits:
-                if product < selected:
-                    records = start - offset
-                    tail = records - 1 - stop
-                    if tail:
-                        rng.give_back(tail)
-                        self._hits = hits
-                    else:
-                        self._hits = None
-                    return records
-            self._hits = hits = None
-            records = stop
-            if records == selected:
-                return records
+def _windows(rng: UniformWindows, selected: int, total: int) -> Iterator[np.ndarray]:
+    records = total
+    while selected:
+        first = total - records
+        if selected == records:
+            for start in range(first, total, WINDOW):
+                yield np.arange(start, min(start + WINDOW, total), dtype=np.int64)
+            return
+        # At most the rejections left before q = 1: every uniform drawn
+        # belongs to a scanned position.
+        window = rng.random_array(records - selected)
+        products = window * np.arange(records, records - len(window), -1)
+        offsets = np.flatnonzero(products < selected)
+        hits = []
+        for offset, product in zip(offsets.tolist(), products[offsets].tolist()):
+            if product < selected:
+                hits.append(offset)
+                selected -= 1
+                if not selected:
+                    rng.give_back(len(window) - 1 - offset)
+                    break
+        records -= len(window)
+        if hits:
+            yield np.add(hits, first, dtype=np.int64)
 
 
 class _FixedSource:
@@ -158,13 +118,3 @@ class _FixedSource:
     def give_back(self, count: int) -> None:
         if count:
             self._values[:0] = self._window[-count:]
-
-    def retake(self, count: int) -> None:
-        del self._values[:count]
-
-
-def _check_args(n: int, total: int) -> None:
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
-    if not 0 <= n <= total:
-        raise ValueError(f"cannot select {n} records from {total}")

@@ -44,7 +44,7 @@ from repro import specs
 from repro.obs.api import maybe_span
 from repro.obs.catalogue import COUNT_BUCKETS, SECONDS_BUCKETS
 from repro.obs.slo import SLOTracker, parse_slos
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.timeseries import TimeSeriesStore, left_to_right_sum
 from repro.serve.admission import AdmissionController
 from repro.serve.session import QuerySession
 from repro.serve.workload import WorkloadEvent
@@ -289,7 +289,7 @@ def distribution(values: list[float], tail: bool = False) -> dict:
     n = len(ordered)
     out = {
         "count": n,
-        "mean": _round(sum(ordered) / n),
+        "mean": _round(left_to_right_sum(ordered) / n),
         "p50": _round(ordered[(50 * (n - 1)) // 100]),
         "p95": _round(ordered[(95 * (n - 1)) // 100]),
     }

@@ -36,9 +36,13 @@ from repro.storage.block_device import BlockDevice
 from repro.storage.bufferpool import declare_scan
 from repro.storage.records import RecordCodec
 
-__all__ = ["SampleFile", "LogFile"]
+__all__ = ["SampleFile", "LogFile", "SPLICE_BLOCKS"]
 
 T = TypeVar("T")
+
+#: The most block images :meth:`SampleFile.write_records` splices in one
+#: numpy assignment (256 KiB of 4 KiB blocks).
+SPLICE_BLOCKS = 64
 
 
 class _BlockStore:
@@ -209,10 +213,14 @@ class SampleFile(_BlockStore):
         The columnar form of :meth:`write_sequential`, for an array of the
         codec's ``dtype`` (a struct-backed codec): the device bytes and
         charges are those ``write_sequential`` of the decoded records
-        leaves -- one sequential write per touched block, each block's
-        records spliced into its image.  Only the fields are written; a
-        record's padding is zero, as ``encode`` leaves it.  Returns the
-        number of blocks written.
+        leaves -- one sequential write per touched block, in ascending
+        order, each block's records spliced into its image.  Only the
+        fields are written; a record's padding is zero, as ``encode``
+        leaves it.  The splice is one numpy assignment per run of up to
+        :data:`SPLICE_BLOCKS` touched blocks, whose images are peeked
+        (uncharged) first; a write changes no other block's bytes, so each
+        image is the one a peek right before its write would see.
+        Returns the number of blocks written.
         """
         slots = np.asarray(slots, dtype=np.int64)
         if records.dtype != self._codec.dtype or len(records) != len(slots):
@@ -223,23 +231,48 @@ class SampleFile(_BlockStore):
             return 0
         self._check_index(int(slots[0]))
         self._check_index(int(slots[-1]))
-        if (slots[1:] <= slots[:-1]).any():
+        if np.count_nonzero(slots[1:] <= slots[:-1]):
             raise ValueError("write_records() slots must be strictly increasing")
         packed = np.zeros(len(records), records.dtype)
         for name in records.dtype.names:
             packed[name] = records[name]
-        data = memoryview(packed.tobytes())
-        size = self._codec.record_size
         per_block = self.elements_per_block
         blocks = slots // per_block
-        offsets = (slots - blocks * per_block).tolist()
-        starts = [0, *(np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist()]
-        ends = starts[1:] + [len(slots)]
-        for start, end in zip(starts, ends):
-            self._write_slots(
-                int(blocks[start]), offsets[start:end], data[start * size : end * size]
+        last = np.flatnonzero(blocks[1:] != blocks[:-1])
+        touched = [*blocks[last].tolist(), int(blocks[-1])]
+        # Each run of SPLICE_BLOCKS blocks ends past its last block's last slot.
+        ends = [end + 1 for end in last[SPLICE_BLOCKS - 1 :: SPLICE_BLOCKS].tolist()]
+        for group, (start, end) in enumerate(zip([0, *ends], [*ends, len(slots)])):
+            first = group * SPLICE_BLOCKS
+            self._splice(
+                touched[first : first + SPLICE_BLOCKS],
+                slots[start:end],
+                blocks[start:end],
+                packed[start:end],
             )
-        return len(starts)
+        return len(touched)
+
+    def _splice(
+        self, touched: list[int], slots: np.ndarray, blocks: np.ndarray, packed: np.ndarray
+    ) -> None:
+        """Write the ``packed`` records to ``slots`` of the ``touched``
+        blocks: one sequential write per block, in order.  The images are
+        joined in one buffer and viewed as records; ``slots`` fall in
+        ``touched[r]`` at its image's offset ``r`` blocks in."""
+        per_block = self.elements_per_block
+        peek = self._device.peek_block
+        buffer = bytearray().join([peek(block) for block in touched])
+        images = np.frombuffer(buffer, (np.void, packed.itemsize))
+        first = int(slots[0]) - touched[0] * per_block
+        if slots[-1] - slots[0] == len(slots) - 1:  # one run: its blocks adjoin
+            where = slice(first, first + len(slots))
+        else:
+            where = slots - (blocks - np.searchsorted(touched, blocks)) * per_block
+        images[where] = packed.view(images.dtype)
+        data = memoryview(buffer)
+        size = self._device.block_size
+        for start, block in zip(range(0, len(buffer), size), touched):
+            self._device.write_block(block, bytes(data[start : start + size]), True)
 
     def scan(self) -> Iterator[T]:
         """Yield every element front to back: one sequential read per block."""
@@ -554,7 +587,8 @@ class SequentialLogReader:
     touched charges one sequential read.  :meth:`read` and
     :meth:`read_run` decode that block whole, once, with one
     ``decode_block`` call, and serve later indexes in it from that
-    decode; :meth:`read_records` views its bytes without decoding.
+    decode; :meth:`read_records` and :meth:`gather` view its bytes
+    without decoding.
     """
 
     __slots__ = ("_log", "_per_block", "_current_block", "_data", "_values",
@@ -601,6 +635,36 @@ class SequentialLogReader:
                 for data, (_, slot, end) in zip(blocks, spans)
             ]
         return self._log._join_records(chunks, max(0, last - first + 1))
+
+    def gather(self, indexes: np.ndarray) -> Iterator[np.ndarray]:
+        """The records at strictly increasing ``indexes``, as arrays of the
+        codec's ``dtype``, one per block they lie in.
+
+        A block is read, if the reader does not hold it already, when its
+        array is asked for, and not before: a caller that writes between
+        two arrays interleaves those writes with the reads as a
+        :meth:`read` of each index would.  Charges exactly what that
+        :meth:`read` loop charges, one sequential read per new block, and
+        decodes nothing.  Needs a struct-backed codec.
+        """
+        if not len(indexes):
+            return
+        self._check(int(indexes[0]))
+        if indexes[-1] >= len(self._log):
+            raise IndexError(
+                f"log index {indexes[-1]} out of range [0, {len(self._log)})"
+            )
+        if np.count_nonzero(indexes[1:] <= indexes[:-1]):
+            raise ValueError("sequential reader requires strictly increasing indexes")
+        per_block = self._per_block
+        dtype = self._log.codec.dtype
+        blocks = indexes // per_block
+        offsets = indexes % per_block
+        ends = (np.flatnonzero(blocks[1:] != blocks[:-1]) + 1).tolist()
+        for start, end in zip([0, *ends], [*ends, len(indexes)]):
+            records = np.frombuffer(self._block_data(int(blocks[start])), dtype, per_block)
+            self._previous = int(indexes[end - 1])
+            yield records[offsets[start:end]]
 
     def _run_blocks(self, first: int, last: int) -> Iterator[tuple[int, int, int]]:
         """``(block, first slot, end slot)`` of each block the run touches;

@@ -1,5 +1,6 @@
 """Array Refresh (Algorithm 1)."""
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -71,17 +72,17 @@ class TestIOPattern:
 
 class TestSortCorrectness:
     def test_sort_keeps_empty_positions_fixed(self):
-        array = [None, 5, None, 3, 1, None]
-        ArrayRefresh._sort_non_empty(array)
-        assert array == [None, 1, None, 3, 5, None]
+        slots, ordinals = ArrayRefresh.final_candidates([None, 5, None, 3, 1, None])
+        assert slots.tolist() == [1, 3, 4]
+        assert ordinals.tolist() == [1, 3, 5]
+        assert slots.dtype == ordinals.dtype == np.int64
 
     def test_sort_handles_all_empty_and_all_full(self):
-        empty = [None, None]
-        ArrayRefresh._sort_non_empty(empty)
-        assert empty == [None, None]
-        full = [3, 1, 2]
-        ArrayRefresh._sort_non_empty(full)
-        assert full == [1, 2, 3]
+        slots, ordinals = ArrayRefresh.final_candidates([None, None])
+        assert slots.tolist() == ordinals.tolist() == []
+        slots, ordinals = ArrayRefresh.final_candidates([3, 1, 2])
+        assert slots.tolist() == [0, 1, 2]
+        assert ordinals.tolist() == [1, 2, 3]
 
     def test_assign_slots_covers_all_candidates_or_slots(self):
         rng = RandomSource(seed=5)

@@ -12,7 +12,9 @@ to change no behaviour must reproduce every one of them.  The
 ``candidate-stack`` and ``candidate-nomem`` runs pin the refresh path the
 ``ingest`` benchmark drives; they were recorded with the scalar
 per-skip loops, before Stack and Nomem drew their skips a window at a
-time in numpy.
+time in numpy.  The three ``array`` runs (sorted over both logs, and the
+unsorted ablation) were recorded before the uniform write phase went
+columnar.
 
 If a change alters these bytes on purpose, print ``_digests(name)`` for
 each run, paste the new values here, and say in the change description
@@ -25,6 +27,7 @@ import pytest
 
 from repro.core.maintenance import SampleMaintainer
 from repro.core.policies import PeriodicPolicy
+from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.naive import NaiveCandidateRefresh, NaiveFullRefresh
 from repro.core.refresh.nomem import NomemRefresh
 from repro.core.refresh.stack import StackRefresh
@@ -54,6 +57,9 @@ RUNS = {
     "candidate-naive": ("candidate", NaiveCandidateRefresh, 105),
     "candidate-stack": ("candidate", StackRefresh, 106),
     "candidate-nomem": ("candidate", NomemRefresh, 107),
+    "candidate-array": ("candidate", ArrayRefresh, 108),
+    "full-array": ("full", ArrayRefresh, 109),
+    "candidate-array-unsorted": ("candidate", lambda: ArrayRefresh(sort=False), 110),
 }
 
 #: ``name -> {artefact: sha256}``
@@ -99,6 +105,24 @@ GOLDEN = {
         "log": "11df7df6277fa79ac6a509cfc571b6635f7d4ec3c956205d0f6d55d13b255f27",
         "checkpoint": "c22cc18ced4cd746eaddbba8f6ddb34c19fe4a7f2011d76ac878d15277bcbff8",
         "stats": "836c967c1b4ed663ccc1a1744c68f34094f96db80056b6e77d30146333ab85fb",
+    },
+    "candidate-array": {
+        "sample": "f1cd8a56bf1cb2b36f1f6a8f04ea4731cd7b9a4f7b29169917f8312f85baf480",
+        "log": "df316210e450eb8ef2593bd965dce11a576dd42ad1c5969a4a4fefa9a49465c5",
+        "checkpoint": "4300c7245f67edd78e5ae7448508a9806aae3938c7c537c84d617d6b36a0a786",
+        "stats": "5bd503b413681d527eba8253b8957719090da02664d5738cf80a8489068bebbb",
+    },
+    "full-array": {
+        "sample": "c957363e15b2a7a2f8fbeb2a601a4fa69a75b4d5314ec85ff99a4607f2ba0980",
+        "log": "78939131dfa2495b60ebb8aa890776aa43dc3d56a5a15b84bd2deb8dbbb6c2c7",
+        "checkpoint": "38d8bca3729a41fed9e9e50353a988acfc5bdb55526577ac453277bf16d9343c",
+        "stats": "be3053e07f01aefc0ee72d5373fb6982489ae551dcc7b1ba4cd340d5fa1a1748",
+    },
+    "candidate-array-unsorted": {
+        "sample": "2a59cbb9cbbcd684e09949175147ea4eb04992311deeed7f6cc61e6c1228f042",
+        "log": "f9e3050da1ee64e550f5bbff843cd499e6bc6d1fdfa3d27c36cc1e13422d2d5e",
+        "checkpoint": "5857443bce0c1cf977073445a71de89675de298bc9bcc7dc485c173c746b598b",
+        "stats": "14f702ecb8689cc48b200097fee2018c6be943432a2843ed29d88dd689f2e598",
     },
 }
 

@@ -1,10 +1,12 @@
 """Windowed time-series store: bucketing, summaries, determinism."""
 
 import json
+import math
 
 import pytest
 
 from repro.obs import TimeSeriesStore, quantile_nearest_rank
+from repro.obs.timeseries import left_to_right_sum
 
 
 def test_interval_must_be_positive():
@@ -41,6 +43,20 @@ def test_dist_series_buckets_by_cost_time():
     assert first["p50"] == 0.5
     assert first["p99"] == 1.5
     assert windows[1]["start"] == 2.0
+
+
+def test_window_mean_is_a_left_to_right_sum():
+    # Sorted, these add to 0.0 left to right; a compensated sum (builtin
+    # ``sum`` from Python 3.12, or ``math.fsum``) keeps the 1.0.
+    values = [1e16, 1.0, -1e16]
+    assert math.fsum(sorted(values)) == 1.0
+    assert left_to_right_sum(sorted(values)) == 0.0
+    assert left_to_right_sum([0.1] * 10) == 0.9999999999999999
+    assert math.copysign(1.0, left_to_right_sum([-0.0])) == 1.0
+    store = TimeSeriesStore(1.0)
+    for value in values:
+        store.observe("x", 0.5, value)
+    assert store.to_dict()["series"]["x"]["windows"][0]["mean"] == 0.0
 
 
 def test_gauge_series_tracks_last_min_max():

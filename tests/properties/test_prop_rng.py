@@ -1,6 +1,5 @@
 """Property-based tests: PRNG and variate generators."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rng.mt19937 import MT19937, WINDOW, MTState
@@ -10,13 +9,9 @@ from repro.rng.random_source import RandomSource
 # fraction of what they drew; ``rewind`` restores the current key at a
 # chosen block position, which is how a stream reaches positions 0 and
 # 622-624.  ``long_array`` windows cross at least two block boundaries
-# and reach ``WINDOW``; ``retake`` gives back part of a window and takes
-# it again, or finds that a word read in between moved the stream.
+# and reach ``WINDOW``.
 _STEPS = st.one_of(
     st.tuples(st.just("long_array"), st.integers(1, 5000), st.floats(0.0, 1.0)),
-    st.tuples(
-        st.just("retake"), st.integers(1, 1000), st.floats(0.0, 1.0), st.booleans()
-    ),
     st.tuples(st.just("array"), st.integers(1, 400), st.floats(0.0, 1.0)),
     st.tuples(st.just("random")),
     st.tuples(st.just("word")),
@@ -82,20 +77,6 @@ class TestMT19937Properties:
                 mark = twin.getstate()
                 assert window[kept:] == [twin.random() for _ in range(returned)]
                 twin.setstate(mark)
-            elif kind == "retake":
-                window = gen.random_array(step[1]).tolist()
-                returned = int(step[2] * len(window))
-                gen.give_back(returned)
-                kept = len(window) - returned
-                if step[3]:
-                    gen.next_uint32()
-                    with pytest.raises(ValueError):
-                        gen.retake(returned)
-                    assert window[:kept] == [twin.random() for _ in range(kept)]
-                    twin.next_uint32()
-                else:
-                    gen.retake(returned)
-                    assert window == [twin.random() for _ in range(len(window))]
             elif kind == "random":
                 assert gen.random() == twin.random()
             elif kind == "word":

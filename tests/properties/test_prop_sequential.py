@@ -1,12 +1,13 @@
 """Property-based tests: sequential sampling and final-index selection."""
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.refresh.array import ArrayRefresh
 from repro.core.refresh.stack import select_final_indexes
+from repro.rng.mt19937 import WINDOW
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler
+from repro.rng.sequential import selection_windows
 
 
 @st.composite
@@ -22,7 +23,9 @@ class TestSequentialSampleProperties:
     def test_valid_sample_for_any_arguments(self, args, seed):
         n, total = args
         rng = RandomSource(seed=seed)
-        positions = list(SequentialSampler(rng, n=n, total=total))
+        windows = list(selection_windows(rng, n=n, total=total))
+        assert all(w.dtype == np.int64 and 0 < len(w) <= WINDOW for w in windows)
+        positions = [p for window in windows for p in window.tolist()]
         assert len(positions) == n
         assert len(set(positions)) == n
         assert positions == sorted(positions)
@@ -31,15 +34,14 @@ class TestSequentialSampleProperties:
     @given(args=n_total(), seed=st.integers(0, 2**32))
     @settings(max_examples=100)
     def test_sampler_selects_exactly_n(self, args, seed):
-        # The last position may leave a window given back; once exhausted,
-        # the sampler neither yields nor draws again.
+        # The last window may give its tail back; once exhausted, the
+        # windows neither yield nor draw again.
         n, total = args
         rng = RandomSource(seed=seed)
-        sampler = SequentialSampler(rng, n=n, total=total)
-        assert len(list(sampler)) == n
+        windows = selection_windows(rng, n=n, total=total)
+        assert sum(len(w) for w in windows) == n
         state = rng.snapshot()
-        with pytest.raises(StopIteration):
-            next(sampler)
+        assert next(windows, None) is None
         assert rng.snapshot() == state
 
 
@@ -75,8 +77,6 @@ class TestFinalIndexSelectionProperties:
         assert len(values) <= min(m, c)
         if c > 0:
             assert c in values  # the last candidate is never overwritten
-        ArrayRefresh._sort_non_empty(array)
-        empties_before = [i for i, v in enumerate(array) if v is None]
-        sorted_values = [v for v in array if v is not None]
-        assert sorted_values == sorted(values)
-        assert [i for i, v in enumerate(array) if v is None] == empties_before
+        slots, ordinals = ArrayRefresh.final_candidates(array)
+        assert slots.tolist() == [i for i, v in enumerate(array) if v is not None]
+        assert ordinals.tolist() == sorted(values)

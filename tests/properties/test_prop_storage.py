@@ -20,7 +20,7 @@ from repro.dbms.table import Row
 from repro.storage.block_device import SimulatedBlockDevice
 from repro.storage.bufferpool import BufferPool, declare_scan, flush_barrier
 from repro.storage.cost_model import AccessStats, CostModel, DiskParameters
-from repro.storage.files import LogFile, SampleFile
+from repro.storage.files import SPLICE_BLOCKS, LogFile, SampleFile
 from repro.storage.records import (
     BytesRecordCodec,
     IntRecordCodec,
@@ -207,6 +207,18 @@ KIND_CODECS = {
     "window": (TimestampedRecordCodec, st.tuples(INT64, INT64)),
 }
 SMALL_DISK = DiskParameters(block_size=256)  # 8 records of 32 bytes
+
+
+class _OrderedDevice(SimulatedBlockDevice):
+    """A simulated device that lists the blocks written, in order."""
+
+    def __init__(self, cost: CostModel, name: str) -> None:
+        super().__init__(cost, name)
+        self.writes: list[int] = []
+
+    def write_block(self, index: int, data: bytes, sequential: bool) -> None:
+        self.writes.append(index)
+        super().write_block(index, data, sequential)
 
 
 def _device(cost: CostModel, pooled: bool):
@@ -629,6 +641,38 @@ class TestRecordPrimitives:
         flush_barrier(device)
         flush_barrier(ref_device)
         assert cost.stats == ref_cost.stats
+
+    @given(
+        blocks=st.integers(1, 3 * SPLICE_BLOCKS),
+        density=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_write_records_splices_in_runs_of_blocks(self, blocks, density, seed, pooled):
+        # More touched blocks than one splice holds: every block is
+        # written once, in ascending order, with write_sequential's bytes.
+        codec = IntRecordCodec()
+        size = blocks * SMALL_DISK.block_size // codec.record_size
+        chosen = np.random.default_rng(seed).random(size) < density
+        slots = np.flatnonzero(chosen).tolist() or [size - 1]
+        values = [-slot for slot in slots]
+        runs = []
+        for _ in range(2):
+            cost = CostModel(disk=SMALL_DISK)
+            base = _OrderedDevice(cost, "d")
+            device = BufferPool(base, capacity=4, readahead=2) if pooled else base
+            sample = SampleFile(device, codec, size)
+            sample.initialize(list(range(size)))
+            runs.append((cost, base, sample))
+        (cost, base, sample), (ref_cost, ref_base, ref_sample) = runs
+        records = np.frombuffer(codec.encode_block(values), codec.dtype)
+        assert sample.write_records(np.array(slots), records) == (
+            ref_sample.write_sequential(zip(slots, values))
+        )
+        assert base.writes == ref_base.writes
+        assert cost.stats == ref_cost.stats
+        assert sample.peek_all() == ref_sample.peek_all()
 
     def test_write_records_refuses_bad_input(self):
         codec = TimestampedRecordCodec()

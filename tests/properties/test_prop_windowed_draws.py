@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.kinds import WeightedKind, WindowKind
 from repro.core.refresh.nomem import span_of_gaps, survivor_indexes
 from repro.core.refresh.stack import select_final_indexes
+from repro.rng.mt19937 import WINDOW
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler
+from repro.rng.sequential import selection_windows
 
 
 def take_oracle(rng, n, total):
@@ -122,15 +123,13 @@ class TestWindowedDrawsMatchScalarOracles:
     @given(args=n_total(), seed=SEEDS, offset=OFFSETS)
     @settings(max_examples=100, deadline=None)
     def test_sequential_sampler(self, args, seed, offset):
-        # Same positions, and the same stream state at every yield.
+        # Same positions, and the same stream state once the windows run out.
         n, total = args
         windowed, scalar = twins(seed, offset)
-        sampler = SequentialSampler(windowed, n=n, total=total)
-        oracle = take_oracle(scalar, n, total)
-        for position in sampler:
-            assert position == next(oracle)
-            assert windowed.snapshot() == scalar.snapshot()
-        assert next(oracle, None) is None
+        windows = list(selection_windows(windowed, n=n, total=total))
+        assert all(0 < len(window) <= WINDOW for window in windows)
+        positions = [p for window in windows for p in window.tolist()]
+        assert positions == list(take_oracle(scalar, n, total))
         assert windowed.snapshot() == scalar.snapshot()
 
     @given(m=SIZES, c=CANDIDATES, seed=SEEDS, offset=OFFSETS)

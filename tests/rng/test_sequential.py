@@ -3,11 +3,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
 from repro.rng.random_source import RandomSource
-from repro.rng.sequential import SequentialSampler
+from repro.rng.sequential import selection_windows
+
+
+def select(rng, n, total):
+    """Every selected position, the windows joined."""
+    return [p for window in selection_windows(rng, n, total) for p in window.tolist()]
 
 
 # Method S serves every regime: "s" mixed sizes, "a" dense (n close to
@@ -27,7 +33,7 @@ class TestSequentialSample:
     def test_returns_sorted_distinct_in_range(self, regime):
         rng = RandomSource(seed=1)
         for n, total in REGIMES[regime]:
-            positions = list(SequentialSampler(rng, n=n, total=total))
+            positions = select(rng, n, total)
             assert len(positions) == n
             assert positions == sorted(set(positions))
             assert all(0 <= p < total for p in positions)
@@ -36,41 +42,34 @@ class TestSequentialSample:
     def test_select_all_is_identity(self, regime):
         total = SELECT_ALL[regime]
         rng = RandomSource(seed=2)
-        assert list(SequentialSampler(rng, n=total, total=total)) == list(range(total))
+        assert select(rng, total, total) == list(range(total))
         assert rng.random() == RandomSource(seed=2).random()
 
 
 class TestSequentialSampler:
     def test_selects_exactly_n(self):
         rng = RandomSource(seed=10)
-        for n, total in ((0, 5), (3, 3), (7, 20), (100, 150)):
-            sampler = SequentialSampler(rng, n=n, total=total)
-            selected = len(list(sampler))
-            assert selected == n
+        for n, total in ((0, 5), (3, 3), (7, 20), (100, 150), (5_000, 9_000)):
+            windows = list(selection_windows(rng, n, total))
+            assert all(w.dtype == np.int64 and len(w) for w in windows)
+            assert sum(map(len, windows)) == n
 
     def test_raises_past_last_record(self):
         rng = RandomSource(seed=12)
-        sampler = SequentialSampler(rng, n=1, total=2)
-        next(sampler)
+        windows = selection_windows(rng, n=1, total=2)
+        assert len(next(windows)) == 1
         with pytest.raises(StopIteration):
-            next(sampler)
-
-    def test_stream_moved_between_positions_is_an_error(self):
-        # The first position leaves most of its window given back; a word
-        # read before the next position moves the stream under it.
-        rng = RandomSource(seed=11)
-        sampler = SequentialSampler(rng, n=100, total=200)
-        next(sampler)
-        rng.randrange(2)  # one 32-bit word
-        with pytest.raises(ValueError, match="stream moved"):
-            next(sampler)
+            next(windows)
 
     def test_rejects_invalid_arguments(self):
+        # At the call, before any window is asked for.
         rng = RandomSource(seed=13)
         with pytest.raises(ValueError):
-            SequentialSampler(rng, n=5, total=4)
+            selection_windows(rng, n=5, total=4)
         with pytest.raises(ValueError):
-            SequentialSampler(rng, n=-1, total=4)
+            selection_windows(rng, n=-1, total=4)
+        with pytest.raises(ValueError):
+            selection_windows(rng, n=0, total=-1)
 
     def test_matches_method_s_distribution(self):
         # The selected positions must follow q = k/(M-j+1) exactly.
@@ -78,7 +77,7 @@ class TestSequentialSampler:
         counts = [0] * total
         rng = RandomSource(seed=14)
         for _ in range(trials):
-            for position in SequentialSampler(rng, n=n, total=total):
+            for position in select(rng, n, total):
                 counts[position] += 1
         expected = trials * n / total
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -95,7 +94,7 @@ class TestSelectionLaw:
         counts = dict.fromkeys(subsets, 0)
         rng = RandomSource(seed=15)
         for _ in range(trials):
-            counts[tuple(SequentialSampler(rng, n=n, total=total))] += 1
+            counts[tuple(select(rng, n, total))] += 1
         expected = trials / len(subsets)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert stats.chi2.sf(chi2, df=len(subsets) - 1) > 1e-4
@@ -109,7 +108,7 @@ class TestSelectionLaw:
         counts = [0] * total
         rng = RandomSource(seed=16)
         for _ in range(trials):
-            counts[next(SequentialSampler(rng, n=n, total=total))] += 1
+            counts[select(rng, n, total)[0]] += 1
         support = total - n + 1
         assert not any(counts[support:])
         expected = [trials * p for p in law[:support]]

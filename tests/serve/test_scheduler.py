@@ -12,6 +12,7 @@ from repro.serve.scheduler import (
     DeterministicScheduler,
     FifoRefresh,
     LongestLogFirst,
+    distribution,
     make_scheduling_policy,
 )
 from repro.serve.session import Freshness
@@ -250,3 +251,11 @@ class TestWorkload:
             WorkloadEvent(time=0.0, seq=0, kind="compact", sample="a")
         with pytest.raises(ValueError):
             synthetic_workload(RandomSource(1), [], 10)
+
+
+def test_distribution_mean_is_a_left_to_right_sum():
+    # Sorted, the values add to 0.0 left to right; Python 3.12's
+    # compensated builtin ``sum`` would keep the 1.0 and report 1/3.
+    summary = distribution([1e16, 1.0, -1e16])
+    assert summary["mean"] == 0.0
+    assert summary["count"] == 3
