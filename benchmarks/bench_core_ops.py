@@ -17,7 +17,7 @@ from repro.core.logs import CandidateLogSource
 from repro.core.maintenance import SampleMaintainer
 from repro.core.policies import ManualPolicy, PeriodicPolicy
 from repro.core.refresh.array import ArrayRefresh
-from repro.core.refresh.nomem import NomemRefresh, span_of_gaps
+from repro.core.refresh.nomem import NomemRefresh, span_of_gaps, survivor_indexes
 from repro.core.refresh.stack import StackRefresh, select_final_indexes
 from repro.core.reservoir import ReservoirSampler
 from repro.rng.random_source import RandomSource
@@ -101,6 +101,26 @@ def test_refresh_precompute(benchmark, algorithm):
         result = benchmark(lambda: span_of_gaps(rng, m))
         assert result >= m - 1
     benchmark.extra_info["gaps_per_sec"] = (m - 1) / benchmark.stats.stats.mean
+
+
+@pytest.mark.parametrize("log", ["short", "long"])
+def test_nomem_survivors(benchmark, log):
+    """Both of a refresh's Nomem passes, drained, at M = 2,048: a short log
+    (|C| = M/50, so all but |C| gaps are jumped over) and a long one
+    (|C| = 2M, no jump).  Ungated; ``gaps_per_sec`` counts the gaps
+    computed, 2 min(M-1, |C|)."""
+    m = 2048
+    candidates = m // 50 if log == "short" else 2 * m
+    rng = RandomSource(seed=10)
+
+    def run():
+        count, indexes = survivor_indexes(rng, m, candidates)
+        return count, sum(1 for _ in indexes)
+
+    count, drained = benchmark(run)
+    assert count == drained >= 1
+    gaps = 2 * min(m - 1, candidates)
+    benchmark.extra_info["gaps_per_sec"] = gaps / benchmark.stats.stats.mean
 
 
 def _selected(rng, n, total):

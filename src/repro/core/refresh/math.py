@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from repro.obs.timeseries import left_to_right_sum
+
 __all__ = [
     "expected_candidates",
     "expected_candidates_exact",
@@ -105,7 +107,7 @@ def _harmonic(k: int) -> float:
     if k < 0:
         raise ValueError("harmonic numbers need k >= 0")
     if k < 64:
-        return sum(1.0 / i for i in range(1, k + 1))
+        return left_to_right_sum(1.0 / i for i in range(1, k + 1))
     euler_gamma = 0.5772156649015328606
     inv = 1.0 / k
     inv2 = inv * inv

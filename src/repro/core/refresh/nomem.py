@@ -11,9 +11,14 @@ then the PRNG state saved before the first pass is restored and the same
 variates are regenerated one by one while walking the log forward.
 
 Only the PRNG state (~2.5 KiB for MT19937) is ever held, with at most
-one block of its uniforms -- the Fig. 12 zero line -- at the cost of
-generating twice as many geometric variates (2(M-1) of them, the Fig. 13
-flat-but-higher CPU line).  So the geometric stream asks for at most
+one block of its uniforms -- the Fig. 12 zero line.  The paper pays for
+that with twice as many geometric variates, 2(M-1) of them: the Fig. 13
+flat-but-higher CPU line, which :func:`span_of_gaps` still times.  A
+refresh computes fewer.  With ``|C|`` candidates, the first
+``M - 1 - |C|`` gaps can place no survivor and cancel out of the answer
+(see :func:`survivor_indexes`), so their uniforms are jumped over without
+being computed, and each pass turns only the last ``min(M-1, |C|)`` into
+gaps: 2 min(M-1, |C|) in all.  The geometric stream asks for at most
 :data:`~repro.rng.mt19937.BLOCK_DOUBLES` (312) uniforms per window, while
 the write phase's Method S windows, like Stack's, go up to
 :data:`~repro.rng.mt19937.WINDOW`.
@@ -49,8 +54,8 @@ from repro.storage.memory import MemoryReport
 __all__ = ["NomemRefresh", "span_of_gaps", "survivor_indexes"]
 
 
-def _gap_windows(geom_rng: RandomSource, size: int) -> Iterator[np.ndarray]:
-    """The gaps ``X_k + 1`` for ``k = M-1 .. 1``, one window at a time.
+def _gap_windows(geom_rng: RandomSource, size: int, count: int) -> Iterator[np.ndarray]:
+    """The gaps ``X_k + 1`` for ``k = count .. 1``, one window at a time.
 
     ``X_k`` is geometric with ``p_k = (M-k)/M``, bit-identical to
     :meth:`RandomSource.geometric` (see
@@ -58,7 +63,7 @@ def _gap_windows(geom_rng: RandomSource, size: int) -> Iterator[np.ndarray]:
     holds more uniforms than gaps are left, so drained windows leave
     ``geom_rng`` where scalar draws would, nor more than one block's worth.
     """
-    k = size - 1
+    k = count
     while k >= 1:
         window = geom_rng.random_array(min(k, BLOCK_DOUBLES))
         # p_k = (M - k) / M for this window's k, k - 1, ...
@@ -67,13 +72,19 @@ def _gap_windows(geom_rng: RandomSource, size: int) -> Iterator[np.ndarray]:
         k -= len(window)
 
 
+def _span(geom_rng: RandomSource, size: int, count: int) -> int:
+    """The sum of the gaps for ``k = count .. 1``."""
+    return sum(int(gaps.sum()) for gaps in _gap_windows(geom_rng, size, count))
+
+
 def span_of_gaps(geom_rng: RandomSource, size: int) -> int:
-    """Pass-1 of Algorithm 3: ``X = sum_{k=M-1..1} (X_k + 1)``.
+    """Pass-1 of Algorithm 3 as the paper states it:
+    ``X = sum_{k=M-1..1} (X_k + 1)``.
 
     Exposed separately so the Fig. 13 CPU experiment can time Nomem's
     dominant cost (its ``2(M-1)`` geometric draws) in isolation.
     """
-    return sum(int(gaps.sum()) for gaps in _gap_windows(geom_rng, size))
+    return _span(geom_rng, size, size - 1)
 
 
 def survivor_indexes(
@@ -81,20 +92,31 @@ def survivor_indexes(
 ) -> tuple[int, Iterator[int]]:
     """Both passes of Algorithm 3: the survivor count and their indexes.
 
-    Pass 1 sums the gaps from a saved state to place the smallest
-    survivor index at ``|C| - X``.  Pass 2 restores the state and replays
-    the same gaps: those that land before the log's start are skipped
-    now, and the rest are drawn lazily, a window per run of indexes the
-    returned iterator yields in ascending order.  Nothing but the PRNG
-    state, the block or two its latest window of at most 312 uniforms
-    covers and one window of gaps is held.
+    The first ``lead = max(0, M-1-|C|)`` gaps place no survivor.  After
+    ``j <= lead`` of them the index is ``|C| - S_j``, where ``S_j`` sums
+    the ``M-1-j >= |C|`` gaps still to come, each at least 1, so it is at
+    most 0.  From there on the index is ``|C| - S_lead``, which does not
+    depend on the gaps before.  So their uniforms are jumped over, and
+    only the last ``min(M-1, |C|)`` gaps are computed, twice.
+
+    Pass 1 sums those gaps from a saved state to place the smallest
+    survivor index at ``|C| - S_lead``.  Pass 2 restores the state and
+    replays the same gaps: those that land before the log's start are
+    skipped now, and the rest are drawn lazily, a window per run of
+    indexes the returned iterator yields in ascending order.  Nothing but
+    the PRNG state, the block or two its latest window of at most 312
+    uniforms covers and one window of gaps is held.  A drained iterator
+    leaves ``geom_rng`` past all ``M - 1`` uniforms, as if every gap had
+    been drawn.
     """
+    count = min(size - 1, total)
+    geom_rng.jump(size - 1 - count)
     state = geom_rng.snapshot()
-    span = span_of_gaps(geom_rng, size)
+    span = _span(geom_rng, size, count)
     geom_rng.restore(state)
-    windows = _gap_windows(geom_rng, size)
+    windows = _gap_windows(geom_rng, size, count)
     index = total - span
-    left = size - 1
+    left = count
     gaps = np.empty(0, dtype=np.int64)
     # Skip survivor indexes that fall before the log's start.
     while index < 1:

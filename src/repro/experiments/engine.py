@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.api import Instrumentation
+from repro.obs.timeseries import left_to_right_sum
 from repro.rng.numpy_source import numpy_generator
 from repro.storage.cost_model import AccessStats, DiskParameters, PAPER_DISK
 
@@ -283,7 +284,7 @@ def refresh_offline_cost(
     else:
         if len(full_log_positions) != counts.size:
             raise ValueError("need one position array per period")
-        total_reads = sum(
+        total_reads = left_to_right_sum(
             expected_full_log_blocks_read(sample_size, pos, disk)
             for pos in full_log_positions
         )

@@ -29,12 +29,12 @@ time-series sample site is not a registry emit site.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = ["TimeSeriesStore", "left_to_right_sum", "quantile_nearest_rank"]
 
 
-def left_to_right_sum(values: list[float]) -> float:
+def left_to_right_sum(values: Iterable[float]) -> float:
     """The IEEE loop ``t = 0.0; t += v`` over ``values``, in order.
 
     Builtin ``sum`` over floats is compensated from Python 3.12, so a

@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 
+from repro.obs.timeseries import left_to_right_sum
 from repro.obs.tracefile import (
     SpanNode,
     build_forest,
@@ -151,7 +152,9 @@ def run_trace_command(args: argparse.Namespace) -> int:
 
     traces = {s.get("trace_id") for s in spans if s.get("trace_id") is not None}
     totals = self_times(roots)
-    grand_self = sum(entry["self_seconds"] for entry in totals.values())
+    grand_self = left_to_right_sum(
+        entry["self_seconds"] for entry in totals.values()
+    )
     print(
         f"{len(spans)} spans, {len(traces)} traces, "
         f"{len(totals)} span names, {grand_self:.6f}s total self time"

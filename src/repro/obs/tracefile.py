@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable
 
+from repro.obs.timeseries import left_to_right_sum
 from repro.obs.trace import Span
 
 __all__ = [
@@ -107,7 +108,9 @@ class SpanNode:
         rounded to 9 decimals, so their sum can exceed the parent's
         rounded duration by an ulp.
         """
-        return max(0.0, self.duration - sum(c.duration for c in self.children))
+        return max(
+            0.0, self.duration - left_to_right_sum(c.duration for c in self.children)
+        )
 
 
 def build_forest(spans: list[dict[str, Any]]) -> list[SpanNode]:

@@ -55,11 +55,17 @@ _UNREAD = np.zeros(_N, dtype=np.uint64)
 _UNREAD.flags.writeable = False
 
 
+# An all-zero key as Python ints: numpy's ``MT19937.__init__`` copies
+# the key one element at a time, and each element of an ndarray would
+# cost a numpy scalar.
+_ZERO_KEY = (0,) * _N
+
+
 class _ConstantKey(ISeedSequence):
     """A seed sequence that hands numpy an all-zero key without hashing."""
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return np.zeros(n_words, dtype=dtype)
+    def generate_state(self, n_words: int, dtype=np.uint32) -> tuple[int, ...]:
+        return _ZERO_KEY[:n_words]
 
 
 _CONSTANT_KEY = _ConstantKey()
@@ -386,10 +392,15 @@ class MT19937:
             value = ((self.next_uint32() << 32) | self.next_uint32()) >> (64 - bits)
             if value < n:
                 return value
+
     def jump_discard(self, count: int) -> None:
-        """Advance the stream by discarding ``count`` raw outputs."""
+        """Advance the stream by discarding ``count`` raw outputs.
+
+        The latest window closes: nothing jumped over may be given back.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
+        self._window_start = _CLOSED
         position = self._index + count
         if position <= _N:
             self._index = position

@@ -107,6 +107,16 @@ class RandomSource:
         """Undraw the last ``count`` uniforms of the latest window."""
         self._gen.give_back(count)
 
+    def jump(self, count: int) -> None:
+        """Pass over the next ``count`` uniforms, as ``count`` :meth:`random`
+        calls would, without computing them.
+
+        A uniform is two raw words; numpy steps over the whole blocks
+        among them without returning their words (see
+        :meth:`MT19937.jump_discard <repro.rng.mt19937.MT19937.jump_discard>`).
+        """
+        self._gen.jump_discard(2 * count)
+
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
         return self._gen.randrange(n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Protocol
 
+from repro.obs.timeseries import left_to_right_sum
 from repro.rng.random_source import RandomSource
 
 __all__ = [
@@ -64,7 +65,7 @@ def zipf_stream(
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     weights = [1.0 / math.pow(rank + 1, exponent) for rank in range(universe)]
-    total = sum(weights)
+    total = left_to_right_sum(weights)
     cumulative = []
     running = 0.0
     for weight in weights:

@@ -48,6 +48,10 @@ class _SpySource:
         self._log.append((self._label, "snapshot", 0))
         return self._source.snapshot()
 
+    def jump(self, count):
+        self._log.append((self._label, "jump", count))
+        self._source.jump(count)
+
     def spawn(self, label=""):
         return _SpySource(self._source.spawn(label), self._log, label)
 
@@ -73,6 +77,28 @@ class TestWindowBounds:
         assert geometric and max(geometric) <= BLOCK_DOUBLES
         snapshots = [label for label, what, _ in log if what == "snapshot"]
         assert snapshots == ["nomem-geometric"]
+
+    @pytest.mark.parametrize(
+        "size, candidates", [(1, 7), (2, 1), (700, 40), (700, 698), (700, 699), (700, 2100)]
+    )
+    def test_nomem_computes_two_min_m_minus_one_c_gaps(
+        self, harness_factory, size, candidates
+    ):
+        # The gaps before the last min(M-1, |C|) are jumped over, not
+        # computed; both passes turn the rest into gaps, a block at most
+        # per window, from the one snapshot taken after the jump.
+        harness = harness_factory(sample_size=size, candidates=candidates)
+        log = []
+        harness.rng = _SpySource(harness.rng, log)
+        harness.check_sample_integrity(harness.run(NomemRefresh()))
+        geometric = [(what, n) for label, what, n in log if label == "nomem-geometric"]
+        windows = [n for what, n in geometric if what == "window"]
+        gaps = min(size - 1, candidates)
+        assert sum(windows) == 2 * gaps
+        assert all(n <= BLOCK_DOUBLES for n in windows)
+        assert geometric[0] == ("jump", size - 1 - gaps)
+        assert [what for what, _ in geometric].count("snapshot") == 1
+        assert geometric[1] == ("snapshot", 0)
 
     @pytest.mark.parametrize("algorithm", [NomemRefresh, StackRefresh])
     def test_write_phase_windows_reach_but_never_exceed_window(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.tracefile import (
+    SpanNode,
     build_forest,
     chrome_trace_dict,
     critical_path,
@@ -112,6 +113,15 @@ def test_self_times_subtract_children(spans):
     assert totals["child_a"]["self_seconds"] == pytest.approx(1.0)  # 4 - 3
     assert totals["leaf"]["self_seconds"] == pytest.approx(3.0)
     assert totals["root"]["count"] == 1
+
+
+def test_self_time_subtracts_a_left_to_right_sum():
+    # The children add to 0.0 left to right; a compensated sum (builtin
+    # ``sum`` from Python 3.12) keeps the 1.0 and would leave 1.0.
+    children = [
+        SpanNode({"cost_seconds": duration}) for duration in (1e16, 1.0, -1e16)
+    ]
+    assert SpanNode({"cost_seconds": 2.0}, children).self_time == 2.0
 
 
 def test_critical_path_follows_max_duration_children(spans):

@@ -158,6 +158,25 @@ class TestWindowedDrawsMatchScalarOracles:
         assert count == len(expected)
         assert windowed.snapshot() == scalar.snapshot()
 
+    @given(
+        m=st.integers(min_value=1, max_value=700),
+        shape=st.sampled_from(["one", "m-2", "m-1", "m", "3m"]),
+        seed=SEEDS,
+        offset=OFFSETS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_survivor_indexes_around_the_jump(self, m, shape, seed, offset):
+        # |C| below, at and above M - 1, with M on both sides of a block
+        # of uniforms: below M - 1 the leading gaps are jumped over.
+        c = max(1, {"one": 1, "m-2": m - 2, "m-1": m - 1, "m": m, "3m": 3 * m}[shape])
+        windowed, scalar = twins(seed, offset)
+        count, indexes = survivor_indexes(windowed, m, c)
+        expected = survivor_indexes_oracle(scalar, m, c)
+        assert list(indexes) == expected
+        assert count == len(expected)
+        after = windowed.random_array(1000).tolist()
+        assert after == [scalar.random() for _ in range(1000)]
+
 
 ELEMENTS = st.lists(st.integers(0, 2**40), max_size=800)
 QUOTAS = st.one_of(st.none(), st.integers(0, 40))

@@ -20,7 +20,29 @@ def _from_cpython(reference: random.Random) -> MT19937:
     return gen
 
 
+def _init_genrand(seed: int) -> list[int]:
+    """The reference C ``init_genrand``: the key a 32-bit seed gives."""
+    key = [seed]
+    for i in range(1, 624):
+        key.append((1812433253 * (key[-1] ^ (key[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return key
+
+
 class TestReferenceBehaviour:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_seeded_construction_matches_cpython(self, seed):
+        # The generator is built from a constant key and then seeded, so
+        # neither numpy's seed hashing nor the constant key may leak into
+        # the stream: CPython's MT19937, loaded with the reference key,
+        # serves the same words, and the fresh key reads back exactly.
+        reference = random.Random()
+        reference.setstate((3, tuple(_init_genrand(seed)) + (624,), None))
+        ours = MT19937(seed=seed)
+        assert ours.getstate().key == tuple(_init_genrand(seed))
+        assert [ours.next_uint32() for _ in range(1300)] == [
+            reference.getrandbits(32) for _ in range(1300)
+        ]
+
     def test_matches_cpython_init_by_array_stream(self):
         # CPython's random module is an independent MT19937; a multi-word
         # integer seed runs its init_by_array, so the loaded state is one
@@ -143,6 +165,24 @@ class TestIntegerGeneration:
     def test_jump_discard_rejects_negative(self):
         with pytest.raises(ValueError):
             MT19937().jump_discard(-1)
+
+    @pytest.mark.parametrize("jump", [4, 2_000, 5_000])
+    def test_jump_discard_closes_the_latest_window(self, jump):
+        # Within the window's block, past it into the words the window
+        # holds, and past them into blocks numpy serves anew: nothing
+        # jumped over may be given back.
+        gen, twin = MT19937(seed=7), MT19937(seed=7)
+        if jump == 2_000:
+            gen.random_array(1_200)
+            gen.give_back(1_190)  # words up to 2,400 are held
+        else:
+            gen.random_array(10)
+        gen.jump_discard(jump)
+        with pytest.raises(ValueError):
+            gen.give_back(12)
+        gen.give_back(0)
+        twin.jump_discard(20 + jump)
+        assert gen.getstate() == twin.getstate()
 
 
 class TestWindows:

@@ -98,6 +98,19 @@ class TestSpawn:
 
 
 class TestHelpers:
+    @pytest.mark.parametrize("count", [0, 1, 311, 312, 313, 1_000])
+    def test_jump_passes_over_as_many_uniforms(self, count):
+        # A uniform is two words: jumping over ``count`` of them leaves the
+        # stream where ``count`` random() calls do, across block ends.
+        rng, twin = RandomSource(seed=3), RandomSource(seed=3)
+        rng.random()
+        twin.random()
+        rng.jump(count)
+        for _ in range(count):
+            twin.random()
+        assert rng.snapshot() == twin.snapshot()
+        assert rng.random() == twin.random()
+
     def test_randint_inclusive_bounds(self):
         rng = RandomSource(seed=4)
         values = {rng.randint(3, 5) for _ in range(300)}
